@@ -10,37 +10,52 @@
 //!
 //! Two metric classes per cell:
 //!
-//! * `sim_insts` / `sim_cycles` — exact counters, deterministic, gated
-//!   byte-identical by `bench_diff` like every other experiment (they
-//!   double as a semantics canary for the fast-path interpreter);
-//! * `sim_ips` / `host_ns_per_inst` / `host_ms` — host wall-clock
+//! * `sim_insts` / `sim_cycles` / `samples` — exact counters,
+//!   deterministic, gated byte-identical by `bench_diff` like every other
+//!   experiment (they double as a semantics canary for the superblock
+//!   engine);
+//! * `sim_ips` / `reference_ips` / `speedup_vs_reference` /
+//!   `host_ns_per_inst` / `host_ms` — host wall-clock
 //!   measurements. These vary run to run and host to host, so CI diffs
 //!   them **report-only** (see the `--report-metric` flag of
 //!   `bench_diff`): the trajectory accumulates in the uploaded
 //!   `BENCH_simperf.json` artifacts without flaky gating.
 //!
 //! The workload mix exercises the interpreter's distinct regimes:
-//! dependent cold loads (pointer chase — the memory fast path), hash
-//! probes over a DRAM-sized table (zipf), warm streaming loads (cache
-//! fast path), a load-free ALU kernel, and a simulated-L1-resident tight
+//! dependent cold loads (pointer chase — the memory miss path), hash
+//! probes over a DRAM-sized table (zipf), warm streaming loads (the cache
+//! hit path), a load-free ALU kernel, and a simulated-L1-resident tight
 //! pointer chase — the last two are *dispatch-bound*: almost no time in
 //! the simulated memory system, so they measure dispatch mechanism.
 //!
-//! Every cell runs the superblock engine and the per-instruction fused
-//! fast path **interleaved A/B, best of pairs**: each repetition times
-//! both engines back to back, so host-frequency drift hits both equally.
-//! The engines must produce byte-identical counters and clocks (asserted
-//! every rep — a free differential canary on top of `prop_fastpath`);
-//! `sim_ips` reports the default (superblock) engine, `fastpath_ips` the
-//! blocks-off engine, and `speedup_blocks` their ratio. Block-cache
-//! stats (`blocks_compiled`, `block_hit_rate`, `block_invalidations`)
-//! ride along report-only.
+//! Each workload runs under four observation regimes (the cell's
+//! config): `seq` with nothing armed; `insitu` with the supervisor's
+//! serving-time L2-miss sampler; `collect4` with the collector's four
+//! counters and the LBR; `faults` with a fault injector whose trap
+//! countdown and prefetch-corruption channel are armed. The last three
+//! are what production runs, and what the superblock engine's observed
+//! instance has to be fast under.
+//!
+//! Every cell runs the superblock engine and the reference `step` loop
+//! **interleaved A/B, best of pairs**: each repetition times both back
+//! to back, so host-frequency drift hits both equally. The two must
+//! produce byte-identical counters, clocks, sample counts and fault logs
+//! (asserted every rep — a free differential canary on top of
+//! `prop_fastpath`); `sim_ips` reports the default (superblock) engine,
+//! `reference_ips` the blocks-off `step` loop, and
+//! `speedup_vs_reference` their ratio. Block-cache stats
+//! (`blocks_compiled`, `block_hit_rate`, `block_invalidations`) ride
+//! along report-only.
 
 use crate::experiment::{Cell, CellMetrics, Experiment, Tier};
 use crate::fresh;
 use reach_baselines::run_sequential;
+use reach_profile::CollectorConfig;
 use reach_sim::isa::{AluOp, Cond, ProgramBuilder, Reg};
-use reach_sim::{CacheLevelConfig, Context, Machine, MachineConfig};
+use reach_sim::{
+    CacheLevelConfig, Context, FaultInjector, FaultPlan, HwEvent, Machine, MachineConfig,
+    PebsConfig,
+};
 use reach_workloads::{
     build_chase, build_scan, build_zipf_kv, ChaseParams, ScanParams, ZipfKvParams,
 };
@@ -68,6 +83,52 @@ const WORKLOADS: &[&str] = &[
 /// CI smoke subset: miss-path kernels plus the dispatch-bound kernels.
 const SMOKE: &[&str] = &["chase-hot", "chase-dram", "chase-tight", "alu-dense"];
 
+/// Observation regimes (cell configs); see the module docs.
+const REGIMES: &[&str] = &["seq", "insitu", "collect4", "faults"];
+
+/// Arms `m` for `regime` and picks the engine.
+fn arm(m: &mut Machine, regime: &str, blocks: bool) {
+    m.blocks_enabled = blocks;
+    let c = CollectorConfig::default();
+    let counter = |event, period| PebsConfig {
+        event,
+        period,
+        skid: c.skid,
+        buffer_capacity: c.buffer_capacity,
+    };
+    match regime {
+        "seq" => {}
+        // `SupervisorOptions::insitu_period` as the fleet runs it.
+        "insitu" => {
+            m.add_sampler(PebsConfig {
+                buffer_capacity: 65_536,
+                ..counter(HwEvent::LoadL2Miss, 31)
+            });
+        }
+        // What `reach_profile::collect` arms. Nothing drains here, so
+        // the buffers fill and later samples are dropped (and counted).
+        "collect4" => {
+            m.add_sampler(counter(HwEvent::LoadL2Miss, c.periods.l2_miss));
+            m.add_sampler(counter(HwEvent::LoadL3Miss, c.periods.l3_miss));
+            m.add_sampler(counter(HwEvent::StallCycle, c.periods.stall));
+            m.add_sampler(counter(HwEvent::InstRetired, c.periods.retired));
+            m.lbr_enabled = true;
+        }
+        // The countdown is charged on every block but never comes due
+        // (a trap would end the kernel): this times the accounting, not
+        // a trap. The kernels issue no prefetches, so that channel is
+        // armed and idle.
+        "faults" => {
+            m.faults = Some(FaultInjector::new(
+                FaultPlan::none(0x51)
+                    .with_trap_every(1 << 40)
+                    .with_prefetch_corrupt(0.5, 4),
+            ));
+        }
+        other => panic!("unknown simperf regime {other:?}"),
+    }
+}
+
 /// Step budget: large enough that per-run setup noise is negligible.
 const MAX_STEPS: u64 = 1 << 26;
 
@@ -78,9 +139,9 @@ const MAX_STEPS: u64 = 1 << 26;
 const REPS: usize = 3;
 
 /// Builds the load-free ALU kernel: a counted loop of dependent 1-cycle
-/// ALU ops — the regime the fused Imm/Alu dispatch loop targets. Returns
-/// the machine and the host seconds spent *executing* (build excluded).
-fn run_alu_dense(blocks: bool) -> (Machine, f64) {
+/// ALU ops — pure dispatch. Returns the machine and the host seconds
+/// spent *executing* (build excluded).
+fn run_alu_dense(regime: &str, blocks: bool) -> (Machine, f64) {
     const ITERS: u64 = 200_000;
     let mut b = ProgramBuilder::new("alu_dense");
     let cnt = Reg(0);
@@ -97,7 +158,7 @@ fn run_alu_dense(blocks: bool) -> (Machine, f64) {
     b.halt();
     let prog = b.finish().expect("alu kernel is well-formed");
     let mut m = Machine::new(MachineConfig::default());
-    m.blocks_enabled = blocks;
+    arm(&mut m, regime, blocks);
     let mut ctx = Context::new(0);
     let started = Instant::now();
     let exit = m.run_to_completion(&prog, &mut ctx, MAX_STEPS).unwrap();
@@ -130,7 +191,7 @@ fn hot_config() -> MachineConfig {
 
 /// Runs one of the built workloads sequentially; the timer covers only
 /// the execution phase, not workload construction or checksum checks.
-fn run_workload(name: &str, blocks: bool) -> (Machine, f64) {
+fn run_workload(name: &str, regime: &str, blocks: bool) -> (Machine, f64) {
     let cfg = if name == "chase-hot" {
         hot_config()
     } else {
@@ -204,7 +265,7 @@ fn run_workload(name: &str, blocks: bool) -> (Machine, f64) {
         ),
         other => panic!("unknown simperf workload {other:?}"),
     });
-    m.blocks_enabled = blocks;
+    arm(&mut m, regime, blocks);
     let mut ctxs = w.make_contexts();
     let started = Instant::now();
     run_sequential(&mut m, &w.prog, &mut ctxs, MAX_STEPS).unwrap();
@@ -228,43 +289,58 @@ impl Experiment for SimPerf {
     }
 
     fn notes(&self) -> &'static str {
-        "sim_insts/sim_cycles are deterministic and gated; sim_ips, \
-         host_ns_per_inst and host_ms are host measurements, diffed \
-         report-only in CI."
+        "sim_insts/sim_cycles/samples are deterministic and gated; sim_ips, \
+         reference_ips, speedup_vs_reference, host_ns_per_inst and host_ms \
+         are host measurements, diffed report-only in CI."
     }
 
     fn cells(&self, tier: Tier) -> Vec<Cell> {
         WORKLOADS
             .iter()
             .filter(|w| tier == Tier::Full || SMOKE.contains(w))
-            .map(|w| Cell::new(*w, "seq"))
+            .flat_map(|w| REGIMES.iter().map(move |r| Cell::new(*w, *r)))
             .collect()
     }
 
     fn run_cell(&self, cell: &Cell, _seed: u64) -> CellMetrics {
         let run_one = |blocks: bool| match cell.workload.as_str() {
-            "alu-dense" => run_alu_dense(blocks),
-            other => run_workload(other, blocks),
+            "alu-dense" => run_alu_dense(&cell.config, blocks),
+            other => run_workload(other, &cell.config, blocks),
+        };
+        // What the observers saw: per-counter totals and the fault log.
+        let observed = |m: &Machine| {
+            let counters: Vec<_> = (m.samplers.iter())
+                .map(|s| (s.occurrences, s.emitted, s.dropped))
+                .collect();
+            (counters, m.faults.as_ref().map(|fi| fi.log.clone()))
         };
         let mut insts = 0u64;
         let mut cycles = 0u64;
+        let mut samples = 0u64;
         let mut best_blocks = f64::INFINITY;
-        let mut best_fast = f64::INFINITY;
+        let mut best_ref = f64::INFINITY;
         let mut bstats = reach_sim::BlockCacheStats::default();
         for rep in 0..REPS {
             let (mb, sb) = run_one(true);
-            let (mf, sf) = run_one(false);
+            let (mr, sr) = run_one(false);
             // The two engines must be observationally identical — this
             // doubles as a differential canary on real workloads.
             assert_eq!(
-                mb.counters, mf.counters,
+                mb.counters, mr.counters,
                 "{}: engine counters diverge",
                 cell
             );
-            assert_eq!(mb.now, mf.now, "{}: engine clocks diverge", cell);
+            assert_eq!(mb.now, mr.now, "{}: engine clocks diverge", cell);
+            assert_eq!(
+                observed(&mb),
+                observed(&mr),
+                "{}: engines were observed differently",
+                cell
+            );
             if rep == 0 {
                 insts = mb.counters.instructions;
                 cycles = mb.now;
+                samples = mb.samplers.iter().map(|s| s.emitted).sum();
                 bstats = mb.block_cache.stats.clone();
             } else {
                 assert_eq!(
@@ -275,14 +351,15 @@ impl Experiment for SimPerf {
                 );
             }
             best_blocks = best_blocks.min(sb);
-            best_fast = best_fast.min(sf);
+            best_ref = best_ref.min(sr);
         }
         let mut out = CellMetrics::new();
         out.put_u64("sim_insts", insts)
             .put_u64("sim_cycles", cycles)
             .put_f64("sim_ips", insts as f64 / best_blocks)
-            .put_f64("fastpath_ips", insts as f64 / best_fast)
-            .put_f64("speedup_blocks", best_fast / best_blocks)
+            .put_u64("samples", samples)
+            .put_f64("reference_ips", insts as f64 / best_ref)
+            .put_f64("speedup_vs_reference", best_ref / best_blocks)
             .put_f64("host_ns_per_inst", best_blocks * 1e9 / insts as f64)
             .put_f64("host_ms", best_blocks * 1e3)
             .put_u64("blocks_compiled", bstats.compiled)

@@ -1130,6 +1130,11 @@ impl EpochLoop {
                 Err(_) => self.report.job_faults += 1,
             }
         }
+        if let Some(p) = &scav_override {
+            // The override dies with this epoch; the next one may be
+            // allocated where it lived.
+            machine.block_cache.forget(p);
+        }
         let samples = machine.take_samples(sampler);
         machine.samplers.truncate(samplers_before);
         for s in &samples {
@@ -1870,17 +1875,14 @@ mod tests {
         // The superblock engine caches pre-decoded blocks keyed by
         // program *identity*; a hot swap changes the code map under the
         // serving loop, so every deployment change must invalidate the
-        // cache — blocks compiled from any earlier traffic (warmup,
-        // off-epoch uninstrumented jobs) must not survive a deploy.
+        // cache — blocks compiled from any earlier traffic must not
+        // survive a deploy.
         let mut m = Machine::new(MachineConfig::default());
         let mut svc = ZipfService::new(&mut m, 0.0, 3.0);
         let orig = svc.prog.clone();
         let init = initial_build(&mut m, &svc, &orig);
 
-        // Warm the superblock cache with uninstrumented traffic (the
-        // supervisor's own serving loop keeps the in-situ sampler armed,
-        // which routes around the block engine — warmup models the
-        // direct/uninstrumented callers that do reach it).
+        // Warm the superblock cache with traffic from before the run.
         let mut wb = ProgramBuilder::new("warmup");
         wb.imm(Reg(1), 64).imm(Reg(2), 1);
         let top = wb.label();
@@ -1901,7 +1903,36 @@ mod tests {
             "every hot swap must invalidate the superblock cache"
         );
         // The pre-swap blocks are gone, not merely shadowed.
-        assert_eq!(m.block_cache.cached_blocks(), 0);
+        assert!(!m.block_cache.has_blocks_for(&warm_prog));
+    }
+
+    /// Serving arms the in-situ sampler on every batch; that must not
+    /// drop it to the reference tier. A per-epoch scavenger override is
+    /// forgotten with its epoch instead of piling up in the cache.
+    #[test]
+    fn sampler_armed_serving_runs_on_the_block_engine() {
+        let mut m = Machine::new(MachineConfig::default());
+        let mut svc = ZipfService::new(&mut m, 3.0, 3.0);
+        svc.runaway = Some((runaway_prog(), 0..u64::MAX));
+        let orig = svc.prog.clone();
+        let init = initial_build(&mut m, &svc, &orig);
+        let before = m.block_cache.stats.clone();
+        let cached = m.block_cache.cached_programs();
+
+        let opts = SupervisorOptions {
+            supervise: false,
+            ..drift_opts()
+        };
+        let r = supervise(&mut m, &mut svc, &orig, init, &opts).unwrap();
+        assert_eq!(r.served, opts.epochs);
+        let hits = m.block_cache.stats.hits - before.hits;
+        assert!(hits > 0, "serving fell back to the reference tier");
+        assert!(
+            m.block_cache.cached_programs() <= cached + 1,
+            "{} programs cached after {} epochs of overrides",
+            m.block_cache.cached_programs(),
+            opts.epochs
+        );
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! Superblock execution engine: the third (fastest) dispatch tier behind
+//! Superblock execution engine: the production dispatch tier behind
 //! [`Machine::run`].
 //!
-//! The reference interpreter ([`Machine::step`]) and the fused fast path
-//! (`run_fast`) both pay per-instruction decode + match dispatch. This
-//! module follows the emulator playbook instead: micro-IR is pre-decoded
-//! into **superblocks** — packed, branch-terminated op buffers — and
-//! executed by a dispatch loop over per-op handler functions indexed by
-//! packed opcode. Inside a block, execution steps straight through the op
-//! buffer; dispatch to a new block happens only at block exits.
+//! The reference interpreter ([`Machine::step`]) pays per-instruction
+//! decode + match dispatch and consults every observer on every
+//! instruction. This module follows the emulator playbook instead:
+//! micro-IR is pre-decoded into **superblocks** — packed,
+//! branch-terminated op buffers — and executed by a dispatch loop whose
+//! per-op handlers inline into one dense match over packed opcodes.
+//! Inside a block, execution steps straight through the op buffer;
+//! dispatch to a new block happens only at block exits.
 //!
 //! Three things make the blocks faster than per-instruction stepping:
 //!
@@ -17,38 +18,47 @@
 //! * **Static accounting.** Runs of clock-independent instructions
 //!   (Imm/Alu) have their busy-cycle and retirement accounting summed at
 //!   decode time and attached to the next clock-dependent op
-//!   (`pre_busy`/`pre_insts`), which applies it in one shot — the dynamic
-//!   equivalent of `run_fast`'s `Burst`, paid once per run instead of
-//!   once per instruction. This is exact, not approximate: a pure run can
-//!   neither exit nor observe the clock mid-way, so no intermediate state
-//!   is observable.
+//!   (`pre_busy`/`pre_insts`), which applies it in one shot. This is
+//!   exact, not approximate: a pure run can neither exit nor observe the
+//!   clock mid-way, so no intermediate state is observable.
 //! * **Superinstruction fusion.** A compare feeding the block's
 //!   terminating branch fuses into one op (`FusedCmpBranch`); a load
 //!   feeding a dependent ALU op fuses into `FusedLoadAlu`. Both apply the
 //!   effects and counters of *both* source instructions, so architectural
 //!   state and counters stay byte-identical.
 //!
+//! The engine is generic over an [`Observe`] policy and monomorphised
+//! twice. [`Unobserved`] is all no-ops. [`Observed`] serves a machine
+//! with PEBS samplers or a fault injector armed — which is what the
+//! supervisor, the fleet and the collector always run — and makes a probe
+//! cost where it fires, not on every instruction: load events and
+//! prefetch corruption hook into the load and prefetch handlers (LBR
+//! drops already live in `Machine::record_branch`), while `InstRetired`
+//! occurrences and the trap countdown are charged per block. A block in
+//! which a retirement sample, a trap or the step budget would land is
+//! not entered; [`Machine::step`] executes it instruction-exactly.
+//!
 //! Blocks are cached in a [`BlockCache`] keyed by *program identity*
 //! (instruction-vector pointer + length) and entry PC. Identity is not
-//! content: like a JIT's code cache, the cache must be **explicitly
-//! invalidated** ([`Machine::invalidate_blocks`]) whenever a code map
-//! changes under it — a supervisor hot swap, re-instrumentation, or any
-//! in-place mutation of a program that has already executed. Debug builds
-//! revalidate a content hash of each block's source range on every
-//! execution and panic on staleness, so a missing invalidation cannot
-//! silently serve stale code in tests.
+//! content: like a JIT's code cache, the cache must be told whenever a
+//! code map changes under it — [`Machine::invalidate_blocks`] on a
+//! supervisor hot swap or re-instrumentation, [`BlockCache::forget`]
+//! before a program that has executed is dropped or mutated in place.
+//! Debug builds revalidate a content hash of each block's source range on
+//! every execution and panic on staleness, so a missing invalidation
+//! cannot silently serve stale code in tests.
 //!
-//! The engine is selected by [`Machine::run`] only when the machine is
-//! uninstrumented (no PEBS samplers, no trace, no fault injector) and
-//! [`Machine::blocks_enabled`] holds; the `prop_fastpath` differential
-//! suite drives all three tiers over random programs and asserts
-//! byte-identical exits, counters, registers, memory and LBR records.
+//! [`Machine::run`] picks the tier; the `prop_fastpath` differential
+//! suite drives the engine against `step` over random programs, sampler
+//! sets and fault plans and asserts byte-identical exits, counters,
+//! registers, memory, LBR records, sample streams and fault logs.
 
 use crate::cache::{AccessKind, Level};
 use crate::context::{Context, PendingLoad, Status, MAX_CALL_DEPTH};
 use crate::fxhash::FxHashMap;
 use crate::isa::{AluOp, Cond, Inst, Program, Reg, YieldKind};
 use crate::machine::{ExecError, Exit, Machine};
+use crate::pebs::HwEvent;
 
 /// Most cached programs per machine. The serving loop touches a handful
 /// of programs at a time (current build + scavenger override); beyond
@@ -498,8 +508,8 @@ struct ProgramBlocks {
 ///
 /// Keys are program *identities* (allocation pointer + length), not
 /// content — reusing an allocation for different code without calling
-/// [`Machine::invalidate_blocks`] violates the cache contract (debug
-/// builds panic on it; see the module docs).
+/// [`Machine::invalidate_blocks`] or [`BlockCache::forget`] violates the
+/// cache contract (debug builds panic on it; see the module docs).
 #[derive(Clone, Debug, Default)]
 pub struct BlockCache {
     progs: Vec<ProgramBlocks>,
@@ -518,6 +528,16 @@ impl BlockCache {
     pub fn invalidate(&mut self) {
         self.progs.clear();
         self.stats.invalidations += 1;
+    }
+
+    /// Drops the blocks of `prog` alone. Required before a program that
+    /// has executed on this machine is dropped or mutated in place while
+    /// the machine lives on: the allocator may hand its address and
+    /// length to different code, which the identity key cannot tell
+    /// apart. Not an invalidation event: every other program stays hot.
+    pub fn forget(&mut self, prog: &Program) {
+        let key = prog_key(prog);
+        self.progs.retain(|p| p.key != key);
     }
 
     /// Total decoded blocks currently cached.
@@ -576,6 +596,168 @@ impl BlockCache {
     }
 }
 
+/// Where the engine lets the machine's observers look. Hooks sit only
+/// where [`Machine::step`] has them; everything else in a block runs
+/// unobserved.
+pub(crate) trait Observe {
+    /// Reads what is armed on `m` at the start of a run.
+    fn arm(m: &Machine) -> Self;
+    /// PMU load events, fired between `record_load` and the value read.
+    fn load(m: &mut Machine, pc: usize, ea: u64, level: Level, stall: u64);
+    /// The prefetch-hint fault channel.
+    fn prefetch_ea(m: &mut Machine, ea: u64) -> u64;
+    /// Whether a block of `insts` instructions may run whole: false when
+    /// a retirement sample or an injected trap would land inside it.
+    fn admits(&mut self, m: &mut Machine, insts: u64) -> bool;
+    /// Brackets one executed block to count what it retired.
+    fn enter(&mut self, m: &Machine, ctx: &Context);
+    /// See [`Observe::enter`]; `r` is the block's outcome.
+    fn leave(&mut self, m: &Machine, ctx: &Context, r: &Result<Option<Exit>, ExecError>);
+    /// Credits the retirements counted so far to the samplers and the
+    /// fault injector and re-reads how far the next landing is. Must run
+    /// before anything else touches either, and when the run ends.
+    fn sync(&mut self, m: &mut Machine);
+}
+
+/// Nothing armed: every hook is a no-op and compiles away.
+pub(crate) struct Unobserved;
+
+impl Observe for Unobserved {
+    #[inline(always)]
+    fn arm(_: &Machine) -> Self {
+        Unobserved
+    }
+    #[inline(always)]
+    fn load(_: &mut Machine, _: usize, _: u64, _: Level, _: u64) {}
+    #[inline(always)]
+    fn prefetch_ea(_: &mut Machine, ea: u64) -> u64 {
+        ea
+    }
+    #[inline(always)]
+    fn admits(&mut self, _: &mut Machine, _: u64) -> bool {
+        true
+    }
+    #[inline(always)]
+    fn enter(&mut self, _: &Machine, _: &Context) {}
+    #[inline(always)]
+    fn leave(&mut self, _: &Machine, _: &Context, _: &Result<Option<Exit>, ExecError>) {}
+    #[inline(always)]
+    fn sync(&mut self, _: &mut Machine) {}
+}
+
+/// Samplers or a fault injector armed. Load events and prefetch
+/// corruption fire in their handlers. Retirements are counted per block
+/// and credited lazily: `slack` is how many more instructions can retire
+/// before an `InstRetired` sample or a trap can land, so the common block
+/// costs one compare and a few adds.
+pub(crate) struct Observed {
+    /// Whether anything counts retirements at all (an `InstRetired`
+    /// sampler, or an injector's attempt counter).
+    counting: bool,
+    slack: u64,
+    /// `InstRetired` occurrences and `step`-equivalent attempts executed
+    /// in blocks since the last [`Observe::sync`].
+    events: u64,
+    attempts: u64,
+    /// At block entry: instructions retired by the context, yields
+    /// executed on the machine.
+    mark: (u64, u64),
+}
+
+fn yields_executed(m: &Machine) -> u64 {
+    m.counters.yields_fired + m.counters.yields_suppressed
+}
+
+impl Observe for Observed {
+    fn arm(m: &Machine) -> Self {
+        let counting = m.faults.is_some()
+            || m.samplers
+                .iter()
+                .any(|s| s.cfg.event == HwEvent::InstRetired);
+        Observed {
+            counting,
+            // `counting` runs start at 0 so the first `admits` syncs.
+            slack: if counting { 0 } else { u64::MAX },
+            events: 0,
+            attempts: 0,
+            mark: (0, 0),
+        }
+    }
+
+    #[inline(always)]
+    fn load(m: &mut Machine, pc: usize, ea: u64, level: Level, stall: u64) {
+        if matches!(level, Level::L3 | Level::Mem) {
+            m.fire_event(HwEvent::LoadL2Miss, pc, Some(ea), 1);
+            if level == Level::Mem {
+                m.fire_event(HwEvent::LoadL3Miss, pc, Some(ea), 1);
+            }
+        }
+        if stall > 0 {
+            m.fire_event(HwEvent::StallCycle, pc, Some(ea), stall);
+        }
+    }
+
+    #[inline(always)]
+    fn prefetch_ea(m: &mut Machine, ea: u64) -> u64 {
+        match &mut m.faults {
+            Some(fi) => fi.corrupt_prefetch(ea),
+            None => ea,
+        }
+    }
+
+    #[inline(always)]
+    fn admits(&mut self, m: &mut Machine, insts: u64) -> bool {
+        if insts > self.slack {
+            self.sync(m);
+        }
+        insts <= self.slack
+    }
+
+    #[inline(always)]
+    fn enter(&mut self, m: &Machine, ctx: &Context) {
+        if self.counting {
+            self.mark = (ctx.stats.instructions, yields_executed(m));
+        }
+    }
+
+    #[inline(always)]
+    fn leave(&mut self, m: &Machine, ctx: &Context, r: &Result<Option<Exit>, ExecError>) {
+        if !self.counting {
+            return;
+        }
+        let retired = ctx.stats.instructions - self.mark.0;
+        // `step` fires no `InstRetired` for a yield or a halt, but its
+        // trap countdown counts them — and the instruction a parked load
+        // or an error leaves unretired.
+        let silent = yields_executed(m) - self.mark.1 + u64::from(*r == Ok(Some(Exit::Done)));
+        let unretired = matches!(r, Ok(Some(Exit::Stalled { .. })) | Err(_));
+        let attempts = retired + u64::from(unretired);
+        self.events += retired - silent;
+        self.attempts += attempts;
+        self.slack -= attempts;
+    }
+
+    fn sync(&mut self, m: &mut Machine) {
+        if !self.counting {
+            return;
+        }
+        let mut slack = u64::MAX;
+        for s in &mut m.samplers {
+            if s.cfg.event == HwEvent::InstRetired {
+                s.credit(self.events);
+                slack = slack.min(s.headroom());
+            }
+        }
+        if let Some(fi) = &mut m.faults {
+            fi.credit_attempts(self.attempts);
+            slack = slack.min(fi.trap_headroom());
+        }
+        self.events = 0;
+        self.attempts = 0;
+        self.slack = slack;
+    }
+}
+
 /// What a handler tells the dispatch loop.
 enum Ctl {
     /// Step straight to the next op in the block.
@@ -596,7 +778,7 @@ enum Ctl {
 /// counters and the context pointer stay in host registers across ops
 /// instead of being re-materialized per call.
 #[inline(always)]
-fn dispatch_op(m: &mut Machine, ctx: &mut Context, op: &POp) -> Ctl {
+fn dispatch_op<O: Observe>(m: &mut Machine, ctx: &mut Context, op: &POp) -> Ctl {
     match op.code {
         OP_IMM => h_imm(m, ctx, op),
         1 => h_alu_add(m, ctx, op),
@@ -613,11 +795,11 @@ fn dispatch_op(m: &mut Machine, ctx: &mut Context, op: &POp) -> Ctl {
         12 => h_alu_seq(m, ctx, op),
         13 => h_alu_min(m, ctx, op),
         14 => h_alu_max(m, ctx, op),
-        OP_LOAD => h_load(m, ctx, op),
+        OP_LOAD => h_load::<O>(m, ctx, op),
         OP_STORE => h_store(m, ctx, op),
-        OP_PREFETCH => h_prefetch(m, ctx, op),
+        OP_PREFETCH => h_prefetch::<O>(m, ctx, op),
         OP_YIELD => h_yield(m, ctx, op),
-        OP_FUSED_LOAD_ALU => h_fused_load_alu(m, ctx, op),
+        OP_FUSED_LOAD_ALU => h_fused_load_alu::<O>(m, ctx, op),
         OP_BRANCH => h_branch(m, ctx, op),
         OP_JUMP => h_jump(m, ctx, op),
         OP_CALL => h_call(m, ctx, op),
@@ -631,7 +813,7 @@ fn dispatch_op(m: &mut Machine, ctx: &mut Context, op: &POp) -> Ctl {
 }
 
 /// Applies the busy/retirement accounting attached from the pure run
-/// preceding this op — the static analogue of `Burst::flush`.
+/// preceding this op.
 #[inline(always)]
 fn apply_pre(m: &mut Machine, ctx: &mut Context, op: &POp) {
     if op.pre_insts > 0 {
@@ -697,7 +879,7 @@ alu_handlers!(
 /// interpreter's `Inst::Load` arm. `Err` carries an early exit (parked
 /// stall or memory error) with `ctx.pc` already repositioned.
 #[inline(always)]
-fn do_load(m: &mut Machine, ctx: &mut Context, op: &POp) -> Result<(), Ctl> {
+fn do_load<O: Observe>(m: &mut Machine, ctx: &mut Context, op: &POp) -> Result<(), Ctl> {
     let pc = op.pc as usize;
     let ea = ctx.regs[op.b as usize].wrapping_add_signed(op.off);
     m.mem.host_prefetch(ea);
@@ -716,6 +898,7 @@ fn do_load(m: &mut Machine, ctx: &mut Context, op: &POp) -> Result<(), Ctl> {
         access.level
     };
     m.counters.record_load(pc, level, stall);
+    O::load(m, pc, ea, level, stall);
 
     if stall > 0 && m.switch_on_stall {
         let value = match m.mem.read_hot(ea) {
@@ -753,18 +936,18 @@ fn do_load(m: &mut Machine, ctx: &mut Context, op: &POp) -> Result<(), Ctl> {
 }
 
 #[inline(always)]
-fn h_load(m: &mut Machine, ctx: &mut Context, op: &POp) -> Ctl {
+fn h_load<O: Observe>(m: &mut Machine, ctx: &mut Context, op: &POp) -> Ctl {
     apply_pre(m, ctx, op);
-    match do_load(m, ctx, op) {
+    match do_load::<O>(m, ctx, op) {
         Ok(()) => Ctl::Next,
         Err(ctl) => ctl,
     }
 }
 
 #[inline(always)]
-fn h_fused_load_alu(m: &mut Machine, ctx: &mut Context, op: &POp) -> Ctl {
+fn h_fused_load_alu<O: Observe>(m: &mut Machine, ctx: &mut Context, op: &POp) -> Ctl {
     apply_pre(m, ctx, op);
-    if let Err(ctl) = do_load(m, ctx, op) {
+    if let Err(ctl) = do_load::<O>(m, ctx, op) {
         // Parked or errored: the dependent ALU has not executed; a
         // resume re-enters at the ALU's PC and decodes a fresh block.
         return ctl;
@@ -799,9 +982,12 @@ fn h_store(m: &mut Machine, ctx: &mut Context, op: &POp) -> Ctl {
 }
 
 #[inline(always)]
-fn h_prefetch(m: &mut Machine, ctx: &mut Context, op: &POp) -> Ctl {
+fn h_prefetch<O: Observe>(m: &mut Machine, ctx: &mut Context, op: &POp) -> Ctl {
     apply_pre(m, ctx, op);
     let ea = ctx.regs[op.b as usize].wrapping_add_signed(op.off);
+    // A corrupted hint warms the wrong line; the later demand load still
+    // reads the true address, so semantics hold.
+    let ea = O::prefetch_ea(m, ea);
     let access = m.hier.access(ea, m.now, AccessKind::Prefetch);
     ctx.last_prefetch_level = Some(access.level);
     m.busy(m.cfg.prefetch_cost);
@@ -957,17 +1143,15 @@ fn h_fallthrough(m: &mut Machine, ctx: &mut Context, op: &POp) -> Ctl {
 }
 
 impl Machine {
-    /// The superblock dispatch loop behind [`Machine::run`]'s third
-    /// tier. The cache is handed in by the caller (taken out of the
-    /// machine for the duration of the run, so handlers borrow the
-    /// machine freely).
+    /// The superblock engine behind [`Machine::run`]. The cache is handed
+    /// in by the caller (taken out of the machine for the duration of the
+    /// run, so handlers borrow the machine freely).
     ///
     /// Exactness contract: identical exits, clock, counters, registers,
-    /// memory and LBR to `run_fast`/`step` on every program. A block
-    /// whose full retirement would overshoot the step budget is not
-    /// entered; the tail is delegated to `run_fast`, which steps it
-    /// instruction-exactly.
-    pub(crate) fn run_blocks(
+    /// memory, LBR, samples and fault log to a loop over `step` on every
+    /// program. A block that the step budget or the observers do not
+    /// admit whole is not entered; `step` executes it.
+    pub(crate) fn run_blocks<O: Observe>(
         &mut self,
         cache: &mut BlockCache,
         prog: &Program,
@@ -980,6 +1164,31 @@ impl Machine {
         if ctx.status != Status::Runnable {
             return Err(ExecError::NotRunnable);
         }
+        let mut obs = O::arm(self);
+        let r = self.dispatch_blocks(&mut obs, cache, prog, ctx, max_steps);
+        obs.sync(self);
+        r
+    }
+
+    fn dispatch_blocks<O: Observe>(
+        &mut self,
+        obs: &mut O,
+        cache: &mut BlockCache,
+        prog: &Program,
+        ctx: &mut Context,
+        max_steps: u64,
+    ) -> Result<Exit, ExecError> {
+        let mut remaining = max_steps;
+        if !obs.admits(self, 1) {
+            // Something lands on the very next instruction. `step` must
+            // see the run's entry state: a trap precedes `started_at`
+            // and the completion of a parked load.
+            if let Some(exit) = self.step(prog, ctx)? {
+                return Ok(exit);
+            }
+            remaining -= 1;
+            obs.sync(self);
+        }
         if ctx.stats.started_at.is_none() {
             ctx.stats.started_at = Some(self.now);
         }
@@ -991,14 +1200,17 @@ impl Machine {
         // block every iteration and skips the map probe entirely.
         let mut last_pc = usize::MAX;
         let mut last_bi = 0usize;
-        let mut remaining = max_steps;
         loop {
             if remaining == 0 {
                 return Ok(Exit::StepLimit);
             }
             let pc = ctx.pc;
             if pc >= prog.insts.len() {
-                return Err(ExecError::BadPc { pc });
+                // `step` settles whether a due trap precedes the BadPc.
+                obs.sync(self);
+                return Err(self
+                    .step(prog, ctx)
+                    .expect_err("a pc outside the program cannot execute"));
             }
             let bi = if pc == last_pc {
                 cache.stats.hits += 1;
@@ -1015,16 +1227,29 @@ impl Machine {
                 block.src_hash,
                 hash_insts(&prog.insts[block.entry as usize..block.end as usize]),
                 "stale superblock for program {:?} at pc {}: code changed \
-                 without Machine::invalidate_blocks()",
+                 without Machine::invalidate_blocks() or BlockCache::forget()",
                 prog.name,
                 pc,
             );
-            if block.insts_total > remaining {
-                // Partial block: step the tail instruction-exactly.
-                return self.run_fast(prog, ctx, remaining);
-            }
             let insts = block.insts_total;
-            match self.exec_block(ctx, block)? {
+            if insts > remaining || !obs.admits(self, insts) {
+                // The step budget, a retirement sample or a trap lands
+                // inside this block: step it instruction-exactly. A block
+                // is straight-line, so stepping all of it ends at the
+                // next block's entry.
+                obs.sync(self);
+                let steps = insts.min(remaining);
+                if let Some(exit) = self.step_n(prog, ctx, steps)? {
+                    return Ok(exit);
+                }
+                remaining -= steps;
+                obs.sync(self);
+                continue;
+            }
+            obs.enter(self, ctx);
+            let r = self.exec_block::<O>(ctx, block);
+            obs.leave(self, ctx, &r);
+            match r? {
                 Some(exit) => return Ok(exit),
                 None => remaining -= insts,
             }
@@ -1033,9 +1258,13 @@ impl Machine {
 
     /// Straight-line stepping inside one block: `Ok(None)` means the
     /// terminator ran and `ctx.pc` points at the next block's entry.
-    fn exec_block(&mut self, ctx: &mut Context, block: &Block) -> Result<Option<Exit>, ExecError> {
+    fn exec_block<O: Observe>(
+        &mut self,
+        ctx: &mut Context,
+        block: &Block,
+    ) -> Result<Option<Exit>, ExecError> {
         for op in block.ops.iter() {
-            match dispatch_op(self, ctx, op) {
+            match dispatch_op::<O>(self, ctx, op) {
                 Ctl::Next => {}
                 Ctl::End => return Ok(None),
                 Ctl::Exit(e) => return Ok(Some(e)),
@@ -1131,7 +1360,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_matches_fast_path_on_a_loop() {
+    fn engine_matches_reference_on_a_loop() {
         let p = counted_loop(500);
         let run = |blocks: bool| {
             let mut m = Machine::new(MachineConfig::default());
@@ -1215,6 +1444,33 @@ mod tests {
         let _ = m.run(&p, &mut ctx2, 1 << 20);
     }
 
+    /// The per-program half of the contract, and the one the serving loop
+    /// relies on: a dropped scavenger override can hand its address and
+    /// length to the next epoch's. No debug-only check is involved, so
+    /// this holds in release builds, where nothing else would catch it.
+    #[test]
+    fn forgetting_a_program_executes_its_replacement() {
+        let mut p = counted_loop(10);
+        let other = counted_loop(7);
+        let mut m = Machine::new(MachineConfig::default());
+        m.run(&p, &mut Context::new(0), 1 << 20).unwrap();
+        m.run(&other, &mut Context::new(1), 1 << 20).unwrap();
+
+        m.block_cache.forget(&p);
+        assert!(!m.block_cache.has_blocks_for(&p));
+        assert!(m.block_cache.has_blocks_for(&other), "others stay hot");
+        assert_eq!(m.block_cache.stats.invalidations, 0);
+
+        // Same allocation, same length, different code.
+        p.insts[0] = Inst::Imm {
+            dst: Reg(0),
+            val: 25,
+        };
+        let mut ctx = Context::new(2);
+        m.run(&p, &mut ctx, 1 << 20).unwrap();
+        assert_eq!(ctx.regs[2], 25, "the replacement's code runs");
+    }
+
     #[test]
     fn cached_program_tables_are_bounded() {
         let mut m = Machine::new(MachineConfig::default());
@@ -1248,5 +1504,53 @@ mod tests {
         for chunk in [1, 2, 3, 5, 7, 19] {
             assert_eq!(drive(true, chunk), drive(false, chunk), "chunk {chunk}");
         }
+    }
+
+    /// Running off the end of the program is an attempt like any other:
+    /// a trap due on it wins over the BadPc, and the injector's count
+    /// moves either way. Swept over every trap instant around the end.
+    #[test]
+    fn trap_countdown_is_exact_across_a_bad_pc() {
+        use crate::faults::{FaultInjector, FaultPlan};
+        let p = Program {
+            insts: vec![
+                Inst::Imm {
+                    dst: Reg(0),
+                    val: 1,
+                },
+                Inst::Yield {
+                    kind: YieldKind::Scavenger,
+                    save_regs: None,
+                },
+                Inst::Imm {
+                    dst: Reg(1),
+                    val: 2,
+                },
+            ],
+            name: "no-halt".into(),
+        };
+        let drive = |blocks: bool, every: u64| {
+            let mut m = Machine::new(MachineConfig::default());
+            m.blocks_enabled = blocks;
+            m.faults = Some(FaultInjector::new(
+                FaultPlan::none(3).with_trap_every(every),
+            ));
+            // Two contexts back to back: the second sees the count the
+            // first one's BadPc left behind.
+            let errs: Vec<_> = (0..2)
+                .map(|id| m.run(&p, &mut Context::new(id), 100))
+                .collect();
+            (errs, m.now, m.counters.clone(), m.faults.unwrap().log)
+        };
+        for every in 1..=9 {
+            assert_eq!(
+                drive(true, every),
+                drive(false, every),
+                "trap_every {every}"
+            );
+        }
+        let (errs, ..) = drive(true, 8);
+        assert_eq!(errs[0], Err(ExecError::BadPc { pc: 3 }));
+        assert_eq!(errs[1], Err(ExecError::InjectedFault { pc: 3 }));
     }
 }

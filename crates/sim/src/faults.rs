@@ -375,6 +375,22 @@ impl FaultInjector {
         false
     }
 
+    /// Attempts that can still pass before the one that traps.
+    pub(crate) fn trap_headroom(&self) -> u64 {
+        match self.next_trap_at {
+            Some(at) => at.saturating_sub(self.insts_attempted).saturating_sub(1),
+            None => u64::MAX,
+        }
+    }
+
+    /// Counts `n` attempts known not to reach the next trap: the block
+    /// engine's batched form of `n` calls to
+    /// [`FaultInjector::should_trap`].
+    pub(crate) fn credit_attempts(&mut self, n: u64) {
+        debug_assert!(n <= self.trap_headroom(), "a trap would have landed");
+        self.insts_attempted += n;
+    }
+
     /// Trap channel: called once per attempted instruction; true when a
     /// trap must be delivered at this boundary.
     pub fn should_trap(&mut self) -> bool {

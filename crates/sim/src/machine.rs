@@ -9,7 +9,7 @@
 //! split is what lets the same substrate honestly compare hardware and
 //! software hiding mechanisms.
 
-use crate::blocks::BlockCache;
+use crate::blocks::{BlockCache, Observed, Unobserved};
 use crate::cache::{AccessKind, Hierarchy, Level};
 use crate::config::MachineConfig;
 use crate::context::{Context, Mode, PendingLoad, Status, MAX_CALL_DEPTH};
@@ -111,30 +111,6 @@ impl From<MemError> for ExecError {
     }
 }
 
-/// Busy-cycle/retirement accumulator for the fused fast path: runs of
-/// clock-independent instructions (Imm/Alu/Branch/Call/Ret) batch their
-/// accounting here and flush it before anything that reads the clock.
-#[derive(Default)]
-struct Burst {
-    busy: u64,
-    insts: u64,
-}
-
-impl Burst {
-    /// Applies and clears the accumulated accounting.
-    #[inline]
-    fn flush(&mut self, m: &mut Machine, ctx: &mut Context) {
-        if self.insts > 0 {
-            m.now += self.busy;
-            m.counters.busy_cycles += self.busy;
-            m.counters.instructions += self.insts;
-            ctx.stats.instructions += self.insts;
-            self.busy = 0;
-            self.insts = 0;
-        }
-    }
-}
-
 /// The simulated core plus its memory system, clock, counters and PMU.
 #[derive(Clone, Debug)]
 pub struct Machine {
@@ -168,9 +144,9 @@ pub struct Machine {
     /// [`crate::blocks`]). Keyed by program identity; must be invalidated
     /// via [`Machine::invalidate_blocks`] on any code-map change.
     pub block_cache: BlockCache,
-    /// Whether the uninstrumented tier uses the superblock engine
-    /// (default) or the per-instruction fused fast path. Disable to A/B
-    /// the dispatch mechanisms; simulated state is identical either way.
+    /// Whether [`Machine::run`] may use the superblock engine (default).
+    /// Off pins every run to the reference loop over [`Machine::step`],
+    /// to A/B the two; simulated state is identical either way.
     pub blocks_enabled: bool,
 }
 
@@ -228,7 +204,7 @@ impl Machine {
 
     /// Fires `n` occurrences of `event` into every matching sampler and
     /// charges the sampling overhead for any samples taken.
-    fn fire_event(&mut self, event: HwEvent, pc: usize, addr: Option<u64>, n: u64) {
+    pub(crate) fn fire_event(&mut self, event: HwEvent, pc: usize, addr: Option<u64>, n: u64) {
         if self.samplers.is_empty() || n == 0 {
             return;
         }
@@ -512,284 +488,80 @@ impl Machine {
         Ok(None)
     }
 
-    /// True when nothing observes individual instructions: no PEBS
-    /// samplers, no execution trace, no fault injector. This is the
-    /// dispatch mask for [`Machine::run`]'s fused fast path — the common
-    /// bench configuration. The LBR is deliberately *not* part of the
-    /// mask: it only observes taken control transfers, which the fast
-    /// path executes at flushed (exact) clock values.
-    #[inline]
-    fn uninstrumented(&self) -> bool {
-        self.samplers.is_empty() && self.trace.is_none() && self.faults.is_none()
+    /// The reference loop: up to `n` calls of [`Machine::step`], stopping
+    /// at the first exit. Out of line, so that the block engine's loop,
+    /// which calls it for the blocks it declines, does not grow by `step`.
+    #[inline(never)]
+    pub(crate) fn step_n(
+        &mut self,
+        prog: &Program,
+        ctx: &mut Context,
+        n: u64,
+    ) -> Result<Option<Exit>, ExecError> {
+        for _ in 0..n {
+            if let Some(exit) = self.step(prog, ctx)? {
+                return Ok(Some(exit));
+            }
+        }
+        Ok(None)
+    }
+
+    /// True when [`Machine::run`] must stay on the reference loop. Read
+    /// from what is armed right now — `samplers`, `faults` and `trace`
+    /// are public fields, mutated directly between runs.
+    ///
+    /// * A [`Trace`] records every instruction.
+    /// * A PEBS drop or PC-corruption channel draws from its random
+    ///   stream once per event occurrence reaching a non-empty sampler
+    ///   set — once per retired instruction — so its schedule is only
+    ///   reproducible instruction by instruction.
+    ///
+    /// Everything else the block engine observes exactly: samplers on any
+    /// event, extra skid, LBR drops, prefetch corruption, traps.
+    fn needs_reference_tier(&self) -> bool {
+        !self.blocks_enabled
+            || self.trace.is_some()
+            || (!self.samplers.is_empty()
+                && self
+                    .faults
+                    .as_ref()
+                    .is_some_and(|fi| fi.plan.pebs_drop > 0.0 || fi.plan.pebs_pc_corrupt > 0.0))
     }
 
     /// Runs `ctx` until a yield fires, it stalls (switch-on-stall mode),
     /// it halts, or `max_steps` instructions have retired.
     ///
-    /// Cycle-exact regardless of route. Dispatch is three-tiered: when
-    /// the machine is uninstrumented this selects the superblock engine
-    /// ([`crate::blocks`], the default) or the per-instruction fused
-    /// fast path (when [`Machine::blocks_enabled`] is off); otherwise it
-    /// is a plain loop over [`Machine::step`]. All three produce
-    /// identical counters, registers, clock and exits (enforced by
-    /// differential proptests).
+    /// Cycle-exact regardless of route. Dispatch is two-tiered and
+    /// decided once per call: the superblock engine ([`crate::blocks`]),
+    /// monomorphised for a machine with nothing armed and for one with
+    /// samplers or a fault injector, or — when
+    /// [`Machine::blocks_enabled`] is off, a trace is attached, or a
+    /// PEBS drop/corrupt channel is armed together with samplers — a
+    /// plain loop over [`Machine::step`]. Both produce identical
+    /// counters, registers, clock, exits, samples and fault logs
+    /// (enforced by differential proptests against `step`).
     pub fn run(
         &mut self,
         prog: &Program,
         ctx: &mut Context,
         max_steps: u64,
     ) -> Result<Exit, ExecError> {
-        if self.uninstrumented() {
-            if self.blocks_enabled {
-                // Move the cache out for the duration of the run so the
-                // dispatch loop can borrow blocks while handlers borrow
-                // the machine mutably.
-                let mut cache = std::mem::take(&mut self.block_cache);
-                let r = self.run_blocks(&mut cache, prog, ctx, max_steps);
-                self.block_cache = cache;
-                return r;
-            }
-            return self.run_fast(prog, ctx, max_steps);
+        if self.needs_reference_tier() {
+            return Ok(self
+                .step_n(prog, ctx, max_steps)?
+                .unwrap_or(Exit::StepLimit));
         }
-        for _ in 0..max_steps {
-            if let Some(exit) = self.step(prog, ctx)? {
-                return Ok(exit);
-            }
-        }
-        Ok(Exit::StepLimit)
-    }
-
-    /// The fused stepping loop behind [`Machine::run`]'s fast path.
-    ///
-    /// Preconditions hoisted out of the per-instruction loop (each is
-    /// exact, not approximate — see the inline notes):
-    ///
-    /// * `status`/`started_at` are checked once: within a run, a status
-    ///   change always returns immediately, so re-checking per step is
-    ///   redundant;
-    /// * `complete_pending` runs once in the prologue: a parked load can
-    ///   only exist at run entry (parking one exits the run);
-    /// * the per-PC table is pre-grown to the program length so the
-    ///   per-load path indexes without a bounds-growth check;
-    /// * sampler/trace/fault hooks are skipped entirely — the dispatch
-    ///   mask guarantees every one of them is a no-op.
-    ///
-    /// Runs of Imm/Alu/Branch/Call/Ret (instructions that never read the
-    /// clock) accumulate `busy` cycles and retirement counts in locals,
-    /// flushed to `self.now`/counters before anything clock-dependent
-    /// executes: loads, stores, prefetches, yields, halt, LBR records,
-    /// and every error return. At each of those points the machine state
-    /// is bit-identical to what the step-by-step route produces.
-    pub(crate) fn run_fast(
-        &mut self,
-        prog: &Program,
-        ctx: &mut Context,
-        max_steps: u64,
-    ) -> Result<Exit, ExecError> {
-        if max_steps == 0 {
-            // The slow loop's body never runs: no status check, no error.
-            return Ok(Exit::StepLimit);
-        }
-        if ctx.status != Status::Runnable {
-            return Err(ExecError::NotRunnable);
-        }
-        if ctx.stats.started_at.is_none() {
-            ctx.stats.started_at = Some(self.now);
-        }
-        self.counters.per_pc.grow_to(prog.insts.len());
-        self.complete_pending(ctx);
-
-        let mut burst = Burst::default();
-        macro_rules! flush {
-            () => {
-                burst.flush(&mut *self, ctx)
-            };
-        }
-
-        let mut remaining = max_steps;
-        loop {
-            if remaining == 0 {
-                flush!();
-                return Ok(Exit::StepLimit);
-            }
-            remaining -= 1;
-
-            let pc = ctx.pc;
-            let Some(inst) = prog.insts.get(pc) else {
-                flush!();
-                return Err(ExecError::BadPc { pc });
-            };
-            match *inst {
-                Inst::Imm { dst, val } => {
-                    ctx.set_reg(dst, val);
-                    ctx.pc = pc + 1;
-                    burst.busy += 1;
-                    burst.insts += 1;
-                }
-                Inst::Alu {
-                    op,
-                    dst,
-                    src1,
-                    src2,
-                    lat,
-                } => {
-                    let v = op.eval(ctx.reg(src1), ctx.reg(src2));
-                    ctx.set_reg(dst, v);
-                    ctx.pc = pc + 1;
-                    burst.busy += lat as u64;
-                    burst.insts += 1;
-                }
-                Inst::Branch { cond, src, target } => {
-                    self.counters.branches += 1;
-                    let taken = cond.eval(ctx.reg(src));
-                    burst.busy += 1;
-                    burst.insts += 1;
-                    if taken {
-                        if self.lbr_enabled {
-                            // The LBR stamps self.now: flush so the
-                            // record carries the exact post-busy clock.
-                            flush!();
-                            self.record_branch(pc, target);
-                        }
-                        ctx.pc = target;
-                    } else {
-                        ctx.pc = pc + 1;
-                    }
-                }
-                Inst::Call { target } => {
-                    if ctx.call_stack.len() >= MAX_CALL_DEPTH {
-                        flush!();
-                        ctx.status = Status::Faulted;
-                        return Err(ExecError::CallDepth { pc });
-                    }
-                    ctx.call_stack.push(pc + 1);
-                    burst.busy += 2;
-                    burst.insts += 1;
-                    if self.lbr_enabled {
-                        flush!();
-                        self.record_branch(pc, target);
-                    }
-                    ctx.pc = target;
-                }
-                Inst::Ret => {
-                    let Some(ret) = ctx.call_stack.pop() else {
-                        flush!();
-                        ctx.status = Status::Faulted;
-                        return Err(ExecError::RetEmptyStack { pc });
-                    };
-                    burst.busy += 2;
-                    burst.insts += 1;
-                    if self.lbr_enabled {
-                        flush!();
-                        self.record_branch(pc, ret);
-                    }
-                    ctx.pc = ret;
-                }
-                Inst::Load { dst, addr, offset } => {
-                    // The hierarchy timestamps accesses: flush first.
-                    flush!();
-                    let ea = ctx.reg(addr).wrapping_add_signed(offset);
-                    // Host-side overlap: fetch the backing word behind
-                    // the hierarchy walk (no simulated effect).
-                    self.mem.host_prefetch(ea);
-                    let access = self.hier.access(ea, self.now, AccessKind::DemandLoad);
-                    let wait = access.ready.saturating_sub(self.now);
-                    let stall = wait.saturating_sub(self.cfg.ooo_window);
-                    let level = if access.merged_with_fill {
-                        if stall == 0 {
-                            Level::L1
-                        } else if wait <= self.cfg.l3.hit_latency {
-                            Level::L3
-                        } else {
-                            Level::Mem
-                        }
-                    } else {
-                        access.level
-                    };
-                    self.counters.record_load(pc, level, stall);
-
-                    if stall > 0 && self.switch_on_stall {
-                        let value = self.mem.read_hot(ea)?;
-                        ctx.pending_load = Some(PendingLoad {
-                            dst,
-                            value,
-                            ready: access.ready,
-                        });
-                        return Ok(Exit::Stalled {
-                            ready: access.ready,
-                        });
-                    }
-
-                    let value = self.mem.read_hot(ea)?;
-                    ctx.set_reg(dst, value);
-                    ctx.pc = pc + 1;
-                    self.busy(1);
-                    self.now += stall;
-                    self.counters.stall_cycles += stall;
-                    self.counters.instructions += 1;
-                    ctx.stats.instructions += 1;
-                }
-                Inst::Store { src, addr, offset } => {
-                    flush!();
-                    let ea = ctx.reg(addr).wrapping_add_signed(offset);
-                    let _ = self.hier.access(ea, self.now, AccessKind::Store);
-                    self.mem.write_hot(ea, ctx.reg(src))?;
-                    ctx.pc = pc + 1;
-                    self.busy(1);
-                    self.counters.stores += 1;
-                    self.counters.instructions += 1;
-                    ctx.stats.instructions += 1;
-                }
-                Inst::Prefetch { addr, offset } => {
-                    flush!();
-                    let ea = ctx.reg(addr).wrapping_add_signed(offset);
-                    let access = self.hier.access(ea, self.now, AccessKind::Prefetch);
-                    ctx.last_prefetch_level = Some(access.level);
-                    ctx.pc = pc + 1;
-                    self.busy(self.cfg.prefetch_cost);
-                    self.counters.prefetches += 1;
-                    self.counters.instructions += 1;
-                    ctx.stats.instructions += 1;
-                }
-                Inst::Yield { kind, save_regs } => {
-                    flush!();
-                    ctx.pc = pc + 1;
-                    let fires = match kind {
-                        YieldKind::Primary | YieldKind::Manual => true,
-                        YieldKind::Scavenger => {
-                            self.now += self.cfg.cond_check_cost;
-                            self.counters.check_cycles += self.cfg.cond_check_cost;
-                            ctx.mode == Mode::Scavenger
-                        }
-                        YieldKind::IfAbsent => {
-                            self.now += self.cfg.cond_check_cost;
-                            self.counters.check_cycles += self.cfg.cond_check_cost;
-                            matches!(ctx.last_prefetch_level, Some(Level::L3) | Some(Level::Mem))
-                        }
-                    };
-                    self.counters.instructions += 1;
-                    ctx.stats.instructions += 1;
-                    if fires {
-                        self.counters.yields_fired += 1;
-                        ctx.stats.yields_taken += 1;
-                        return Ok(Exit::Yielded {
-                            pc,
-                            kind,
-                            save_regs,
-                        });
-                    }
-                    self.counters.yields_suppressed += 1;
-                }
-                Inst::Halt => {
-                    flush!();
-                    ctx.status = Status::Done;
-                    ctx.stats.finished_at = Some(self.now);
-                    self.counters.instructions += 1;
-                    ctx.stats.instructions += 1;
-                    return Ok(Exit::Done);
-                }
-            }
-        }
+        // Move the cache out for the duration of the run so the dispatch
+        // loop can borrow blocks while handlers borrow the machine
+        // mutably.
+        let mut cache = std::mem::take(&mut self.block_cache);
+        let r = if self.samplers.is_empty() && self.faults.is_none() {
+            self.run_blocks::<Unobserved>(&mut cache, prog, ctx, max_steps)
+        } else {
+            self.run_blocks::<Observed>(&mut cache, prog, ctx, max_steps)
+        };
+        self.block_cache = cache;
+        r
     }
 
     /// Runs a single context to completion, treating fired yields as
@@ -1394,6 +1166,72 @@ mod tests {
         let dropped = m.faults.as_ref().unwrap().log.lbr_records_dropped;
         assert!(dropped > 0, "some records dropped");
         assert_eq!(m.lbr.recorded + dropped, 19, "19 taken back-edges total");
+    }
+
+    /// One test per dispatch rule of [`Machine::run`], read off the
+    /// block cache: the engine decodes blocks, the reference loop never
+    /// touches it.
+    fn runs_on_blocks(arm: impl FnOnce(&mut Machine)) -> bool {
+        use crate::faults::{FaultInjector, FaultPlan};
+        let mut b = ProgramBuilder::new("tier");
+        b.imm(Reg(0), 0x8000);
+        b.load(Reg(1), Reg(0), 0);
+        b.halt();
+        let p = b.finish().unwrap();
+        let mut m = machine();
+        // A disarmed injector is still an injector.
+        m.faults = Some(FaultInjector::new(FaultPlan::none(1)));
+        arm(&mut m);
+        m.run(&p, &mut Context::new(0), 100).unwrap();
+        m.block_cache.stats.compiled > 0
+    }
+
+    fn l2_sampler(m: &mut Machine) {
+        m.add_sampler(PebsConfig::default());
+    }
+
+    #[test]
+    fn sampler_only_runs_on_blocks() {
+        assert!(runs_on_blocks(|m| {
+            m.faults = None;
+            l2_sampler(m);
+        }));
+    }
+
+    #[test]
+    fn trap_only_runs_on_blocks() {
+        assert!(runs_on_blocks(|m| {
+            m.faults.as_mut().unwrap().plan.trap_every = Some(1000);
+        }));
+    }
+
+    #[test]
+    fn pebs_drop_without_a_sampler_runs_on_blocks() {
+        assert!(runs_on_blocks(|m| {
+            m.faults.as_mut().unwrap().plan.pebs_drop = 0.5;
+        }));
+    }
+
+    #[test]
+    fn pebs_drop_with_a_sampler_runs_on_step() {
+        assert!(!runs_on_blocks(|m| {
+            m.faults.as_mut().unwrap().plan.pebs_drop = 0.5;
+            l2_sampler(m);
+        }));
+        assert!(!runs_on_blocks(|m| {
+            m.faults.as_mut().unwrap().plan.pebs_pc_corrupt = 0.5;
+            l2_sampler(m);
+        }));
+    }
+
+    #[test]
+    fn trace_runs_on_step() {
+        assert!(!runs_on_blocks(|m| m.trace = Some(Trace::new(8))));
+    }
+
+    #[test]
+    fn blocks_disabled_runs_on_step() {
+        assert!(!runs_on_blocks(|m| m.blocks_enabled = false));
     }
 
     #[test]

@@ -139,6 +139,20 @@ impl PebsSampler {
         taken
     }
 
+    /// Occurrences this counter can still absorb before the one that
+    /// emits a sample.
+    pub(crate) fn headroom(&self) -> u64 {
+        self.cfg.period - 1 - self.count
+    }
+
+    /// Counts `n` occurrences known not to reach the period: the block
+    /// engine's batched form of `n` calls to [`PebsSampler::observe`].
+    pub(crate) fn credit(&mut self, n: u64) {
+        debug_assert!(n <= self.headroom(), "a sample would have landed");
+        self.occurrences += n;
+        self.count += n;
+    }
+
     /// Removes and returns all buffered samples (the OS "reading the PEBS
     /// buffer").
     pub fn drain(&mut self) -> Vec<Sample> {

@@ -148,8 +148,15 @@ fn fleet_fingerprint(seed: u64) -> (u64, Vec<ShardPrint>) {
     let (mut mc, mut svc, orig, initial) = fleet_world(2);
     let mut opts = default_fleet_opts(2, seed);
     opts.rollout = Some(default_rollout());
+    let hits_before: Vec<u64> = mc.cores.iter().map(|c| c.block_cache.stats.hits).collect();
     let rep = run_fleet(&mut mc, &mut svc, &orig, initial, &opts).expect("validated config");
     assert_eq!(rep.violations, Vec::<String>::new());
+    for (shard, (core, before)) in mc.cores.iter().zip(hits_before).enumerate() {
+        assert!(
+            core.block_cache.stats.hits > before,
+            "shard {shard} served on the reference tier"
+        );
+    }
     let shards = rep
         .shards
         .iter()
