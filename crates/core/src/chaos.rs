@@ -40,11 +40,10 @@
 
 use crate::degrade::Rung;
 use crate::journal::{project, Journal, JournalRecord, JournalState, StoredBuild};
-use crate::pipeline::{lint_gate, verify_gate};
 use crate::supervisor::{
-    incidents_hash, recover, supervise_journaled, BreakerState, DeployedBuild, Incident,
-    RecoverOptions, ResumeState, ServiceWorkload, SuperviseExit, SupervisorConfigError,
-    SupervisorOptions, SupervisorReport,
+    build_is_trusted, incidents_hash, mix64, recover, supervise_journaled, BreakerState,
+    DeployedBuild, Incident, RecoverOptions, ResumeState, ServiceWorkload, SuperviseExit,
+    SupervisorConfigError, SupervisorOptions, SupervisorReport,
 };
 use reach_profile::Profile;
 use reach_sim::{FaultInjector, FaultPlan, Machine, Program, SplitMix64};
@@ -275,41 +274,6 @@ fn stale_profile_mutator(p: &mut Profile) {
     p.inject_drift(0.8, 64, &mut rng);
 }
 
-/// Independent re-derivation of trust in a build about to serve:
-/// uninstrumented builds must *be* the original, anything else must
-/// re-pass the lint and (when enabled) symbolic-equivalence gates. The
-/// oracle deliberately re-checks from scratch rather than trusting what
-/// recovery or the swap path concluded.
-pub(crate) fn build_is_trusted(
-    original: &Program,
-    build: &DeployedBuild,
-    sup: &SupervisorOptions,
-) -> bool {
-    match build.rung {
-        Rung::Uninstrumented => build.prog.fingerprint() == original.fingerprint(),
-        Rung::FullPgo | Rung::ScavengerOnly => {
-            lint_gate(&build.prog, &build.origin, &sup.degrade.pipeline.lint).is_ok()
-                && (!sup.degrade.pipeline.verify
-                    || verify_gate(
-                        original,
-                        &build.prog,
-                        &build.origin,
-                        &sup.degrade.pipeline.lint,
-                    )
-                    .is_ok())
-        }
-    }
-}
-
-fn mix(seed: u64, k: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(k.wrapping_mul(0xD1B5_4A32_D192_ED03));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Runs one schedule to completion (or first violation): serve, crash,
 /// recover, resume, then audit the durable image. Deterministic in
 /// `(factory, schedule, opts)`.
@@ -352,7 +316,7 @@ pub fn run_schedule(
         // Each segment gets its own injector: same channel intensities,
         // a segment-mixed seed, and that segment's crash instant.
         let mut plan = schedule.plan;
-        plan.seed = mix(schedule.plan.seed, run.segments);
+        plan.seed = mix64(schedule.plan.seed, run.segments);
         plan.crash_at = schedule.crashes.get(run.segments as usize).copied();
         world.machine.faults = Some(FaultInjector::new(plan));
         run.segments += 1;
@@ -649,7 +613,7 @@ pub fn run_campaigns(
         rep.rebuilds += run.rebuilds;
         rep.journal_records += run.journal_records;
         rep.recovery_host_ns += run.recovery_host_ns;
-        rep.xr_hash = mix(rep.xr_hash, run.incident_hash);
+        rep.xr_hash = mix64(rep.xr_hash, run.incident_hash);
         if !run.violations.is_empty() {
             rep.violating += 1;
             rep.violations.push((schedule, run.violations));

@@ -194,110 +194,6 @@ pub fn run_interleaved(
     Ok(report)
 }
 
-/// One coroutine of a heterogeneous batch: its own binary and context.
-#[derive(Debug)]
-pub struct Job<'p> {
-    /// The program this coroutine executes.
-    pub prog: &'p Program,
-    /// Its architectural state.
-    pub ctx: Context,
-}
-
-/// Like [`run_interleaved`], but every coroutine may run a *different*
-/// program — the common production shape (a latency-critical request
-/// handler interleaving with batch jobs compiled separately).
-///
-/// # Errors
-///
-/// Propagates workload execution errors.
-pub fn run_interleaved_multi(
-    machine: &mut Machine,
-    jobs: &mut [Job<'_>],
-    opts: &InterleaveOptions,
-) -> Result<InterleaveReport, ExecError> {
-    let n = jobs.len();
-    let started_at = machine.now;
-    let mut report = InterleaveReport {
-        latencies: vec![None; n],
-        ..InterleaveReport::default()
-    };
-    if n == 0 {
-        return Ok(report);
-    }
-
-    let mut steps_left = vec![opts.max_steps_per_ctx; n];
-    let mut pending_poison: Vec<Option<u32>> = vec![None; n];
-    let mut cur = 0usize;
-
-    while let Some(i) = (0..n)
-        .map(|off| (cur + off) % n)
-        .find(|&i| jobs[i].ctx.status == Status::Runnable && steps_left[i] > 0)
-    {
-        cur = i;
-        if let Some(mask) = pending_poison[i].take() {
-            for r in 0..reach_sim::isa::NUM_REGS {
-                if mask & (1 << r) != 0 {
-                    jobs[i].ctx.regs[r] = POISON;
-                }
-            }
-        }
-
-        let before = jobs[i].ctx.stats.instructions;
-        let burst_start = machine.now;
-        let prog = jobs[i].prog;
-        let exit = match machine.run(prog, &mut jobs[i].ctx, steps_left[i]) {
-            Ok(exit) => exit,
-            Err(e) if opts.isolate_faults => {
-                jobs[i].ctx.status = Status::Faulted;
-                report.faults.push((jobs[i].ctx.id, e));
-                cur = (i + 1) % n;
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        let used = jobs[i].ctx.stats.instructions - before;
-        steps_left[i] = steps_left[i].saturating_sub(used);
-
-        match exit {
-            Exit::Yielded { save_regs, .. } => {
-                if opts.record_intervals {
-                    report.intervals.push(machine.now - burst_start);
-                }
-                let someone_else = (0..n)
-                    .any(|j| j != i && jobs[j].ctx.status == Status::Runnable && steps_left[j] > 0);
-                if someone_else {
-                    let kind = match opts.switch {
-                        SwitchMode::Coroutine => SwitchKind::Coroutine(save_regs),
-                        SwitchMode::Thread => SwitchKind::Thread,
-                    };
-                    machine.charge_switch(kind);
-                    report.switches += 1;
-                    if opts.poison_unsaved && opts.switch == SwitchMode::Coroutine {
-                        if let Some(mask) = save_regs {
-                            pending_poison[i] = Some(!mask);
-                        }
-                    }
-                    cur = (i + 1) % n;
-                } else {
-                    report.empty_yields += 1;
-                }
-            }
-            Exit::Done => {
-                report.completed += 1;
-                report.latencies[i] = jobs[i].ctx.stats.latency();
-                cur = (i + 1) % n;
-            }
-            Exit::StepLimit => report.step_limited = true,
-            Exit::Stalled { .. } => {
-                unreachable!("interleaved executor never enables switch_on_stall")
-            }
-        }
-    }
-
-    report.cycles = machine.now - started_at;
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -555,49 +451,5 @@ mod tests {
         assert!(matches!(r.faults[0].1, ExecError::Mem(_)));
         assert_eq!(ctxs[0].status, Status::Faulted);
         assert_eq!(ctxs[1].status, Status::Done);
-    }
-
-    #[test]
-    fn multi_program_interleave_mixes_binaries() {
-        use super::{run_interleaved_multi, Job};
-        // Job 0: instrumented chase. Job 1: a pure-compute counter with
-        // manual yields — a different binary entirely.
-        let chase = instrumented_chase();
-        let mut b = ProgramBuilder::new("counter");
-        let top = b.label();
-        b.bind(top);
-        b.alu(AluOp::Add, Reg(7), Reg(7), Reg(6), 5);
-        b.yield_manual();
-        b.alu(AluOp::Sub, Reg(1), Reg(1), Reg(6), 1);
-        b.branch(Cond::Nez, Reg(1), top);
-        b.halt();
-        let counter = b.finish().unwrap();
-
-        let mut m = Machine::new(MachineConfig::default());
-        let (heads, sums) = lay_chains(&mut m, 1, 16);
-        let mut chase_ctx = contexts_for(&heads, 16).remove(0);
-        chase_ctx.id = 0;
-        let mut counter_ctx = Context::new(1);
-        counter_ctx.set_reg(Reg(1), 50);
-        counter_ctx.set_reg(Reg(6), 1);
-
-        let mut jobs = vec![
-            Job {
-                prog: &chase,
-                ctx: chase_ctx,
-            },
-            Job {
-                prog: &counter,
-                ctx: counter_ctx,
-            },
-        ];
-        let rep = run_interleaved_multi(&mut m, &mut jobs, &InterleaveOptions::default()).unwrap();
-        assert_eq!(rep.completed, 2);
-        assert_eq!(jobs[0].ctx.reg(Reg(7)), sums[0]);
-        assert_eq!(jobs[1].ctx.reg(Reg(7)), 50); // 50 adds of the constant 1
-        assert!(rep.switches > 0, "the two binaries interleaved");
-        // The counter really absorbed chase stalls: far fewer stall
-        // cycles than a solo chase would expose.
-        assert!(m.counters.stall_cycles < 16 * 270);
     }
 }

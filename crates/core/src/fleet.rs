@@ -37,17 +37,16 @@
 //! digest, so a fleet replay is byte-identical — the property the fleet
 //! chaos engine gates on.
 
-use crate::chaos::build_is_trusted;
 use crate::degrade::{pgo_pipeline_degrading, Rung};
 use crate::journal::{fnv1a, project, Journal};
 use crate::metrics::percentile;
-use crate::pipeline::{lint_gate, verify_gate};
 use crate::supervisor::{
-    incidents_hash, recover, validate_options, BreakerState, CrashPoint, DeployedBuild, EpochLoop,
-    Incident, RecoverOptions, ServiceWorkload, SupervisorConfigError, SupervisorOptions,
+    build_is_trusted, incidents_hash, mix64, recover, validate_options, BreakerState, CrashPoint,
+    DeployedBuild, EpochLoop, Incident, RecoverOptions, ServiceWorkload, SupervisorConfigError,
+    SupervisorOptions, SupervisorReport,
 };
 use reach_profile::Json;
-use reach_sim::{Context, MultiCore, Program, SplitMix64};
+use reach_sim::{Context, Machine, MultiCore, Program, SplitMix64};
 use std::collections::VecDeque;
 
 /// One request entering the fleet: where it landed and which shard owns
@@ -457,10 +456,24 @@ impl ShardSummary {
         let v: Vec<u64> = self.latencies.iter().map(|(_, l)| *l).collect();
         percentile(&v, 0.99)
     }
+
+    /// Folds one sealed segment — a loop that crashed, or the one still
+    /// live when the fleet ends — into the shard's totals.
+    fn absorb(&mut self, r: SupervisorReport) {
+        self.served += r.served;
+        self.shed_jobs += r.shed_jobs;
+        self.job_faults += r.job_faults;
+        self.swaps += r.swaps;
+        self.rebuilds += r.rebuilds;
+        self.latencies.extend(r.latencies);
+        self.incidents.extend(r.incidents);
+        self.final_rung = r.final_rung;
+        self.breaker = r.breaker;
+    }
 }
 
 /// Everything the fleet run did, measured, and audited.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct FleetReport {
     /// Per-shard totals, indexed by shard.
     pub shards: Vec<ShardSummary>,
@@ -504,7 +517,7 @@ impl FleetReport {
     pub fn fleet_hash(&self) -> u64 {
         let mut h = fleet_events_hash(&self.events);
         for s in &self.shards {
-            h = fleet_mix(h, s.incident_hash());
+            h = mix64(h, s.incident_hash());
         }
         h
     }
@@ -519,23 +532,18 @@ impl FleetReport {
 /// exposed so differential tests can configure a standalone supervisor
 /// identically to a fleet shard.
 pub fn shard_seed(fleet_seed: u64, shard: u64) -> u64 {
-    fleet_mix(fleet_seed, shard)
+    mix64(fleet_seed, shard)
 }
 
-pub(crate) fn fleet_mix(seed: u64, k: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(k.wrapping_mul(0xD1B5_4A32_D192_ED03));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Why a shard is not currently serving.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// A shard is up — it owns a live epoch loop, admitting or draining — or
+/// down with no loop at all until [`recover`] builds the next one at the
+/// top of the following epoch.
 enum ShardState {
-    Serving,
-    Draining,
+    Up {
+        el: Box<EpochLoop>,
+        /// Rollout drain: serves its backlog down, admits nothing.
+        draining: bool,
+    },
     Down,
 }
 
@@ -567,14 +575,60 @@ enum RolloutPhase {
 }
 
 struct Shard {
-    el: Option<EpochLoop>,
+    state: ShardState,
     journal: Journal,
     sup: SupervisorOptions,
-    state: ShardState,
     summary: ShardSummary,
-    /// Pending recovery: set when the shard crashed and recovery has
-    /// not run yet (it runs at the top of the next epoch).
-    needs_recovery: bool,
+}
+
+impl Shard {
+    fn is_serving(&self) -> bool {
+        matches!(self.state, ShardState::Up { draining, .. } if !draining)
+    }
+
+    fn is_down(&self) -> bool {
+        matches!(self.state, ShardState::Down)
+    }
+
+    fn el(&self) -> Option<&EpochLoop> {
+        match &self.state {
+            ShardState::Up { el, .. } => Some(el),
+            ShardState::Down => None,
+        }
+    }
+
+    /// The live loop with the journal it writes ahead to.
+    fn live(&mut self) -> Option<(&mut EpochLoop, Option<&mut Journal>)> {
+        match &mut self.state {
+            ShardState::Up { el, .. } => Some((&mut **el, Some(&mut self.journal))),
+            ShardState::Down => None,
+        }
+    }
+
+    fn set_draining(&mut self, on: bool) {
+        if let ShardState::Up { draining, .. } = &mut self.state {
+            *draining = on;
+        }
+    }
+
+    /// Job faults across every sealed segment plus the live loop's.
+    fn job_faults(&self) -> u64 {
+        self.summary.job_faults + self.el().map_or(0, |el| el.report().job_faults)
+    }
+
+    /// p99 across every sealed segment plus the live loop's — the
+    /// pre-drain baseline for the health gate.
+    fn p99(&self) -> u64 {
+        let live = self.el().map_or(&[][..], |el| &el.report().latencies[..]);
+        let v: Vec<u64> = self
+            .summary
+            .latencies
+            .iter()
+            .chain(live)
+            .map(|(_, l)| *l)
+            .collect();
+        percentile(&v, 0.99)
+    }
 }
 
 /// Runs the sharded fleet for `opts.epochs` fleet epochs on
@@ -598,92 +652,180 @@ pub fn run_fleet(
     if opts.breaker_k == 0 {
         return Err(FleetConfigError::ZeroBreakerK);
     }
+    let mut fleet = Fleet::new(mc, original, initial, opts)?;
+    for epoch in 0..opts.epochs {
+        fleet.crashed_this_epoch = false;
+        fleet.recover_down_shards(epoch)?;
+        fleet.step_rollout(epoch);
+        let admit = fleet.route(workload, epoch);
+        let bonus = fleet.grant_steals(epoch);
+        fleet.serve(workload, epoch, &admit, &bonus);
+        fleet.deploy_if_drained(workload, epoch);
+        fleet.correlate_breakers(epoch);
+        fleet.audit_capacity(epoch);
+        // Shared-uncore contention for the window just served.
+        fleet.mc.apply_contention();
+    }
+    Ok(fleet.seal())
+}
 
-    let mut rng = SplitMix64::new(opts.seed ^ 0xF1EE_7000);
-    let mut shards: Vec<Shard> = Vec::with_capacity(opts.shards);
-    for s in 0..opts.shards {
-        let mut sup = opts.sup.clone();
-        sup.epochs = opts.epochs;
-        sup.seed = fleet_mix(opts.seed, s as u64);
-        validate_options(&sup)?;
-        shards.push(Shard {
-            el: Some(EpochLoop::new(initial.clone(), &sup, None)),
-            journal: Journal::new(),
-            sup,
-            state: ShardState::Serving,
-            summary: ShardSummary {
-                final_rung: initial.rung,
-                ..ShardSummary::default()
+/// One fleet run's cross-shard state. [`run_fleet`] steps it through one
+/// method per phase of the fleet epoch, in the order above.
+struct Fleet<'a> {
+    mc: &'a mut MultiCore,
+    original: &'a Program,
+    opts: &'a FleetOptions,
+    shards: Vec<Shard>,
+    rep: FleetReport,
+    /// Router retry jitter.
+    rng: SplitMix64,
+    queue: VecDeque<QueuedRequest>,
+    /// Last-known-good build: what a re-pin deploys.
+    lkg: DeployedBuild,
+    rollout_build: Option<DeployedBuild>,
+    phase: RolloutPhase,
+    /// Epochs of breaker-open transitions inside the window.
+    breaker_opens: Vec<u64>,
+    prev_breakers: Vec<bool>,
+    frozen_by_breakers: bool,
+    poisoned_fp: Option<u64>,
+    poisoned_deploys: Vec<usize>,
+    /// A shard went down this epoch, which exempts it from the capacity
+    /// oracle.
+    crashed_this_epoch: bool,
+}
+
+impl<'a> Fleet<'a> {
+    fn new(
+        mc: &'a mut MultiCore,
+        original: &'a Program,
+        initial: DeployedBuild,
+        opts: &'a FleetOptions,
+    ) -> Result<Self, FleetConfigError> {
+        let mut shards: Vec<Shard> = Vec::with_capacity(opts.shards);
+        for s in 0..opts.shards {
+            let mut sup = opts.sup.clone();
+            sup.epochs = opts.epochs;
+            sup.seed = shard_seed(opts.seed, s as u64);
+            validate_options(&sup)?;
+            shards.push(Shard {
+                state: ShardState::Up {
+                    el: Box::new(EpochLoop::new(initial.clone(), &sup, None)),
+                    draining: false,
+                },
+                journal: Journal::new(),
+                sup,
+                summary: ShardSummary {
+                    final_rung: initial.rung,
+                    ..ShardSummary::default()
+                },
+            });
+        }
+        let mut fleet = Fleet {
+            mc,
+            original,
+            opts,
+            shards,
+            rep: FleetReport {
+                min_serving_healthy: opts.shards,
+                ..FleetReport::default()
             },
-            needs_recovery: false,
+            rng: SplitMix64::new(opts.seed ^ 0xF1EE_7000),
+            queue: VecDeque::new(),
+            lkg: initial,
+            rollout_build: None,
+            phase: if opts.rollout.is_some() {
+                RolloutPhase::Idle
+            } else {
+                RolloutPhase::Done
+            },
+            breaker_opens: Vec::new(),
+            prev_breakers: vec![false; opts.shards],
+            frozen_by_breakers: false,
+            poisoned_fp: None,
+            poisoned_deploys: Vec::new(),
+            crashed_this_epoch: false,
+        };
+        // Persist each shard's initial deployment before the first
+        // epoch. A crash here is treated like any other.
+        for s in 0..opts.shards {
+            let Some((el, mut journal)) = fleet.shards[s].live() else {
+                continue;
+            };
+            if let Err(point) = el.persist_initial(&mut fleet.mc.cores[s], &mut journal) {
+                fleet.crash_shard(s, 0, point);
+            }
+        }
+        Ok(fleet)
+    }
+
+    /// Marks shard `s` down after its crash channel fired: the dead
+    /// loop's report is sealed into the shard totals, and recovery runs
+    /// at the top of the next epoch.
+    fn crash_shard(&mut self, s: usize, epoch: u64, point: CrashPoint) {
+        let sh = &mut self.shards[s];
+        if let ShardState::Up { el, .. } = std::mem::replace(&mut sh.state, ShardState::Down) {
+            sh.summary.absorb(el.seal());
+        }
+        sh.summary.crashes += 1;
+        self.rep.crashes += 1;
+        self.crashed_this_epoch = true;
+        self.rep.events.push(FleetEvent::ShardCrashed {
+            epoch,
+            shard: s as u64,
+            point,
         });
     }
 
-    let mut rep = FleetReport {
-        shards: Vec::new(),
-        events: Vec::new(),
-        admitted_direct: 0,
-        forwarded: 0,
-        retries: 0,
-        timeouts: 0,
-        forward_shed: 0,
-        crashes: 0,
-        recoveries: 0,
-        healthy_epochs: 0,
-        min_serving_healthy: opts.shards,
-        rollout_deploys: 0,
-        rollout_completed: false,
-        rollout_frozen: false,
-        steals: 0,
-        violations: Vec::new(),
-    };
+    /// Freezes the rollout: no further shard receives the build.
+    fn freeze(&mut self, epoch: u64, reason: String) {
+        self.phase = RolloutPhase::Frozen;
+        self.rep.rollout_frozen = true;
+        self.rep
+            .events
+            .push(FleetEvent::RolloutFrozen { epoch, reason });
+    }
 
-    // Persist each shard's initial deployment before the first epoch.
-    for s in 0..opts.shards {
-        let sh = &mut shards[s];
-        let mut jopt = Some(&mut sh.journal);
-        let el = sh.el.as_mut().expect("fresh shard");
-        if let Err(point) = el.persist_initial(&mut mc.cores[s], &mut jopt) {
-            // A crash before the first epoch: treat like any other.
-            crash_shard(&mut shards[s], &mut rep, 0, s, point);
+    /// Re-pins shard `s` to the last-known-good build. A crash inside
+    /// the deploy downs the shard like any other; a shard that is
+    /// already down has nothing to pin — recovery re-checks whatever it
+    /// comes back with.
+    fn repin_to_lkg(&mut self, s: usize, epoch: u64) {
+        let Some((el, mut journal)) = self.shards[s].live() else {
+            return;
+        };
+        let pinned =
+            el.deploy_rollout(&mut self.mc.cores[s], &mut journal, self.lkg.clone(), epoch);
+        match pinned {
+            Err(point) => self.crash_shard(s, epoch, point),
+            Ok(()) => self.rep.events.push(FleetEvent::RevertedToLkg {
+                epoch,
+                shard: s as u64,
+            }),
         }
     }
 
-    let mut queue: VecDeque<QueuedRequest> = VecDeque::new();
-    let mut lkg = initial.clone();
-    let mut rollout_build: Option<DeployedBuild> = None;
-    let mut phase = if opts.rollout.is_some() {
-        RolloutPhase::Idle
-    } else {
-        RolloutPhase::Done
-    };
-    let mut breaker_opens: Vec<u64> = Vec::new(); // epochs of open transitions
-    let mut prev_breakers: Vec<bool> = vec![false; opts.shards];
-    let mut frozen_by_breakers = false;
-    let mut poisoned_fp: Option<u64> = None;
-    let mut poisoned_deploys: Vec<usize> = Vec::new();
-
-    for epoch in 0..opts.epochs {
-        // --- Recovery: shards that died last epoch restart now. The
-        // dead process's injector died with it.
-        for s in 0..opts.shards {
-            if !shards[s].needs_recovery {
+    /// Recovery: shards that died last epoch restart now. The dead
+    /// process's injector died with it.
+    fn recover_down_shards(&mut self, epoch: u64) -> Result<(), FleetConfigError> {
+        for s in 0..self.shards.len() {
+            if !self.shards[s].is_down() {
                 continue;
             }
-            mc.cores[s].faults = None;
-            let sh = &mut shards[s];
+            self.mc.cores[s].faults = None;
+            let sh = &mut self.shards[s];
             let rec = recover(
                 &mut sh.journal,
-                original,
-                &mut mc.cores[s],
+                self.original,
+                &mut self.mc.cores[s],
                 &sh.sup,
-                &opts.recover,
+                &self.opts.recover,
             )?;
-            rep.recoveries += 1;
+            self.rep.recoveries += 1;
             if rec.degraded {
                 sh.summary.recoveries_degraded += 1;
             }
-            sh.summary.incidents.extend(rec.incidents.iter().cloned());
+            sh.summary.incidents.extend(rec.incidents);
             let mut resume = rec.resume;
             // The fleet clock kept running while the shard was down;
             // resume at the fleet epoch (journal epochs stay monotone).
@@ -693,213 +835,202 @@ pub fn run_fleet(
             // poisoned rollout artifact deployed just before the crash),
             // pin the fleet's last-known-good build over it and freeze
             // any in-flight rollout — the artifact is bad.
-            let untrusted = !build_is_trusted(original, &rec.build, &sh.sup);
-            let mut el = EpochLoop::new(rec.build, &sh.sup, Some(resume));
+            let untrusted = !build_is_trusted(self.original, &rec.build, &sh.sup);
+            sh.state = ShardState::Up {
+                el: Box::new(EpochLoop::new(rec.build, &sh.sup, Some(resume))),
+                draining: false,
+            };
             if untrusted {
-                let mut jopt = Some(&mut sh.journal);
-                el.deploy_rollout(&mut mc.cores[s], &mut jopt, lkg.clone(), epoch)
-                    .expect("injector was cleared before recovery");
-                rep.events.push(FleetEvent::RevertedToLkg {
-                    epoch,
-                    shard: s as u64,
-                });
-                if !matches!(phase, RolloutPhase::Done | RolloutPhase::Frozen) {
-                    phase = RolloutPhase::Frozen;
-                    rep.rollout_frozen = true;
-                    rep.events.push(FleetEvent::RolloutFrozen {
+                self.repin_to_lkg(s, epoch);
+                if !matches!(self.phase, RolloutPhase::Done | RolloutPhase::Frozen) {
+                    self.freeze(
                         epoch,
-                        reason: format!("shard {s} recovered with an untrusted build"),
-                    });
+                        format!("shard {s} recovered with an untrusted build"),
+                    );
                 }
                 // Oracle: the re-pin must leave the shard trusted.
-                if !build_is_trusted(original, el.deployed(), &sh.sup) {
-                    rep.violations.push(format!(
+                let sh = &self.shards[s];
+                if !sh
+                    .el()
+                    .is_some_and(|el| build_is_trusted(self.original, el.deployed(), &sh.sup))
+                {
+                    self.rep.violations.push(format!(
                         "oracle/unverified-build: shard {s} still serving an untrusted build \
                          after the LKG re-pin at epoch {epoch}"
                     ));
                 }
             }
-            sh.el = Some(el);
-            sh.state = ShardState::Serving;
-            sh.needs_recovery = false;
-            rep.events.push(FleetEvent::ShardRecovered {
+            self.rep.events.push(FleetEvent::ShardRecovered {
                 epoch,
                 shard: s as u64,
                 degraded: rec.degraded,
             });
         }
+        Ok(())
+    }
 
-        // --- Rollout state machine (control decisions for this epoch).
-        if let Some(ro) = opts.rollout.as_ref() {
-            match phase {
-                RolloutPhase::Idle => {
-                    let all_serving = shards.iter().all(|sh| sh.state == ShardState::Serving);
-                    let next = rep.rollout_deploys as usize;
-                    if epoch >= ro.start_epoch && all_serving && next < opts.shards {
-                        if next == 0 && rollout_build.is_none() {
-                            rep.events.push(FleetEvent::RolloutStarted { epoch });
-                        }
-                        shards[next].state = ShardState::Draining;
-                        phase = RolloutPhase::Draining { shard: next };
-                        rep.events.push(FleetEvent::DrainStarted {
-                            epoch,
-                            shard: next as u64,
-                        });
+    /// The rollout state machine's control decisions for this epoch.
+    fn step_rollout(&mut self, epoch: u64) {
+        let Some(ro) = self.opts.rollout.as_ref() else {
+            return;
+        };
+        match self.phase {
+            RolloutPhase::Idle => {
+                let all_serving = self.shards.iter().all(Shard::is_serving);
+                let next = self.rep.rollout_deploys as usize;
+                if epoch >= ro.start_epoch && all_serving && next < self.opts.shards {
+                    if next == 0 && self.rollout_build.is_none() {
+                        self.rep.events.push(FleetEvent::RolloutStarted { epoch });
                     }
+                    self.shards[next].set_draining(true);
+                    self.phase = RolloutPhase::Draining { shard: next };
+                    self.rep.events.push(FleetEvent::DrainStarted {
+                        epoch,
+                        shard: next as u64,
+                    });
                 }
-                RolloutPhase::Draining { shard } => {
-                    // Any down shard cancels the drain: max-unavailable=1
-                    // counts the draining shard itself, so a concurrent
-                    // crash means two unavailable shards — back out.
-                    if shards.iter().any(|sh| sh.state == ShardState::Down) {
-                        shards[shard].state = ShardState::Serving;
-                        phase = RolloutPhase::Idle;
-                    }
-                }
-                RolloutPhase::Health {
-                    shard,
-                    left,
-                    deploy_epoch,
-                    baseline_p99,
-                    baseline_faults,
-                } => {
-                    if shards[shard].state == ShardState::Down {
-                        phase = RolloutPhase::Frozen;
-                        rep.rollout_frozen = true;
-                        rep.events.push(FleetEvent::RolloutFrozen {
-                            epoch,
-                            reason: format!("shard {shard} crashed during its health window"),
-                        });
-                    } else if left == 0 {
-                        let el = shards[shard].el.as_ref().expect("serving shard has a loop");
-                        let post_faults = el.report().job_faults + shards[shard].summary.job_faults;
-                        let post_p99 = el.report().p99_after(deploy_epoch);
-                        let p99_limit = (baseline_p99 as f64 * ro.p99_factor) as u64;
-                        let faulted = post_faults > baseline_faults;
-                        let slow = baseline_p99 > 0 && post_p99 > p99_limit;
-                        if faulted || slow {
-                            phase = RolloutPhase::Frozen;
-                            rep.rollout_frozen = true;
-                            rep.events.push(FleetEvent::RolloutFrozen {
-                                epoch,
-                                reason: if faulted {
-                                    format!(
-                                        "shard {shard} faulted {} job(s) in its health window",
-                                        post_faults - baseline_faults
-                                    )
-                                } else {
-                                    format!(
-                                        "shard {shard} p99 {post_p99} exceeded {p99_limit} \
-                                         (baseline {baseline_p99})"
-                                    )
-                                },
-                            });
-                            // Pin the shard back to the last-known-good
-                            // build immediately.
-                            let sh = &mut shards[shard];
-                            let mut jopt = Some(&mut sh.journal);
-                            let el = sh.el.as_mut().expect("serving shard");
-                            if let Err(point) = el.deploy_rollout(
-                                &mut mc.cores[shard],
-                                &mut jopt,
-                                lkg.clone(),
-                                epoch,
-                            ) {
-                                crash_shard(&mut shards[shard], &mut rep, epoch, shard, point);
-                            } else {
-                                rep.events.push(FleetEvent::RevertedToLkg {
-                                    epoch,
-                                    shard: shard as u64,
-                                });
-                            }
-                        } else {
-                            rep.events.push(FleetEvent::HealthPassed {
-                                epoch,
-                                shard: shard as u64,
-                            });
-                            if rep.rollout_deploys as usize == opts.shards {
-                                phase = RolloutPhase::Done;
-                                rep.rollout_completed = true;
-                                lkg = rollout_build
-                                    .clone()
-                                    .expect("completed rollout has a build");
-                                rep.events.push(FleetEvent::RolloutCompleted { epoch });
-                            } else {
-                                phase = RolloutPhase::Idle;
-                            }
-                        }
-                    } else {
-                        phase = RolloutPhase::Health {
-                            shard,
-                            left: left - 1,
-                            deploy_epoch,
-                            baseline_p99,
-                            baseline_faults,
-                        };
-                    }
-                }
-                RolloutPhase::Done | RolloutPhase::Frozen => {}
             }
+            RolloutPhase::Draining { shard } => {
+                // Any down shard cancels the drain: max-unavailable=1
+                // counts the draining shard itself, so a concurrent
+                // crash means two unavailable shards — back out.
+                if self.shards.iter().any(Shard::is_down) {
+                    self.shards[shard].set_draining(false);
+                    self.phase = RolloutPhase::Idle;
+                }
+            }
+            RolloutPhase::Health {
+                shard,
+                left,
+                deploy_epoch,
+                baseline_p99,
+                baseline_faults,
+            } => {
+                let Some(el) = self.shards[shard].el() else {
+                    self.freeze(
+                        epoch,
+                        format!("shard {shard} crashed during its health window"),
+                    );
+                    return;
+                };
+                if left > 0 {
+                    self.phase = RolloutPhase::Health {
+                        shard,
+                        left: left - 1,
+                        deploy_epoch,
+                        baseline_p99,
+                        baseline_faults,
+                    };
+                    return;
+                }
+                let post_faults = self.shards[shard].job_faults();
+                let post_p99 = el.report().p99_after(deploy_epoch);
+                let p99_limit = (baseline_p99 as f64 * ro.p99_factor) as u64;
+                let faulted = post_faults > baseline_faults;
+                let slow = baseline_p99 > 0 && post_p99 > p99_limit;
+                if faulted || slow {
+                    self.freeze(
+                        epoch,
+                        if faulted {
+                            format!(
+                                "shard {shard} faulted {} job(s) in its health window",
+                                post_faults - baseline_faults
+                            )
+                        } else {
+                            format!(
+                                "shard {shard} p99 {post_p99} exceeded {p99_limit} \
+                                 (baseline {baseline_p99})"
+                            )
+                        },
+                    );
+                    // Pin the shard back to the last-known-good build
+                    // immediately.
+                    self.repin_to_lkg(shard, epoch);
+                } else {
+                    self.rep.events.push(FleetEvent::HealthPassed {
+                        epoch,
+                        shard: shard as u64,
+                    });
+                    if self.rep.rollout_deploys as usize == self.opts.shards {
+                        self.phase = RolloutPhase::Done;
+                        self.rep.rollout_completed = true;
+                        self.lkg = self
+                            .rollout_build
+                            .clone()
+                            .expect("completed rollout has a build");
+                        self.rep.events.push(FleetEvent::RolloutCompleted { epoch });
+                    } else {
+                        self.phase = RolloutPhase::Idle;
+                    }
+                }
+            }
+            RolloutPhase::Done | RolloutPhase::Frozen => {}
         }
+    }
 
-        // --- Routing: fleet arrivals → owner shards, the forwarding
-        // queue, or the shedder.
+    /// Routing: fleet arrivals → owner shards, the forwarding queue, or
+    /// the shedder. Returns the admissions granted per shard; only a
+    /// serving shard is granted any.
+    fn route(&mut self, workload: &mut dyn FleetWorkload, epoch: u64) -> Vec<usize> {
+        let opts = self.opts;
         let mut admit = vec![0usize; opts.shards];
         // Queued requests first (they have waited longest).
         let mut still_queued: VecDeque<QueuedRequest> = VecDeque::new();
-        while let Some(mut q) = queue.pop_front() {
+        while let Some(mut q) = self.queue.pop_front() {
             if epoch < q.next_try {
                 still_queued.push_back(q);
                 continue;
             }
-            if shards[q.owner].state == ShardState::Serving {
+            if self.shards[q.owner].is_serving() {
                 admit[q.owner] += 1;
                 continue;
             }
             if epoch.saturating_sub(q.enqueued) >= opts.forward_timeout_epochs {
-                rep.timeouts += 1;
+                self.rep.timeouts += 1;
                 continue;
             }
-            rep.retries += 1;
+            self.rep.retries += 1;
             let shift = q.attempts.min(31);
             let delay = opts
                 .forward_backoff_base
                 .saturating_mul(1u64 << shift)
                 .min(opts.forward_backoff_max);
-            let jitter = rng.next_below(opts.forward_backoff_base + 1);
+            let jitter = self.rng.next_below(opts.forward_backoff_base + 1);
             q.next_try = epoch + 1 + delay + jitter;
             q.attempts += 1;
             still_queued.push_back(q);
         }
-        queue = still_queued;
+        self.queue = still_queued;
         for a in workload.arrivals(epoch) {
             let cross = a.ingress != a.owner;
             if cross {
-                rep.forwarded += 1;
+                self.rep.forwarded += 1;
             }
-            if shards[a.owner].state == ShardState::Serving {
+            if self.shards[a.owner].is_serving() {
                 admit[a.owner] += 1;
                 if !cross {
-                    rep.admitted_direct += 1;
+                    self.rep.admitted_direct += 1;
                 }
-            } else if queue.len() < opts.forward_bound {
-                queue.push_back(QueuedRequest {
+            } else if self.queue.len() < opts.forward_bound {
+                self.queue.push_back(QueuedRequest {
                     owner: a.owner,
                     enqueued: epoch,
                     next_try: epoch + 1,
                     attempts: 0,
                 });
             } else {
-                rep.forward_shed += 1;
+                self.rep.forward_shed += 1;
             }
         }
+        admit
+    }
 
-        // --- Work-stealing: drained/down shards donate their scavenger
-        // slices to the serving shards this epoch.
-        let serving = shards
-            .iter()
-            .filter(|sh| sh.state == ShardState::Serving)
-            .count();
+    /// Work-stealing: drained/down shards donate their scavenger slices
+    /// to the serving shards this epoch. Returns the bonus per shard;
+    /// only a serving shard is granted any.
+    fn grant_steals(&mut self, epoch: u64) -> Vec<u64> {
+        let opts = self.opts;
+        let serving = self.shards.iter().filter(|sh| sh.is_serving()).count();
         let donors = opts.shards - serving;
         let mut bonus_of = vec![0u64; opts.shards];
         if opts.steal && donors > 0 && serving > 0 {
@@ -909,348 +1040,278 @@ pub fn run_fleet(
             // shards; the remainder goes to the lowest-indexed ones, so
             // every donated slice lands and the split stays
             // deterministic.
-            let donated: u64 = shards
+            let donated: u64 = self
+                .shards
                 .iter()
-                .filter(|sh| sh.state != ShardState::Serving)
-                .map(|sh| {
-                    sh.el
-                        .as_ref()
-                        .map_or(opts.sup.scavengers, EpochLoop::scav_budget)
-                        as u64
-                })
+                .filter(|sh| !sh.is_serving())
+                .map(|sh| sh.el().map_or(opts.sup.scavengers, EpochLoop::scav_budget) as u64)
                 .sum();
             let base = donated / serving as u64;
             let rem = donated % serving as u64;
             let mut rank = 0u64;
-            for (s, sh) in shards.iter().enumerate() {
-                if sh.state == ShardState::Serving {
+            for (s, sh) in self.shards.iter().enumerate() {
+                if sh.is_serving() {
                     bonus_of[s] = base + u64::from(rank < rem);
                     rank += 1;
                 }
             }
             if donated > 0 {
-                rep.steals += donated;
-                rep.events.push(FleetEvent::StealGranted {
+                self.rep.steals += donated;
+                self.rep.events.push(FleetEvent::StealGranted {
                     epoch,
                     donors: donors as u64,
                     granted: donated,
                 });
             }
         }
+        bonus_of
+    }
 
-        // --- Serve: step every live shard's epoch loop on its core.
-        let mut any_down_this_epoch = shards.iter().any(|sh| sh.state == ShardState::Down);
-        for s in 0..opts.shards {
-            if shards[s].state == ShardState::Down {
+    /// Serve: step every live shard's epoch loop on its core. A draining
+    /// shard steps too — that is how its backlog drains — on the zero
+    /// admissions and zero bonus `route` and `grant_steals` left it.
+    fn serve(
+        &mut self,
+        workload: &mut dyn FleetWorkload,
+        epoch: u64,
+        admit: &[usize],
+        bonus: &[u64],
+    ) {
+        for s in 0..self.shards.len() {
+            let Some((el, mut journal)) = self.shards[s].live() else {
                 continue;
-            }
-            let stealing = shards[s].state == ShardState::Serving;
-            let admitted = if stealing { admit[s] } else { 0 };
+            };
             let mut adapter = ShardAdapter {
                 shard: s,
-                admitted,
+                admitted: admit[s],
                 fleet: &mut *workload,
             };
-            let sh = &mut shards[s];
-            let el = sh.el.as_mut().expect("live shard has a loop");
-            el.set_scav_bonus(if stealing { bonus_of[s] as usize } else { 0 });
-            let mut jopt = Some(&mut sh.journal);
-            if let Err(point) =
-                el.step_epoch(&mut mc.cores[s], &mut adapter, original, &mut jopt, epoch)
-            {
-                crash_shard(&mut shards[s], &mut rep, epoch, s, point);
-                any_down_this_epoch = true;
-            }
-        }
-
-        // --- Drained? Deploy the rollout build at this epoch boundary.
-        if let RolloutPhase::Draining { shard } = phase {
-            let sh_pending = shards[shard]
-                .el
-                .as_ref()
-                .map(|el| el.pending_len())
-                .unwrap_or(0);
-            if shards[shard].state == ShardState::Down {
-                phase = RolloutPhase::Idle;
-            } else if sh_pending == 0 {
-                let ro = opts
-                    .rollout
-                    .as_ref()
-                    .expect("rollout phase without options");
-                // Build once, on the drained shard's idle core; gate it,
-                // then (the fault hook) poison it after the gates.
-                if rollout_build.is_none() {
-                    let built = build_rollout(
-                        &mut mc.cores[shard],
-                        workload,
-                        shard,
-                        original,
-                        &shards[shard].sup,
-                    );
-                    match built {
-                        Some(mut b) => {
-                            if let Some(poison) = ro.poison {
-                                poison(&mut b);
-                                poisoned_fp = Some(b.prog.fingerprint());
-                            }
-                            rollout_build = Some(b);
-                        }
-                        None => {
-                            phase = RolloutPhase::Frozen;
-                            rep.rollout_frozen = true;
-                            rep.events.push(FleetEvent::RolloutFrozen {
-                                epoch,
-                                reason: "rollout build failed its gates".to_string(),
-                            });
-                            shards[shard].state = ShardState::Serving;
-                        }
-                    }
-                }
-                if let Some(b) = rollout_build.clone() {
-                    // Every shard after the first re-validates the
-                    // artifact it fetched; the first shard is the
-                    // supply-chain window the health gate covers.
-                    let second_or_later = rep.rollout_deploys > 0;
-                    if second_or_later && !build_is_trusted(original, &b, &shards[shard].sup) {
-                        phase = RolloutPhase::Frozen;
-                        rep.rollout_frozen = true;
-                        rep.events.push(FleetEvent::RolloutFrozen {
-                            epoch,
-                            reason: format!(
-                                "shard {shard} re-validation rejected the rollout artifact"
-                            ),
-                        });
-                        shards[shard].state = ShardState::Serving;
-                    } else {
-                        let sh = &mut shards[shard];
-                        let baseline_p99 = sh
-                            .summary
-                            .p99_with_live(sh.el.as_ref().expect("drained shard"));
-                        let baseline_faults =
-                            sh.el.as_ref().map(|el| el.report().job_faults).unwrap_or(0)
-                                + sh.summary.job_faults;
-                        let mut jopt = Some(&mut sh.journal);
-                        let el = sh.el.as_mut().expect("drained shard");
-                        match el.deploy_rollout(&mut mc.cores[shard], &mut jopt, b.clone(), epoch) {
-                            Err(point) => {
-                                crash_shard(&mut shards[shard], &mut rep, epoch, shard, point);
-                                any_down_this_epoch = true;
-                                phase = RolloutPhase::Idle;
-                            }
-                            Ok(()) => {
-                                rep.rollout_deploys += 1;
-                                if Some(b.prog.fingerprint()) == poisoned_fp {
-                                    poisoned_deploys.push(shard);
-                                }
-                                shards[shard].state = ShardState::Serving;
-                                rep.events.push(FleetEvent::RolloutDeployed {
-                                    epoch,
-                                    shard: shard as u64,
-                                    rung: b.rung,
-                                });
-                                phase = RolloutPhase::Health {
-                                    shard,
-                                    left: ro.health_epochs,
-                                    deploy_epoch: epoch + 1,
-                                    baseline_p99,
-                                    baseline_faults,
-                                };
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // --- Correlated breaker detection over the serving shards.
-        for (s, sh) in shards.iter().enumerate() {
-            let open = sh
-                .el
-                .as_ref()
-                .is_some_and(|el| el.breaker() == BreakerState::Open);
-            if open && !prev_breakers[s] {
-                breaker_opens.push(epoch);
-            }
-            prev_breakers[s] = open;
-        }
-        breaker_opens.retain(|&e| epoch.saturating_sub(e) < opts.breaker_window);
-        if breaker_opens.len() >= opts.breaker_k && !frozen_by_breakers {
-            frozen_by_breakers = true;
-            rep.events.push(FleetEvent::CorrelatedBreakers {
+            el.set_scav_bonus(bonus[s] as usize);
+            let stepped = el.step_epoch(
+                &mut self.mc.cores[s],
+                &mut adapter,
+                self.original,
+                &mut journal,
                 epoch,
-                opens: breaker_opens.len() as u64,
-            });
-            if !matches!(phase, RolloutPhase::Done) {
-                phase = RolloutPhase::Frozen;
-                rep.rollout_frozen = true;
-                rep.events.push(FleetEvent::RolloutFrozen {
-                    epoch,
-                    reason: format!(
-                        "{} breakers opened within {} epochs",
-                        breaker_opens.len(),
-                        opts.breaker_window
-                    ),
-                });
+            );
+            if let Err(point) = stepped {
+                self.crash_shard(s, epoch, point);
             }
-            // Pin every serving shard to the last-known-good build:
-            // correlated opens mean the *inputs* to rebuilding are bad
-            // fleet-wide, so stop letting shards individually degrade.
-            for s in 0..opts.shards {
-                if shards[s].state != ShardState::Serving {
-                    continue;
+        }
+    }
+
+    /// Drained? Deploy the rollout build at this epoch boundary.
+    fn deploy_if_drained(&mut self, workload: &mut dyn FleetWorkload, epoch: u64) {
+        let (RolloutPhase::Draining { shard }, Some(ro)) = (self.phase, self.opts.rollout.as_ref())
+        else {
+            return;
+        };
+        let Some(el) = self.shards[shard].el() else {
+            self.phase = RolloutPhase::Idle;
+            return;
+        };
+        if el.pending_len() > 0 {
+            return;
+        }
+        // Build once, on the drained shard's idle core; gate it, then
+        // (the fault hook) poison it after the gates.
+        if self.rollout_build.is_none() {
+            let built = build_rollout(
+                &mut self.mc.cores[shard],
+                workload,
+                shard,
+                self.original,
+                &self.shards[shard].sup,
+            );
+            match built {
+                Some(mut b) => {
+                    if let Some(poison) = ro.poison {
+                        poison(&mut b);
+                        self.poisoned_fp = Some(b.prog.fingerprint());
+                    }
+                    self.rollout_build = Some(b);
                 }
-                let on_lkg = shards[s]
-                    .el
-                    .as_ref()
-                    .is_some_and(|el| el.deployed().prog.fingerprint() == lkg.prog.fingerprint());
-                if on_lkg {
-                    continue;
-                }
-                let sh = &mut shards[s];
-                let mut jopt = Some(&mut sh.journal);
-                let el = sh.el.as_mut().expect("serving shard");
-                if let Err(point) =
-                    el.deploy_rollout(&mut mc.cores[s], &mut jopt, lkg.clone(), epoch)
-                {
-                    crash_shard(&mut shards[s], &mut rep, epoch, s, point);
-                    any_down_this_epoch = true;
-                } else {
-                    rep.events.push(FleetEvent::RevertedToLkg {
-                        epoch,
-                        shard: s as u64,
-                    });
+                None => {
+                    self.freeze(epoch, "rollout build failed its gates".to_string());
+                    self.shards[shard].set_draining(false);
                 }
             }
         }
+        let Some(b) = self.rollout_build.clone() else {
+            return;
+        };
+        // Every shard after the first re-validates the artifact it
+        // fetched; the first shard is the supply-chain window the health
+        // gate covers.
+        let second_or_later = self.rep.rollout_deploys > 0;
+        if second_or_later && !build_is_trusted(self.original, &b, &self.shards[shard].sup) {
+            self.freeze(
+                epoch,
+                format!("shard {shard} re-validation rejected the rollout artifact"),
+            );
+            self.shards[shard].set_draining(false);
+            return;
+        }
+        let sh = &mut self.shards[shard];
+        let (baseline_p99, baseline_faults) = (sh.p99(), sh.job_faults());
+        let (fingerprint, rung) = (b.prog.fingerprint(), b.rung);
+        let Some((el, mut journal)) = sh.live() else {
+            return;
+        };
+        let deployed = el.deploy_rollout(&mut self.mc.cores[shard], &mut journal, b, epoch);
+        match deployed {
+            Err(point) => {
+                self.crash_shard(shard, epoch, point);
+                self.phase = RolloutPhase::Idle;
+            }
+            Ok(()) => {
+                self.rep.rollout_deploys += 1;
+                if Some(fingerprint) == self.poisoned_fp {
+                    self.poisoned_deploys.push(shard);
+                }
+                self.shards[shard].set_draining(false);
+                self.rep.events.push(FleetEvent::RolloutDeployed {
+                    epoch,
+                    shard: shard as u64,
+                    rung,
+                });
+                self.phase = RolloutPhase::Health {
+                    shard,
+                    left: ro.health_epochs,
+                    deploy_epoch: epoch + 1,
+                    baseline_p99,
+                    baseline_faults,
+                };
+            }
+        }
+    }
 
-        // --- Capacity accounting + oracle. A crash-free epoch must keep
-        // at least N−1 shards serving, rolling deploy or not.
-        let serving_now = shards
-            .iter()
-            .filter(|sh| sh.state == ShardState::Serving)
-            .count();
-        if !any_down_this_epoch {
-            rep.healthy_epochs += 1;
-            rep.min_serving_healthy = rep.min_serving_healthy.min(serving_now);
-            if serving_now + 1 < opts.shards {
-                rep.violations.push(format!(
-                    "oracle/capacity: epoch {epoch} healthy but only {serving_now}/{} shards \
-                     serving",
-                    opts.shards
+    /// Correlated breaker detection over the live shards.
+    fn correlate_breakers(&mut self, epoch: u64) {
+        let opts = self.opts;
+        for (s, sh) in self.shards.iter().enumerate() {
+            let open = sh.el().is_some_and(|el| el.breaker() == BreakerState::Open);
+            if open && !self.prev_breakers[s] {
+                self.breaker_opens.push(epoch);
+            }
+            self.prev_breakers[s] = open;
+        }
+        self.breaker_opens
+            .retain(|&e| epoch.saturating_sub(e) < opts.breaker_window);
+        let opens = self.breaker_opens.len();
+        if opens < opts.breaker_k || self.frozen_by_breakers {
+            return;
+        }
+        self.frozen_by_breakers = true;
+        self.rep.events.push(FleetEvent::CorrelatedBreakers {
+            epoch,
+            opens: opens as u64,
+        });
+        if !matches!(self.phase, RolloutPhase::Done) {
+            self.freeze(
+                epoch,
+                format!(
+                    "{opens} breakers opened within {} epochs",
+                    opts.breaker_window
+                ),
+            );
+        }
+        // Pin every serving shard to the last-known-good build:
+        // correlated opens mean the *inputs* to rebuilding are bad
+        // fleet-wide, so stop letting shards individually degrade.
+        let lkg_fp = self.lkg.prog.fingerprint();
+        for s in 0..self.shards.len() {
+            let sh = &self.shards[s];
+            let on_lkg = sh
+                .el()
+                .is_some_and(|el| el.deployed().prog.fingerprint() == lkg_fp);
+            if sh.is_serving() && !on_lkg {
+                self.repin_to_lkg(s, epoch);
+            }
+        }
+    }
+
+    /// Capacity accounting + oracle. A crash-free epoch must keep at
+    /// least N−1 shards serving, rolling deploy or not.
+    fn audit_capacity(&mut self, epoch: u64) {
+        if self.crashed_this_epoch {
+            return;
+        }
+        let serving_now = self.shards.iter().filter(|sh| sh.is_serving()).count();
+        self.rep.healthy_epochs += 1;
+        self.rep.min_serving_healthy = self.rep.min_serving_healthy.min(serving_now);
+        if serving_now + 1 < self.opts.shards {
+            self.rep.violations.push(format!(
+                "oracle/capacity: epoch {epoch} healthy but only {serving_now}/{} shards \
+                 serving",
+                self.opts.shards
+            ));
+        }
+    }
+
+    /// Seals every surviving loop and audits the journals.
+    fn seal(mut self) -> FleetReport {
+        for (s, sh) in self.shards.iter_mut().enumerate() {
+            let ShardState::Up { el, .. } = std::mem::replace(&mut sh.state, ShardState::Down)
+            else {
+                continue;
+            };
+            sh.journal.flush();
+            // Fleet oracle: each shard's journal, projected, equals
+            // that shard's live state — jointly, the live fleet.
+            let st = project(&sh.journal.replay().records);
+            let live = el.deployed();
+            let live_fp = live.prog.fingerprint();
+            match st.deploy {
+                Some((fp, rung, _)) => {
+                    if fp != live_fp || rung != live.rung {
+                        self.rep.violations.push(format!(
+                            "oracle/journal-projection: shard {s} journal deploy {fp:#x}/{rung} \
+                             != live {live_fp:#x}/{}",
+                            live.rung
+                        ));
+                    }
+                }
+                None => self.rep.violations.push(format!(
+                    "oracle/journal-projection: shard {s} journal has no deploy record"
+                )),
+            }
+            if st.breaker != el.breaker() {
+                self.rep.violations.push(format!(
+                    "oracle/journal-projection: shard {s} journal breaker {:?} != live {:?}",
+                    st.breaker,
+                    el.breaker()
                 ));
             }
-        }
-
-        // --- Shared-uncore contention for the window just served.
-        mc.apply_contention();
-    }
-
-    // --- Seal every surviving loop and audit the journals.
-    for (s, sh) in shards.iter_mut().enumerate() {
-        if let Some(el) = sh.el.take() {
-            let live_fp = el.deployed().prog.fingerprint();
-            let live_breaker = el.breaker();
-            let live_next_job = el.next_job();
-            if sh.state != ShardState::Down {
-                sh.journal.flush();
-                // Fleet oracle: each shard's journal, projected, equals
-                // that shard's live state — jointly, the live fleet.
-                let st = project(&sh.journal.replay().records);
-                match st.deploy {
-                    Some((fp, rung, _)) => {
-                        if fp != live_fp || rung != el.deployed().rung {
-                            rep.violations.push(format!(
-                                "oracle/journal-projection: shard {s} journal deploy {fp:#x}/{rung} \
-                                 != live {live_fp:#x}/{}",
-                                el.deployed().rung
-                            ));
-                        }
-                    }
-                    None => rep.violations.push(format!(
-                        "oracle/journal-projection: shard {s} journal has no deploy record"
-                    )),
-                }
-                if st.breaker != live_breaker {
-                    rep.violations.push(format!(
-                        "oracle/journal-projection: shard {s} journal breaker {:?} != live {:?}",
-                        st.breaker, live_breaker
-                    ));
-                }
-                if st.next_job > live_next_job {
-                    rep.violations.push(format!(
-                        "oracle/journal-projection: shard {s} journal next_job {} ahead of live {}",
-                        st.next_job, live_next_job
-                    ));
-                }
+            if st.next_job > el.next_job() {
+                self.rep.violations.push(format!(
+                    "oracle/journal-projection: shard {s} journal next_job {} ahead of live {}",
+                    st.next_job,
+                    el.next_job()
+                ));
             }
-            let r = el.seal();
-            sh.summary.served += r.served;
-            sh.summary.shed_jobs += r.shed_jobs;
-            sh.summary.job_faults += r.job_faults;
-            sh.summary.swaps += r.swaps;
-            sh.summary.rebuilds += r.rebuilds;
-            sh.summary.latencies.extend(r.latencies.iter().cloned());
-            sh.summary.incidents.extend(r.incidents.iter().cloned());
-            sh.summary.final_rung = r.final_rung;
-            sh.summary.breaker = r.breaker;
+            sh.summary.absorb(el.seal());
         }
+
+        // Fleet oracle: a poisoned rollout build never reaches a second
+        // shard.
+        if self.poisoned_fp.is_some() && self.poisoned_deploys.len() > 1 {
+            self.rep.violations.push(format!(
+                "oracle/poison-containment: poisoned build deployed to shards {:?}",
+                self.poisoned_deploys
+            ));
+        }
+
+        self.rep.shards = self.shards.into_iter().map(|sh| sh.summary).collect();
+        self.rep
     }
-
-    // Fleet oracle: a poisoned rollout build never reaches a second
-    // shard.
-    if poisoned_fp.is_some() && poisoned_deploys.len() > 1 {
-        rep.violations.push(format!(
-            "oracle/poison-containment: poisoned build deployed to shards {:?}",
-            poisoned_deploys
-        ));
-    }
-
-    rep.shards = shards.into_iter().map(|sh| sh.summary).collect();
-    Ok(rep)
-}
-
-impl ShardSummary {
-    /// p99 over this summary's accumulated latencies plus the live
-    /// (unsealed) loop's — the pre-drain baseline for the health gate.
-    fn p99_with_live(&self, el: &EpochLoop) -> u64 {
-        let v: Vec<u64> = self
-            .latencies
-            .iter()
-            .chain(el.report().latencies.iter())
-            .map(|(_, l)| *l)
-            .collect();
-        percentile(&v, 0.99)
-    }
-}
-
-/// Marks a shard down after its crash channel fired: seals the dead
-/// loop's report into the shard totals and schedules recovery for the
-/// top of the next epoch.
-fn crash_shard(sh: &mut Shard, rep: &mut FleetReport, epoch: u64, s: usize, point: CrashPoint) {
-    let r = sh.el.take().expect("crashing shard had a loop").seal();
-    sh.summary.served += r.served;
-    sh.summary.shed_jobs += r.shed_jobs;
-    sh.summary.job_faults += r.job_faults;
-    sh.summary.swaps += r.swaps;
-    sh.summary.rebuilds += r.rebuilds;
-    sh.summary.crashes += 1;
-    sh.summary.latencies.extend(r.latencies.iter().cloned());
-    sh.summary.incidents.extend(r.incidents);
-    sh.state = ShardState::Down;
-    sh.needs_recovery = true;
-    rep.crashes += 1;
-    rep.events.push(FleetEvent::ShardCrashed {
-        epoch,
-        shard: s as u64,
-        point,
-    });
 }
 
 /// Builds the rollout's re-instrumented binary on the drained shard's
 /// idle core and runs the same lint + symbolic-equivalence gates a hot
 /// swap passes. `None` when the ladder degraded or a gate refused.
 fn build_rollout(
-    machine: &mut reach_sim::Machine,
+    machine: &mut Machine,
     workload: &mut dyn FleetWorkload,
     shard: usize,
     original: &Program,
@@ -1266,21 +1327,7 @@ fn build_rollout(
         return None;
     }
     let build = DeployedBuild::from(built);
-    if lint_gate(&build.prog, &build.origin, &sup.degrade.pipeline.lint).is_err() {
-        return None;
-    }
-    if sup.degrade.pipeline.verify
-        && verify_gate(
-            original,
-            &build.prog,
-            &build.origin,
-            &sup.degrade.pipeline.lint,
-        )
-        .is_err()
-    {
-        return None;
-    }
-    Some(build)
+    build_is_trusted(original, &build, sup).then_some(build)
 }
 
 #[cfg(test)]
@@ -1288,7 +1335,7 @@ mod tests {
     use super::*;
     use crate::dualmode::{DualModeOptions, WatchdogOptions};
     use reach_profile::OnlineEstimatorOptions;
-    use reach_sim::{Inst, MultiCoreConfig};
+    use reach_sim::{FaultInjector, FaultPlan, Inst, MultiCoreConfig};
     use reach_workloads::{build_zipf_kv, AddrAlloc, InstanceSetup, ZipfKvParams};
 
     const LOOKUPS: u64 = 1024;
@@ -1518,6 +1565,71 @@ mod tests {
             .filter(|e| matches!(e, FleetEvent::HealthPassed { .. }))
             .count();
         assert_eq!(health_passes, 2);
+        // A rollout deploy is a code-map change like any hot swap: each
+        // one dropped that core's superblock cache, and nothing else did.
+        for (s, sh) in rep.shards.iter().enumerate() {
+            assert_eq!(sh.swaps, 1);
+            assert_eq!(mc.cores[s].block_cache.stats.invalidations, sh.swaps);
+        }
+    }
+
+    /// A shard that is down when the fleet ends reports the rung it died
+    /// on, not the one it was constructed with: the crash path folds the
+    /// dead loop's whole report into the summary, as the end-of-run seal
+    /// does for a live one.
+    #[test]
+    fn shard_down_at_fleet_end_reports_the_rung_it_died_on() {
+        let epochs = 8;
+        let run = |crash_at: Option<u64>| {
+            let (mut mc, mut svc, orig, _) = fleet_world(2, 2, false);
+            // Every shard starts on the original, so the rollout's
+            // full-PGO build is a rung change.
+            let initial = DeployedBuild {
+                prog: orig.clone(),
+                origin: (0..orig.len()).map(Some).collect(),
+                rung: Rung::Uninstrumented,
+                profile: None,
+            };
+            let mut plan = FaultPlan::none(9);
+            plan.crash_at = crash_at;
+            mc.cores[0].faults = Some(FaultInjector::new(plan));
+            let opts = FleetOptions {
+                shards: 2,
+                epochs,
+                sup: fleet_sup(),
+                rollout: Some(RolloutOptions {
+                    start_epoch: 2,
+                    health_epochs: 1,
+                    p99_factor: 100.0,
+                    poison: None,
+                }),
+                seed: 7,
+                ..FleetOptions::default()
+            };
+            let rep = run_fleet(&mut mc, &mut svc, &orig, initial, &opts).unwrap();
+            let consulted = mc.cores[0].faults.as_ref().unwrap().crash_points_seen();
+            (rep, consulted)
+        };
+        let (clean, consulted) = run(None);
+        assert_eq!(
+            clean.shards[0].final_rung,
+            Rung::FullPgo,
+            "{:?}",
+            clean.events
+        );
+        // Shard 0's last consultation is the final epoch's advance.
+        let (rep, _) = run(Some(consulted));
+        assert_eq!(rep.violations, Vec::<String>::new());
+        assert_eq!(
+            rep.events.last(),
+            Some(&FleetEvent::ShardCrashed {
+                epoch: epochs - 1,
+                shard: 0,
+                point: CrashPoint::MidJournalAppend,
+            })
+        );
+        assert_eq!(rep.recoveries, 0, "no epoch left to recover in");
+        assert_eq!(rep.shards[0].final_rung, Rung::FullPgo);
     }
 
     #[test]

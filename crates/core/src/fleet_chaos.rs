@@ -31,10 +31,10 @@
 //!    crashes were injected.
 
 use crate::fleet::{
-    fleet_mix, run_fleet, FleetConfigError, FleetEvent, FleetOptions, FleetReport, FleetWorkload,
+    run_fleet, shard_seed, FleetConfigError, FleetEvent, FleetOptions, FleetReport, FleetWorkload,
     RolloutOptions,
 };
-use crate::supervisor::DeployedBuild;
+use crate::supervisor::{mix64, DeployedBuild};
 use reach_sim::{FaultInjector, FaultPlan, Inst, MultiCore, Program, SplitMix64};
 
 /// A fleet chaos configuration the engine refuses to run.
@@ -244,7 +244,7 @@ pub fn run_fleet_schedule(
     // the torn shard, that shard's crash instant (if any).
     for s in 0..opts.fleet.shards {
         let mut plan = schedule.plan;
-        plan.seed = fleet_mix(schedule.plan.seed, s as u64);
+        plan.seed = shard_seed(schedule.plan.seed, s as u64);
         if schedule.torn_shard != Some(s) {
             plan.torn_write = 0.0;
             plan.partial_flush = 0.0;
@@ -417,7 +417,7 @@ pub fn run_fleet_campaigns(
         rep.rollout_deploys += run.rollout_deploys;
         rep.rollouts_frozen += u64::from(run.rollout_frozen);
         rep.steals += run.steals;
-        rep.xr_hash = fleet_mix(rep.xr_hash, run.fleet_hash);
+        rep.xr_hash = mix64(rep.xr_hash, run.fleet_hash);
         if !run.violations.is_empty() {
             rep.violating += 1;
             rep.violations.push((schedule, run.violations));
@@ -670,6 +670,51 @@ mod tests {
         );
         assert_eq!(run.crashes, 1, "the scheduled crash must fire");
         assert_eq!(run.recoveries, 1, "the crashed shard must recover");
+    }
+
+    /// Random schedules reach a deploy's crash points only by luck of
+    /// `1 + next_below(24)`. This sweep hits each on purpose: the shard
+    /// the rollout reaches first is crashed at its k-th consultation for
+    /// every k its run has, so mid-`Deploy`-append, mid-swap and
+    /// mid-`Breaker`-append all land inside the rollout deploy — and,
+    /// under a health gate nothing can pass, inside the LKG re-pin that
+    /// follows it.
+    #[test]
+    fn first_deploying_shard_survives_a_crash_at_every_consultation() {
+        let mut factory = fleet_factory(2);
+        for (p99_factor, deploys) in [(100.0, 1), (0.0, 2)] {
+            let mut opts = chaos_fleet_opts(2);
+            opts.rollout_template.p99_factor = p99_factor;
+            let mut swept = 0;
+            loop {
+                let schedule = FleetChaosSchedule {
+                    plan: FaultPlan::none(0x5EE9).with_torn_write(0.8),
+                    crashes: vec![(0, swept + 1)],
+                    torn_shard: Some(0),
+                    rollout: true,
+                    ..FleetChaosSchedule::quiet(0x5EE9)
+                };
+                let run = run_fleet_schedule(&mut factory, &schedule, &opts).unwrap();
+                assert_eq!(
+                    run.violations,
+                    Vec::<String>::new(),
+                    "repro: {}",
+                    schedule.repro()
+                );
+                if run.crashes == 0 {
+                    assert_eq!(
+                        run.rollout_frozen,
+                        deploys == 2,
+                        "the re-pin arm must re-pin"
+                    );
+                    break; // past the run's last consultation
+                }
+                swept += 1;
+            }
+            // The initial persist, one advance per epoch, and three
+            // crash points per deploy were all inside the sweep.
+            assert_eq!(swept, 1 + opts.fleet.epochs + 3 * deploys);
+        }
     }
 
     #[test]

@@ -35,9 +35,8 @@
 //! the oracle the chaos engine compares against live state.
 
 use crate::degrade::Rung;
-use crate::supervisor::BreakerState;
-use reach_profile::Profile;
-use reach_sim::{FaultInjector, Program};
+use crate::supervisor::{BreakerState, DeployedBuild};
+use reach_sim::FaultInjector;
 
 /// One durable supervisor decision, in write-ahead order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,8 +55,8 @@ pub enum JournalRecord {
         epoch: u64,
         /// Ladder rung of the deployed build.
         rung: Rung,
-        /// [`Program::fingerprint`] of the deployed binary — the key
-        /// into the artifact store.
+        /// [`reach_sim::Program::fingerprint`] of the deployed binary —
+        /// the key into the artifact store.
         fingerprint: u64,
     },
     /// The circuit breaker changed state.
@@ -200,19 +199,9 @@ impl JournalRecord {
     }
 }
 
-/// A deployable binary in the artifact store — everything
-/// [`crate::supervisor::DeployedBuild`] carries.
-#[derive(Clone, Debug)]
-pub struct StoredBuild {
-    /// The (possibly instrumented) program.
-    pub prog: Program,
-    /// Its origin map back to original PC space.
-    pub origin: Vec<Option<usize>>,
-    /// The ladder rung it represents.
-    pub rung: Rung,
-    /// The profile it was built from, when full-PGO.
-    pub profile: Option<Profile>,
-}
+/// A deployable binary in the artifact store: the supervisor's own
+/// [`DeployedBuild`], stored as it is served.
+pub type StoredBuild = DeployedBuild;
 
 /// Counters for what the store did and lost.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -475,7 +464,7 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reach_sim::FaultPlan;
+    use reach_sim::{FaultPlan, Program};
 
     fn sample_records() -> Vec<JournalRecord> {
         vec![

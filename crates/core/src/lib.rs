@@ -72,10 +72,7 @@ pub use degrade::{
     Rung,
 };
 pub use dualmode::{run_dual_mode, DualModeOptions, DualModeReport, WatchdogOptions};
-pub use executor::{
-    run_interleaved, run_interleaved_multi, InterleaveOptions, InterleaveReport, Job, SwitchMode,
-    POISON,
-};
+pub use executor::{run_interleaved, InterleaveOptions, InterleaveReport, SwitchMode, POISON};
 pub use fleet::{
     fleet_events_hash, fleet_events_json, run_fleet, shard_seed, Arrival, FleetConfigError,
     FleetEvent, FleetOptions, FleetReport, FleetWorkload, RolloutOptions, ShardSummary,
@@ -91,9 +88,9 @@ pub use pipeline::{
 };
 pub use scheduler::{run_task_queue, SchedPolicy, SchedReport, Task};
 pub use supervisor::{
-    incidents_hash, incidents_json, recover, supervise, supervise_journaled, Action, BreakerState,
-    CrashPoint, DeployedBuild, Ev, Incident, Outcome, RecoverOptions, Recovery, ResumeState,
-    ServiceWorkload, SuperviseExit, SupervisorConfigError, SupervisorOptions, SupervisorReport,
-    Trigger,
+    incidents_hash, incidents_json, mix64, recover, supervise, supervise_journaled, Action,
+    BreakerState, CrashPoint, DeployedBuild, Ev, Incident, Outcome, RecoverOptions, Recovery,
+    ResumeState, ServiceWorkload, SuperviseExit, SupervisorConfigError, SupervisorOptions,
+    SupervisorReport, Trigger,
 };
 pub use whatif::{make_conditional, yield_census, YieldCensus};

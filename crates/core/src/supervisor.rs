@@ -47,11 +47,11 @@ use crate::degrade::{
     pgo_pipeline_degrading, scavenger_only_build, DegradeOptions, DegradedBuild, Rung,
 };
 use crate::dualmode::{run_dual_mode, DualModeOptions};
-use crate::journal::{project, Journal, JournalRecord, StoredBuild};
+use crate::journal::{fnv1a, project, Journal, JournalRecord};
 use crate::metrics::percentile;
 use crate::pipeline::{lint_gate, verify_gate};
 use reach_profile::{Json, OnlineEstimatorOptions, OnlineStalenessEstimator, Profile};
-use reach_sim::{Context, HwEvent, Machine, PebsConfig, Program, SplitMix64};
+use reach_sim::{Context, FaultInjector, HwEvent, Machine, PebsConfig, Program, SplitMix64};
 use std::collections::VecDeque;
 
 /// The binary currently serving traffic, with the metadata the
@@ -78,6 +78,31 @@ impl From<DegradedBuild> for DeployedBuild {
             origin: b.origin,
             rung: b.rung,
             profile: b.profile,
+        }
+    }
+}
+
+/// The trust gate: may `build` serve as an instrumentation of
+/// `original`? An uninstrumented build must *be* the original; anything
+/// else must pass the lint gate and (when enabled) the
+/// symbolic-equivalence gate. Every door but the rebuild path asks this
+/// one function (`attempt_rebuild` runs the two gates itself: a crash
+/// point sits between them and its incident names the gate that
+/// refused), and it derives the answer from the bytes alone — which is
+/// why the chaos oracle can call it before every segment without
+/// believing anything recovery or a swap concluded.
+pub(crate) fn build_is_trusted(
+    original: &Program,
+    build: &DeployedBuild,
+    opts: &SupervisorOptions,
+) -> bool {
+    let pipeline = &opts.degrade.pipeline;
+    match build.rung {
+        Rung::Uninstrumented => build.prog.fingerprint() == original.fingerprint(),
+        Rung::FullPgo | Rung::ScavengerOnly => {
+            lint_gate(&build.prog, &build.origin, &pipeline.lint).is_ok()
+                && (!pipeline.verify
+                    || verify_gate(original, &build.prog, &build.origin, &pipeline.lint).is_ok())
         }
     }
 }
@@ -578,13 +603,16 @@ pub fn incidents_hash(incidents: &[Incident]) -> u64 {
     fnv1a(incidents_json(incidents).as_bytes())
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+/// The SplitMix64 finaliser over `(seed, k)`: how a fleet or campaign
+/// seed derives shard `k`'s or segment `k`'s, and the order-sensitive
+/// fold of one more log digest `k` into a running batch hash.
+pub fn mix64(seed: u64, k: u64) -> u64 {
+    let mut z = seed
+        .wrapping_add(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(k.wrapping_mul(0xD1B5_4A32_D192_ED03));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// How one rebuild attempt resolved.
@@ -777,22 +805,45 @@ fn run_loop(
 /// Write-ahead append: consults the crash channel *inside* the append,
 /// so a firing crash leaves at most a torn prefix of this record.
 fn jappend(
-    machine: &mut Machine,
+    faults: &mut Option<FaultInjector>,
     journal: &mut Option<&mut Journal>,
     rec: JournalRecord,
 ) -> Result<(), CrashPoint> {
     if let Some(j) = journal.as_deref_mut() {
-        if machine
-            .faults
+        if faults
             .as_mut()
             .is_some_and(|f| f.crash_point(CP_MID_APPEND))
         {
-            j.crash_during_append(&rec, machine.faults.as_mut());
+            j.crash_during_append(&rec, faults.as_mut());
             return Err(CrashPoint::MidJournalAppend);
         }
-        j.append(&rec, machine.faults.as_mut());
+        j.append(&rec, faults.as_mut());
     }
     Ok(())
+}
+
+/// The durable half of a deployment: the artifact atomically, then the
+/// write-ahead `Deploy` record that points at it — never the reverse, so
+/// the journal cannot name a binary the store does not hold.
+fn journal_deploy(
+    faults: &mut Option<FaultInjector>,
+    journal: &mut Option<&mut Journal>,
+    build: &DeployedBuild,
+    epoch: u64,
+) -> Result<(), CrashPoint> {
+    let fingerprint = build.prog.fingerprint();
+    if let Some(j) = journal.as_deref_mut() {
+        j.store_build(fingerprint, build.clone());
+    }
+    jappend(
+        faults,
+        journal,
+        JournalRecord::Deploy {
+            epoch,
+            rung: build.rung,
+            fingerprint,
+        },
+    )
 }
 
 /// Consults the crash channel at a non-append loop stage (journaled mode
@@ -933,41 +984,62 @@ impl EpochLoop {
         self.scav_bonus = bonus;
     }
 
-    /// Persists the initial deployment (artifact atomically, then the
-    /// write-ahead deploy record) — fresh journaled runs only.
+    /// Persists the initial deployment — fresh journaled runs only.
     pub(crate) fn persist_initial(
         &mut self,
         machine: &mut Machine,
         journal: &mut Option<&mut Journal>,
     ) -> Result<(), CrashPoint> {
-        let fp = self.cur.prog.fingerprint();
-        if let Some(j) = journal.as_deref_mut() {
-            j.store_build(
-                fp,
-                StoredBuild {
-                    prog: self.cur.prog.clone(),
-                    origin: self.cur.origin.clone(),
-                    rung: self.cur.rung,
-                    profile: self.cur.profile.clone(),
-                },
-            );
-        }
-        jappend(
-            machine,
-            journal,
-            JournalRecord::Deploy {
-                epoch: self.start_epoch,
-                rung: self.cur.rung,
-                fingerprint: fp,
-            },
-        )
+        journal_deploy(&mut machine.faults, journal, &self.cur, self.start_epoch)
     }
 
-    /// Deploys a fleet-pushed build at this epoch boundary: journals the
-    /// artifact and deploy record, swaps, drops the superblock cache,
-    /// and resets the estimator exactly like a locally-triggered swap.
-    /// The breaker closes — a successful rollout is fresh evidence the
-    /// build pipeline works.
+    /// The deploy transition, the only way a running loop changes the
+    /// build it serves. Write-ahead, in this order: artifact and `Deploy`
+    /// record; the mid-swap crash point; the in-memory swap, which drops
+    /// the superblock cache (it is keyed by program identity, not
+    /// content, so blocks compiled from the retired build must not
+    /// survive a code-map change); the `Breaker` record carrying the
+    /// breaker state and failure count the caller decided the loop is
+    /// left in; then the estimator and SLO window restart against the new
+    /// reference and `incident` (whose epoch is the deployment's) is
+    /// logged. Crash instants are numbered by consultation, so the order
+    /// is part of the replay contract.
+    fn deploy(
+        &mut self,
+        machine: &mut Machine,
+        journal: &mut Option<&mut Journal>,
+        build: DeployedBuild,
+        breaker: BreakerState,
+        failures: u32,
+        incident: Incident,
+    ) -> Result<(), CrashPoint> {
+        let epoch = incident.epoch;
+        journal_deploy(&mut machine.faults, journal, &build, epoch)?;
+        crash_gate(machine, journal, CP_MID_SWAP, CrashPoint::MidSwap)?;
+        self.cur = build;
+        machine.invalidate_blocks();
+        self.failures = failures;
+        self.breaker = breaker;
+        jappend(
+            &mut machine.faults,
+            journal,
+            JournalRecord::Breaker {
+                epoch,
+                state: breaker,
+                failures,
+            },
+        )?;
+        self.last_swap = Some(epoch);
+        self.report.swaps += 1;
+        self.estimator.reset();
+        self.window.clear();
+        self.report.incidents.push(incident);
+        Ok(())
+    }
+
+    /// Deploys a fleet-pushed build at this epoch boundary. The breaker
+    /// closes — a successful rollout is fresh evidence the build
+    /// pipeline works.
     pub(crate) fn deploy_rollout(
         &mut self,
         machine: &mut Machine,
@@ -975,59 +1047,15 @@ impl EpochLoop {
         build: DeployedBuild,
         epoch: u64,
     ) -> Result<(), CrashPoint> {
-        let fp = build.prog.fingerprint();
-        if let Some(j) = journal.as_deref_mut() {
-            j.store_build(
-                fp,
-                StoredBuild {
-                    prog: build.prog.clone(),
-                    origin: build.origin.clone(),
-                    rung: build.rung,
-                    profile: build.profile.clone(),
-                },
-            );
-        }
-        jappend(
-            machine,
-            journal,
-            JournalRecord::Deploy {
-                epoch,
-                rung: build.rung,
-                fingerprint: fp,
-            },
-        )?;
-        crash_gate(machine, journal, CP_MID_SWAP, CrashPoint::MidSwap)?;
-        self.cur = build;
-        // Same rule as every deploy site: the superblock cache is keyed
-        // by program identity and must not survive a code-map change.
-        machine.invalidate_blocks();
-        self.failures = 0;
-        self.breaker = BreakerState::Closed;
-        jappend(
-            machine,
-            journal,
-            JournalRecord::Breaker {
-                epoch,
-                state: self.breaker,
-                failures: self.failures,
-            },
-        )?;
-        self.last_swap = Some(epoch);
-        self.report.swaps += 1;
-        self.estimator.reset();
-        self.window.clear();
-        self.report.incidents.push(Incident {
+        let rung = build.rung;
+        let incident = Incident {
             epoch,
             trigger: Trigger::Rollout,
             evidence: vec![("epoch", Ev::U(epoch))],
-            action: Action::Swap {
-                rung: self.cur.rung,
-            },
-            outcome: Outcome::Deployed {
-                rung: self.cur.rung,
-            },
-        });
-        Ok(())
+            action: Action::Swap { rung },
+            outcome: Outcome::Deployed { rung },
+        };
+        self.deploy(machine, journal, build, BreakerState::Closed, 0, incident)
     }
 
     /// Seals the final-state fields into the report and returns it.
@@ -1052,7 +1080,7 @@ impl EpochLoop {
         epoch: u64,
     ) -> Result<(), CrashPoint> {
         jappend(
-            machine,
+            &mut machine.faults,
             journal,
             JournalRecord::EpochAdvance {
                 epoch,
@@ -1198,61 +1226,17 @@ impl EpochLoop {
                     return Err(CrashPoint::BetweenGates);
                 }
                 Rebuild::Swapped(b) => {
-                    let b = *b;
-                    let fp = b.prog.fingerprint();
-                    if let Some(j) = journal.as_deref_mut() {
-                        j.store_build(
-                            fp,
-                            StoredBuild {
-                                prog: b.prog.clone(),
-                                origin: b.origin.clone(),
-                                rung: b.rung,
-                                profile: b.profile.clone(),
-                            },
-                        );
-                    }
-                    jappend(
-                        machine,
-                        journal,
-                        JournalRecord::Deploy {
-                            epoch,
-                            rung: b.rung,
-                            fingerprint: fp,
-                        },
-                    )?;
-                    crash_gate(machine, journal, CP_MID_SWAP, CrashPoint::MidSwap)?;
-                    self.cur = b;
-                    // The superblock cache is keyed by program identity,
-                    // not content: every deployment change must drop it
-                    // or the engine could keep serving blocks compiled
-                    // from the retired build.
-                    machine.invalidate_blocks();
-                    self.failures = 0;
-                    self.breaker = BreakerState::Closed;
-                    jappend(
-                        machine,
-                        journal,
-                        JournalRecord::Breaker {
-                            epoch,
-                            state: self.breaker,
-                            failures: self.failures,
-                        },
-                    )?;
-                    self.last_swap = Some(epoch);
-                    self.report.swaps += 1;
-                    self.estimator.reset();
-                    self.window.clear();
-                    self.report.incidents.push(Incident {
+                    let rung = b.rung;
+                    let incident = Incident {
                         epoch,
                         trigger,
                         evidence,
-                        action: Action::Swap {
-                            rung: self.cur.rung,
-                        },
-                        outcome: Outcome::Deployed {
-                            rung: self.cur.rung,
-                        },
-                    });
+                        action: Action::Swap { rung },
+                        outcome: Outcome::Deployed { rung },
+                    };
+                    // A rebuild that passed both gates is the evidence
+                    // that closes the breaker.
+                    self.deploy(machine, journal, *b, BreakerState::Closed, 0, incident)?;
                 }
                 Rebuild::Failed { reason, fallback } => {
                     self.failures += 1;
@@ -1260,57 +1244,18 @@ impl EpochLoop {
                         let fb = fallback
                             .map(|b| *b)
                             .unwrap_or_else(|| fallback_build(original, machine, &self.opts));
-                        let fp = fb.prog.fingerprint();
-                        if let Some(j) = journal.as_deref_mut() {
-                            j.store_build(
-                                fp,
-                                StoredBuild {
-                                    prog: fb.prog.clone(),
-                                    origin: fb.origin.clone(),
-                                    rung: fb.rung,
-                                    profile: fb.profile.clone(),
-                                },
-                            );
-                        }
-                        jappend(
-                            machine,
-                            journal,
-                            JournalRecord::Deploy {
-                                epoch,
-                                rung: fb.rung,
-                                fingerprint: fp,
-                            },
-                        )?;
-                        crash_gate(machine, journal, CP_MID_SWAP, CrashPoint::MidSwap)?;
-                        self.breaker = BreakerState::Open;
-                        self.cur = fb;
-                        // Same rule as the swap path above: a fallback
-                        // deployment is still a code-map change.
-                        machine.invalidate_blocks();
-                        jappend(
-                            machine,
-                            journal,
-                            JournalRecord::Breaker {
-                                epoch,
-                                state: self.breaker,
-                                failures: self.failures,
-                            },
-                        )?;
-                        self.last_swap = Some(epoch);
-                        self.report.swaps += 1;
-                        self.estimator.reset();
-                        self.window.clear();
-                        self.report.incidents.push(Incident {
+                        let rung = fb.rung;
+                        let incident = Incident {
                             epoch,
                             trigger,
                             evidence,
-                            action: Action::BreakerOpen {
-                                rung: self.cur.rung,
-                            },
-                            outcome: Outcome::Deployed {
-                                rung: self.cur.rung,
-                            },
-                        });
+                            action: Action::BreakerOpen { rung },
+                            outcome: Outcome::Deployed { rung },
+                        };
+                        // The breaker opens over the degraded build and
+                        // the failure count stands.
+                        let failures = self.failures;
+                        self.deploy(machine, journal, fb, BreakerState::Open, failures, incident)?;
                     } else {
                         let shift = (self.failures - 1).min(31);
                         let delay = self
@@ -1322,7 +1267,7 @@ impl EpochLoop {
                         let until_epoch = epoch + 1 + delay + jitter;
                         self.breaker = BreakerState::Backoff { until_epoch };
                         jappend(
-                            machine,
+                            &mut machine.faults,
                             journal,
                             JournalRecord::Breaker {
                                 epoch,
@@ -1352,7 +1297,7 @@ impl EpochLoop {
             self.clean_streak = 0;
             self.window.clear();
             jappend(
-                machine,
+                &mut machine.faults,
                 journal,
                 JournalRecord::ScavBudget {
                     epoch,
@@ -1378,7 +1323,7 @@ impl EpochLoop {
                 self.scav_budget += 1;
                 self.clean_streak = 0;
                 jappend(
-                    machine,
+                    &mut machine.faults,
                     journal,
                     JournalRecord::ScavBudget {
                         epoch,
@@ -1562,82 +1507,34 @@ pub fn recover(
     let truncated = rep.torn_tail;
 
     // Resolve the recorded deployment to a concrete build, then earn
-    // back trust in it: the artifact must match its fingerprint and
-    // re-pass the swap-time gates. Anything less falls down the ladder.
+    // back trust in it: the artifact must be the one the record names
+    // (fingerprint and rung) and pass the trust gate again. Anything less
+    // falls down the ladder.
     let mut gate_failed = false;
-    let recovered: Option<DeployedBuild> = match st.deploy {
-        None => None,
-        Some((fp, rung, _epoch)) => match journal.get_build(fp) {
-            None => None,
-            Some(sb) => {
-                let build = DeployedBuild {
-                    prog: sb.prog.clone(),
-                    origin: sb.origin.clone(),
-                    rung: sb.rung,
-                    profile: sb.profile.clone(),
-                };
-                if !ropts.revalidate {
-                    Some(build)
-                } else if build.rung != rung || build.prog.fingerprint() != fp {
-                    gate_failed = true;
-                    None
-                } else if build.rung == Rung::Uninstrumented {
-                    // Nothing was rewritten; the artifact must *be* the
-                    // original.
-                    if build.prog.fingerprint() == original.fingerprint() {
-                        Some(build)
-                    } else {
-                        gate_failed = true;
-                        None
-                    }
-                } else {
-                    let lint_ok =
-                        lint_gate(&build.prog, &build.origin, &opts.degrade.pipeline.lint).is_ok();
-                    let verify_ok = !opts.degrade.pipeline.verify
-                        || verify_gate(
-                            original,
-                            &build.prog,
-                            &build.origin,
-                            &opts.degrade.pipeline.lint,
-                        )
-                        .is_ok();
-                    if lint_ok && verify_ok {
-                        Some(build)
-                    } else {
-                        gate_failed = true;
-                        None
-                    }
-                }
+    let mut recovered = None;
+    if let Some((fp, rung, _epoch)) = st.deploy {
+        if let Some(build) = journal.get_build(fp) {
+            if !ropts.revalidate
+                || (build.rung == rung
+                    && build.prog.fingerprint() == fp
+                    && build_is_trusted(original, build, opts))
+            {
+                recovered = Some(build.clone());
+            } else {
+                gate_failed = true;
             }
-        },
-    };
+        }
+    }
 
     let degraded = recovered.is_none();
     let build = recovered.unwrap_or_else(|| fallback_build(original, machine, opts));
     if degraded {
         // A degraded recovery is itself a deployment decision: persist
-        // the fallback (artifact first, then the write-ahead record) so
-        // the durable image never keeps pointing at a build that failed
-        // re-validation. Recovery runs before serving, so the append is
-        // synchronous (no fault injector).
-        let fp = build.prog.fingerprint();
-        journal.store_build(
-            fp,
-            StoredBuild {
-                prog: build.prog.clone(),
-                origin: build.origin.clone(),
-                rung: build.rung,
-                profile: build.profile.clone(),
-            },
-        );
-        journal.append(
-            &JournalRecord::Deploy {
-                epoch: resume.epoch,
-                rung: build.rung,
-                fingerprint: fp,
-            },
-            None,
-        );
+        // the fallback so the durable image never keeps pointing at a
+        // build that failed re-validation. Recovery runs before serving,
+        // so the append is synchronous (no fault injector).
+        journal_deploy(&mut None, &mut Some(journal), &build, resume.epoch)
+            .expect("no injector, no crash");
     }
     let action = if degraded {
         Action::RecoveryDegraded { rung: build.rung }
@@ -1873,37 +1770,65 @@ mod tests {
     #[test]
     fn hot_swap_invalidates_superblock_cache() {
         // The superblock engine caches pre-decoded blocks keyed by
-        // program *identity*; a hot swap changes the code map under the
-        // serving loop, so every deployment change must invalidate the
-        // cache — blocks compiled from any earlier traffic must not
+        // program *identity*; a deployment changes the code map under
+        // the serving loop, so every one — a rebuild swap, the
+        // breaker-open fallback, a fleet rollout — must invalidate the
+        // cache: blocks compiled from any earlier traffic must not
         // survive a deploy.
-        let mut m = Machine::new(MachineConfig::default());
-        let mut svc = ZipfService::new(&mut m, 0.0, 3.0);
-        let orig = svc.prog.clone();
-        let init = initial_build(&mut m, &svc, &orig);
+        fn wipe(p: &mut Profile) {
+            p.total_samples = 0;
+        }
+        let breaker_opens = SupervisorOptions {
+            epochs: 12,
+            max_rebuild_failures: 2,
+            degrade: DegradeOptions {
+                max_reprofiles: 0,
+                profile_mutator: Some(wipe),
+                ..fast_degrade()
+            },
+            ..drift_opts()
+        };
+        for (opts, rung, rollout) in [
+            (drift_opts(), Rung::FullPgo, false),
+            (breaker_opens, Rung::ScavengerOnly, false),
+            (drift_opts(), Rung::FullPgo, true),
+        ] {
+            let mut m = Machine::new(MachineConfig::default());
+            let mut svc = ZipfService::new(&mut m, 0.0, 3.0);
+            let orig = svc.prog.clone();
+            let init = initial_build(&mut m, &svc, &orig);
 
-        // Warm the superblock cache with traffic from before the run.
-        let mut wb = ProgramBuilder::new("warmup");
-        wb.imm(Reg(1), 64).imm(Reg(2), 1);
-        let top = wb.label();
-        wb.bind(top);
-        wb.alu(AluOp::Sub, Reg(1), Reg(1), Reg(2), 1);
-        wb.branch(Cond::Nez, Reg(1), top);
-        wb.halt();
-        let warm_prog = wb.finish().unwrap();
-        let mut warm = Context::new(7_000);
-        m.run_to_completion(&warm_prog, &mut warm, 1 << 20).unwrap();
-        assert!(m.block_cache.stats.compiled > 0, "warmup compiled nothing");
-        assert!(m.block_cache.cached_blocks() > 0);
+            // Warm the superblock cache with traffic from before the run.
+            let mut wb = ProgramBuilder::new("warmup");
+            wb.imm(Reg(1), 64).imm(Reg(2), 1);
+            let top = wb.label();
+            wb.bind(top);
+            wb.alu(AluOp::Sub, Reg(1), Reg(1), Reg(2), 1);
+            wb.branch(Cond::Nez, Reg(1), top);
+            wb.halt();
+            let warm_prog = wb.finish().unwrap();
+            let mut warm = Context::new(7_000);
+            m.run_to_completion(&warm_prog, &mut warm, 1 << 20).unwrap();
+            assert!(m.block_cache.stats.compiled > 0, "warmup compiled nothing");
+            assert!(m.block_cache.cached_blocks() > 0);
 
-        let r = supervise(&mut m, &mut svc, &orig, init, &drift_opts()).unwrap();
-        assert_eq!(r.swaps, 1, "{}", r.incident_log_json());
-        assert_eq!(
-            m.block_cache.stats.invalidations, r.swaps,
-            "every hot swap must invalidate the superblock cache"
-        );
-        // The pre-swap blocks are gone, not merely shadowed.
-        assert!(!m.block_cache.has_blocks_for(&warm_prog));
+            let r = if rollout {
+                // What the fleet does to a drained shard.
+                let mut el = EpochLoop::new(init.clone(), &opts, None);
+                el.deploy_rollout(&mut m, &mut None, init, 0).unwrap();
+                el.seal()
+            } else {
+                supervise(&mut m, &mut svc, &orig, init, &opts).unwrap()
+            };
+            assert_eq!(r.swaps, 1, "{}", r.incident_log_json());
+            assert_eq!(r.final_rung, rung);
+            assert_eq!(
+                m.block_cache.stats.invalidations, r.swaps,
+                "every deployment must invalidate the superblock cache"
+            );
+            // The pre-swap blocks are gone, not merely shadowed.
+            assert!(!m.block_cache.has_blocks_for(&warm_prog));
+        }
     }
 
     /// Serving arms the in-situ sampler on every batch; that must not
