@@ -184,7 +184,12 @@ pub fn run_dual_mode(
         s.mode = Mode::Scavenger;
     }
 
-    let mut report = DualModeReport::default();
+    let mut report = DualModeReport {
+        // One entry per primary yield: a served job records about a
+        // thousand, which from an empty `Vec` is ten reallocations.
+        fill_times: Vec::with_capacity(1024),
+        ..DualModeReport::default()
+    };
     let mut used = vec![false; scavengers.len()];
     let mut overruns = vec![0u32; scavengers.len()];
     let mut quarantined = vec![false; scavengers.len()];
@@ -228,11 +233,12 @@ pub fn run_dual_mode(
                 let mut scavs_this_fill = 0usize;
                 'fill: loop {
                     // Pick the next runnable, non-quarantined scavenger
-                    // (round robin). A scavenger on probation counts as
+                    // (round robin from the `next_scav` cursor, wrapping
+                    // once). A scavenger on probation counts as
                     // quarantined until its release cycle arrives.
                     let now = machine.now;
-                    let pick = (0..scavengers.len())
-                        .map(|off| (next_scav + off) % scavengers.len().max(1))
+                    let pick = (next_scav..scavengers.len())
+                        .chain(0..next_scav)
                         .find(|&i| {
                             scavengers[i].status == Status::Runnable
                                 && !quarantined[i]

@@ -39,7 +39,9 @@
 //! not entered; [`Machine::step`] executes it instruction-exactly.
 //!
 //! Blocks are cached in a [`BlockCache`] keyed by *program identity*
-//! (instruction-vector pointer + length) and entry PC. Identity is not
+//! (instruction-vector pointer + length) and entry PC: the identity is
+//! matched once per run, the entry PC indexes a dense per-program table,
+//! so dispatching to a decoded block is an indexed load. Identity is not
 //! content: like a JIT's code cache, the cache must be told whenever a
 //! code map changes under it — [`Machine::invalidate_blocks`] on a
 //! supervisor hot swap or re-instrumentation, [`BlockCache::forget`]
@@ -55,7 +57,6 @@
 
 use crate::cache::{AccessKind, Level};
 use crate::context::{Context, PendingLoad, Status, MAX_CALL_DEPTH};
-use crate::fxhash::FxHashMap;
 use crate::isa::{AluOp, Cond, Inst, Program, Reg, YieldKind};
 use crate::machine::{ExecError, Exit, Machine};
 use crate::pebs::HwEvent;
@@ -494,13 +495,19 @@ impl BlockCacheStats {
     }
 }
 
+/// `ProgramBlocks::table` entry for a PC no block has been decoded at.
+const NOT_COMPILED: u32 = u32::MAX;
+
 /// Decoded blocks for one program, keyed by entry PC.
 #[derive(Clone, Debug)]
 struct ProgramBlocks {
     /// Program identity: instruction-vector pointer + length.
     key: (usize, usize),
-    /// Entry PC → index into `blocks`.
-    map: FxHashMap<u32, u32>,
+    /// Entry PC → index into `blocks`, dense over the program (one slot
+    /// per instruction, [`NOT_COMPILED`] where no block starts): block
+    /// dispatch is one indexed load, the `PerPcTable` layout applied to
+    /// the code cache.
+    table: Vec<u32>,
     blocks: Vec<Block>,
 }
 
@@ -569,30 +576,27 @@ impl BlockCache {
         }
         self.progs.push(ProgramBlocks {
             key,
-            map: FxHashMap::default(),
+            table: vec![NOT_COMPILED; prog.insts.len()],
             blocks: Vec::new(),
         });
         self.progs.len() - 1
     }
 
-    /// Block index for `(prog, pc)`, decoding on miss.
+    /// Block index for `(prog, pc)`, decoding on miss. `pc` is inside
+    /// the program (the dispatcher has already ruled out a `BadPc`).
     fn lookup(&mut self, pi: usize, prog: &Program, pc: usize) -> usize {
         let pb = &mut self.progs[pi];
-        match pb.map.get(&(pc as u32)) {
-            Some(&b) => {
-                self.stats.hits += 1;
-                b as usize
-            }
-            None => {
-                let block = compile_block(prog, pc);
-                pb.blocks.push(block);
-                let b = pb.blocks.len() - 1;
-                pb.map.insert(pc as u32, b as u32);
-                self.stats.misses += 1;
-                self.stats.compiled += 1;
-                b
-            }
+        let b = pb.table[pc];
+        if b != NOT_COMPILED {
+            self.stats.hits += 1;
+            return b as usize;
         }
+        let b = pb.blocks.len();
+        pb.blocks.push(compile_block(prog, pc));
+        pb.table[pc] = u32::try_from(b).expect("block count fits the table");
+        self.stats.misses += 1;
+        self.stats.compiled += 1;
+        b
     }
 }
 
@@ -1197,7 +1201,7 @@ impl Machine {
 
         let pi = cache.prog_index(prog);
         // One-entry inline lookup cache: a tight loop re-enters the same
-        // block every iteration and skips the map probe entirely.
+        // block every iteration and skips the table load entirely.
         let mut last_pc = usize::MAX;
         let mut last_bi = 0usize;
         loop {
@@ -1472,7 +1476,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_program_tables_are_bounded() {
+    fn cached_program_tables_are_bounded_and_evict_oldest_first() {
         let mut m = Machine::new(MachineConfig::default());
         let progs: Vec<Program> = (0..MAX_CACHED_PROGRAMS + 4)
             .map(|i| counted_loop(4 + i as u64))
@@ -1482,6 +1486,43 @@ mod tests {
             m.run(p, &mut ctx, 1 << 20).unwrap();
         }
         assert_eq!(m.block_cache.cached_programs(), MAX_CACHED_PROGRAMS);
+        for (i, p) in progs.iter().enumerate() {
+            assert_eq!(m.block_cache.has_blocks_for(p), i >= 4, "program {i}");
+        }
+        // An evicted program gets a fresh table and decodes again.
+        let compiled = m.block_cache.stats.compiled;
+        let mut ctx = Context::new(0);
+        m.run(&progs[0], &mut ctx, 1 << 20).unwrap();
+        assert_eq!(ctx.regs[2], 4);
+        assert!(m.block_cache.stats.compiled > compiled);
+        assert!(
+            !m.block_cache.has_blocks_for(&progs[4]),
+            "the next oldest went"
+        );
+    }
+
+    #[test]
+    fn a_block_may_start_at_the_last_instruction() {
+        // The branch lands on the final `halt`: the entry-PC table's last
+        // slot is a block entry.
+        let mut b = ProgramBuilder::new("tail");
+        let end = b.label();
+        b.imm(Reg(0), 1);
+        b.branch(Cond::Nez, Reg(0), end);
+        b.imm(Reg(1), 7);
+        b.bind(end);
+        b.halt();
+        let p = b.finish().unwrap();
+        let run = |blocks: bool| {
+            let mut m = Machine::new(MachineConfig::default());
+            m.blocks_enabled = blocks;
+            let mut ctx = Context::new(0);
+            let exit = m.run(&p, &mut ctx, 1 << 20).unwrap();
+            ((exit, m.now, ctx.regs), m.block_cache.stats.compiled)
+        };
+        let (state, compiled) = run(true);
+        assert_eq!((state.0, state.2[1], compiled), (Exit::Done, 0, 2));
+        assert_eq!(state, run(false).0);
     }
 
     #[test]

@@ -10,9 +10,20 @@
 //! fill completes; a demand access that arrives while the fill is in flight
 //! pays only the *remaining* latency. This is exactly the overlap window
 //! profile-guided `prefetch+yield` instrumentation exploits.
+//!
+//! [`Hierarchy::access`] runs once per simulated load, and most loads hit
+//! L1, so that case is kept to one indexed probe per structure. None of
+//! it is simulated-visible (`tests/prop_cache.rs` holds the hierarchy to
+//! a reference model written without any of it):
+//!
+//! * the MSHRs are a flat vector beside a completion watermark, so
+//!   draining costs one compare until a fill has actually completed;
+//! * each set remembers its most recently used way, which `lookup`
+//!   verifies against the line metadata before falling back to the scan;
+//! * the host-prefetch hints for the L2/L3 set metadata are issued only
+//!   once L1 has missed.
 
 use crate::config::MachineConfig;
-use crate::fxhash::FxHashMap;
 
 /// Which level serviced an access. `Mem` means a full miss.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -99,6 +110,12 @@ const INVALID: LineMeta = LineMeta { tag: 0, stamp: 0 };
 struct CacheLevel {
     /// `sets * ways` line metadata, row-major by set.
     lines: Vec<LineMeta>,
+    /// Per set, the way that last hit or was last installed: where
+    /// `lookup` looks first. A hint and nothing more — it is verified
+    /// against the way's `LineMeta` and never trusted, so invalidation
+    /// and eviction need not maintain it, and a truncated index (more
+    /// than 256 ways) merely guesses wrong.
+    mru: Vec<u8>,
     ways: usize,
     set_mask: u64,
     stamp: u64,
@@ -108,6 +125,7 @@ impl CacheLevel {
     fn new(sets: usize, ways: usize) -> Self {
         CacheLevel {
             lines: vec![INVALID; sets * ways],
+            mru: vec![0; sets],
             ways,
             set_mask: sets as u64 - 1,
             stamp: 0,
@@ -115,16 +133,21 @@ impl CacheLevel {
     }
 
     #[inline]
+    fn set_of(&self, line_addr: u64) -> usize {
+        (line_addr & self.set_mask) as usize
+    }
+
+    #[inline]
     fn set_range(&self, line_addr: u64) -> std::ops::Range<usize> {
-        let set = (line_addr & self.set_mask) as usize;
+        let set = self.set_of(line_addr);
         set * self.ways..(set + 1) * self.ways
     }
 
     /// Hints the host to start fetching this set's metadata (one hint per
-    /// 64-byte host line, i.e. per four `LineMeta`). Issued at access
-    /// entry so the scans below find the set already in flight — for the
-    /// megabytes of L3 metadata this turns serialized host misses into
-    /// overlapped ones.
+    /// 64-byte host line, i.e. per four `LineMeta`). Issued for L2 and L3
+    /// together once L1 has missed, so the L3 scan finds its set already
+    /// in flight — for the megabytes of L3 metadata this turns serialized
+    /// host misses into overlapped ones.
     #[inline]
     fn prefetch_set(&self, line_addr: u64) {
         let r = self.set_range(line_addr);
@@ -136,13 +159,25 @@ impl CacheLevel {
     }
 
     /// Looks up `line_addr`; on hit refreshes LRU and returns `true`.
+    ///
+    /// Probes the set's MRU way before scanning. A line sits in at most
+    /// one way of its set, so a verified guess is the way the scan would
+    /// have found: stamps, and with them every later victim, are the same.
+    #[inline]
     fn lookup(&mut self, line_addr: u64) -> bool {
         self.stamp += 1;
         let stamp = self.stamp;
-        let range = self.set_range(line_addr);
-        for meta in &mut self.lines[range] {
+        let set = self.set_of(line_addr);
+        let base = set * self.ways;
+        let guess = &mut self.lines[base + self.mru[set] as usize];
+        if guess.is(line_addr) {
+            guess.stamp = stamp;
+            return true;
+        }
+        for (way, meta) in self.lines[base..base + self.ways].iter_mut().enumerate() {
             if meta.is(line_addr) {
                 meta.stamp = stamp;
+                self.mru[set] = way as u8;
                 return true;
             }
         }
@@ -167,6 +202,7 @@ impl CacheLevel {
     fn install(&mut self, line_addr: u64) -> Option<u64> {
         self.stamp += 1;
         let stamp = self.stamp;
+        let set_index = self.set_of(line_addr);
         let range = self.set_range(line_addr);
         let set = &mut self.lines[range];
         let mut victim = 0usize;
@@ -176,6 +212,7 @@ impl CacheLevel {
                 // Already present (e.g. re-install after an inner-level
                 // miss): refresh.
                 meta.stamp = stamp;
+                self.mru[set_index] = i as u8;
                 return None;
             }
             if meta.stamp < min_stamp {
@@ -192,6 +229,7 @@ impl CacheLevel {
             tag: line_addr,
             stamp,
         };
+        self.mru[set_index] = victim as u8;
         evicted
     }
 
@@ -235,13 +273,26 @@ pub struct Hierarchy {
     line_shift: u32,
     /// Next-line hardware prefetcher degree (0 = off).
     hw_degree: usize,
-    /// In-flight fills: line address → (completion cycle, origin level).
-    mshr: FxHashMap<u64, (u64, Level)>,
-    /// Reused scratch for [`Hierarchy::drain_fills`] so the per-access
-    /// drain never allocates (it sits on the interpreter's load path).
-    fill_scratch: Vec<(u64, u64)>,
+    /// In-flight fills, at most one per line, in no particular order: a
+    /// blocking core keeps one or two in flight and prefetching code a
+    /// handful, so a linear scan beats hashing the line address.
+    mshr: Vec<Fill>,
+    /// Completion watermark: the earliest `ready` in `mshr`, `u64::MAX`
+    /// when it is empty. Kept exact by every insertion and removal, so
+    /// the per-access drain is one compare while nothing has completed.
+    next_ready: u64,
     /// Statistics.
     pub stats: CacheStats,
+}
+
+/// One in-flight fill (an occupied MSHR).
+#[derive(Clone, Copy, Debug)]
+struct Fill {
+    line: u64,
+    /// Absolute cycle at which the fill completes.
+    ready: u64,
+    /// The level the fill is fetching from.
+    origin: Level,
 }
 
 /// Kind of hierarchy access.
@@ -277,8 +328,8 @@ impl Hierarchy {
             ],
             line_shift: line.trailing_zeros(),
             hw_degree: cfg.hw_prefetch_degree,
-            mshr: FxHashMap::default(),
-            fill_scratch: Vec::new(),
+            mshr: Vec::new(),
+            next_ready: u64::MAX,
             stats: CacheStats::default(),
         }
     }
@@ -305,41 +356,56 @@ impl Hierarchy {
         addr >> self.line_shift
     }
 
+    /// The in-flight fill for `line`, if any.
+    #[inline]
+    fn inflight(&self, line: u64) -> Option<Fill> {
+        self.mshr.iter().find(|f| f.line == line).copied()
+    }
+
+    /// Allocates an MSHR for `line`, which must not have one.
+    #[inline]
+    fn start_fill(&mut self, line: u64, ready: u64, origin: Level) {
+        debug_assert!(self.inflight(line).is_none(), "one fill per line");
+        self.mshr.push(Fill {
+            line,
+            ready,
+            origin,
+        });
+        self.next_ready = self.next_ready.min(ready);
+    }
+
+    /// The completion watermark recomputed from what is in flight.
+    fn earliest_ready(&self) -> u64 {
+        self.mshr.iter().map(|f| f.ready).min().unwrap_or(u64::MAX)
+    }
+
+    /// Drops the in-flight fill for `line`, if any, without installing it.
+    fn cancel_fill(&mut self, line: u64) {
+        if let Some(i) = self.mshr.iter().position(|f| f.line == line) {
+            self.mshr.swap_remove(i);
+            self.next_ready = self.earliest_ready();
+        }
+    }
+
     /// Completes every in-flight fill whose completion cycle is ≤ `now`,
     /// installing the lines into all levels.
     ///
     /// Completed fills install in (ready, line) order so that LRU stamps —
-    /// and therefore every downstream result — are deterministic regardless
-    /// of hash-map iteration order.
+    /// and therefore every downstream result — do not depend on the order
+    /// the fills sit in `mshr`.
+    #[inline]
     fn drain_fills(&mut self, now: u64) {
-        if self.mshr.is_empty() {
-            return;
-        }
-        // One in-flight fill — the steady state of a blocking core that
-        // misses, stalls past the fill, then accesses again — needs no
-        // collection or sorting.
-        if self.mshr.len() == 1 {
-            let (&line, &(ready, _)) = self.mshr.iter().next().expect("len == 1");
-            if ready <= now {
-                self.mshr.remove(&line);
-                self.install_all(line);
-            }
-            return;
-        }
-        let mut done = std::mem::take(&mut self.fill_scratch);
-        done.extend(
-            self.mshr
-                .iter()
-                .filter(|&(_, &(ready, _))| ready <= now)
-                .map(|(&line, &(ready, _))| (ready, line)),
-        );
-        done.sort_unstable();
-        for &(_, line) in &done {
-            self.mshr.remove(&line);
+        while self.next_ready <= now {
+            let earliest = (0..self.mshr.len()).min_by_key(|&i| {
+                let f = &self.mshr[i];
+                (f.ready, f.line)
+            });
+            // Nothing in flight and `now` is `u64::MAX` itself.
+            let Some(i) = earliest else { return };
+            let line = self.mshr.swap_remove(i).line;
             self.install_all(line);
+            self.next_ready = self.earliest_ready();
         }
-        done.clear();
-        self.fill_scratch = done;
     }
 
     fn install_all(&mut self, line: u64) {
@@ -356,10 +422,6 @@ impl Hierarchy {
     /// only their issue cost).
     pub fn access(&mut self, addr: u64, now: u64, kind: AccessKind) -> Access {
         let line = self.line_of(addr);
-        // Host-side overlap only (no simulated effect): start fetching
-        // the L2/L3 set metadata now, behind the drain/MSHR work below.
-        self.l2.prefetch_set(line);
-        self.l3.prefetch_set(line);
         self.drain_fills(now);
 
         if kind == AccessKind::DemandLoad {
@@ -367,7 +429,7 @@ impl Hierarchy {
         }
 
         // Merge with an in-flight fill: pay only the remaining latency.
-        if let Some(&(ready, origin)) = self.mshr.get(&line) {
+        if let Some(Fill { ready, origin, .. }) = self.inflight(line) {
             match kind {
                 AccessKind::DemandLoad => {
                     self.stats.demand_merged += 1;
@@ -391,12 +453,20 @@ impl Hierarchy {
         // Walk the hierarchy.
         let level = if self.l1.lookup(line) {
             Level::L1
-        } else if self.l2.lookup(line) {
-            Level::L2
-        } else if self.l3.lookup(line) {
-            Level::L3
         } else {
-            Level::Mem
+            // Host-side overlap only (no simulated effect): the outer
+            // levels' set metadata is needed only now that L1 has missed,
+            // so the hints are keyed on that outcome — the common L1 hit
+            // never reads those sets and pays for no hint.
+            self.l2.prefetch_set(line);
+            self.l3.prefetch_set(line);
+            if self.l2.lookup(line) {
+                Level::L2
+            } else if self.l3.lookup(line) {
+                Level::L3
+            } else {
+                Level::Mem
+            }
         };
         let ready = now + self.latencies[level.index()];
 
@@ -409,7 +479,7 @@ impl Hierarchy {
                 // is done; a switch-on-stall consumer parks and other
                 // contexts merging with the fill pay only the remainder.
                 if level != Level::L1 {
-                    self.mshr.insert(line, (ready, level));
+                    self.start_fill(line, ready, level);
                 }
             }
             AccessKind::Store => {
@@ -426,7 +496,7 @@ impl Hierarchy {
                     // Already as close as it gets: nothing to do.
                     self.stats.prefetch_useless += 1;
                 } else {
-                    self.mshr.insert(line, (ready, level));
+                    self.start_fill(line, ready, level);
                 }
             }
         }
@@ -444,7 +514,7 @@ impl Hierarchy {
     fn train_hw_prefetcher(&mut self, line: u64, now: u64) {
         for d in 1..=self.hw_degree {
             let nl = line + d as u64;
-            if self.mshr.contains_key(&nl)
+            if self.inflight(nl).is_some()
                 || self.l1.contains(nl)
                 || self.l2.contains(nl)
                 || self.l3.contains(nl)
@@ -452,8 +522,7 @@ impl Hierarchy {
                 continue;
             }
             self.stats.hw_prefetches += 1;
-            self.mshr
-                .insert(nl, (now + self.latencies[Level::Mem.index()], Level::Mem));
+            self.start_fill(nl, now + self.latencies[Level::Mem.index()], Level::Mem);
         }
     }
 
@@ -465,10 +534,8 @@ impl Hierarchy {
         if self.l1.contains(line) {
             return Level::L1;
         }
-        if let Some(&(ready, _)) = self.mshr.get(&line) {
-            if ready <= now {
-                return Level::L1; // installed everywhere on drain
-            }
+        if self.inflight(line).is_some_and(|f| f.ready <= now) {
+            return Level::L1; // installed everywhere on drain
         }
         if self.l2.contains(line) {
             return Level::L2;
@@ -485,7 +552,7 @@ impl Hierarchy {
         self.l1.invalidate(line);
         self.l2.invalidate(line);
         self.l3.invalidate(line);
-        self.mshr.remove(&line);
+        self.cancel_fill(line);
     }
 
     /// Empties all levels and MSHRs (cold-cache reset between experiment
@@ -495,6 +562,7 @@ impl Hierarchy {
         self.l2.clear();
         self.l3.clear();
         self.mshr.clear();
+        self.next_ready = u64::MAX;
     }
 
     /// Number of fills currently in flight.
@@ -683,6 +751,60 @@ mod tests {
         h.access(0x8000, 0, AccessKind::DemandLoad);
         assert_eq!(h.stats.hw_prefetches, 0);
         assert_eq!(h.inflight_fills(), 1);
+    }
+
+    #[test]
+    fn cancelling_the_earliest_fill_moves_the_watermark_to_the_next() {
+        let mut h = hierarchy();
+        h.access(0x1000, 0, AccessKind::Prefetch); // ready at 300
+        h.access(0x2000, 50, AccessKind::Prefetch); // ready at 350
+        assert_eq!(h.next_ready, 300);
+        h.invalidate(0x1000);
+        assert_eq!((h.inflight_fills(), h.next_ready), (1, 350));
+        // At the cancelled fill's old completion cycle nothing installs...
+        h.access(0x3000, 300, AccessKind::Store);
+        assert_eq!(h.probe(0x1000, 300), Level::Mem);
+        assert_eq!(h.inflight_fills(), 1);
+        // ...and the surviving fill still lands on its own cycle.
+        let a = h.access(0x2000, 350, AccessKind::DemandLoad);
+        assert_eq!((a.level, a.merged_with_fill), (Level::L1, false));
+        assert_eq!((h.inflight_fills(), h.next_ready), (0, u64::MAX));
+    }
+
+    #[test]
+    fn flush_resets_the_watermark() {
+        let mut h = hierarchy();
+        h.access(0x1000, 0, AccessKind::Prefetch);
+        h.flush();
+        assert_eq!(h.next_ready, u64::MAX);
+        // A fill started after the flush is the only thing that drains.
+        h.access(0x2000, 1000, AccessKind::Prefetch);
+        assert_eq!(h.next_ready, 1300);
+        h.access(0x3000, 1300, AccessKind::Store);
+        assert_eq!(h.probe(0x2000, 1300), Level::L1);
+        assert_eq!(h.probe(0x1000, 1300), Level::Mem);
+    }
+
+    #[test]
+    fn a_stale_mru_guess_is_verified_not_trusted() {
+        let mut l = CacheLevel::new(4, 2);
+        // Lines 0, 4, 8 share set 0 of a 4-set level.
+        l.install(0);
+        l.install(4);
+        assert_eq!(l.mru[0], 1);
+        // The guessed way is invalidated: its tag still reads 4.
+        l.invalidate(4);
+        assert!(!l.lookup(4));
+        assert!(l.lookup(0), "found by the scan");
+        assert_eq!(l.mru[0], 0);
+        // The guessed way now holds another line: 4 retakes the free way,
+        // 0 is touched, so 8 evicts 4 and the guess for 4 reads tag 8.
+        l.install(4);
+        assert!(l.lookup(0));
+        assert_eq!(l.install(8), Some(4));
+        assert_eq!(l.mru[0], 1);
+        assert!(!l.lookup(4));
+        assert!(l.lookup(8) && l.lookup(0));
     }
 
     #[test]

@@ -13,12 +13,12 @@
 //! * pages live in a slab (`Vec` of boxed page arrays) and a side index
 //!   maps page number → slot, hashed with the cheap deterministic
 //!   [`crate::fxhash`] hasher instead of SipHash;
-//! * a small direct-mapped last-page cache (a software TLB, indexed by
-//!   the low page-number bits) short-circuits the index probe entirely
-//!   for the overwhelmingly common recently-touched-page case — on both
-//!   the read ([`Memory::read_hot`]) and write ([`Memory::write_hot`])
-//!   paths, so a load/store mix over a few pages never thrashes a single
-//!   shared entry;
+//! * a direct-mapped software TLB (64 entries, indexed by the low
+//!   page-number bits) short-circuits the index probe entirely for the
+//!   overwhelmingly common recently-touched-page case — on the read
+//!   ([`Memory::read_hot`]), host-prefetch ([`Memory::host_prefetch`])
+//!   and write ([`Memory::write_hot`]) paths alike, so the index is
+//!   probed once per TLB miss, not once per access;
 //! * [`Memory::write_slice`] resolves each page once per page, not once
 //!   per word.
 //!
@@ -35,10 +35,12 @@ const WORDS_PER_PAGE: usize = (PAGE_BYTES / 8) as usize;
 /// largest real tag is `u64::MAX / 4096`; `u64::MAX` can never collide.
 const TLB_EMPTY: u64 = u64::MAX;
 
-/// Software-TLB entries (direct-mapped on the low page-number bits).
-/// Small enough to live in registers/L1, large enough that a loop mixing
-/// loads and stores over a few distinct pages holds all of them.
-const TLB_WAYS: usize = 4;
+/// Software-TLB entries (direct-mapped on the low page-number bits):
+/// 768 bytes of tags and slots, which stay in the host's L1. Sized for
+/// the serving loop rather than one kernel — a primary and its
+/// scavengers co-run on one `Memory`, each over a few pages of its own,
+/// and at four entries they evicted one another on every switch.
+const TLB_WAYS: usize = 64;
 
 /// Sparse, paged, word-addressed memory.
 #[derive(Clone, Debug)]
@@ -136,55 +138,53 @@ impl Memory {
             .map_or(0, |&s| self.slabs[s as usize][word]))
     }
 
+    /// Translates `page` to its slab slot through the TLB, refilling it
+    /// from the index on a miss. `None` means the page was never
+    /// materialized (nothing is cached — there is no slot to cache).
+    #[inline]
+    fn translate(&mut self, page: u64) -> Option<u32> {
+        let way = Self::tlb_way(page);
+        if page == self.tlb_pages[way] {
+            return Some(self.tlb_slots[way]);
+        }
+        let slot = *self.index.get(&page)?;
+        self.tlb_pages[way] = page;
+        self.tlb_slots[way] = slot;
+        Some(slot)
+    }
+
     /// Reads the 64-bit word at `addr`, refilling the TLB on miss.
     ///
     /// Same observable result as [`Memory::read`]; the interpreter's
     /// load path uses this so a run of same-page accesses pays the page
     /// index probe once. Reads of untouched addresses return zero
-    /// without materializing the page (and leave the TLB alone — there
-    /// is no slot to cache).
+    /// without materializing the page.
     #[inline]
     pub fn read_hot(&mut self, addr: u64) -> Result<u64, MemError> {
         if !addr.is_multiple_of(8) {
             return Err(MemError::Unaligned { addr });
         }
-        let page = addr / PAGE_BYTES;
         let word = ((addr % PAGE_BYTES) / 8) as usize;
-        let way = Self::tlb_way(page);
-        if page == self.tlb_pages[way] {
-            return Ok(self.slabs[self.tlb_slots[way] as usize][word]);
-        }
-        match self.index.get(&page) {
-            Some(&s) => {
-                self.tlb_pages[way] = page;
-                self.tlb_slots[way] = s;
-                Ok(self.slabs[s as usize][word])
-            }
-            None => Ok(0),
-        }
+        Ok(self
+            .translate(addr / PAGE_BYTES)
+            .map_or(0, |s| self.slabs[s as usize][word]))
     }
 
     /// Hints the host CPU to start fetching the slab word backing `addr`
     /// (see [`crate::host_prefetch`]).
     ///
-    /// No simulated effect: nothing materializes, the TLB is untouched,
-    /// and unmapped or unaligned addresses are ignored. The interpreter
-    /// issues this before walking the cache hierarchy so the host fetch
-    /// of the data overlaps the walk's own metadata traffic.
+    /// No simulated effect: nothing materializes, and unmapped addresses
+    /// are ignored. The interpreter issues this before walking the cache
+    /// hierarchy so the host fetch of the data overlaps the walk's own
+    /// metadata traffic; the translation it resolves stays in the TLB, so
+    /// the [`Memory::read_hot`] that ends the same load never probes the
+    /// index again.
     #[inline]
-    pub fn host_prefetch(&self, addr: u64) {
-        let page = addr / PAGE_BYTES;
+    pub fn host_prefetch(&mut self, addr: u64) {
         let word = ((addr % PAGE_BYTES) / 8) as usize;
-        let way = Self::tlb_way(page);
-        let slot = if page == self.tlb_pages[way] {
-            self.tlb_slots[way]
-        } else {
-            match self.index.get(&page) {
-                Some(&s) => s,
-                None => return,
-            }
-        };
-        crate::host_prefetch(&self.slabs[slot as usize][word]);
+        if let Some(slot) = self.translate(addr / PAGE_BYTES) {
+            crate::host_prefetch(&self.slabs[slot as usize][word]);
+        }
     }
 
     /// Writes the 64-bit word at `addr`, materializing the page if needed.
@@ -209,11 +209,9 @@ impl Memory {
         }
         let page = addr / PAGE_BYTES;
         let word = ((addr % PAGE_BYTES) / 8) as usize;
-        let way = Self::tlb_way(page);
-        let slot = if page == self.tlb_pages[way] {
-            self.tlb_slots[way]
-        } else {
-            self.resolve_mut(page)
+        let slot = match self.translate(page) {
+            Some(slot) => slot,
+            None => self.resolve_mut(page),
         };
         self.slabs[slot as usize][word] = val;
         Ok(())
@@ -374,10 +372,10 @@ mod tests {
             vec![
                 (0x0000, 1),
                 (0x1000, 2),
-                (0x4000, 3), // same way as 0x0000
+                (TLB_WAYS as u64 * PAGE_BYTES, 3), // same way as 0x0000
                 (0x0008, 4),
                 (0x9000, 5),
-                (0x4000, 6), // overwrite
+                (TLB_WAYS as u64 * PAGE_BYTES, 6), // overwrite
             ]
         };
         let mut hot = Memory::new();
@@ -398,14 +396,50 @@ mod tests {
     #[test]
     fn direct_mapped_tlb_survives_way_conflicts() {
         let mut m = Memory::new();
-        // Pages 0,4,8 all map to way 0; interleave with pages 1 and 2.
-        for (i, base) in [0u64, 0x4000, 0x8000, 0x1000, 0x2000].iter().enumerate() {
+        // Pages 0, WAYS and 2*WAYS all map to way 0; interleave them
+        // with pages 1 and 2.
+        let ways = TLB_WAYS as u64;
+        let bases = [0, ways, 2 * ways, 1, 2].map(|page| page * PAGE_BYTES);
+        assert_eq!(Memory::tlb_way(ways), Memory::tlb_way(2 * ways));
+        for (i, base) in bases.iter().enumerate() {
             m.write_hot(*base, i as u64 + 10).unwrap();
         }
-        for (i, base) in [0u64, 0x4000, 0x8000, 0x1000, 0x2000].iter().enumerate() {
+        for (i, base) in bases.iter().enumerate() {
             assert_eq!(m.read_hot(*base).unwrap(), i as u64 + 10);
             assert_eq!(m.read(*base).unwrap(), i as u64 + 10);
         }
         assert_eq!(m.resident_pages(), 5);
+    }
+
+    #[test]
+    fn hot_paths_match_a_word_map_past_the_tlb_reach() {
+        // Three times as many pages as TLB entries, visited in a seeded
+        // order with repeats, so every way is refilled and conflicted;
+        // every third page stays unmapped. The reference is a plain
+        // address → word map.
+        let pages = 3 * TLB_WAYS as u64;
+        let mut rng = crate::rng::SplitMix64::new(14);
+        let mut m = Memory::new();
+        let mut words = std::collections::HashMap::new();
+        for step in 1..20 * pages {
+            let page = rng.next_below(pages);
+            let addr = page * PAGE_BYTES + 8 * rng.next_below(WORDS_PER_PAGE as u64);
+            if !page.is_multiple_of(3) && rng.next_below(3) == 0 {
+                m.write_hot(addr, step).unwrap();
+                words.insert(addr, step);
+            }
+            let want = words.get(&addr).copied().unwrap_or(0);
+            m.host_prefetch(addr);
+            assert_eq!(m.read_hot(addr).unwrap(), want, "step {step}");
+            assert_eq!(m.read(addr).unwrap(), want, "step {step}");
+        }
+        let mapped: std::collections::HashSet<u64> =
+            words.keys().map(|addr| addr / PAGE_BYTES).collect();
+        assert!(mapped.len() > TLB_WAYS);
+        assert_eq!(
+            m.resident_pages(),
+            mapped.len(),
+            "reads materialize nothing"
+        );
     }
 }
