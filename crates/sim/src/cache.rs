@@ -11,17 +11,22 @@
 //! pays only the *remaining* latency. This is exactly the overlap window
 //! profile-guided `prefetch+yield` instrumentation exploits.
 //!
-//! [`Hierarchy::access`] runs once per simulated load, and most loads hit
-//! L1, so that case is kept to one indexed probe per structure. None of
-//! it is simulated-visible (`tests/prop_cache.rs` holds the hierarchy to
-//! a reference model written without any of it):
+//! [`Hierarchy::access`] runs once per simulated load, so neither the
+//! common L1 hit nor a miss that walks all three levels down and installs
+//! at all three on the way back may cost a scan. None of it is
+//! simulated-visible (`tests/prop_cache.rs` holds the hierarchy to a
+//! reference model written with stamps, scans and a hash map):
 //!
 //! * the MSHRs are a flat vector beside a completion watermark, so
 //!   draining costs one compare until a fill has actually completed;
-//! * each set remembers its most recently used way, which `lookup`
-//!   verifies against the line metadata before falling back to the scan;
-//! * the host-prefetch hints for the L2/L3 set metadata are issued only
-//!   once L1 has missed.
+//! * a set is its ways' addresses, one control byte per way and one
+//!   packed recency queue, so presence is a word-wide byte match, a free
+//!   way and the LRU victim are read off a word, and no operation visits
+//!   the ways (see `CacheLevel`);
+//! * L1 first compares the address in its set's most recently used way,
+//!   where most loads hit and a hit changes nothing;
+//! * the host-prefetch hints for the L2/L3 sets are issued only once L1
+//!   has missed.
 
 use crate::config::MachineConfig;
 
@@ -79,57 +84,62 @@ pub struct Access {
     pub merged_with_fill: bool,
 }
 
-/// One cache line's metadata, packed to 16 bytes so a 16-way set scan
-/// touches 4 host cache lines instead of 6 (the scan is the hot loop of
-/// every simulated load).
+/// Line address of a free way. A line address is a byte address shifted
+/// right by the line bits (at least one: `MachineConfig::assert_valid`),
+/// so it never reaches this.
+const EMPTY: u64 = u64::MAX;
+/// Control byte of a free way; a valid way's is its 7-bit address hash.
+const FREE: u64 = 0x80;
+/// The low and the high bit of every byte, and of every nibble, of a word.
+const BYTE_LO: u64 = 0x0101_0101_0101_0101;
+const BYTE_HI: u64 = 0x8080_8080_8080_8080;
+const NIBBLE_LO: u64 = 0x1111_1111_1111_1111;
+const NIBBLE_HI: u64 = 0x8888_8888_8888_8888;
+/// The recency queue of a set nothing has touched: way `i` in nibble `i`.
+const IDENTITY_QUEUE: u64 = 0xFEDC_BA98_7654_3210;
+
+/// A single set-associative cache level with LRU replacement, in which
+/// no operation visits the ways.
 ///
-/// Validity is encoded in the stamp: per-level stamps are pre-incremented
-/// before every write, so a present line always has `stamp >= 1` and
-/// `stamp == 0` means invalid. This also unifies victim selection —
-/// the first way with the minimal stamp is the first free way when one
-/// exists (stamp 0), and the first LRU way otherwise, exactly the
-/// priorities of the explicit free-way/LRU scans it replaces.
-#[derive(Clone, Copy, Debug)]
-struct LineMeta {
-    tag: u64,
-    /// LRU timestamp (monotonically increasing access stamp); 0 = invalid.
-    stamp: u64,
-}
-
-impl LineMeta {
-    #[inline]
-    fn is(&self, tag: u64) -> bool {
-        self.stamp != 0 && self.tag == tag
-    }
-}
-
-const INVALID: LineMeta = LineMeta { tag: 0, stamp: 0 };
-
-/// A single set-associative cache level with LRU replacement.
+/// Per set: the ways' line addresses; one control byte per way, `FREE`
+/// or the 7-bit hash of the address there; and one recency queue, a
+/// `u64` of 4-bit way numbers, least recently used in the low nibble.
+/// The queue is always a permutation of `0..ways`. Among the valid ways
+/// its order is the order of their last use — exactly what per-way LRU
+/// stamps encode — and where a free way sits in it does not matter: a
+/// free way is taken by lowest index, off the control bytes, and moves
+/// to the top when it is. So the victim of a full set, the queue's low
+/// nibble, is the way with the minimal stamp.
 #[derive(Clone, Debug)]
 struct CacheLevel {
-    /// `sets * ways` line metadata, row-major by set.
-    lines: Vec<LineMeta>,
-    /// Per set, the way that last hit or was last installed: where
-    /// `lookup` looks first. A hint and nothing more — it is verified
-    /// against the way's `LineMeta` and never trusted, so invalidation
-    /// and eviction need not maintain it, and a truncated index (more
-    /// than 256 ways) merely guesses wrong.
-    mru: Vec<u8>,
+    /// `sets * ways` line addresses, row-major by set; `EMPTY` = free.
+    addrs: Vec<u64>,
+    /// `stride` words per set: the recency queue, then the control bytes
+    /// (way `i` in byte `i % 8` of word `i / 8`). The bytes beyond `ways`
+    /// stay `FREE`: they never match a hash, and are the last free ones.
+    heads: Vec<u64>,
     ways: usize,
+    stride: usize,
     set_mask: u64,
-    stamp: u64,
+    set_bits: u32,
+    /// Bit offset of the queue's top (most recently used) nibble.
+    top_shift: u32,
 }
 
 impl CacheLevel {
     fn new(sets: usize, ways: usize) -> Self {
-        CacheLevel {
-            lines: vec![INVALID; sets * ways],
-            mru: vec![0; sets],
+        let ctrl_words = ways.div_ceil(8);
+        let mut level = CacheLevel {
+            addrs: vec![EMPTY; sets * ways],
+            heads: vec![0; sets * (1 + ctrl_words)],
             ways,
+            stride: 1 + ctrl_words,
             set_mask: sets as u64 - 1,
-            stamp: 0,
-        }
+            set_bits: sets.trailing_zeros(),
+            top_shift: 4 * (ways as u32 - 1),
+        };
+        level.clear();
+        level
     }
 
     #[inline]
@@ -137,114 +147,164 @@ impl CacheLevel {
         (line_addr & self.set_mask) as usize
     }
 
+    /// The control byte of a way holding `line_addr`: the low seven of
+    /// the address bits above the set index.
     #[inline]
-    fn set_range(&self, line_addr: u64) -> std::ops::Range<usize> {
-        let set = self.set_of(line_addr);
-        set * self.ways..(set + 1) * self.ways
+    fn hash(&self, line_addr: u64) -> u64 {
+        (line_addr >> self.set_bits) & 0x7f
     }
 
-    /// Hints the host to start fetching this set's metadata (one hint per
-    /// 64-byte host line, i.e. per four `LineMeta`). Issued for L2 and L3
-    /// together once L1 has missed, so the L3 scan finds its set already
-    /// in flight — for the megabytes of L3 metadata this turns serialized
-    /// host misses into overlapped ones.
+    /// Hints the host to start fetching this set's head and its first
+    /// line of addresses. Issued for L2 and L3 together once L1 has
+    /// missed, so the L3 match finds its set already in flight — for the
+    /// megabyte of L3 metadata this turns serialized host misses into
+    /// overlapped ones.
     #[inline]
     fn prefetch_set(&self, line_addr: u64) {
-        let r = self.set_range(line_addr);
-        let mut i = r.start;
-        while i < r.end {
-            crate::host_prefetch(&self.lines[i]);
-            i += 4;
+        let set = self.set_of(line_addr);
+        crate::host_prefetch(&self.heads[set * self.stride]);
+        crate::host_prefetch(&self.addrs[set * self.ways]);
+    }
+
+    /// The way of `set` that holds `line_addr`, if one does.
+    ///
+    /// The control words are matched against the broadcast hash, eight
+    /// ways per step, and each candidate's address is compared in full:
+    /// a match is a hint and never trusted — two lines of a set can share
+    /// a hash, and the zero-byte test flags a byte that is one off above
+    /// a true match. A free or unused byte keeps its high bit through the
+    /// xor, so no candidate is ever a way without an address.
+    #[inline]
+    fn find(&self, set: usize, line_addr: u64) -> Option<usize> {
+        let head = set * self.stride;
+        let want = self.hash(line_addr) * BYTE_LO;
+        for word in 1..self.stride {
+            let x = self.heads[head + word] ^ want;
+            let mut hits = x.wrapping_sub(BYTE_LO) & !x & BYTE_HI;
+            while hits != 0 {
+                let way = 8 * (word - 1) + hits.trailing_zeros() as usize / 8;
+                if self.addrs[set * self.ways + way] == line_addr {
+                    return Some(way);
+                }
+                hits &= hits - 1;
+            }
         }
+        None
+    }
+
+    /// Moves `way` to the top of `set`'s recency queue: its nibble is
+    /// found by a zero-nibble match (exact at the lowest hit, and the
+    /// queue holds every way once), the nibbles above it drop one place,
+    /// the ones below stay.
+    #[inline]
+    fn touch(&mut self, set: usize, way: usize) {
+        let queue = &mut self.heads[set * self.stride];
+        let x = *queue ^ (way as u64 * NIBBLE_LO);
+        let at = x.wrapping_sub(NIBBLE_LO) & !x & NIBBLE_HI;
+        let below = ((at & at.wrapping_neg()) >> 3) - 1;
+        *queue = (*queue & below) | ((*queue >> 4) & !below) | (way as u64) << self.top_shift;
+    }
+
+    #[inline]
+    fn set_ctrl(&mut self, set: usize, way: usize, byte: u64) {
+        let word = &mut self.heads[set * self.stride + 1 + way / 8];
+        let shift = 8 * (way % 8);
+        *word = (*word & !(0xff << shift)) | byte << shift;
+    }
+
+    /// Whether `line_addr` sits in the most recently used way of its set,
+    /// where a `lookup` would find it and change nothing. L1 asks this
+    /// first: most loads hit there, on the line the last one did.
+    #[inline]
+    fn is_mru(&self, line_addr: u64) -> bool {
+        let set = self.set_of(line_addr);
+        let top = (self.heads[set * self.stride] >> self.top_shift) as usize;
+        self.addrs[set * self.ways + top] == line_addr
     }
 
     /// Looks up `line_addr`; on hit refreshes LRU and returns `true`.
-    ///
-    /// Probes the set's MRU way before scanning. A line sits in at most
-    /// one way of its set, so a verified guess is the way the scan would
-    /// have found: stamps, and with them every later victim, are the same.
     #[inline]
     fn lookup(&mut self, line_addr: u64) -> bool {
-        self.stamp += 1;
-        let stamp = self.stamp;
         let set = self.set_of(line_addr);
-        let base = set * self.ways;
-        let guess = &mut self.lines[base + self.mru[set] as usize];
-        if guess.is(line_addr) {
-            guess.stamp = stamp;
-            return true;
+        let hit = self.find(set, line_addr);
+        if let Some(way) = hit {
+            self.touch(set, way);
         }
-        for (way, meta) in self.lines[base..base + self.ways].iter_mut().enumerate() {
-            if meta.is(line_addr) {
-                meta.stamp = stamp;
-                self.mru[set] = way as u8;
-                return true;
-            }
-        }
-        false
+        hit.is_some()
     }
 
     /// Read-only presence check (does not perturb LRU) — used by the §4.1
     /// presence probe.
     fn contains(&self, line_addr: u64) -> bool {
-        let range = self.set_range(line_addr);
-        self.lines[range].iter().any(|m| m.is(line_addr))
+        self.find(self.set_of(line_addr), line_addr).is_some()
     }
 
     /// Installs `line_addr`, evicting the LRU way if the set is full.
     /// Returns the evicted line address, if any.
     ///
-    /// Single pass over the set (it runs once per fill on the
-    /// interpreter's load path), with the same priorities and
-    /// tie-breaking as the obvious three-scan version: refresh if
-    /// present, else first free way, else first way with the minimal
-    /// LRU stamp.
+    /// Refresh if present (e.g. re-install after an inner-level miss),
+    /// else the lowest free way, else the least recently used one.
     fn install(&mut self, line_addr: u64) -> Option<u64> {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let set_index = self.set_of(line_addr);
-        let range = self.set_range(line_addr);
-        let set = &mut self.lines[range];
-        let mut victim = 0usize;
-        let mut min_stamp = u64::MAX;
-        for (i, meta) in set.iter_mut().enumerate() {
-            if meta.is(line_addr) {
-                // Already present (e.g. re-install after an inner-level
-                // miss): refresh.
-                meta.stamp = stamp;
-                self.mru[set_index] = i as u8;
-                return None;
+        let set = self.set_of(line_addr);
+        let mut evicted = None;
+        let way = match self.find(set, line_addr) {
+            Some(way) => way,
+            None => {
+                let head = set * self.stride;
+                let free = (1..self.stride).find_map(|word| {
+                    let free = self.heads[head + word] & BYTE_HI;
+                    (free != 0).then(|| 8 * (word - 1) + free.trailing_zeros() as usize / 8)
+                });
+                let lru = (self.heads[head] & 0xf) as usize;
+                let way = free.filter(|&way| way < self.ways).unwrap_or(lru);
+                let slot = &mut self.addrs[set * self.ways + way];
+                evicted = (*slot != EMPTY).then_some(*slot);
+                *slot = line_addr;
+                self.set_ctrl(set, way, self.hash(line_addr));
+                way
             }
-            if meta.stamp < min_stamp {
-                min_stamp = meta.stamp;
-                victim = i;
-            }
-        }
-        let evicted = if min_stamp == 0 {
-            None // took a free way, nothing evicted
-        } else {
-            Some(set[victim].tag)
         };
-        set[victim] = LineMeta {
-            tag: line_addr,
-            stamp,
-        };
-        self.mru[set_index] = victim as u8;
+        self.touch(set, way);
+        debug_assert!(self.set_is_sound(set), "set {set} after an install");
         evicted
     }
 
-    /// Invalidates `line_addr` if present (used by tests and flush).
+    /// Invalidates `line_addr` if present (used by tests and flush). The
+    /// way keeps its place in the queue until it is taken again.
     fn invalidate(&mut self, line_addr: u64) {
-        let range = self.set_range(line_addr);
-        for meta in &mut self.lines[range] {
-            if meta.is(line_addr) {
-                meta.stamp = 0;
-            }
+        let set = self.set_of(line_addr);
+        if let Some(way) = self.find(set, line_addr) {
+            self.addrs[set * self.ways + way] = EMPTY;
+            self.set_ctrl(set, way, FREE);
         }
+        debug_assert!(self.set_is_sound(set), "set {set} after an invalidate");
     }
 
     fn clear(&mut self) {
-        self.lines.fill(INVALID);
+        self.addrs.fill(EMPTY);
+        let identity = IDENTITY_QUEUE & (u64::MAX >> (60 - self.top_shift));
+        for head in self.heads.chunks_exact_mut(self.stride) {
+            head.fill(FREE * BYTE_LO);
+            head[0] = identity;
+        }
+    }
+
+    /// What `install` and `invalidate` must leave behind: the queue a
+    /// permutation of `0..ways`, and every control byte agreeing with its
+    /// way's address.
+    fn set_is_sound(&self, set: usize) -> bool {
+        let head = &self.heads[set * self.stride..][..self.stride];
+        let addrs = &self.addrs[set * self.ways..][..self.ways];
+        let queued = (0..self.ways).fold(0u32, |ways, at| ways | 1 << (head[0] >> (4 * at) & 0xf));
+        queued == (1 << self.ways) - 1
+            && head[0] >> self.top_shift >> 4 == 0
+            && (0..8 * (self.stride - 1)).all(|way| {
+                let ctrl = head[1 + way / 8] >> (8 * (way % 8)) & 0xff;
+                match addrs.get(way) {
+                    Some(&addr) if addr != EMPTY => ctrl == self.hash(addr),
+                    _ => ctrl == FREE,
+                }
+            })
     }
 }
 
@@ -451,7 +511,7 @@ impl Hierarchy {
         }
 
         // Walk the hierarchy.
-        let level = if self.l1.lookup(line) {
+        let level = if self.l1.is_mru(line) || self.l1.lookup(line) {
             Level::L1
         } else {
             // Host-side overlap only (no simulated effect): the outer
@@ -702,7 +762,9 @@ mod tests {
             h.access(i * 64, i, AccessKind::DemandLoad);
         }
         h.flush();
-        assert_eq!(h.probe(0, 10_000), Level::Mem);
+        for i in 0..100u64 {
+            assert_eq!(h.probe(i * 64, 10_000), Level::Mem);
+        }
         assert_eq!(h.inflight_fills(), 0);
     }
 
@@ -785,26 +847,98 @@ mod tests {
         assert_eq!(h.probe(0x1000, 1300), Level::Mem);
     }
 
+    /// The ways of `set`'s recency queue, least recently used first.
+    fn queue(l: &CacheLevel, set: usize) -> Vec<usize> {
+        let q = l.heads[set * l.stride];
+        (0..l.ways)
+            .map(|at| (q >> (4 * at) & 0xf) as usize)
+            .collect()
+    }
+
+    fn shuffled(n: usize, seed: u64) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..n).collect();
+        crate::SplitMix64::new(seed).shuffle(&mut order);
+        order
+    }
+
     #[test]
-    fn a_stale_mru_guess_is_verified_not_trusted() {
+    fn touch_moves_the_way_at_any_position_to_the_top() {
+        for ways in [8, 16] {
+            let start = shuffled(ways, ways as u64);
+            for at in 0..ways {
+                let mut l = CacheLevel::new(1, ways);
+                l.heads[0] = start.iter().rev().fold(0, |q, &way| q << 4 | way as u64);
+                assert_eq!(queue(&l, 0), start);
+                let mut model = start.clone();
+                let way = model.remove(at);
+                model.push(way);
+                l.touch(0, way);
+                assert_eq!(queue(&l, 0), model, "position {at} of {ways}");
+                assert!(l.set_is_sound(0));
+            }
+        }
+    }
+
+    #[test]
+    fn reinstall_after_invalidate_takes_the_lowest_free_way_and_evicts_nothing() {
+        // Lines 0, 4, 8, ... share set 0 of a 4-set level.
+        let mut l = CacheLevel::new(4, 8);
+        for way in 0..8 {
+            assert_eq!(l.install(4 * way), None);
+        }
+        l.invalidate(4 * 5);
+        l.invalidate(4 * 2);
+        assert_eq!((l.install(400), l.addrs[2]), (None, 400));
+        assert_eq!((l.install(404), l.addrs[5]), (None, 404));
+        assert_eq!(l.install(408), Some(0), "full again: the oldest line goes");
+    }
+
+    #[test]
+    fn a_full_set_evicts_in_the_order_it_was_last_touched() {
+        for ways in [8u64, 16] {
+            // The odd lines share set 1 of a 2-set level.
+            let mut l = CacheLevel::new(2, ways as usize);
+            for way in 0..ways {
+                l.install(2 * way + 1);
+            }
+            let order = shuffled(ways as usize, 7);
+            for &way in &order {
+                assert!(l.lookup(2 * way as u64 + 1));
+            }
+            for (fresh, &way) in order.iter().enumerate() {
+                let evicted = l.install(2 * (ways + fresh as u64) + 1);
+                assert_eq!(evicted, Some(2 * way as u64 + 1));
+            }
+        }
+    }
+
+    #[test]
+    fn a_control_byte_match_is_verified_not_trusted() {
         let mut l = CacheLevel::new(4, 2);
-        // Lines 0, 4, 8 share set 0 of a 4-set level.
-        l.install(0);
-        l.install(4);
-        assert_eq!(l.mru[0], 1);
-        // The guessed way is invalidated: its tag still reads 4.
-        l.invalidate(4);
-        assert!(!l.lookup(4));
-        assert!(l.lookup(0), "found by the scan");
-        assert_eq!(l.mru[0], 0);
-        // The guessed way now holds another line: 4 retakes the free way,
-        // 0 is touched, so 8 evicts 4 and the guess for 4 reads tag 8.
-        l.install(4);
-        assert!(l.lookup(0));
-        assert_eq!(l.install(8), Some(4));
-        assert_eq!(l.mru[0], 1);
-        assert!(!l.lookup(4));
-        assert!(l.lookup(8) && l.lookup(0));
+        // Same set, same control byte, another address.
+        let (line, double, triple) = (4, 4 + (4 << 7), 4 + (8 << 7));
+        assert_eq!(
+            (l.set_of(line), l.hash(line)),
+            (l.set_of(double), l.hash(double))
+        );
+        l.install(line);
+        assert!(!l.contains(double) && !l.is_mru(double) && !l.lookup(double));
+        l.invalidate(double);
+        assert!(l.contains(line), "invalidating the double leaves the line");
+        l.install(double);
+        assert!(l.lookup(line) && l.lookup(double), "found behind one byte");
+        assert_eq!(l.install(triple), Some(line));
+        assert!(!l.lookup(line) && l.lookup(double) && l.lookup(triple));
+    }
+
+    #[test]
+    fn default_geometry_keeps_at_most_11_bytes_per_line() {
+        // Down from 16 with a tag and a stamp per way; most of what a
+        // `Machine` weighs, and so most of a fleet's `peak_rss_mb`.
+        let h = hierarchy();
+        for l in [&h.l1, &h.l2, &h.l3] {
+            assert!(8 * (l.addrs.len() + l.heads.len()) <= 11 * l.addrs.len());
+        }
     }
 
     #[test]

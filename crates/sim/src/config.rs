@@ -10,7 +10,8 @@
 pub struct CacheLevelConfig {
     /// Total capacity in bytes. Must be a multiple of `line * ways`.
     pub size_bytes: usize,
-    /// Associativity (ways per set).
+    /// Associativity (ways per set), from 1 to 16: a set's recency order
+    /// is one `u64` of 4-bit way numbers.
     pub ways: usize,
     /// Hit latency in cycles, measured from the issue of the access.
     pub hit_latency: u64,
@@ -21,9 +22,17 @@ impl CacheLevelConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is inconsistent (non-divisible capacity or a
-    /// non-power-of-two set count), which indicates a configuration bug.
+    /// Panics if the geometry is inconsistent (an associativity outside
+    /// `1..=16`, a non-divisible capacity or a non-power-of-two set
+    /// count), which indicates a configuration bug.
     pub fn sets(&self, line_bytes: usize) -> usize {
+        assert!(
+            (1..=16).contains(&self.ways),
+            "associativity {} of a {}-byte cache with {}-byte lines not in 1..=16",
+            self.ways,
+            self.size_bytes,
+            line_bytes
+        );
         let lines = self.size_bytes / line_bytes;
         assert!(
             lines.is_multiple_of(self.ways),
@@ -190,11 +199,16 @@ impl MachineConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the line size is not a power of two, any cache geometry is
-    /// inconsistent, or latencies are not monotonically increasing with
-    /// level.
+    /// Panics if the line size is not a power of two above 1, any cache
+    /// geometry is inconsistent, or latencies are not monotonically
+    /// increasing with level.
     pub fn assert_valid(&self) {
-        assert!(self.line_bytes.is_power_of_two(), "line size must be 2^k");
+        // More than one byte, so that no line address is `u64::MAX`, which
+        // the cache model keeps for a free way.
+        assert!(
+            self.line_bytes.is_power_of_two() && self.line_bytes > 1,
+            "line size must be 2^k, k > 0"
+        );
         let _ = self.l1.sets(self.line_bytes);
         let _ = self.l2.sets(self.line_bytes);
         let _ = self.l3.sets(self.line_bytes);
@@ -249,6 +263,24 @@ mod tests {
             hit_latency: 1,
         };
         let _ = lvl.sets(64);
+    }
+
+    #[test]
+    #[should_panic(expected = "associativity 0 of a 4096-byte cache with 64-byte lines")]
+    fn zero_ways_panics_with_the_geometry_not_a_division() {
+        let mut c = MachineConfig::default();
+        c.l2.size_bytes = 4096;
+        c.l2.ways = 0;
+        c.assert_valid();
+    }
+
+    #[test]
+    #[should_panic(expected = "associativity 17 of a 69632-byte cache with 64-byte lines")]
+    fn seventeen_ways_panics() {
+        let mut c = MachineConfig::default();
+        c.l3.size_bytes = 17 * 64 * 64;
+        c.l3.ways = 17;
+        c.assert_valid();
     }
 
     #[test]

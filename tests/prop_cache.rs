@@ -1,11 +1,19 @@
 //! Oracle for the cache model: `Hierarchy` against a reference written
-//! the obvious way — a hash-map MSHR drained by collect-and-sort, separate
-//! present / free-way / oldest-way scans, no MRU hint, no completion
-//! watermark — over random traces on a geometry small enough that every
-//! set overflows. Every `Access`, every line's `probe` level, the in-flight
+//! the obvious way — a hash-map MSHR drained by collect-and-sort, a tag
+//! and an LRU stamp per way, separate present / free-way / oldest-way
+//! scans, no control bytes, no recency queue, no completion watermark —
+//! over random traces on geometries small enough that every set
+//! overflows. Every `Access`, every line's `probe` level, the in-flight
 //! count and the statistics must agree after each operation, and a final
-//! sweep of fresh lines evicts everything, so a single wrong LRU stamp
-//! shows up as a wrong victim.
+//! sweep of fresh lines evicts everything, so a single wrong place in a
+//! recency queue shows up as a wrong victim.
+//!
+//! Each level draws its associativity from {1, 2, 4, 8, 16} and its set
+//! count from {1, 2, 4}, and half the trace's lines come from a universe
+//! built to collide: `COLLIDE_STRIDE` apart, so at every level they share
+//! a set *and* the 7-bit control byte `CacheLevel` matches on (the
+//! address bits above the set index, mod 128) while being different
+//! lines — the case where a control-byte match must not be trusted.
 
 use proptest::prelude::*;
 use reach_sim::{
@@ -14,11 +22,19 @@ use reach_sim::{
 use std::collections::HashMap;
 
 const LINE: u64 = 64;
-/// Lines the random trace draws from: four times what the L3 below holds.
-const UNIVERSE: u64 = 64;
-/// Fresh lines the closing sweep loads: three times the L3, so every set
-/// at every level turns over.
-const SWEEP: u64 = 48;
+/// The most sets a level draws.
+const MAX_SETS: u64 = 4;
+/// Consecutive lines the trace draws from: as many as the largest L3 holds.
+const DENSE: u64 = 64;
+/// Lines this far apart agree on the set index and the seven address bits
+/// above it, whatever the level's set count up to `MAX_SETS`.
+const COLLIDE_STRIDE: u64 = MAX_SETS << 7;
+/// Colliding lines per column, and columns (the set they all fall in):
+/// more in one set than the widest level has ways.
+const COLLIDING: u64 = 24;
+const COLUMNS: u64 = 2;
+/// Where the closing sweep's fresh lines start.
+const SWEEP_BASE: u64 = 1 << 20;
 
 /// One level: `(tag, stamp)` per way, row-major by set; stamp 0 = empty.
 struct RefLevel {
@@ -192,29 +208,39 @@ impl RefHierarchy {
     }
 }
 
-/// 2×2 L1, 4×2 L2, 4×4 L3 lines, and latencies short enough that fills
-/// land between the trace's accesses as often as they overlap them.
-fn tiny(degree: usize) -> MachineConfig {
-    let level = |lines: usize, ways, hit_latency| CacheLevelConfig {
-        size_bytes: lines * LINE as usize,
-        ways,
-        hit_latency,
+/// Three levels of 1–4 sets by 1–16 ways each, and latencies short enough
+/// that fills land between the trace's accesses as often as they overlap
+/// them.
+fn tiny(rng: &mut SplitMix64, degree: usize) -> MachineConfig {
+    let mut level = |hit_latency| {
+        let (sets, ways) = (1 << rng.next_below(3), 1 << rng.next_below(5));
+        CacheLevelConfig {
+            size_bytes: sets * ways * LINE as usize,
+            ways,
+            hit_latency,
+        }
     };
     MachineConfig {
-        l1: level(4, 2, 1),
-        l2: level(8, 2, 5),
-        l3: level(16, 4, 12),
+        l1: level(1),
+        l2: level(5),
+        l3: level(12),
         mem_latency: 40,
         hw_prefetch_degree: degree,
         ..MachineConfig::default()
     }
 }
 
-/// Asserts the two agree on every line either could hold (the sweep's and
-/// the hardware-prefetched ones included), on the fills in flight and on
-/// the statistics.
-fn agree(real: &Hierarchy, oracle: &RefHierarchy, now: u64, what: &str) {
-    for line in 0..UNIVERSE + 2 + SWEEP {
+/// The lines the trace draws from: the dense run, then the colliding
+/// columns.
+fn universe() -> Vec<u64> {
+    let colliding = (0..COLUMNS).flat_map(|c| (1..=COLLIDING).map(move |k| c + k * COLLIDE_STRIDE));
+    (0..DENSE).chain(colliding).collect()
+}
+
+/// Asserts the two agree on every line of `watch`, on the fills in flight
+/// and on the statistics.
+fn agree(real: &Hierarchy, oracle: &RefHierarchy, watch: &[u64], now: u64, what: &str) {
+    for &line in watch {
         assert_eq!(
             real.probe(line * LINE, now),
             oracle.probe(line * LINE, now),
@@ -234,14 +260,25 @@ proptest! {
         ops in 1usize..400,
         degree in 0usize..3,
     ) {
-        let mut cfg = tiny(degree);
+        let mut rng = SplitMix64::new(seed);
+        let mut cfg = tiny(&mut rng, degree);
         let mut real = Hierarchy::new(&cfg);
         let mut oracle = RefHierarchy::new(&cfg);
-        let mut rng = SplitMix64::new(seed);
+        let universe = universe();
+        // Every line either could hold: the universe and what the
+        // next-line prefetcher fetches beside it, then the sweep's too.
+        let mut watch: Vec<u64> = universe.iter().flat_map(|&l| l..=l + 2).collect();
+        watch.sort_unstable();
+        watch.dedup();
         let mut now = 0u64;
         for _ in 0..ops {
             now += rng.next_below(25);
-            let addr = rng.next_below(UNIVERSE) * LINE + 8 * rng.next_below(8);
+            // Half dense, half colliding.
+            let pick = match rng.next_below(2) {
+                0 => rng.next_below(DENSE),
+                _ => DENSE + rng.next_below(COLUMNS * COLLIDING),
+            };
+            let addr = universe[pick as usize] * LINE + 8 * rng.next_below(8);
             let what = match rng.next_below(20) {
                 0 => {
                     real.invalidate(addr);
@@ -276,17 +313,21 @@ proptest! {
                     "access"
                 }
             };
-            agree(&real, &oracle, now, what);
+            agree(&real, &oracle, &watch, now, what);
         }
-        // Fresh lines through every set, each given time to land: the
-        // victims come out in LRU-stamp order, at all three levels.
-        for fresh in UNIVERSE + 2..UNIVERSE + 2 + SWEEP {
+        // Fresh lines through every set, three times what the largest
+        // level holds and each given time to land: the victims come out in
+        // LRU order, at all three levels.
+        let largest = [cfg.l1, cfg.l2, cfg.l3].map(|l| l.size_bytes as u64 / LINE);
+        let sweep = SWEEP_BASE..SWEEP_BASE + 3 * largest.into_iter().max().expect("three");
+        watch.extend(sweep.start..sweep.end + 2);
+        for fresh in sweep {
             now += 100;
             prop_assert_eq!(
                 real.access(fresh * LINE, now, AccessKind::DemandLoad),
                 oracle.access(fresh * LINE, now, AccessKind::DemandLoad)
             );
-            agree(&real, &oracle, now + 100, "the eviction sweep");
+            agree(&real, &oracle, &watch, now + 100, "the eviction sweep");
         }
     }
 }
