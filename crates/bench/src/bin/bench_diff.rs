@@ -1,31 +1,28 @@
 //! Regression gate between two BENCH runs.
 //!
 //! ```sh
-//! bench_diff <baseline> <current> [--rel TOL] [--metric KEY=TOL]... \
-//!     [--report-metric KEY]...
+//! bench_diff <baseline> <current> [--rel TOL] [--metric KEY=TOL]...
 //! ```
 //!
 //! `<baseline>` and `<current>` are either two `BENCH_*.json` files or
 //! two directories of them (matched by file name). Exits non-zero when
 //! any baseline metric regresses past its threshold — see
-//! [`reach_bench::diff`] for the exact comparison rules.
-//! `--report-metric KEY` downgrades all regressions on metric `KEY` to
-//! notes (for host-wall-clock metrics whose variance would make a hard
-//! gate flaky).
+//! [`reach_bench::diff`] for the exact comparison rules. Every metric an
+//! experiment writes is simulated and deterministic, so CI gates at
+//! `--rel 0`.
 //!
 //! ```sh
 //! # Gate a fresh smoke run against the committed baselines, with a
-//! # tighter bound on CPU efficiency and host throughput report-only:
+//! # tighter bound on CPU efficiency:
 //! cargo run --release -p reach-bench --bin bench_diff -- \
-//!     bench/baselines out --rel 0.10 --metric eff=0.05 \
-//!     --report-metric sim_ips
+//!     bench/baselines out --rel 0.10 --metric eff=0.05
 //! ```
 
 use reach_bench::{diff_paths, Thresholds};
 use std::path::PathBuf;
 
 const USAGE: &str = "usage: bench_diff <baseline-file-or-dir> <current-file-or-dir> \
-     [--rel TOL] [--metric KEY=TOL]... [--report-metric KEY]...";
+     [--rel TOL] [--metric KEY=TOL]...";
 
 fn parse(args: impl Iterator<Item = String>) -> Result<(PathBuf, PathBuf, Thresholds), String> {
     let mut paths: Vec<PathBuf> = Vec::new();
@@ -48,10 +45,6 @@ fn parse(args: impl Iterator<Item = String>) -> Result<(PathBuf, PathBuf, Thresh
                     .parse()
                     .map_err(|_| format!("--metric {key}: not a number: {tol:?}"))?;
                 thr.per_metric.insert(key.to_string(), tol);
-            }
-            "--report-metric" => {
-                let key = args.next().ok_or("--report-metric needs a metric key")?;
-                thr.report_only.insert(key);
             }
             "--help" | "-h" => return Err(USAGE.into()),
             flag if flag.starts_with('-') => {

@@ -4,11 +4,12 @@
 //!
 //! ```sh
 //! cargo run --release -p reach-bench --bin exp_all -- --smoke --jobs 4
+//! cargo run --release -p reach-bench --bin exp_all -- --only t3_switch_cost
 //! ```
 //!
-//! Flags (shared with every `exp_*` binary): `--smoke` runs the CI-sized
-//! cell subset, `--jobs N` sizes the pool (0 = all cores), `--out-dir D`
-//! places the BENCH files (`--no-out` disables), `--only a,b` restricts
+//! Flags: `--smoke` runs the CI-sized cell subset, `--jobs N` sizes the
+//! pool (0 = all cores), `--out-dir D` places the BENCH files
+//! (`--no-out` disables), `--only a,b` restricts
 //! to named experiments. A failing cell is recorded in its report and
 //! the rest of the suite keeps running; the exit code is non-zero if any
 //! cell failed or any experiment-level bound was violated.

@@ -155,11 +155,7 @@ fn main() {
         "served {}  shed {}  swaps {}  rebuilds {}  journal-records {}",
         rep.served, rep.shed_jobs, rep.swaps, rep.rebuilds, rep.journal_records
     );
-    println!(
-        "recovery host time {:.3} ms  cross-restart incident hash 0x{:016x}",
-        rep.recovery_host_ns as f64 / 1e6,
-        rep.xr_hash
-    );
+    println!("cross-restart incident hash 0x{:016x}", rep.xr_hash);
 
     if rep.violations.is_empty() {
         println!(

@@ -20,7 +20,7 @@
 //!   refused outright.
 
 use crate::report::{BenchReport, CellStatus};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Per-metric tolerance configuration.
@@ -30,12 +30,6 @@ pub struct Thresholds {
     pub default_rel: f64,
     /// Metric-key → relative-tolerance overrides.
     pub per_metric: BTreeMap<String, f64>,
-    /// Metric keys whose regressions are *reported but never fatal*:
-    /// any would-be violation on them is downgraded to a note. Used for
-    /// host-wall-clock metrics (e.g. the `simperf` throughput numbers),
-    /// which vary with the benchmark host and would make a hard gate
-    /// flaky, but whose trajectory is still worth surfacing in CI logs.
-    pub report_only: BTreeSet<String>,
 }
 
 impl Default for Thresholds {
@@ -43,7 +37,6 @@ impl Default for Thresholds {
         Thresholds {
             default_rel: 0.10,
             per_metric: BTreeMap::new(),
-            report_only: BTreeSet::new(),
         }
     }
 }
@@ -171,13 +164,7 @@ pub fn diff_reports(base: &BenchReport, cur: &BenchReport, thr: &Thresholds) -> 
                     }
                 }
             };
-            if let Some(p) = problem {
-                if thr.report_only.contains(mk) {
-                    out.notes.push(format!("{p} [report-only]"));
-                } else {
-                    out.violations.push(p);
-                }
-            }
+            out.violations.extend(problem);
         }
         for (mk, _) in cc.metrics.iter() {
             if bc.metrics.get(mk).is_none() {
@@ -363,35 +350,6 @@ mod tests {
         let mut cur = b.clone();
         cur.tier = Tier::Full;
         assert!(!diff_reports(&b, &cur, &Thresholds::default()).ok());
-    }
-
-    #[test]
-    fn report_only_metrics_note_but_never_fail() {
-        let b = report(0.50, 1000, "full-pgo");
-        let mut thr = Thresholds::default();
-        thr.report_only.insert("eff".into());
-        // A wild swing on a report-only metric: noted, not fatal.
-        let d = diff_reports(&b, &report(5.0, 1000, "full-pgo"), &thr);
-        assert!(d.ok(), "{:?}", d.violations);
-        assert!(
-            d.notes
-                .iter()
-                .any(|n| n.contains("eff") && n.contains("[report-only]")),
-            "{:?}",
-            d.notes
-        );
-        // Even a missing report-only metric is only a note...
-        let mut gone = report(0.5, 1000, "full-pgo");
-        gone.cells[0].metrics = {
-            let mut m = CellMetrics::new();
-            m.put_u64("cycles", 1000)
-                .put_str("rung", "full-pgo")
-                .put_f64("maybe", f64::NAN);
-            m
-        };
-        assert!(diff_reports(&b, &gone, &thr).ok());
-        // ...while other metrics still gate as violations.
-        assert!(!diff_reports(&b, &report(5.0, 2000, "full-pgo"), &thr).ok());
     }
 
     #[test]

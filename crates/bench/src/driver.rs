@@ -2,10 +2,15 @@
 //! across a scoped thread pool, contains per-cell failures, renders the
 //! human tables and writes one `BENCH_<experiment>.json` per experiment.
 //!
-//! Every `exp_*` binary funnels through [`single_main`]; `exp_all` runs
-//! the whole registry in-process through [`suite_main`] — one shared
-//! pool over *all* cells of *all* experiments, so a wide experiment
-//! cannot serialize the suite behind it.
+//! `exp_all` is the one entry point: it runs the registry (or the
+//! experiments `--only` names) in-process through [`suite_main`] — one
+//! shared pool over *all* cells of *all* experiments, so a wide
+//! experiment cannot serialize the suite behind it.
+//!
+//! Everything an experiment reports is simulated and a pure function of
+//! the cell's seed. The two `wall_ms` fields stamped here are progress
+//! information for whoever reads a BENCH file; `bench_diff` never
+//! compares them. Host time is `benchmark/run.sh`'s job.
 //!
 //! Failure containment: a cell that panics (the pre-driver `exp_all`
 //! aborted the whole suite when one sibling binary failed to launch) is
@@ -20,7 +25,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Driver configuration, shared by every experiment binary.
+/// Driver configuration.
 #[derive(Clone, Debug)]
 pub struct DriverOptions {
     /// Full matrix or CI smoke subset.
@@ -45,7 +50,7 @@ impl Default for DriverOptions {
 }
 
 impl DriverOptions {
-    /// Parses the shared CLI surface:
+    /// Parses `exp_all`'s CLI surface:
     /// `[--smoke] [--jobs N] [--out-dir DIR] [--no-out] [--only a,b]`.
     ///
     /// # Errors
@@ -116,6 +121,7 @@ pub fn git_sha() -> String {
 /// Runs one cell with panic containment, returning its result and
 /// timing.
 fn run_one(exp: &dyn Experiment, cell: &Cell) -> CellResult {
+    #[allow(clippy::disallowed_methods)] // wall_ms: progress only, never compared
     let started = Instant::now();
     let seed = cell_seed(exp.name(), cell);
     let outcome =
@@ -151,6 +157,7 @@ fn run_one(exp: &dyn Experiment, cell: &Cell) -> CellResult {
 /// `finish` violations land in [`BenchReport::violations`]. Neither
 /// aborts the suite.
 pub fn run_suite(exps: &[&dyn Experiment], opts: &DriverOptions) -> Vec<BenchReport> {
+    #[allow(clippy::disallowed_methods)] // wall_ms: progress only, never compared
     let suite_start = Instant::now();
     // Flatten: (experiment index, cell index within experiment, cell).
     let matrices: Vec<Vec<Cell>> = exps.iter().map(|e| e.cells(opts.tier)).collect();
@@ -299,18 +306,6 @@ pub fn run_and_emit(exps: &[&dyn Experiment], opts: &DriverOptions) -> i32 {
         opts.tier.as_str(),
     );
     i32::from(!clean)
-}
-
-/// `main` body for a single-experiment binary: parse CLI, run, emit.
-pub fn single_main(exp: &dyn Experiment) -> ! {
-    let opts = match DriverOptions::parse(std::env::args().skip(1)) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    std::process::exit(run_and_emit(&[exp], &opts));
 }
 
 /// `main` body for `exp_all`: parse CLI (honoring `--only`), run the

@@ -1,4 +1,4 @@
-//! The [`Experiment`] abstraction every `exp_*` harness registers into.
+//! The [`Experiment`] abstraction every experiment harness registers into.
 //!
 //! An experiment is a named matrix of independent **cells** — one
 //! (workload × config) point each. The driver (see [`crate::driver`])

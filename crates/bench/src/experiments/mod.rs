@@ -1,4 +1,4 @@
-//! The experiment registry: every `exp_*` harness as a library module.
+//! The experiment registry: every harness as a library module.
 //!
 //! Each submodule implements [`crate::experiment::Experiment`] for one
 //! paper table/figure; [`all`] returns the full suite in EXPERIMENTS.md
@@ -67,7 +67,7 @@ pub fn by_name(name: &str) -> Option<Box<dyn Experiment>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::Tier;
+    use crate::experiment::{cell_seed, Cell, Tier};
 
     #[test]
     fn registry_names_are_unique_and_resolvable() {
@@ -80,6 +80,23 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), exps.len(), "duplicate experiment name");
+    }
+
+    /// Every metric is a pure function of the cell and its seed — the
+    /// premise of gating at `--rel 0` with no exemption. The two cells
+    /// are from the experiments that once timed themselves on the host.
+    #[test]
+    fn a_cell_run_twice_returns_equal_metrics() {
+        for (exp, workload, config) in [
+            ("simperf", "alu-dense", "seq"),
+            ("verify", "chase", "pipeline"),
+        ] {
+            let e = by_name(exp).unwrap();
+            let cell = Cell::new(workload, config);
+            assert!(e.cells(Tier::Smoke).contains(&cell));
+            let seed = cell_seed(exp, &cell);
+            assert_eq!(e.run_cell(&cell, seed), e.run_cell(&cell, seed), "{exp}");
+        }
     }
 
     #[test]

@@ -1,32 +1,30 @@
-//! SIMPERF: host-side interpreter throughput — how fast does the
-//! simulator itself run on the machine under it?
+//! SIMPERF: the superblock engine against the `Machine::step` reference
+//! on real workloads — a differential canary with gated counters and
+//! block-cache statistics.
 //!
 //! Every experiment, test and fault-matrix cell in this repo executes
-//! through `Machine::step`/`Machine::run`, so interpreter throughput is
-//! the wall-clock budget of the whole project. All other experiments
-//! measure *simulated* cycles (deterministic, byte-identical across
-//! hosts); this one measures the *host* side: simulated instructions
-//! retired per host second, and host nanoseconds per simulated step.
+//! through `Machine::run`, which serves on the superblock engine unless
+//! a dispatch rule pins the run to the reference `step` loop. Each cell
+//! here runs one kernel on both and asserts that they are
+//! observationally identical: counters, clock, per-sampler totals and
+//! fault log (`prop_fastpath` holds the same property on random
+//! programs; this holds it on the workloads the other experiments run).
 //!
-//! Two metric classes per cell:
-//!
-//! * `sim_insts` / `sim_cycles` / `samples` — exact counters,
-//!   deterministic, gated byte-identical by `bench_diff` like every other
-//!   experiment (they double as a semantics canary for the superblock
-//!   engine);
-//! * `sim_ips` / `reference_ips` / `speedup_vs_reference` /
-//!   `host_ns_per_inst` / `host_ms` — host wall-clock
-//!   measurements. These vary run to run and host to host, so CI diffs
-//!   them **report-only** (see the `--report-metric` flag of
-//!   `bench_diff`): the trajectory accumulates in the uploaded
-//!   `BENCH_simperf.json` artifacts without flaky gating.
+//! The metrics are all simulated and deterministic, gated byte-identical
+//! by `bench_diff` like every other experiment: `sim_insts` /
+//! `sim_cycles` / `samples`, and the block cache's `blocks_compiled` /
+//! `block_hit_rate` / `block_invalidations`. Host throughput is not
+//! measured here: `benchmark/run.sh run` reports it in calibrated time
+//! (`sim_minst_per_s`, and `sim.machine.{unobs,obs}_ns_per_inst` with
+//! `--trace 1`, on the `interp-membound` and `interp-dispatch`
+//! workloads, which run these kernels).
 //!
 //! The workload mix exercises the interpreter's distinct regimes:
 //! dependent cold loads (pointer chase — the memory miss path), hash
 //! probes over a DRAM-sized table (zipf), warm streaming loads (the cache
 //! hit path), a load-free ALU kernel, and a simulated-L1-resident tight
 //! pointer chase — the last two are *dispatch-bound*: almost no time in
-//! the simulated memory system, so they measure dispatch mechanism.
+//! the simulated memory system.
 //!
 //! Each workload runs under four observation regimes (the cell's
 //! config): `seq` with nothing armed; `insitu` with the supervisor's
@@ -34,18 +32,7 @@
 //! counters and the LBR; `faults` with a fault injector whose trap
 //! countdown and prefetch-corruption channel are armed. The last three
 //! are what production runs, and what the superblock engine's observed
-//! instance has to be fast under.
-//!
-//! Every cell runs the superblock engine and the reference `step` loop
-//! **interleaved A/B, best of pairs**: each repetition times both back
-//! to back, so host-frequency drift hits both equally. The two must
-//! produce byte-identical counters, clocks, sample counts and fault logs
-//! (asserted every rep — a free differential canary on top of
-//! `prop_fastpath`); `sim_ips` reports the default (superblock) engine,
-//! `reference_ips` the blocks-off `step` loop, and
-//! `speedup_vs_reference` their ratio. Block-cache stats
-//! (`blocks_compiled`, `block_hit_rate`, `block_invalidations`) ride
-//! along report-only.
+//! instance has to agree with `step` under.
 
 use crate::experiment::{Cell, CellMetrics, Experiment, Tier};
 use crate::fresh;
@@ -59,18 +46,14 @@ use reach_sim::{
 use reach_workloads::{
     build_chase, build_scan, build_zipf_kv, ChaseParams, ScanParams, ZipfKvParams,
 };
-use std::time::Instant;
 
 /// Workload keys.
 ///
-/// * `chase-hot` is the headline interpreter-throughput cell: a pointer
-///   chase that misses hard in the *simulated* hierarchy (a scaled-down
-///   cache geometry, see [`hot_config`]) while its data and metadata stay
-///   resident in the *host* caches — so the number measures the
-///   interpreter's miss path, not the benchmark host's DRAM weather.
+/// * `chase-hot` is a pointer chase that misses hard in a scaled-down
+///   *simulated* hierarchy (see [`hot_config`]): the miss path at 1/32
+///   the footprint.
 /// * `chase-dram` / `zipf-uniform` are the same miss-heavy kernels at
-///   full footprint (tens of MiB): host-memory-bound, noisier, but
-///   honest about end-to-end wall clock on big workloads.
+///   full footprint (tens of MiB) on the default geometry.
 const WORKLOADS: &[&str] = &[
     "chase-hot",
     "chase-dram",
@@ -115,7 +98,7 @@ fn arm(m: &mut Machine, regime: &str, blocks: bool) {
             m.lbr_enabled = true;
         }
         // The countdown is charged on every block but never comes due
-        // (a trap would end the kernel): this times the accounting, not
+        // (a trap would end the kernel): this checks the accounting, not
         // a trap. The kernels issue no prefetches, so that channel is
         // armed and idle.
         "faults" => {
@@ -129,19 +112,12 @@ fn arm(m: &mut Machine, regime: &str, blocks: bool) {
     }
 }
 
-/// Step budget: large enough that per-run setup noise is negligible.
+/// Step budget: every kernel finishes well inside it.
 const MAX_STEPS: u64 = 1 << 26;
 
-/// Repetitions per cell; the host metrics report the fastest rep
-/// (minimum wall time), the standard way to strip scheduler noise from
-/// a microbenchmark. The deterministic metrics must be identical across
-/// reps — asserted, as a free determinism canary.
-const REPS: usize = 3;
-
-/// Builds the load-free ALU kernel: a counted loop of dependent 1-cycle
-/// ALU ops — pure dispatch. Returns the machine and the host seconds
-/// spent *executing* (build excluded).
-fn run_alu_dense(regime: &str, blocks: bool) -> (Machine, f64) {
+/// Builds and runs the load-free ALU kernel: a counted loop of dependent
+/// 1-cycle ALU ops — pure dispatch.
+fn run_alu_dense(regime: &str, blocks: bool) -> Machine {
     const ITERS: u64 = 200_000;
     let mut b = ProgramBuilder::new("alu_dense");
     let cnt = Reg(0);
@@ -160,12 +136,10 @@ fn run_alu_dense(regime: &str, blocks: bool) -> (Machine, f64) {
     let mut m = Machine::new(MachineConfig::default());
     arm(&mut m, regime, blocks);
     let mut ctx = Context::new(0);
-    let started = Instant::now();
     let exit = m.run_to_completion(&prog, &mut ctx, MAX_STEPS).unwrap();
-    let host_s = started.elapsed().as_secs_f64();
     assert_eq!(exit, reach_sim::Exit::Done);
     assert_eq!(ctx.reg(acc), 16 * ITERS, "alu kernel checksum");
-    (m, host_s)
+    m
 }
 
 /// A scaled-down cache geometry (L1 8 KiB, L2 64 KiB, L3 256 KiB, same
@@ -189,9 +163,8 @@ fn hot_config() -> MachineConfig {
     cfg
 }
 
-/// Runs one of the built workloads sequentially; the timer covers only
-/// the execution phase, not workload construction or checksum checks.
-fn run_workload(name: &str, regime: &str, blocks: bool) -> (Machine, f64) {
+/// Runs one of the built workloads sequentially and checks its answers.
+fn run_workload(name: &str, regime: &str, blocks: bool) -> Machine {
     let cfg = if name == "chase-hot" {
         hot_config()
     } else {
@@ -267,16 +240,14 @@ fn run_workload(name: &str, regime: &str, blocks: bool) -> (Machine, f64) {
     });
     arm(&mut m, regime, blocks);
     let mut ctxs = w.make_contexts();
-    let started = Instant::now();
     run_sequential(&mut m, &w.prog, &mut ctxs, MAX_STEPS).unwrap();
-    let host_s = started.elapsed().as_secs_f64();
     for (i, c) in ctxs.iter().enumerate() {
         w.instances[i].assert_checksum(c);
     }
-    (m, host_s)
+    m
 }
 
-/// The host-throughput experiment.
+/// The engine-differential experiment.
 pub struct SimPerf;
 
 impl Experiment for SimPerf {
@@ -285,13 +256,14 @@ impl Experiment for SimPerf {
     }
 
     fn title(&self) -> &'static str {
-        "SIMPERF: host-side interpreter throughput (simulated insts / host second)"
+        "SIMPERF: superblock engine vs the `step` reference on real workloads"
     }
 
     fn notes(&self) -> &'static str {
-        "sim_insts/sim_cycles/samples are deterministic and gated; sim_ips, \
-         reference_ips, speedup_vs_reference, host_ns_per_inst and host_ms \
-         are host measurements, diffed report-only in CI."
+        "Every metric is simulated, deterministic and gated. Both engines ran \
+         every cell and agreed on counters, clock, sampler totals and fault \
+         log. Host throughput: benchmark/run.sh run (sim_minst_per_s on \
+         interp-membound / interp-dispatch)."
     }
 
     fn cells(&self, tier: Tier) -> Vec<Cell> {
@@ -314,54 +286,27 @@ impl Experiment for SimPerf {
                 .collect();
             (counters, m.faults.as_ref().map(|fi| fi.log.clone()))
         };
-        let mut insts = 0u64;
-        let mut cycles = 0u64;
-        let mut samples = 0u64;
-        let mut best_blocks = f64::INFINITY;
-        let mut best_ref = f64::INFINITY;
-        let mut bstats = reach_sim::BlockCacheStats::default();
-        for rep in 0..REPS {
-            let (mb, sb) = run_one(true);
-            let (mr, sr) = run_one(false);
-            // The two engines must be observationally identical — this
-            // doubles as a differential canary on real workloads.
-            assert_eq!(
-                mb.counters, mr.counters,
-                "{}: engine counters diverge",
-                cell
-            );
-            assert_eq!(mb.now, mr.now, "{}: engine clocks diverge", cell);
-            assert_eq!(
-                observed(&mb),
-                observed(&mr),
-                "{}: engines were observed differently",
-                cell
-            );
-            if rep == 0 {
-                insts = mb.counters.instructions;
-                cycles = mb.now;
-                samples = mb.samplers.iter().map(|s| s.emitted).sum();
-                bstats = mb.block_cache.stats.clone();
-            } else {
-                assert_eq!(
-                    (mb.counters.instructions, mb.now),
-                    (insts, cycles),
-                    "{}: simulated metrics differ across repetitions",
-                    cell
-                );
-            }
-            best_blocks = best_blocks.min(sb);
-            best_ref = best_ref.min(sr);
-        }
+        let mb = run_one(true);
+        let mr = run_one(false);
+        // The two engines must be observationally identical — this
+        // doubles as a differential canary on real workloads.
+        assert_eq!(
+            mb.counters, mr.counters,
+            "{}: engine counters diverge",
+            cell
+        );
+        assert_eq!(mb.now, mr.now, "{}: engine clocks diverge", cell);
+        assert_eq!(
+            observed(&mb),
+            observed(&mr),
+            "{}: engines were observed differently",
+            cell
+        );
+        let bstats = &mb.block_cache.stats;
         let mut out = CellMetrics::new();
-        out.put_u64("sim_insts", insts)
-            .put_u64("sim_cycles", cycles)
-            .put_f64("sim_ips", insts as f64 / best_blocks)
-            .put_u64("samples", samples)
-            .put_f64("reference_ips", insts as f64 / best_ref)
-            .put_f64("speedup_vs_reference", best_ref / best_blocks)
-            .put_f64("host_ns_per_inst", best_blocks * 1e9 / insts as f64)
-            .put_f64("host_ms", best_blocks * 1e3)
+        out.put_u64("sim_insts", mb.counters.instructions)
+            .put_u64("sim_cycles", mb.now)
+            .put_u64("samples", mb.samplers.iter().map(|s| s.emitted).sum())
             .put_u64("blocks_compiled", bstats.compiled)
             .put_f64("block_hit_rate", bstats.hit_rate())
             .put_u64("block_invalidations", bstats.invalidations);

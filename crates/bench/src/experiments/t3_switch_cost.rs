@@ -8,8 +8,9 @@
 //! an instrumented run (switch cycles / switches), including the liveness
 //! save-set reduction.
 //!
-//! The companion Criterion bench (`benches/switch_cost.rs`) measures the
-//! host machine's real resume and thread hand-off costs.
+//! All of it is simulated. The host machine's real resume cost has no
+//! calibrated workload in `benchmark/` and is therefore not quoted;
+//! `examples/host_interleaving.rs` shows the mechanism on real hardware.
 
 use crate::experiment::{Cell, CellMetrics, Experiment, Tier};
 use crate::{cyc_ns, fresh, interleave_checked, pgo_build};

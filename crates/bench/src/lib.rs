@@ -1,17 +1,16 @@
 //! # reach-bench — experiment harnesses
 //!
-//! One `exp_*` binary per experiment in DESIGN.md §5 / EXPERIMENTS.md.
-//! Every experiment is a library module in [`experiments`] implementing
+//! One library module in [`experiments`] per experiment in DESIGN.md §5
+//! / EXPERIMENTS.md, each implementing
 //! the [`Experiment`] trait: a named matrix of deterministic
 //! (workload × config) cells. The shared [`driver`] fans cells out
 //! across a scoped thread pool (per-cell seeds derived from the cell
 //! key), renders the paper table, and writes one machine-readable
 //! `BENCH_<experiment>.json` per experiment (see [`report`]).
 //!
-//! The `exp_*` binaries are thin wrappers over
-//! [`driver::single_main`]; `exp_all` runs the whole registry
-//! in-process via [`driver::suite_main`]; `bench_diff` gates two BENCH
-//! runs against per-metric regression thresholds (see [`diff`]).
+//! `exp_all` runs the whole registry, or the experiments `--only`
+//! names, in-process via [`driver::suite_main`]; `bench_diff` gates two
+//! BENCH runs against per-metric regression thresholds (see [`diff`]).
 //!
 //! Run the CI-sized tier with:
 //!
@@ -19,9 +18,10 @@
 //! cargo run --release -p reach-bench --bin exp_all -- --smoke --jobs 4
 //! ```
 //!
-//! Criterion benches (`benches/`) measure the host-hardware side: real
-//! coroutine resume cost, real thread hand-off cost, and real
-//! prefetch-interleaving speedups.
+//! Every number written here is in simulated cycles and gates
+//! byte-identically. Host time is measured in one place, the calibrated
+//! `benchmark/run.sh run` at the repository root; the host-hardware side
+//! of the mechanism is shown, unquoted, by `examples/host_interleaving.rs`.
 
 pub mod diff;
 pub mod driver;

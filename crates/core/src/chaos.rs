@@ -136,38 +136,7 @@ impl ChaosSchedule {
     /// The exact constructor chain that rebuilds this schedule — what a
     /// violation report prints so the repro is copy-pasteable.
     pub fn repro(&self) -> String {
-        let p = &self.plan;
-        let mut plan = format!("FaultPlan::none(0x{:x})", p.seed);
-        if p.pebs_drop > 0.0 {
-            plan += &format!(".with_pebs_drop({:?})", p.pebs_drop);
-        }
-        if p.pebs_extra_skid > 0 {
-            plan += &format!(".with_pebs_extra_skid({})", p.pebs_extra_skid);
-        }
-        if p.pebs_pc_corrupt > 0.0 {
-            plan += &format!(
-                ".with_pebs_pc_corrupt({:?}, {})",
-                p.pebs_pc_corrupt, p.pebs_pc_corrupt_range
-            );
-        }
-        if p.lbr_drop > 0.0 {
-            plan += &format!(".with_lbr_drop({:?})", p.lbr_drop);
-        }
-        if p.prefetch_corrupt > 0.0 {
-            plan += &format!(
-                ".with_prefetch_corrupt({:?}, {})",
-                p.prefetch_corrupt, p.prefetch_corrupt_lines
-            );
-        }
-        if let Some(n) = p.trap_every {
-            plan += &format!(".with_trap_every({n})");
-        }
-        if p.torn_write > 0.0 {
-            plan += &format!(".with_torn_write({:?})", p.torn_write);
-        }
-        if p.partial_flush > 0.0 {
-            plan += &format!(".with_partial_flush({:?})", p.partial_flush);
-        }
+        let plan = self.plan.repro();
         format!(
             "ChaosSchedule {{ plan: {plan}, crashes: vec!{:?}, stale_rebuilds: {}, runaway: {} }}",
             self.crashes, self.stale_rebuilds, self.runaway
@@ -249,10 +218,6 @@ pub struct ScheduleRun {
     pub journal_records: u64,
     /// Bytes in the final durable journal image.
     pub journal_bytes: u64,
-    /// Host wall-clock nanoseconds spent inside [`recover`] calls.
-    /// Measurement only — it is the one field outside the determinism
-    /// contract, so reports must treat it as informational.
-    pub recovery_host_ns: u64,
     /// Projection of the final (repaired) durable journal — what a
     /// restart at this instant would resume from.
     pub final_state: Option<JournalState>,
@@ -370,7 +335,6 @@ pub fn run_schedule(
                 // The crashed process's injector dies with it; recovery
                 // and the next segment's injector start fresh.
                 world.machine.faults = None;
-                let t0 = std::time::Instant::now();
                 let rec = recover(
                     &mut journal,
                     &world.original,
@@ -378,7 +342,6 @@ pub fn run_schedule(
                     &sup,
                     &opts.recover,
                 )?;
-                run.recovery_host_ns += t0.elapsed().as_nanos() as u64;
                 // Oracle 2 (restart half): recovery resume points never
                 // go backwards — durable state only grows.
                 if rec.resume.epoch < last_resume_epoch {
@@ -580,9 +543,6 @@ pub struct CampaignReport {
     pub rebuilds: u64,
     /// Records in the final durable journals, summed.
     pub journal_records: u64,
-    /// Host wall-clock nanoseconds spent recovering, summed
-    /// (informational; see [`ScheduleRun::recovery_host_ns`]).
-    pub recovery_host_ns: u64,
     /// Order-sensitive fold of every campaign's cross-restart incident
     /// hash — one number that certifies the whole batch replayed
     /// bit-for-bit.
@@ -612,7 +572,6 @@ pub fn run_campaigns(
         rep.swaps += run.swaps;
         rep.rebuilds += run.rebuilds;
         rep.journal_records += run.journal_records;
-        rep.recovery_host_ns += run.recovery_host_ns;
         rep.xr_hash = mix64(rep.xr_hash, run.incident_hash);
         if !run.violations.is_empty() {
             rep.violating += 1;

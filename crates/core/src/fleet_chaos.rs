@@ -113,20 +113,27 @@ impl FleetChaosSchedule {
         }
     }
 
+    /// The plan shard `s`'s injector runs: shard-mixed seed, the torn
+    /// channels only on the torn shard, that shard's crash instant (if
+    /// any). `None` when that leaves no channel armed — the shard then
+    /// runs without an injector.
+    fn shard_plan(&self, s: usize) -> Option<FaultPlan> {
+        let mut plan = self.plan;
+        plan.seed = shard_seed(self.plan.seed, s as u64);
+        if self.torn_shard != Some(s) {
+            plan.torn_write = 0.0;
+            plan.partial_flush = 0.0;
+        }
+        plan.crash_at = (self.crashes.iter())
+            .find(|&&(cs, _)| cs == s)
+            .map(|&(_, at)| at);
+        (!plan.is_none()).then_some(plan)
+    }
+
     /// The constructor chain that rebuilds this schedule — printed with
     /// violations so the repro is copy-pasteable.
     pub fn repro(&self) -> String {
-        let p = &self.plan;
-        let mut plan = format!("FaultPlan::none(0x{:x})", p.seed);
-        if p.torn_write > 0.0 {
-            plan += &format!(".with_torn_write({:?})", p.torn_write);
-        }
-        if p.partial_flush > 0.0 {
-            plan += &format!(".with_partial_flush({:?})", p.partial_flush);
-        }
-        if let Some(n) = p.trap_every {
-            plan += &format!(".with_trap_every({n})");
-        }
+        let plan = self.plan.repro();
         format!(
             "FleetChaosSchedule {{ plan: {plan}, crashes: vec!{:?}, torn_shard: {:?}, \
              runaway_shard: {:?}, rollout: {}, poisoned: {} }}",
@@ -240,25 +247,8 @@ pub fn run_fleet_schedule(
         ..opts.rollout_template
     });
 
-    // Arm each shard's injector: shard-mixed seed, torn channels only on
-    // the torn shard, that shard's crash instant (if any).
     for s in 0..opts.fleet.shards {
-        let mut plan = schedule.plan;
-        plan.seed = shard_seed(schedule.plan.seed, s as u64);
-        if schedule.torn_shard != Some(s) {
-            plan.torn_write = 0.0;
-            plan.partial_flush = 0.0;
-        }
-        plan.crash_at = schedule
-            .crashes
-            .iter()
-            .find(|&&(cs, _)| cs == s)
-            .map(|&(_, at)| at);
-        let armed = plan.crash_at.is_some()
-            || plan.torn_write > 0.0
-            || plan.partial_flush > 0.0
-            || plan.trap_every.is_some();
-        world.mc.cores[s].faults = armed.then(|| FaultInjector::new(plan));
+        world.mc.cores[s].faults = schedule.shard_plan(s).map(FaultInjector::new);
     }
 
     let rep = run_fleet(
@@ -648,6 +638,50 @@ mod tests {
             a.fleet_hash, b.fleet_hash,
             "fleet chaos replay must be byte-identical"
         );
+    }
+
+    /// Every channel of a hand-written plan reaches the shards, not only
+    /// the four the random generator arms, and the repro names it.
+    #[test]
+    fn a_sampler_only_plan_arms_every_shard_and_shows_in_the_repro() {
+        let quiet = FleetChaosSchedule::quiet(5);
+        assert_eq!(quiet.shard_plan(0), None);
+        let armed = [
+            FaultPlan::none(5).with_pebs_drop(0.5),
+            FaultPlan::none(5).with_pebs_extra_skid(2),
+            FaultPlan::none(5).with_pebs_pc_corrupt(0.5, 4),
+            FaultPlan::none(5).with_lbr_drop(0.5),
+            FaultPlan::none(5).with_prefetch_corrupt(0.5, 4),
+        ];
+        for plan in armed {
+            let s = FleetChaosSchedule {
+                plan,
+                ..quiet.clone()
+            };
+            for shard in 0..3 {
+                let got = s.shard_plan(shard).expect("armed on every shard");
+                assert_eq!(
+                    got,
+                    FaultPlan {
+                        seed: shard_seed(5, shard as u64),
+                        ..plan
+                    }
+                );
+            }
+            assert!(s.repro().contains(&plan.repro()), "{}", s.repro());
+        }
+        // The torn channels still reach the torn shard only, and a crash
+        // alone arms its shard.
+        let s = FleetChaosSchedule {
+            plan: FaultPlan::none(5).with_torn_write(0.5),
+            crashes: vec![(2, 7)],
+            torn_shard: Some(1),
+            ..quiet
+        };
+        assert_eq!(s.shard_plan(0), None);
+        assert_eq!(s.shard_plan(1).map(|p| p.torn_write), Some(0.5));
+        let crashed = s.shard_plan(2).expect("crash arms the shard");
+        assert_eq!((crashed.crash_at, crashed.torn_write), (Some(7), 0.0));
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! * [`prefetch_read`] — a safe wrapper over the architecture's software
 //!   prefetch instruction; and
 //! * two memory-bound drivers ([`chase`], [`probe`]) with both sequential
-//!   and interleaved implementations, so examples and Criterion benches can
-//!   measure real miss-hiding speedups end to end.
+//!   and interleaved implementations, so `examples/host_interleaving.rs`
+//!   can show real miss-hiding end to end (its timings are illustrative;
+//!   quoted host-time numbers come from `benchmark/run.sh run` only).
 //!
 //! # Examples
 //!

@@ -146,6 +146,45 @@ impl FaultPlan {
         self
     }
 
+    /// The constructor chain that rebuilds this plan, armed channels
+    /// only — what a chaos violation prints so its schedule can be pasted
+    /// back. `crash_at` is left out: schedules carry crash instants
+    /// themselves and overwrite it per segment or shard.
+    pub fn repro(&self) -> String {
+        let mut s = format!("FaultPlan::none(0x{:x})", self.seed);
+        if self.pebs_drop > 0.0 {
+            s += &format!(".with_pebs_drop({:?})", self.pebs_drop);
+        }
+        if self.pebs_extra_skid > 0 {
+            s += &format!(".with_pebs_extra_skid({})", self.pebs_extra_skid);
+        }
+        if self.pebs_pc_corrupt > 0.0 {
+            s += &format!(
+                ".with_pebs_pc_corrupt({:?}, {})",
+                self.pebs_pc_corrupt, self.pebs_pc_corrupt_range
+            );
+        }
+        if self.lbr_drop > 0.0 {
+            s += &format!(".with_lbr_drop({:?})", self.lbr_drop);
+        }
+        if self.prefetch_corrupt > 0.0 {
+            s += &format!(
+                ".with_prefetch_corrupt({:?}, {})",
+                self.prefetch_corrupt, self.prefetch_corrupt_lines
+            );
+        }
+        if let Some(n) = self.trap_every {
+            s += &format!(".with_trap_every({n})");
+        }
+        if self.torn_write > 0.0 {
+            s += &format!(".with_torn_write({:?})", self.torn_write);
+        }
+        if self.partial_flush > 0.0 {
+            s += &format!(".with_partial_flush({:?})", self.partial_flush);
+        }
+        s
+    }
+
     /// True if no channel is armed.
     pub fn is_none(&self) -> bool {
         self.pebs_drop == 0.0
@@ -425,6 +464,30 @@ mod tests {
         }
         assert_eq!(fi.crash_points_seen(), 100);
         assert_eq!(fi.log, FaultLog::default());
+    }
+
+    #[test]
+    fn repro_names_every_armed_channel_and_nothing_else() {
+        assert_eq!(FaultPlan::none(0x2a).repro(), "FaultPlan::none(0x2a)");
+        let plan = FaultPlan::none(0x2a)
+            .with_pebs_drop(0.25)
+            .with_pebs_extra_skid(3)
+            .with_pebs_pc_corrupt(0.5, 4)
+            .with_lbr_drop(0.125)
+            .with_prefetch_corrupt(0.75, 8)
+            .with_trap_every(17)
+            .with_torn_write(0.5)
+            .with_partial_flush(0.375);
+        // The string is Rust source; this is what pasting it back gives.
+        assert_eq!(
+            plan.repro(),
+            "FaultPlan::none(0x2a).with_pebs_drop(0.25).with_pebs_extra_skid(3)\
+             .with_pebs_pc_corrupt(0.5, 4).with_lbr_drop(0.125)\
+             .with_prefetch_corrupt(0.75, 8).with_trap_every(17)\
+             .with_torn_write(0.5).with_partial_flush(0.375)"
+        );
+        // A crash instant is the schedule's to print, not the plan's.
+        assert_eq!(plan.with_crash_at(9).repro(), plan.repro());
     }
 
     #[test]

@@ -22,6 +22,7 @@ use reach_coro::chase::Arena;
 use reach_coro::probe::{make_keys, Table};
 use std::time::Instant;
 
+#[allow(clippy::disallowed_methods)] // illustration only: single-shot, uncalibrated, never quoted
 fn main() {
     // --- dependent pointer chase (scoped so its memory is released) ----
     {
