@@ -19,7 +19,9 @@
 //! latency inflation — the property neither SMT nor symmetric round-robin
 //! provides.
 
-use reach_sim::{Context, ExecError, Exit, Machine, Mode, Program, Status, SwitchKind, YieldKind};
+use reach_sim::{
+    Context, ExecError, Exit, Lane, Machine, Mode, Next, Program, Status, SwitchKind, YieldKind,
+};
 
 /// Scavenger watchdog configuration: the runtime containment for
 /// scavengers whose conditional yields never fire (elided by a bad
@@ -160,6 +162,19 @@ impl DualModeReport {
     }
 }
 
+/// Watchdog state of one scavenger.
+#[derive(Clone, Copy, Default)]
+struct Scav {
+    used: bool,
+    overruns: u32,
+    /// Excluded from fills for the rest of the run.
+    quarantined: bool,
+    /// Probation: how many times it has been quarantined, and (when on
+    /// probation) the cycle at which it may serve fills again.
+    quarantines: u32,
+    release_at: Option<u64>,
+}
+
 /// Runs `primary` over `primary_prog` co-scheduled with `scavengers` over
 /// `scav_prog` under the dual-mode discipline.
 ///
@@ -183,188 +198,188 @@ pub fn run_dual_mode(
     for s in scavengers.iter_mut() {
         s.mode = Mode::Scavenger;
     }
-
-    let mut report = DualModeReport {
-        // One entry per primary yield: a served job records about a
-        // thousand, which from an empty `Vec` is ten reallocations.
-        fill_times: Vec::with_capacity(1024),
-        ..DualModeReport::default()
-    };
-    let mut used = vec![false; scavengers.len()];
-    let mut overruns = vec![0u32; scavengers.len()];
-    let mut quarantined = vec![false; scavengers.len()];
-    // Probation bookkeeping: how many times each scavenger has been
-    // quarantined, and (when on probation) the cycle at which it may
-    // serve fills again.
-    let mut quarantines = vec![0u32; scavengers.len()];
-    let mut release_at: Vec<Option<u64>> = vec![None; scavengers.len()];
-    let mut next_scav = 0usize;
     // Per-slice instruction budget: the watchdog preempts long before
     // the overall per-context budget would. Unwatched runs still get a
     // large-but-finite slice ceiling — without it a runaway scavenger
     // inherits `max_steps_per_ctx` (`u64::MAX` by default) and hangs the
     // run inside a single fill; with it the runaway hits `StepLimit`,
     // faults out, and the primary proceeds.
+    let unwatched = DEFAULT_UNWATCHED_SLICE_STEPS.min(opts.max_steps_per_ctx);
     let slice_budget = match &opts.watchdog {
         Some(w) => w.slice_steps.min(opts.max_steps_per_ctx),
-        None => DEFAULT_UNWATCHED_SLICE_STEPS.min(opts.max_steps_per_ctx),
+        None => unwatched,
     };
+    let mut report = DualModeReport {
+        // One entry per primary yield: a served job records about a
+        // thousand, which from an empty `Vec` is ten reallocations.
+        fill_times: Vec::with_capacity(1024),
+        ..DualModeReport::default()
+    };
+    let n = scavengers.len();
+    let mut pool = vec![Scav::default(); n];
+    // Round-robin cursor into the pool.
+    let mut next_scav = 0usize;
+    // The open fill — it opens when the primary yields and closes when
+    // the core goes back to it — and the scavenger slice running in it.
+    let (mut fill_start, mut slice_start, mut scavs_this_fill) = (0, 0, 0usize);
 
-    'primary: loop {
-        let exit = match machine.run(primary_prog, primary, opts.max_steps_per_ctx) {
-            Ok(exit) => exit,
-            Err(e) if opts.isolate_faults => {
-                primary.status = Status::Faulted;
-                report.context_faults.push((primary.id, e));
-                break 'primary;
-            }
-            Err(e) => return Err(e),
-        };
-        match exit {
-            Exit::Done => break 'primary,
-            Exit::StepLimit => break 'primary,
-            Exit::Stalled { .. } => unreachable!("switch_on_stall is disabled here"),
-            Exit::Yielded { save_regs, .. } => {
-                // The primary just prefetched and yielded: fill the gap
-                // with scavenger work.
-                let fill_start = machine.now;
-                machine.charge_switch(SwitchKind::Coroutine(save_regs));
-
-                let mut scavs_this_fill = 0usize;
-                'fill: loop {
-                    // Pick the next runnable, non-quarantined scavenger
-                    // (round robin from the `next_scav` cursor, wrapping
-                    // once). A scavenger on probation counts as
-                    // quarantined until its release cycle arrives.
-                    let now = machine.now;
-                    let pick = (next_scav..scavengers.len())
-                        .chain(0..next_scav)
-                        .find(|&i| {
-                            scavengers[i].status == Status::Runnable
-                                && !quarantined[i]
-                                && release_at[i].is_none_or(|t| now >= t)
-                        });
-                    let Some(i) = pick else {
-                        if scavs_this_fill == 0 {
-                            report.starved_fills += 1;
-                        }
-                        break 'fill;
-                    };
-                    next_scav = i;
-                    if release_at[i].take().is_some() {
-                        // Probation served: back in the rotation with a
-                        // fresh overrun allowance.
-                        overruns[i] = 0;
-                        report.readmitted += 1;
+    // The discipline as the engine's fill policy: lane 0 is the primary,
+    // lane `i + 1` scavenger `i`.
+    let mut lanes = Vec::with_capacity(1 + n);
+    lanes.push(Lane::new(primary_prog, primary, opts.max_steps_per_ctx));
+    lanes.extend(scavengers.iter_mut().map(|s| Lane::new(scav_prog, s, 0)));
+    machine.run_lanes(
+        &mut lanes,
+        #[inline(always)]
+        |m, lanes, stopped| {
+            let Some((lane, event)) = stopped else {
+                return Next::Run(0);
+            };
+            let fill_goes_on = match event {
+                Err(e) if opts.isolate_faults => {
+                    // Trap isolation: retire this context only; a fill
+                    // keeps going with the next scavenger.
+                    lanes[lane].ctx.status = Status::Faulted;
+                    report.context_faults.push((lanes[lane].ctx.id, e));
+                    if lane == 0 {
+                        return Next::Return(Ok(()));
                     }
-                    if !used[i] {
-                        used[i] = true;
-                        report.scavengers_used += 1;
-                    }
-                    scavs_this_fill += 1;
-
-                    let slice_start = machine.now;
-                    let exit = match machine.run(scav_prog, &mut scavengers[i], slice_budget) {
-                        Ok(exit) => exit,
-                        Err(e) if opts.isolate_faults => {
-                            // Trap isolation: retire this scavenger only;
-                            // the fill keeps going with the next one.
-                            scavengers[i].status = Status::Faulted;
-                            report.context_faults.push((scavengers[i].id, e));
-                            continue 'fill;
-                        }
-                        Err(e) => return Err(e),
-                    };
-                    let elapsed = machine.now - fill_start;
+                    true
+                }
+                Err(e) => return Next::Return(Err(e)),
+                Ok(Exit::Stalled { .. }) => unreachable!("switch_on_stall is disabled here"),
+                Ok(exit) if lane > 0 => {
+                    let (s, ctx) = (&mut pool[lane - 1], &mut *lanes[lane].ctx);
+                    let elapsed = m.now - fill_start;
                     // Watchdog overrun accounting, per slice: repeat
-                    // offenders are quarantined (retired from scheduling
-                    // for the rest of the run).
+                    // offenders are quarantined — retired from
+                    // scheduling for the rest of the run, or for a
+                    // deterministic, per-offense-doubling probation
+                    // window when one is configured and chances remain.
                     let mut quarantine_now = false;
-                    if let Some(w) = &opts.watchdog {
-                        let slice = machine.now - slice_start;
-                        if slice > w.overrun_cycles || exit == Exit::StepLimit {
-                            overruns[i] += 1;
-                            report.overruns += 1;
-                            if overruns[i] >= w.max_overruns {
-                                quarantines[i] += 1;
-                                report.quarantined.push(scavengers[i].id);
-                                quarantine_now = true;
-                                match w.probation_cycles {
-                                    // Probation: sit out a deterministic,
-                                    // per-offense-doubling window, then
-                                    // rejoin the rotation.
-                                    Some(p) if quarantines[i] <= w.max_quarantines => {
-                                        let shift = (quarantines[i] - 1).min(31);
-                                        let window = p.saturating_mul(1u64 << shift);
-                                        release_at[i] = Some(machine.now.saturating_add(window));
-                                    }
-                                    // No probation configured, or chances
-                                    // exhausted: permanent.
-                                    _ => quarantined[i] = true,
+                    if let Some(w) = opts.watchdog.as_ref().filter(|w| {
+                        m.now - slice_start > w.overrun_cycles || exit == Exit::StepLimit
+                    }) {
+                        s.overruns += 1;
+                        report.overruns += 1;
+                        if s.overruns >= w.max_overruns {
+                            s.quarantines += 1;
+                            report.quarantined.push(ctx.id);
+                            quarantine_now = true;
+                            match w.probation_cycles {
+                                Some(p) if s.quarantines <= w.max_quarantines => {
+                                    let shift = (s.quarantines - 1).min(31);
+                                    let window = p.saturating_mul(1u64 << shift);
+                                    s.release_at = Some(m.now.saturating_add(window));
                                 }
+                                _ => s.quarantined = true,
                             }
                         }
                     }
                     match exit {
+                        // A finished scavenger that has not hidden the
+                        // miss yet is followed by another.
                         Exit::Done => {
                             report.scavengers_completed += 1;
-                            if elapsed >= opts.hide_target {
-                                break 'fill;
-                            }
-                            // Otherwise keep filling with another one.
+                            elapsed < opts.hide_target
                         }
-                        Exit::StepLimit if opts.watchdog.is_some() => {
-                            // Watchdog preemption, not a fault: the
-                            // scavenger stays runnable (unless just
-                            // quarantined) but the primary gets the CPU
-                            // back now.
-                            break 'fill;
-                        }
+                        // Watchdog preemption, not a fault: the scavenger
+                        // stays runnable (unless just quarantined) but
+                        // the primary gets the CPU back now.
+                        Exit::StepLimit if opts.watchdog.is_some() => false,
                         Exit::StepLimit => {
-                            scavengers[i].status = Status::Faulted;
+                            ctx.status = Status::Faulted;
+                            true
                         }
-                        Exit::Stalled { .. } => unreachable!(),
                         Exit::Yielded {
                             kind, save_regs, ..
                         } => {
-                            machine.charge_switch(SwitchKind::Coroutine(save_regs));
-                            match kind {
-                                // Ran long enough (scavenger-phase yield)
-                                // or the target elapsed anyway: the CPU
-                                // goes back to the primary.
-                                YieldKind::Scavenger | YieldKind::Manual => break 'fill,
-                                _ if elapsed >= opts.hide_target => break 'fill,
-                                _ if quarantine_now => break 'fill,
-                                // Its own likely-miss: hand off to another
-                                // scavenger to consume more cycles.
-                                YieldKind::Primary | YieldKind::IfAbsent => {
-                                    next_scav = (i + 1) % scavengers.len();
-                                }
-                                #[allow(unreachable_patterns)]
-                                _ => break 'fill,
+                            m.charge_switch(SwitchKind::Coroutine(save_regs));
+                            // Its own likely-miss, with the target not
+                            // reached: hand off to another scavenger to
+                            // consume more cycles. A scavenger-phase
+                            // yield means it ran long enough.
+                            let chain = matches!(kind, YieldKind::Primary | YieldKind::IfAbsent)
+                                && elapsed < opts.hide_target
+                                && !quarantine_now;
+                            if chain {
+                                next_scav = if lane == n { 0 } else { lane };
                             }
+                            chain
                         }
+                        Exit::Stalled { .. } => unreachable!(),
                     }
                 }
-                report.max_scavengers_per_fill =
-                    report.max_scavengers_per_fill.max(scavs_this_fill);
-                // Unconditional: starved fills record their (switch-only)
-                // fill time too, keeping mean_fill unbiased.
-                report.fill_times.push(machine.now - fill_start);
+                Ok(Exit::Yielded { save_regs, .. }) => {
+                    // The primary just prefetched and yielded: fill the
+                    // gap with scavenger work.
+                    fill_start = m.now;
+                    m.charge_switch(SwitchKind::Coroutine(save_regs));
+                    scavs_this_fill = 0;
+                    true
+                }
+                Ok(_) => return Next::Return(Ok(())),
+            };
+            if fill_goes_on {
+                // The next runnable, non-quarantined scavenger: round
+                // robin from the cursor, wrapping once. A scavenger on
+                // probation counts as quarantined until its release
+                // cycle arrives.
+                let now = m.now;
+                let pick = crate::executor::round_robin(next_scav, n).find(|&i| {
+                    lanes[i + 1].ctx.status == Status::Runnable
+                        && !pool[i].quarantined
+                        && pool[i].release_at.is_none_or(|t| now >= t)
+                });
+                if let Some(i) = pick {
+                    next_scav = i;
+                    let s = &mut pool[i];
+                    if s.release_at.take().is_some() {
+                        // Probation served: back in the rotation with a
+                        // fresh overrun allowance.
+                        s.overruns = 0;
+                        report.readmitted += 1;
+                    }
+                    if !s.used {
+                        s.used = true;
+                        report.scavengers_used += 1;
+                    }
+                    scavs_this_fill += 1;
+                    slice_start = now;
+                    lanes[i + 1].budget = slice_budget;
+                    return Next::Run(i + 1);
+                }
+                if scavs_this_fill == 0 {
+                    report.starved_fills += 1;
+                }
             }
-        }
-    }
+            // The core goes back to the primary.
+            report.max_scavengers_per_fill = report.max_scavengers_per_fill.max(scavs_this_fill);
+            // Unconditional: starved fills record their (switch-only)
+            // fill time too, keeping mean_fill unbiased.
+            report.fill_times.push(m.now - fill_start);
+            lanes[0].budget = opts.max_steps_per_ctx;
+            Next::Run(0)
+        },
+    )?;
     report.primary_latency = primary.stats.latency();
 
     if opts.drain_scavengers {
+        // Latency is no longer at stake, so the watchdog's slice is not
+        // the bound here; the runaway ceiling of an unwatched fill is,
+        // per context, and what exhausts it is retired the same way — a
+        // quarantined scavenger that never halts is still runnable.
         let iopts = crate::executor::InterleaveOptions {
-            max_steps_per_ctx: opts.max_steps_per_ctx,
+            max_steps_per_ctx: unwatched,
             isolate_faults: opts.isolate_faults,
             ..crate::executor::InterleaveOptions::default()
         };
         let drain = crate::executor::run_interleaved(machine, scav_prog, scavengers, &iopts)?;
         report.scavengers_completed += drain.completed;
         report.context_faults.extend(drain.faults);
+        for s in scavengers.iter_mut().filter(|s| s.is_runnable()) {
+            s.status = Status::Faulted;
+        }
     }
 
     report.total_cycles = machine.now - started_at;
@@ -635,6 +650,18 @@ mod tests {
         assert!(tight.context_faults.is_empty());
     }
 
+    /// A scavenger that never halts and never yields.
+    fn runaway_forever() -> Program {
+        let mut b = ProgramBuilder::new("runaway_forever");
+        b.imm(Reg(2), 1);
+        let top = b.label();
+        b.bind(top);
+        b.alu(AluOp::Add, Reg(1), Reg(1), Reg(2), 1);
+        b.branch(Cond::Nez, Reg(2), top); // Reg(2) == 1: always taken
+        b.halt(); // unreachable
+        b.finish().unwrap()
+    }
+
     #[test]
     fn unwatched_runaway_faults_out_instead_of_hanging_the_run() {
         // Regression test for the unwatched-slice footgun: with no
@@ -643,15 +670,7 @@ mod tests {
         // runaway scavenger would hang the whole run inside one fill.
         // With the finite default the runaway hits its slice ceiling,
         // faults out, and the primary completes.
-        let mut b = ProgramBuilder::new("runaway_forever");
-        b.imm(Reg(2), 1);
-        let top = b.label();
-        b.bind(top);
-        b.alu(AluOp::Add, Reg(1), Reg(1), Reg(2), 1);
-        b.branch(Cond::Nez, Reg(2), top); // Reg(2) == 1: always taken
-        b.halt(); // unreachable
-        let scav = b.finish().unwrap();
-
+        let scav = runaway_forever();
         let prog = dual_instrumented_chase(true);
         let hops = 8u64;
         let mut m = Machine::new(MachineConfig::default());
@@ -681,6 +700,96 @@ mod tests {
             scavs[0].stats.instructions
         );
         assert!(r.quarantined.is_empty());
+    }
+
+    /// Regression test for the drain's half of the same footgun: a
+    /// watchdog preempts and quarantines an infinite runaway but leaves
+    /// it runnable, and the post-primary drain used to hand it the whole
+    /// per-context budget (`u64::MAX` by default) — `run_dual_mode` never
+    /// returned. The drain now runs under the unwatched slice ceiling and
+    /// retires what exhausts it.
+    #[test]
+    fn watched_runaway_is_retired_by_the_drain_instead_of_hanging_it() {
+        let scav = runaway_forever();
+        let prog = dual_instrumented_chase(true);
+        let hops = 8u64;
+        let mut m = Machine::new(MachineConfig::default());
+        let hp = lay_chain(&mut m, 0x100_0000, hops);
+        let mut primary = ctx_for(0, hp, hops);
+        let mut scavs = vec![Context::new(1)];
+        let r = run_dual_mode(
+            &mut m,
+            &prog,
+            &mut primary,
+            &scav,
+            &mut scavs,
+            &DualModeOptions {
+                watchdog: Some(WatchdogOptions {
+                    slice_steps: 200,
+                    ..WatchdogOptions::default()
+                }),
+                ..DualModeOptions::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(primary.status, Status::Done);
+        assert_eq!(r.quarantined, vec![1], "preempted, then quarantined");
+        // Quarantine left it runnable; the drain ran it up to the ceiling
+        // and retired it, as an unwatched fill retires a runaway.
+        assert_eq!(scavs[0].status, Status::Faulted);
+        let ran = scavs[0].stats.instructions;
+        assert!(
+            (DEFAULT_UNWATCHED_SLICE_STEPS..DEFAULT_UNWATCHED_SLICE_STEPS + 2_000).contains(&ran),
+            "the drain's ceiling is per context and on top of its fills: {ran}"
+        );
+        // Not completed, and not recorded as a fault: exhausting a
+        // budget is not an execution error.
+        assert_eq!(r.scavengers_completed, 0);
+        assert!(r.context_faults.is_empty());
+    }
+
+    /// The block cache evicts whole programs, and an eviction shifts the
+    /// index of every younger one. With a full cache, seating the
+    /// scavengers' program must neither evict the primary's (the oldest,
+    /// `age` 0) nor leave its lane pointing at what the shift put in its
+    /// place (`age` 1: the oldest goes, every index moves down).
+    #[test]
+    fn a_full_block_cache_seats_both_programs_of_a_dual_mode_run() {
+        use reach_sim::blocks::MAX_CACHED_PROGRAMS;
+        let prog = dual_instrumented_chase(true);
+        let scav = runaway_prog(500);
+        let hops = 16u64;
+        let run = |blocks: bool, age: usize| {
+            let mut m = Machine::new(MachineConfig::default());
+            m.blocks_enabled = blocks;
+            let hp = lay_chain(&mut m, 0x100_0000, hops);
+            // Other code than the primary's: a lane seated on one of
+            // their tables must not get away with it.
+            let warm: Vec<Program> = (1..MAX_CACHED_PROGRAMS as u64)
+                .map(|i| runaway_prog(2 + i))
+                .collect();
+            let mut order: Vec<&Program> = warm.iter().collect();
+            order.insert(age, &prog);
+            for p in &order {
+                let mut c = ctx_for(9, hp, 1);
+                m.run_to_completion(p, &mut c, 1 << 20).unwrap();
+            }
+            let mut primary = ctx_for(0, hp, hops);
+            let mut scavs = vec![Context::new(1), Context::new(2)];
+            let opts = DualModeOptions::default();
+            let r = run_dual_mode(&mut m, &prog, &mut primary, &scav, &mut scavs, &opts).unwrap();
+            if blocks {
+                assert_eq!(m.block_cache.cached_programs(), MAX_CACHED_PROGRAMS);
+                assert!(m.block_cache.has_blocks_for(&prog), "the primary's stayed");
+                assert!(m.block_cache.has_blocks_for(&scav));
+                assert!(!m.block_cache.has_blocks_for(order[(age == 0) as usize]));
+            }
+            let regs: Vec<_> = scavs.iter().map(|s| s.regs).collect();
+            (r.fill_times, m.now, m.counters, primary.regs, regs)
+        };
+        for age in [0, 1] {
+            assert_eq!(run(true, age), run(false, age), "primary's age {age}");
+        }
     }
 
     /// A phased scavenger: `r1` iterations of hostile non-yielding

@@ -10,7 +10,7 @@
 //! save set breaks the workload checksum instead of silently costing
 //! nothing.
 
-use reach_sim::{Context, ExecError, Exit, Machine, Program, Status, SwitchKind};
+use reach_sim::{Context, ExecError, Exit, Lane, Machine, Next, Program, Status, SwitchKind};
 
 /// The value poisoning writes into unsaved registers.
 pub const POISON: u64 = 0xDEAD_BEEF_DEAD_BEEF;
@@ -84,6 +84,11 @@ pub struct InterleaveReport {
     pub faults: Vec<(usize, ExecError)>,
 }
 
+/// `0..n` starting at `from` (at most `n`) and wrapping once.
+pub(crate) fn round_robin(from: usize, n: usize) -> impl Iterator<Item = usize> {
+    (from..n).chain(0..from)
+}
+
 /// Runs `contexts` over `prog`, rotating on every fired yield.
 ///
 /// # Errors
@@ -103,93 +108,98 @@ pub fn run_interleaved(
         latencies: vec![None; n],
         ..InterleaveReport::default()
     };
-    if n == 0 {
-        return Ok(report);
-    }
-
-    // Per-context bookkeeping.
-    let mut steps_left = vec![opts.max_steps_per_ctx; n];
     // Poison mask to apply when the context next resumes (registers NOT
     // saved at its last yield).
     let mut pending_poison: Vec<Option<u32>> = vec![None; n];
-    let mut cur = 0usize;
+    // The running burst: instructions its context had retired, and the
+    // clock, when it was handed the core.
+    let (mut before, mut burst_start) = (0, 0);
 
-    // Find a runnable context starting at `cur`; stop when none remain.
-    while let Some(i) = (0..n)
-        .map(|off| (cur + off) % n)
-        .find(|&i| contexts[i].status == Status::Runnable && steps_left[i] > 0)
-    {
-        cur = i;
-
-        if let Some(mask) = pending_poison[i].take() {
-            // SAFETY of the model: only registers outside the save set are
-            // clobbered; a sound save set keeps semantics intact.
-            for r in 0..reach_sim::isa::NUM_REGS {
-                if mask & (1 << r) != 0 {
-                    contexts[i].regs[r] = POISON;
-                }
-            }
-        }
-
-        let before = contexts[i].stats.instructions;
-        let burst_start = machine.now;
-        let exit = match machine.run(prog, &mut contexts[i], steps_left[i]) {
-            Ok(exit) => exit,
-            Err(e) if opts.isolate_faults => {
-                // The machine marks some faults (call-depth, injected
-                // traps) itself; make retirement unconditional so e.g. a
-                // memory fault cannot leave the context schedulable.
-                contexts[i].status = Status::Faulted;
-                report.faults.push((contexts[i].id, e));
-                cur = (i + 1) % n;
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        let used = contexts[i].stats.instructions - before;
-        steps_left[i] = steps_left[i].saturating_sub(used);
-
-        match exit {
-            Exit::Yielded { save_regs, .. } => {
-                if opts.record_intervals {
-                    report.intervals.push(machine.now - burst_start);
-                }
-                // Is there anybody else to run?
-                let someone_else = (0..n)
-                    .any(|j| j != i && contexts[j].status == Status::Runnable && steps_left[j] > 0);
-                if someone_else {
-                    let kind = match opts.switch {
-                        SwitchMode::Coroutine => SwitchKind::Coroutine(save_regs),
-                        SwitchMode::Thread => SwitchKind::Thread,
-                    };
-                    machine.charge_switch(kind);
-                    report.switches += 1;
-                    if opts.poison_unsaved && opts.switch == SwitchMode::Coroutine {
-                        if let Some(mask) = save_regs {
-                            pending_poison[i] = Some(!mask);
+    // Round robin as the engine's fill policy: lane `i` is context `i`,
+    // and a lane's `budget` is what is left of its per-context budget.
+    let has_work = |lane: &Lane<'_>| lane.ctx.status == Status::Runnable && lane.budget > 0;
+    let mut lanes: Vec<Lane<'_>> = contexts
+        .iter_mut()
+        .map(|c| Lane::new(prog, c, opts.max_steps_per_ctx))
+        .collect();
+    machine.run_lanes(
+        &mut lanes,
+        #[inline(always)]
+        |m, lanes, stopped| {
+            let mut cur = 0;
+            if let Some((i, event)) = stopped {
+                cur = i + 1;
+                match event {
+                    Err(e) if opts.isolate_faults => {
+                        // The machine marks some faults (call-depth,
+                        // injected traps) itself; make retirement
+                        // unconditional so e.g. a memory fault cannot
+                        // leave the context schedulable.
+                        lanes[i].ctx.status = Status::Faulted;
+                        report.faults.push((lanes[i].ctx.id, e));
+                    }
+                    Err(e) => return Next::Return(Err(e)),
+                    Ok(exit) => {
+                        let used = lanes[i].ctx.stats.instructions - before;
+                        lanes[i].budget = lanes[i].budget.saturating_sub(used);
+                        match exit {
+                            Exit::Yielded { save_regs, .. } => {
+                                if opts.record_intervals {
+                                    report.intervals.push(m.now - burst_start);
+                                }
+                                // Is there anybody else to run?
+                                if (0..n).any(|j| j != i && has_work(&lanes[j])) {
+                                    let kind = match opts.switch {
+                                        SwitchMode::Coroutine => SwitchKind::Coroutine(save_regs),
+                                        SwitchMode::Thread => SwitchKind::Thread,
+                                    };
+                                    m.charge_switch(kind);
+                                    report.switches += 1;
+                                    if opts.poison_unsaved && opts.switch == SwitchMode::Coroutine {
+                                        pending_poison[i] = save_regs.map(|mask| !mask);
+                                    }
+                                } else {
+                                    report.empty_yields += 1;
+                                    cur = i;
+                                }
+                            }
+                            Exit::Done => {
+                                report.completed += 1;
+                                report.latencies[i] = lanes[i].ctx.stats.latency();
+                            }
+                            Exit::StepLimit => {
+                                // Leave the context runnable but
+                                // budget-exhausted; the pick skips it.
+                                report.step_limited = true;
+                                cur = i;
+                            }
+                            Exit::Stalled { .. } => {
+                                unreachable!("interleaved executor never enables switch_on_stall")
+                            }
                         }
                     }
-                    cur = (i + 1) % n;
-                } else {
-                    report.empty_yields += 1;
                 }
             }
-            Exit::Done => {
-                report.completed += 1;
-                report.latencies[i] = contexts[i].stats.latency();
-                cur = (i + 1) % n;
+            // The first context with work left, from `cur` round.
+            let pick = round_robin(cur, n).find(|&i| has_work(&lanes[i]));
+            let Some(i) = pick else {
+                return Next::Return(Ok(()));
+            };
+            if let Some(mask) = pending_poison[i].take() {
+                // SAFETY of the model: only registers outside the save
+                // set are clobbered; a sound save set keeps semantics
+                // intact.
+                for r in 0..reach_sim::isa::NUM_REGS {
+                    if mask & (1 << r) != 0 {
+                        lanes[i].ctx.regs[r] = POISON;
+                    }
+                }
             }
-            Exit::StepLimit => {
-                report.step_limited = true;
-                // Leave the context runnable but budget-exhausted; the
-                // outer find skips it.
-            }
-            Exit::Stalled { .. } => {
-                unreachable!("interleaved executor never enables switch_on_stall")
-            }
-        }
-    }
-
+            before = lanes[i].ctx.stats.instructions;
+            burst_start = m.now;
+            Next::Run(i)
+        },
+    )?;
     report.cycles = machine.now - started_at;
     Ok(report)
 }

@@ -17,7 +17,9 @@
 //!   head-of-line task finishes almost as fast as it would alone.
 
 use crate::metrics::percentile;
-use reach_sim::{Context, ExecError, Exit, Machine, Mode, Program, Status, SwitchKind, YieldKind};
+use reach_sim::{
+    Context, ExecError, Exit, Lane, Machine, Mode, Next, Program, Status, SwitchKind, YieldKind,
+};
 
 /// Scheduling discipline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -93,188 +95,151 @@ pub fn run_task_queue(
     let started_at = machine.now;
     tasks.sort_by_key(|t| t.arrival);
     let n = tasks.len();
+    // Absolute arrival cycle of each task.
+    let arrivals: Vec<u64> = tasks.iter().map(|t| started_at + t.arrival).collect();
     let mut first_run: Vec<Option<u64>> = vec![None; n];
     let mut done_at: Vec<Option<u64>> = vec![None; n];
-    let mut budget_exceeded = 0usize;
-    let mut faults: Vec<(usize, ExecError)> = Vec::new();
+    let mut report = SchedReport::default();
 
-    match policy {
-        SchedPolicy::Fifo => {
-            for (i, t) in tasks.iter_mut().enumerate() {
-                let arrival = started_at + t.arrival;
-                if machine.now < arrival {
-                    machine.advance_idle(arrival - machine.now);
-                }
-                first_run[i] = Some(machine.now);
-                match machine.run_to_completion(prog, &mut t.ctx, max_steps_per_task) {
-                    Ok(Exit::Done) => done_at[i] = Some(machine.now),
-                    Ok(_) => {
-                        t.ctx.status = Status::Faulted;
-                        budget_exceeded += 1;
-                    }
-                    Err(e) => {
-                        t.ctx.status = Status::Faulted;
-                        faults.push((i, e));
-                    }
-                }
+    if policy == SchedPolicy::Fifo {
+        for (i, t) in tasks.iter_mut().enumerate() {
+            machine.advance_idle(arrivals[i].saturating_sub(machine.now));
+            first_run[i] = Some(machine.now);
+            match machine.run_to_completion(prog, &mut t.ctx, max_steps_per_task) {
+                Ok(Exit::Done) => done_at[i] = Some(machine.now),
+                Ok(_) => report.budget_exceeded += 1,
+                Err(e) => report.faults.push((i, e)),
+            }
+            if done_at[i].is_none() {
+                t.ctx.status = Status::Faulted;
             }
         }
-        SchedPolicy::SideCar | SchedPolicy::EventAware => {
-            let aware = policy == SchedPolicy::EventAware;
-            let mut cur = 0usize;
-            loop {
-                // Ready = arrived, not finished.
-                let ready: Vec<usize> = (0..n)
-                    .filter(|&i| {
-                        done_at[i].is_none()
-                            && started_at + tasks[i].arrival <= machine.now
-                            && tasks[i].ctx.status == Status::Runnable
-                    })
-                    .collect();
-                if ready.is_empty() {
-                    // Idle until the next arrival, or finish.
-                    let next = (0..n)
-                        .filter(|&i| {
-                            done_at[i].is_none() && tasks[i].ctx.status == Status::Runnable
-                        })
-                        .map(|i| started_at + tasks[i].arrival)
-                        .min();
-                    match next {
-                        Some(t) if t > machine.now => {
-                            machine.advance_idle(t - machine.now);
-                            continue;
-                        }
-                        Some(_) => continue,
-                        None => break,
-                    }
-                }
+    } else {
+        let aware = policy == SchedPolicy::EventAware;
+        // Side-car's round-robin cursor.
+        let mut cur = 0usize;
+        // Arrived, unfinished, runnable tasks when the scheduled task was
+        // picked; once it yields under event-aware, the fillers among them.
+        let mut ready: Vec<usize> = Vec::new();
+        // Event-aware, while a fill is open: the next filler in `ready`
+        // and the cycle the fill started.
+        let mut fill: Option<(usize, u64)> = None;
 
-                // Pick who runs: event-aware pins the oldest ready task as
-                // primary; side-car round-robins.
-                let i = if aware {
-                    ready[0] // tasks are arrival-sorted
-                } else {
-                    *ready.iter().find(|&&i| i >= cur).unwrap_or(&ready[0])
-                };
-                // The currently scheduled task always runs in primary mode
-                // (its conditional scavenger yields stay off); under
-                // event-aware scheduling, the fillers below are demoted.
-                tasks[i].ctx.mode = Mode::Primary;
-                if first_run[i].is_none() {
-                    first_run[i] = Some(machine.now);
-                }
-
-                let exit = match machine.run(prog, &mut tasks[i].ctx, max_steps_per_task) {
-                    Ok(exit) => exit,
-                    Err(e) => {
-                        // Trap isolation: retire this task, keep draining.
-                        tasks[i].ctx.status = Status::Faulted;
-                        faults.push((i, e));
-                        cur = i + 1;
-                        continue;
+        // The two hiding disciplines as the engine's fill policy: lane
+        // `i` is task `i` in arrival order.
+        let mut lanes: Vec<Lane<'_>> = tasks
+            .iter_mut()
+            .map(|t| Lane::new(prog, &mut t.ctx, max_steps_per_task))
+            .collect();
+        machine.run_lanes(&mut lanes, |m, lanes, stopped| {
+            let mut reschedule = true;
+            if let Some((i, event)) = stopped {
+                // While a fill is open: whether the head task's miss is
+                // hidden by now (one memory latency — the event-aware
+                // scheduler knows how long the event lasts).
+                let filling = fill.map(|(_, start)| m.now - start >= m.cfg.mem_latency);
+                match event {
+                    Ok(Exit::Done) => {
+                        done_at[i] = Some(m.now);
+                        reschedule = filling != Some(false);
                     }
-                };
-                match exit {
-                    Exit::Done => {
-                        done_at[i] = Some(machine.now);
-                        cur = i + 1;
-                    }
-                    Exit::StepLimit => {
-                        // Runaway containment: the queue must keep making
-                        // progress past a task that blew its budget.
-                        tasks[i].ctx.status = Status::Faulted;
-                        budget_exceeded += 1;
-                        cur = i + 1;
-                    }
-                    Exit::Stalled { .. } => unreachable!(),
-                    Exit::Yielded { save_regs, .. } => {
-                        if aware {
-                            // Fill with the youngest... with *other* ready
-                            // tasks in scavenger mode until one of them
-                            // yields back.
-                            let others: Vec<usize> =
-                                ready.iter().copied().filter(|&j| j != i).collect();
-                            if others.is_empty() {
-                                continue; // nothing to fill with
+                    Ok(Exit::Stalled { .. }) => unreachable!(),
+                    Ok(Exit::Yielded {
+                        kind, save_regs, ..
+                    }) => {
+                        let switch = SwitchKind::Coroutine(save_regs);
+                        reschedule = match filling {
+                            // A filler hands the CPU straight back when
+                            // it ran long enough or the miss is hidden;
+                            // on its own miss before that it chains to
+                            // the next filler.
+                            Some(hidden) => {
+                                m.charge_switch(switch);
+                                hidden || matches!(kind, YieldKind::Scavenger | YieldKind::Manual)
                             }
-                            machine.charge_switch(SwitchKind::Coroutine(save_regs));
-                            // Fill until the head task's miss is hidden
-                            // (one memory latency), then hand the CPU
-                            // straight back — the event-aware scheduler
-                            // knows how long the event lasts.
-                            let fill_start = machine.now;
-                            let hide_target = machine.cfg.mem_latency;
-                            'fill: for &j in &others {
-                                tasks[j].ctx.mode = Mode::Scavenger;
-                                if first_run[j].is_none() {
-                                    first_run[j] = Some(machine.now);
+                            // The head task's miss: fill it with the
+                            // *other* ready tasks in scavenger mode, if
+                            // there are any.
+                            None if aware => {
+                                ready.retain(|&j| j != i);
+                                if !ready.is_empty() {
+                                    m.charge_switch(switch);
+                                    fill = Some((0, m.now));
                                 }
-                                let e = match machine.run(
-                                    prog,
-                                    &mut tasks[j].ctx,
-                                    max_steps_per_task,
-                                ) {
-                                    Ok(e) => e,
-                                    Err(err) => {
-                                        tasks[j].ctx.status = Status::Faulted;
-                                        faults.push((j, err));
-                                        continue 'fill;
-                                    }
-                                };
-                                let elapsed = machine.now - fill_start;
-                                match e {
-                                    Exit::Done => {
-                                        done_at[j] = Some(machine.now);
-                                        if elapsed >= hide_target {
-                                            break 'fill;
-                                        }
-                                    }
-                                    Exit::Yielded {
-                                        kind, save_regs, ..
-                                    } => {
-                                        machine.charge_switch(SwitchKind::Coroutine(save_regs));
-                                        match kind {
-                                            YieldKind::Scavenger | YieldKind::Manual => {
-                                                break 'fill;
-                                            }
-                                            _ if elapsed >= hide_target => break 'fill,
-                                            // A filler's own miss, target
-                                            // not yet reached: chain to
-                                            // the next filler.
-                                            _ => continue 'fill,
-                                        }
-                                    }
-                                    Exit::StepLimit => {
-                                        tasks[j].ctx.status = Status::Faulted;
-                                        budget_exceeded += 1;
-                                        continue 'fill;
-                                    }
-                                    Exit::Stalled { .. } => unreachable!(),
-                                }
+                                ready.is_empty()
                             }
-                        } else {
                             // Side-car: rotate among ready tasks.
-                            let more = ready.iter().any(|&j| j != i && done_at[j].is_none());
-                            if more {
-                                machine.charge_switch(SwitchKind::Coroutine(save_regs));
-                                cur = i + 1;
+                            None => {
+                                if ready.iter().any(|&j| j != i) {
+                                    m.charge_switch(switch);
+                                    cur = i + 1;
+                                }
+                                true
                             }
+                        };
+                    }
+                    // Trap isolation and runaway containment: retire
+                    // this task, keep draining (a fill, with the next
+                    // filler).
+                    stuck => {
+                        lanes[i].ctx.status = Status::Faulted;
+                        match stuck {
+                            Err(e) => report.faults.push((i, e)),
+                            Ok(_) => report.budget_exceeded += 1,
                         }
+                        reschedule = filling.is_none();
                     }
                 }
+                if !matches!(event, Ok(Exit::Yielded { .. })) {
+                    cur = i + 1;
+                }
             }
-        }
+            // Event-aware, in a fill: the next filler runs in scavenger
+            // mode; with none left the scheduled task gets the core back.
+            let filler = fill.filter(|_| !reschedule).and_then(|(k, start)| {
+                fill = Some((k + 1, start));
+                ready.get(k).copied()
+            });
+            let (i, mode) = match filler {
+                Some(j) => (j, Mode::Scavenger),
+                None => {
+                    // Who is ready; idle until the next arrival when
+                    // nobody is, done when no task is left.
+                    fill = None;
+                    loop {
+                        let pending =
+                            |i: &usize| done_at[*i].is_none() && lanes[*i].ctx.is_runnable();
+                        ready = (0..n)
+                            .filter(|i| pending(i) && arrivals[*i] <= m.now)
+                            .collect();
+                        if !ready.is_empty() {
+                            break;
+                        }
+                        match (0..n).filter(pending).map(|i| arrivals[i]).min() {
+                            Some(t) => m.advance_idle(t.saturating_sub(m.now)),
+                            None => return Next::Return(()),
+                        }
+                    }
+                    // Event-aware pins the oldest ready task (tasks are
+                    // arrival-sorted) as primary; side-car round-robins.
+                    // Either way the scheduled task runs in primary mode
+                    // (its conditional scavenger yields stay off);
+                    // event-aware demotes its fillers.
+                    let next = ready.iter().find(|&&i| !aware && i >= cur);
+                    (*next.unwrap_or(&ready[0]), Mode::Primary)
+                }
+            };
+            lanes[i].ctx.mode = mode;
+            lanes[i].budget = max_steps_per_task;
+            first_run[i].get_or_insert(m.now);
+            Next::Run(i)
+        });
     }
 
-    let mut report = SchedReport {
-        budget_exceeded,
-        faults,
-        ..SchedReport::default()
-    };
     for i in 0..n {
         if let (Some(f), Some(d)) = (first_run[i], done_at[i]) {
             report.completed += 1;
-            report.sojourns.push(d - (started_at + tasks[i].arrival));
+            report.sojourns.push(d - arrivals[i]);
             report.service_times.push(d - f);
             report.makespan = report.makespan.max(d - started_at);
         }

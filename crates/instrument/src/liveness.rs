@@ -16,9 +16,9 @@
 //!
 //! Implementation: an instance of the generic worklist engine in
 //! [`crate::dataflow`] ([`LivenessProblem`]). The original hand-rolled
-//! worklist is preserved as [`Liveness::compute_reference`] and pinned
-//! bit-identical to the engine by differential tests
-//! (`tests/prop_dataflow.rs`).
+//! worklist lives on as the oracle of `tests/prop_dataflow.rs`, which
+//! pins the engine bit-identical to it — on this module's own example
+//! programs too, which is why its unit tests are there.
 
 use crate::cfg::Cfg;
 use crate::dataflow::{self, DataflowProblem, Direction};
@@ -38,7 +38,7 @@ pub struct Liveness {
     live_in: Vec<RegSet>,
 }
 
-pub(crate) fn def_use(inst: &Inst, uses_buf: &mut Vec<Reg>) -> (RegSet, RegSet) {
+fn def_use(inst: &Inst, uses_buf: &mut Vec<Reg>) -> (RegSet, RegSet) {
     let def = inst.def().map_or(0, |r| 1u32 << r.index());
     uses_buf.clear();
     inst.uses(uses_buf);
@@ -95,61 +95,6 @@ impl Liveness {
         }
     }
 
-    /// The original hand-rolled backward worklist, kept as a differential
-    /// oracle: tests assert [`Liveness::compute`] matches it bit-for-bit
-    /// on every program.
-    pub fn compute_reference(prog: &Program, cfg: &Cfg) -> Liveness {
-        let n = prog.len();
-        let mut live_in = vec![0u32; n];
-        let mut live_out_block = vec![0u32; cfg.len()];
-        let mut uses_buf = Vec::with_capacity(4);
-
-        // Worklist over blocks, backward.
-        let mut dirty = vec![true; cfg.len()];
-        let mut work: Vec<usize> = (0..cfg.len()).rev().collect();
-        while let Some(b) = work.pop() {
-            if !dirty[b] {
-                continue;
-            }
-            dirty[b] = false;
-            let block = &cfg.blocks[b];
-
-            // live-out of the block = union of successors' live-in, with
-            // the conservative exits baked in.
-            let last = &prog.insts[block.end - 1];
-            let mut out = match last {
-                Inst::Ret => ALL_REGS,
-                _ => 0,
-            };
-            for &s in &block.succs {
-                out |= live_in[cfg.blocks[s].start];
-            }
-            live_out_block[b] = out;
-
-            // Backward transfer through the block.
-            let mut live = out;
-            let mut changed = false;
-            for pc in (block.start..block.end).rev() {
-                let (def, uses) = def_use(&prog.insts[pc], &mut uses_buf);
-                live = (live & !def) | uses;
-                if live_in[pc] != live {
-                    live_in[pc] = live;
-                    changed = true;
-                }
-            }
-            if changed {
-                for &p in &block.preds {
-                    if !dirty[p] {
-                        dirty[p] = true;
-                        work.push(p);
-                    }
-                }
-            }
-        }
-
-        Liveness { live_in }
-    }
-
     /// Registers live immediately before the instruction at `pc`.
     ///
     /// # Panics
@@ -179,118 +124,6 @@ pub fn regset_to_string(set: RegSet) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reach_sim::isa::{AluOp, Cond, ProgramBuilder};
-
-    fn analyze(prog: &Program) -> Liveness {
-        let cfg = Cfg::build(prog);
-        let l = Liveness::compute(prog, &cfg);
-        // Every unit test doubles as a differential check against the
-        // reference worklist.
-        let r = Liveness::compute_reference(prog, &cfg);
-        assert_eq!(l.live_in, r.live_in, "engine deviates from reference");
-        l
-    }
-
-    #[test]
-    fn dead_value_is_not_live() {
-        // r0 = 1 (dead: overwritten); r0 = 2; store uses r0, r1.
-        let mut b = ProgramBuilder::new("t");
-        b.imm(Reg(0), 1);
-        b.imm(Reg(0), 2);
-        b.store(Reg(0), Reg(1), 0);
-        b.halt();
-        let p = b.finish().unwrap();
-        let l = analyze(&p);
-        // Before pc 0: r1 is live (used by the store), r0 is not (it is
-        // redefined before use).
-        assert_eq!(l.live_before(0), 1 << 1);
-        // Before the store: r0 and r1 live.
-        assert_eq!(l.live_before(2), 0b11);
-        // After halt nothing is live; before it nothing is used.
-        assert_eq!(l.live_before(3), 0);
-    }
-
-    #[test]
-    fn liveness_flows_around_loop() {
-        // Loop decrements r0 by r1: both live throughout the body.
-        let mut b = ProgramBuilder::new("loop");
-        b.imm(Reg(0), 3);
-        b.imm(Reg(1), 1);
-        let top = b.label();
-        b.bind(top);
-        b.alu(AluOp::Sub, Reg(0), Reg(0), Reg(1), 1);
-        b.branch(Cond::Nez, Reg(0), top);
-        b.halt();
-        let p = b.finish().unwrap();
-        let l = analyze(&p);
-        // At the loop head both r0 (redefined but used first) and r1
-        // (loop-carried) are live.
-        assert_eq!(l.live_before(2), 0b11);
-        assert_eq!(l.live_count(2), 2);
-        // Before pc 1 only r0 is live-in... r0 defined at 0 and used at 2;
-        // r1 defined at 1. So live_before(1) = {r0}.
-        assert_eq!(l.live_before(1), 0b01);
-    }
-
-    #[test]
-    fn branch_condition_register_is_live_on_both_arms() {
-        let mut b = ProgramBuilder::new("d");
-        let then_l = b.label();
-        b.branch(Cond::Nez, Reg(5), then_l);
-        b.imm(Reg(1), 2);
-        b.bind(then_l);
-        b.store(Reg(1), Reg(2), 0);
-        b.halt();
-        let p = b.finish().unwrap();
-        let l = analyze(&p);
-        // Before the branch: r5 (condition), r2 (store addr) and r1 (store
-        // value on the taken path, where pc1's def is skipped) are live.
-        assert_eq!(l.live_before(0), (1 << 5) | (1 << 2) | (1 << 1));
-    }
-
-    #[test]
-    fn ret_makes_everything_live() {
-        let mut b = ProgramBuilder::new("r");
-        let f = b.label();
-        b.call(f);
-        b.halt();
-        b.bind(f);
-        b.imm(Reg(3), 1);
-        b.ret();
-        let p = b.finish().unwrap();
-        let l = analyze(&p);
-        // Inside the callee: before the `ret` (pc 3) everything is
-        // conservatively live; before the `imm r3` (pc 2), r3 is killed by
-        // its own definition.
-        assert_eq!(l.live_before(3), ALL_REGS);
-        assert_eq!(l.live_before(2), ALL_REGS & !(1 << 3));
-    }
-
-    #[test]
-    fn load_addr_register_is_live_before_load() {
-        let mut b = ProgramBuilder::new("ld");
-        b.load(Reg(4), Reg(9), 8);
-        b.store(Reg(4), Reg(10), 0);
-        b.halt();
-        let p = b.finish().unwrap();
-        let l = analyze(&p);
-        assert_eq!(l.live_before(0), (1 << 9) | (1 << 10));
-        assert_eq!(l.live_before(1), (1 << 4) | (1 << 10));
-    }
-
-    #[test]
-    fn yields_are_transparent_to_liveness() {
-        let mut b = ProgramBuilder::new("y");
-        b.imm(Reg(2), 7);
-        b.yield_manual();
-        b.store(Reg(2), Reg(3), 0);
-        b.halt();
-        let p = b.finish().unwrap();
-        let l = analyze(&p);
-        // Live across the yield: r2 (value) and r3 (addr) — exactly what a
-        // switch at pc 1 must save.
-        assert_eq!(l.live_before(1), (1 << 2) | (1 << 3));
-    }
 
     #[test]
     fn regset_formatting() {

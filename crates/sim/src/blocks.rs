@@ -1,5 +1,5 @@
 //! Superblock execution engine: the production dispatch tier behind
-//! [`Machine::run`].
+//! [`Machine::run_lanes`], and so behind every executor.
 //!
 //! The reference interpreter ([`Machine::step`]) pays per-instruction
 //! decode + match dispatch and consults every observer on every
@@ -38,10 +38,23 @@
 //! which a retirement sample, a trap or the step budget would land is
 //! not entered; [`Machine::step`] executes it instruction-exactly.
 //!
+//! The engine runs [`Lane`]s — a program, a context, a budget — and is
+//! monomorphised over a second policy, the executor's: when the running
+//! lane gives up the core (a fired yield, a halt, an exhausted budget, a
+//! stall, an error) the policy, inlined into the dispatch loop, names the
+//! lane to swap to or the value to return. A context switch costs the
+//! host what it costs the simulated machine: a few loads and stores, not
+//! a return to a driver loop and a fresh entry. At a swap the engine does
+//! everything a fresh run would (budget and status checks, the
+//! `admits(1)`-else-`step` check, `started_at`, the completion of a
+//! parked load); the observer's batched counts and each lane's own
+//! one-entry block cache carry across.
+//!
 //! Blocks are cached in a [`BlockCache`] keyed by *program identity*
-//! (instruction-vector pointer + length) and entry PC: the identity is
-//! matched once per run, the entry PC indexes a dense per-program table,
-//! so dispatching to a decoded block is an indexed load. Identity is not
+//! (instruction-vector pointer + length) and entry PC: identities are
+//! matched once per primitive, for all its lanes; the entry PC indexes a
+//! dense per-program table, so dispatching to a decoded block is an
+//! indexed load. Identity is not
 //! content: like a JIT's code cache, the cache must be told whenever a
 //! code map changes under it — [`Machine::invalidate_blocks`] on a
 //! supervisor hot swap or re-instrumentation, [`BlockCache::forget`]
@@ -50,9 +63,10 @@
 //! every execution and panic on staleness, so a missing invalidation
 //! cannot silently serve stale code in tests.
 //!
-//! [`Machine::run`] picks the tier; the `prop_fastpath` differential
-//! suite drives the engine against `step` over random programs, sampler
-//! sets and fault plans and asserts byte-identical exits, counters,
+//! [`Machine::run_lanes`] picks the tier; the `prop_fastpath`
+//! differential suite drives the engine against `step` over random
+//! programs, sampler sets and fault plans — one context, and several
+//! under every executor — and asserts byte-identical exits, counters,
 //! registers, memory, LBR records, sample streams and fault logs.
 
 use crate::cache::{AccessKind, Level};
@@ -565,32 +579,61 @@ impl BlockCache {
             .any(|p| p.key == key && !p.blocks.is_empty())
     }
 
-    /// Resolves the table index for `prog`, creating (and bounding) it.
-    fn prog_index(&mut self, prog: &Program) -> usize {
-        let key = prog_key(prog);
-        if let Some(i) = self.progs.iter().position(|p| p.key == key) {
-            return i;
+    /// Seats `lanes`: resolves each lane's program to its table, creating
+    /// (and bounding) tables first and reading indices only after the
+    /// last insertion. An eviction shifts every later index, so an index
+    /// read before it would go stale; and the victim is the oldest
+    /// program none of these lanes runs, so seating the second lane
+    /// cannot unseat the first. No table is created or dropped until the
+    /// lanes' primitive returns, which is what keeps the indices good.
+    fn seat(&mut self, lanes: &mut [Lane<'_>]) {
+        for i in 0..lanes.len() {
+            let prog = lanes[i].prog;
+            let key = prog_key(prog);
+            if self.progs.iter().any(|p| p.key == key) {
+                continue;
+            }
+            while self.progs.len() >= MAX_CACHED_PROGRAMS {
+                let idle = |p: &ProgramBlocks| lanes.iter().all(|l| prog_key(l.prog) != p.key);
+                match self.progs.iter().position(idle) {
+                    Some(oldest) => self.progs.remove(oldest),
+                    None => break,
+                };
+            }
+            self.progs.push(ProgramBlocks {
+                key,
+                table: vec![NOT_COMPILED; prog.insts.len()],
+                blocks: Vec::new(),
+            });
         }
-        if self.progs.len() >= MAX_CACHED_PROGRAMS {
-            self.progs.remove(0);
+        for lane in lanes {
+            let key = prog_key(lane.prog);
+            let pi = self.progs.iter().position(|p| p.key == key);
+            lane.seat = Seat {
+                pi: pi.expect("seated by the loop above"),
+                ..Seat::EMPTY
+            };
         }
-        self.progs.push(ProgramBlocks {
-            key,
-            table: vec![NOT_COMPILED; prog.insts.len()],
-            blocks: Vec::new(),
-        });
-        self.progs.len() - 1
     }
 
     /// Block index for `(prog, pc)`, decoding on miss. `pc` is inside
-    /// the program (the dispatcher has already ruled out a `BadPc`).
+    /// the program (the dispatcher has already ruled out a `BadPc`). The
+    /// hit is an indexed load in the dispatch loop; the decoder stays out
+    /// of line, so a hit does not pay for its frame.
+    #[inline(always)]
     fn lookup(&mut self, pi: usize, prog: &Program, pc: usize) -> usize {
-        let pb = &mut self.progs[pi];
-        let b = pb.table[pc];
+        let b = self.progs[pi].table[pc];
         if b != NOT_COMPILED {
             self.stats.hits += 1;
             return b as usize;
         }
+        self.decode(pi, prog, pc)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn decode(&mut self, pi: usize, prog: &Program, pc: usize) -> usize {
+        let pb = &mut self.progs[pi];
         let b = pb.blocks.len();
         pb.blocks.push(compile_block(prog, pc));
         pb.table[pc] = u32::try_from(b).expect("block count fits the table");
@@ -760,6 +803,73 @@ impl Observe for Observed {
         self.attempts = 0;
         self.slack = slack;
     }
+}
+
+/// One resident context of [`Machine::run_lanes`]: a program, the
+/// context running it, the instruction budget of its next slice, and the
+/// engine's own per-lane state. Lanes stay resident for the whole
+/// primitive; switching between them is a swap of a few locals inside
+/// the dispatch loop, not a return to the caller.
+#[derive(Debug)]
+pub struct Lane<'a> {
+    /// The program this lane's context executes.
+    pub prog: &'a Program,
+    /// The context.
+    pub ctx: &'a mut Context,
+    /// Instruction budget of the lane's next slice, as `max_steps` is to
+    /// [`Machine::run`]. The engine only reads it; the fill policy sets
+    /// it before naming the lane in [`Next::Run`].
+    pub budget: u64,
+    seat: Seat,
+}
+
+/// Where a lane sits in the block cache.
+#[derive(Clone, Copy, Debug)]
+struct Seat {
+    /// The lane's program in `BlockCache::progs` ([`BlockCache::seat`]).
+    pi: usize,
+    /// One-entry inline lookup cache: a tight loop re-enters the same
+    /// block every iteration and skips the table load entirely. Per
+    /// lane, so it survives the other lanes' slices.
+    last_pc: usize,
+    last_bi: usize,
+}
+
+impl Seat {
+    const EMPTY: Seat = Seat {
+        pi: usize::MAX,
+        last_pc: usize::MAX,
+        last_bi: 0,
+    };
+}
+
+impl<'a> Lane<'a> {
+    /// A lane running `ctx` over `prog`, with `budget` instructions for
+    /// its first slice.
+    pub fn new(prog: &'a Program, ctx: &'a mut Context, budget: u64) -> Self {
+        Lane {
+            prog,
+            ctx,
+            budget,
+            seat: Seat::EMPTY,
+        }
+    }
+}
+
+/// A lane gave up the core: which one, and with what — exactly what
+/// [`Machine::run`] would have returned for that context and budget: a
+/// fired yield, a halt, an exhausted budget, a parked stall, or an error.
+pub type Stopped = (usize, Result<Exit, ExecError>);
+
+/// A fill policy's answer to [`Stopped`], and to `None`, the question
+/// which lane runs first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Next<R> {
+    /// Swap to this lane (the one that just ran included) and run it for
+    /// its `budget`.
+    Run(usize),
+    /// Leave the primitive with this result.
+    Return(R),
 }
 
 /// What a handler tells the dispatch loop.
@@ -1147,51 +1257,73 @@ fn h_fallthrough(m: &mut Machine, ctx: &mut Context, op: &POp) -> Ctl {
 }
 
 impl Machine {
-    /// The superblock engine behind [`Machine::run`]. The cache is handed
-    /// in by the caller (taken out of the machine for the duration of the
-    /// run, so handlers borrow the machine freely).
+    /// The superblock engine behind [`Machine::run_lanes`]. The cache is
+    /// handed in by the caller (taken out of the machine for the duration
+    /// of the primitive, so handlers borrow the machine freely).
+    ///
+    /// A lane runs until it stops with an event; `fill` then names the
+    /// lane to swap to, or returns. `obs` spans the swaps: the retirements
+    /// it has counted are credited when a lane's entry or a block needs
+    /// the exact headroom, or at the return — a policy moves the clock
+    /// and the counters, which neither the samplers' periods nor the trap
+    /// countdown read, so nothing it does can land a sample or a trap.
+    pub(crate) fn dispatch_lanes<O: Observe, R>(
+        &mut self,
+        cache: &mut BlockCache,
+        lanes: &mut [Lane<'_>],
+        first: usize,
+        fill: &mut impl FnMut(&mut Machine, &mut [Lane<'_>], Option<Stopped>) -> Next<R>,
+    ) -> R {
+        cache.seat(lanes);
+        let mut obs = O::arm(self);
+        let mut cur = first;
+        loop {
+            let lane = &mut lanes[cur];
+            let mut seat = lane.seat;
+            let event = self.run_lane(&mut obs, cache, lane.prog, lane.ctx, lane.budget, &mut seat);
+            lane.seat = seat;
+            match fill(self, lanes, Some((cur, event))) {
+                Next::Run(next) => cur = next,
+                Next::Return(out) => {
+                    obs.sync(self);
+                    return out;
+                }
+            }
+        }
+    }
+
+    /// One slice of one lane: everything [`Machine::run`] does for a
+    /// context between being handed the core and giving it up.
     ///
     /// Exactness contract: identical exits, clock, counters, registers,
     /// memory, LBR, samples and fault log to a loop over `step` on every
     /// program. A block that the step budget or the observers do not
     /// admit whole is not entered; `step` executes it.
-    pub(crate) fn run_blocks<O: Observe>(
-        &mut self,
-        cache: &mut BlockCache,
-        prog: &Program,
-        ctx: &mut Context,
-        max_steps: u64,
-    ) -> Result<Exit, ExecError> {
-        if max_steps == 0 {
-            return Ok(Exit::StepLimit);
-        }
-        if ctx.status != Status::Runnable {
-            return Err(ExecError::NotRunnable);
-        }
-        let mut obs = O::arm(self);
-        let r = self.dispatch_blocks(&mut obs, cache, prog, ctx, max_steps);
-        obs.sync(self);
-        r
-    }
-
-    fn dispatch_blocks<O: Observe>(
+    #[inline(always)]
+    fn run_lane<O: Observe>(
         &mut self,
         obs: &mut O,
         cache: &mut BlockCache,
         prog: &Program,
         ctx: &mut Context,
-        max_steps: u64,
+        budget: u64,
+        seat: &mut Seat,
     ) -> Result<Exit, ExecError> {
-        let mut remaining = max_steps;
+        if budget == 0 {
+            return Ok(Exit::StepLimit);
+        }
+        if ctx.status != Status::Runnable {
+            return Err(ExecError::NotRunnable);
+        }
+        let mut remaining = budget;
         if !obs.admits(self, 1) {
             // Something lands on the very next instruction. `step` must
-            // see the run's entry state: a trap precedes `started_at`
+            // see the slice's entry state: a trap precedes `started_at`
             // and the completion of a parked load.
-            if let Some(exit) = self.step(prog, ctx)? {
+            if let Some(exit) = self.step_exactly(obs, prog, ctx, 1)? {
                 return Ok(exit);
             }
             remaining -= 1;
-            obs.sync(self);
         }
         if ctx.stats.started_at.is_none() {
             ctx.stats.started_at = Some(self.now);
@@ -1199,11 +1331,7 @@ impl Machine {
         self.counters.per_pc.grow_to(prog.insts.len());
         self.complete_pending(ctx);
 
-        let pi = cache.prog_index(prog);
-        // One-entry inline lookup cache: a tight loop re-enters the same
-        // block every iteration and skips the table load entirely.
-        let mut last_pc = usize::MAX;
-        let mut last_bi = 0usize;
+        let pi = seat.pi;
         loop {
             if remaining == 0 {
                 return Ok(Exit::StepLimit);
@@ -1211,18 +1339,17 @@ impl Machine {
             let pc = ctx.pc;
             if pc >= prog.insts.len() {
                 // `step` settles whether a due trap precedes the BadPc.
-                obs.sync(self);
                 return Err(self
-                    .step(prog, ctx)
+                    .step_exactly(obs, prog, ctx, 1)
                     .expect_err("a pc outside the program cannot execute"));
             }
-            let bi = if pc == last_pc {
+            let bi = if pc == seat.last_pc {
                 cache.stats.hits += 1;
-                last_bi
+                seat.last_bi
             } else {
                 let b = cache.lookup(pi, prog, pc);
-                last_pc = pc;
-                last_bi = b;
+                seat.last_pc = pc;
+                seat.last_bi = b;
                 b
             };
             let block = &cache.progs[pi].blocks[bi];
@@ -1241,13 +1368,11 @@ impl Machine {
                 // inside this block: step it instruction-exactly. A block
                 // is straight-line, so stepping all of it ends at the
                 // next block's entry.
-                obs.sync(self);
                 let steps = insts.min(remaining);
-                if let Some(exit) = self.step_n(prog, ctx, steps)? {
+                if let Some(exit) = self.step_exactly(obs, prog, ctx, steps)? {
                     return Ok(exit);
                 }
                 remaining -= steps;
-                obs.sync(self);
                 continue;
             }
             obs.enter(self, ctx);
@@ -1260,8 +1385,32 @@ impl Machine {
         }
     }
 
+    /// Up to `n` instructions on the reference interpreter, which counts
+    /// retirements into the samplers and the injector itself: what `obs`
+    /// has batched goes in first, and the headroom is read again after —
+    /// on every way out, since `obs` outlives the slice. Out of line, so
+    /// the three call sites cost the dispatch loop a call each, not three
+    /// copies of this.
+    #[inline(never)]
+    fn step_exactly<O: Observe>(
+        &mut self,
+        obs: &mut O,
+        prog: &Program,
+        ctx: &mut Context,
+        n: u64,
+    ) -> Result<Option<Exit>, ExecError> {
+        obs.sync(self);
+        let r = self.step_n(prog, ctx, n);
+        obs.sync(self);
+        r
+    }
+
     /// Straight-line stepping inside one block: `Ok(None)` means the
     /// terminator ran and `ctx.pc` points at the next block's entry.
+    /// Inlined by hand: with one dispatch loop per policy it has several
+    /// callers, and out of line every block costs a call and its result
+    /// a trip through memory.
+    #[inline(always)]
     fn exec_block<O: Observe>(
         &mut self,
         ctx: &mut Context,

@@ -72,6 +72,7 @@ const ZERO_STATS: PcStats = PcStats {
 impl PerPcTable {
     /// Ensures the table covers PCs `0..n` without reallocation during
     /// the run. Never shrinks.
+    #[inline]
     pub fn grow_to(&mut self, n: usize) {
         if self.stats.len() < n {
             self.stats.resize(n, PcStats::default());

@@ -415,6 +415,7 @@ impl FaultInjector {
     }
 
     /// Attempts that can still pass before the one that traps.
+    #[inline]
     pub(crate) fn trap_headroom(&self) -> u64 {
         match self.next_trap_at {
             Some(at) => at.saturating_sub(self.insts_attempted).saturating_sub(1),
@@ -425,6 +426,7 @@ impl FaultInjector {
     /// Counts `n` attempts known not to reach the next trap: the block
     /// engine's batched form of `n` calls to
     /// [`FaultInjector::should_trap`].
+    #[inline]
     pub(crate) fn credit_attempts(&mut self, n: u64) {
         debug_assert!(n <= self.trap_headroom(), "a trap would have landed");
         self.insts_attempted += n;

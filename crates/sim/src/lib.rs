@@ -83,7 +83,7 @@ pub(crate) fn host_prefetch<T>(p: &T) {
     let _ = p;
 }
 
-pub use blocks::{BlockCache, BlockCacheStats};
+pub use blocks::{BlockCache, BlockCacheStats, Lane, Next, Stopped};
 pub use cache::{Access, AccessKind, CacheStats, Hierarchy, Level};
 pub use config::{CacheLevelConfig, MachineConfig};
 pub use context::{Context, ContextStats, Mode, Status};

@@ -4,12 +4,14 @@
 //! The machine executes *one context at a time* (it models a single core);
 //! executors — sequential, coroutine, SMT, thread — drive contexts and
 //! charge the appropriate switch costs through [`Machine::charge_switch`].
-//! Yields are never handled internally: when one fires, control returns to
-//! the executor ([`Exit::Yielded`]), which decides what runs next. This
-//! split is what lets the same substrate honestly compare hardware and
-//! software hiding mechanisms.
+//! The machine never decides what a yield switches to: when one fires
+//! ([`Exit::Yielded`]) the executor does — as a fill policy consulted
+//! inside [`Machine::run_lanes`], the one primitive every executor runs
+//! on, or after [`Machine::run`], its one-lane instance, has returned.
+//! This split is what lets the same substrate honestly compare hardware
+//! and software hiding mechanisms.
 
-use crate::blocks::{BlockCache, Observed, Unobserved};
+use crate::blocks::{BlockCache, Lane, Next, Observed, Stopped, Unobserved};
 use crate::cache::{AccessKind, Hierarchy, Level};
 use crate::config::MachineConfig;
 use crate::context::{Context, Mode, PendingLoad, Status, MAX_CALL_DEPTH};
@@ -255,6 +257,7 @@ impl Machine {
     }
 
     /// Charges a context switch of the given kind; returns its cost.
+    #[inline]
     pub fn charge_switch(&mut self, kind: SwitchKind) -> u64 {
         let cost = match kind {
             SwitchKind::Coroutine(save) => self
@@ -276,6 +279,7 @@ impl Machine {
 
     /// Completes a parked [`PendingLoad`] if its data has arrived; charges
     /// any residual stall if the executor resumed the context early.
+    #[inline]
     pub(crate) fn complete_pending(&mut self, ctx: &mut Context) {
         if let Some(p) = ctx.pending_load.take() {
             if self.now < p.ready {
@@ -506,9 +510,9 @@ impl Machine {
         Ok(None)
     }
 
-    /// True when [`Machine::run`] must stay on the reference loop. Read
-    /// from what is armed right now — `samplers`, `faults` and `trace`
-    /// are public fields, mutated directly between runs.
+    /// True when [`Machine::run_lanes`] must stay on the reference loop.
+    /// Read from what is armed right now — `samplers`, `faults` and
+    /// `trace` are public fields, mutated directly between runs.
     ///
     /// * A [`Trace`] records every instruction.
     /// * A PEBS drop or PC-corruption channel draws from its random
@@ -528,40 +532,83 @@ impl Machine {
                     .is_some_and(|fi| fi.plan.pebs_drop > 0.0 || fi.plan.pebs_pc_corrupt > 0.0))
     }
 
-    /// Runs `ctx` until a yield fires, it stalls (switch-on-stall mode),
-    /// it halts, or `max_steps` instructions have retired.
+    /// The execution primitive: `fill` names the lane that runs first;
+    /// that lane runs until it gives up the core — a yield fires, it
+    /// halts, its `budget` runs out, it stalls (switch-on-stall mode) or
+    /// errs; `fill` is told ([`Stopped`]) and names the lane to swap to;
+    /// and so on until `fill` returns instead. Every executor is a fill
+    /// policy over this; [`Machine::run`] is the one-lane policy that
+    /// returns every event.
+    ///
+    /// The engine executes; the policy — a closure the engine is
+    /// monomorphised over, so it inlines into the dispatch loop — owns
+    /// every decision and all bookkeeping: roles, switch costs, budgets,
+    /// fault isolation, reports. It is handed the machine to charge
+    /// switch costs and read the clock and counters. It must leave
+    /// `samplers`, `faults`, `trace`, `block_cache` and `blocks_enabled`
+    /// alone, and must not run anything on the machine itself: the engine
+    /// holds the block cache and credits retirements to the samplers and
+    /// the fault injector lazily, across swaps, settling them only when
+    /// the policy returns.
     ///
     /// Cycle-exact regardless of route. Dispatch is two-tiered and
     /// decided once per call: the superblock engine ([`crate::blocks`]),
     /// monomorphised for a machine with nothing armed and for one with
-    /// samplers or a fault injector, or — when
+    /// samplers or a fault injector, where a swap is a few loads and
+    /// stores inside the dispatch loop — or, when
     /// [`Machine::blocks_enabled`] is off, a trace is attached, or a
-    /// PEBS drop/corrupt channel is armed together with samplers — a
-    /// plain loop over [`Machine::step`]. Both produce identical
-    /// counters, registers, clock, exits, samples and fault logs
+    /// PEBS drop/corrupt channel is armed together with samplers, the
+    /// same policy driven over [`Machine::step`]. Both produce identical
+    /// counters, registers, clock, events, samples and fault logs
     /// (enforced by differential proptests against `step`).
+    pub fn run_lanes<R>(
+        &mut self,
+        lanes: &mut [Lane<'_>],
+        mut fill: impl FnMut(&mut Machine, &mut [Lane<'_>], Option<Stopped>) -> Next<R>,
+    ) -> R {
+        let mut cur = match fill(self, lanes, None) {
+            Next::Run(first) => first,
+            Next::Return(out) => return out,
+        };
+        if self.needs_reference_tier() {
+            loop {
+                let lane = &mut lanes[cur];
+                let event = self
+                    .step_n(lane.prog, lane.ctx, lane.budget)
+                    .map(|exit| exit.unwrap_or(Exit::StepLimit));
+                match fill(self, lanes, Some((cur, event))) {
+                    Next::Run(next) => cur = next,
+                    Next::Return(out) => return out,
+                }
+            }
+        }
+        // Move the cache out for the duration of the run so the dispatch
+        // loop can borrow blocks while handlers borrow the machine
+        // mutably.
+        let mut cache = std::mem::take(&mut self.block_cache);
+        let out = if self.samplers.is_empty() && self.faults.is_none() {
+            self.dispatch_lanes::<Unobserved, R>(&mut cache, lanes, cur, &mut fill)
+        } else {
+            self.dispatch_lanes::<Observed, R>(&mut cache, lanes, cur, &mut fill)
+        };
+        self.block_cache = cache;
+        out
+    }
+
+    /// Runs `ctx` until a yield fires, it stalls (switch-on-stall mode),
+    /// it halts, or `max_steps` instructions have retired: one lane of
+    /// [`Machine::run_lanes`] under the policy that returns every event.
     pub fn run(
         &mut self,
         prog: &Program,
         ctx: &mut Context,
         max_steps: u64,
     ) -> Result<Exit, ExecError> {
-        if self.needs_reference_tier() {
-            return Ok(self
-                .step_n(prog, ctx, max_steps)?
-                .unwrap_or(Exit::StepLimit));
-        }
-        // Move the cache out for the duration of the run so the dispatch
-        // loop can borrow blocks while handlers borrow the machine
-        // mutably.
-        let mut cache = std::mem::take(&mut self.block_cache);
-        let r = if self.samplers.is_empty() && self.faults.is_none() {
-            self.run_blocks::<Unobserved>(&mut cache, prog, ctx, max_steps)
-        } else {
-            self.run_blocks::<Observed>(&mut cache, prog, ctx, max_steps)
-        };
-        self.block_cache = cache;
-        r
+        let lane = &mut [Lane::new(prog, ctx, max_steps)];
+        self.run_lanes(lane, |_, _, stopped| match stopped {
+            None => Next::Run(0),
+            Some((_, event)) => Next::Return(event),
+        })
     }
 
     /// Runs a single context to completion, treating fired yields as
@@ -575,24 +622,27 @@ impl Machine {
         max_steps: u64,
     ) -> Result<Exit, ExecError> {
         let start = ctx.stats.instructions;
-        loop {
-            let used = ctx.stats.instructions - start;
-            if used >= max_steps {
-                return Ok(Exit::StepLimit);
-            }
-            match self.run(prog, ctx, max_steps - used)? {
-                Exit::Yielded { .. } => {
-                    // Self-resume: nothing to hide behind.
-                }
-                exit @ (Exit::Done | Exit::StepLimit) => return Ok(exit),
-                Exit::Stalled { ready } => {
+        let lane = &mut [Lane::new(prog, ctx, max_steps)];
+        self.run_lanes(lane, |m, lane, stopped| {
+            match stopped {
+                // Self-resume: nothing to hide behind.
+                None | Some((_, Ok(Exit::Yielded { .. }))) => {}
+                Some((_, Ok(Exit::Stalled { ready }))) => {
                     // Nothing else to run: wait out the stall.
-                    let residual = ready.saturating_sub(self.now);
-                    self.now += residual;
-                    self.counters.stall_cycles += residual;
+                    let residual = ready.saturating_sub(m.now);
+                    m.now += residual;
+                    m.counters.stall_cycles += residual;
                 }
+                Some((_, done)) => return Next::Return(done),
             }
-        }
+            // The lane resumes on what is left of `max_steps`.
+            let used = lane[0].ctx.stats.instructions - start;
+            if used >= max_steps {
+                return Next::Return(Ok(Exit::StepLimit));
+            }
+            lane[0].budget = max_steps - used;
+            Next::Run(0)
+        })
     }
 
     /// Convenience for reports: total cycles in nanoseconds.
@@ -909,6 +959,57 @@ mod tests {
         assert_eq!(m.run_to_completion(&p, &mut ctx, 1000).unwrap(), Exit::Done);
         assert_eq!(ctx.reg(Reg(0)), 4);
         assert_eq!(m.counters.yields_fired, 2);
+    }
+
+    /// The primitive itself: two lanes of two programs, swapped at every
+    /// event by a policy that logs what it is told — on the block engine
+    /// and on the reference tier alike.
+    #[test]
+    fn run_lanes_swaps_where_the_policy_says_and_returns_what_it_says() {
+        let looper = |n: u64, tag: u64| {
+            let mut b = ProgramBuilder::new("lane");
+            b.imm(Reg(0), n).imm(Reg(1), 1);
+            let top = b.label();
+            b.bind(top);
+            b.alu(AluOp::Add, Reg(2), Reg(2), Reg(1), tag as u32);
+            b.yield_manual();
+            b.alu(AluOp::Sub, Reg(0), Reg(0), Reg(1), 1);
+            b.branch(Cond::Nez, Reg(0), top);
+            b.halt();
+            b.finish().unwrap()
+        };
+        let (a, b) = (looper(3, 1), looper(2, 7));
+        let drive = |blocks: bool| {
+            let mut m = machine();
+            m.blocks_enabled = blocks;
+            let (mut ca, mut cb) = (Context::new(0), Context::new(1));
+            let mut lanes = [Lane::new(&a, &mut ca, 0), Lane::new(&b, &mut cb, 0)];
+            let mut log = Vec::new();
+            let out = m.run_lanes(&mut lanes, |m, lanes, stopped| {
+                let mut next = 0;
+                if let Some((lane, event)) = stopped {
+                    log.push((lane, event, m.now));
+                    next = 1 - lane;
+                    if event == Ok(Exit::Done) {
+                        return Next::Return("lane 0 is done");
+                    }
+                }
+                // Lane 0 may finish; lane 1 gets two instructions a slice.
+                lanes[next].budget = [100, 2][next];
+                Next::Run(next)
+            });
+            (out, log, m.now, m.counters, ca.regs, cb.regs, cb.pc)
+        };
+        let on_blocks = drive(true);
+        assert_eq!(on_blocks, drive(false));
+        let (out, log, ..) = on_blocks;
+        assert_eq!(out, "lane 0 is done");
+        let lanes: Vec<usize> = log.iter().map(|e| e.0).collect();
+        assert_eq!(lanes, [0, 1, 0, 1, 0, 1, 0]);
+        assert!(matches!(log[0].1, Ok(Exit::Yielded { pc: 3, .. })));
+        assert_eq!(log[1].1, Ok(Exit::StepLimit), "two instructions: imm, imm");
+        assert!(matches!(log[3].1, Ok(Exit::Yielded { .. })), "add, yield");
+        assert_eq!(log[6].1, Ok(Exit::Done));
     }
 
     #[test]

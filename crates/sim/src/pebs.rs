@@ -141,12 +141,14 @@ impl PebsSampler {
 
     /// Occurrences this counter can still absorb before the one that
     /// emits a sample.
+    #[inline]
     pub(crate) fn headroom(&self) -> u64 {
         self.cfg.period - 1 - self.count
     }
 
     /// Counts `n` occurrences known not to reach the period: the block
     /// engine's batched form of `n` calls to [`PebsSampler::observe`].
+    #[inline]
     pub(crate) fn credit(&mut self, n: u64) {
         debug_assert!(n <= self.headroom(), "a sample would have landed");
         self.occurrences += n;
