@@ -18,182 +18,20 @@
 //! Everything here is simulated and deterministic: every counter, the
 //! per-shard p99s and the fleet event-log hash gate byte-identically at
 //! `--rel 0`. Zero `violations` doubles as the fleet-invariant gate
-//! (capacity during healthy rolling deploys, poison containment,
-//! journal-projection ≡ live state).
+//! (capacity during healthy rolling deploys, poison containment, no
+//! untrusted recovery, every journal replaying to its shard's live
+//! state).
 //!
-//! `reach_chaos --fleet` is the operator's view of the same world:
-//! randomized fleet schedules (shard crashes mid-rollout, torn journals
-//! on one shard, runaway scavengers on another, poisoned rollouts) over
-//! the same factory, audited by the fleet chaos oracles.
+//! `reach_chaos` is the operator's view of the same world: randomized
+//! fleet schedules (shard crashes mid-rollout, torn journals on one
+//! shard, poisoned rollouts) over the same
+//! [`fleet_world`](crate::serving::fleet_world), audited by the same
+//! oracles.
 
 use crate::experiment::{Cell, CellMetrics, Experiment, Tier};
 use crate::report::{BenchReport, CellStatus};
-use reach_core::{
-    pgo_pipeline_degrading, run_fleet, Arrival, DeployedBuild, FleetChaosOptions,
-    FleetChaosSchedule, FleetChaosWorld, FleetOptions, FleetWorkload, RolloutOptions, Rung,
-};
-use reach_sim::{Context, MultiCore, MultiCoreConfig, Program};
-use reach_workloads::{build_zipf_kv, AddrAlloc, InstanceSetup, ZipfKvParams};
-
-/// Fleet epochs per cell: enough for a full rolling deploy (drain +
-/// health window per shard) across four shards, including the final
-/// Done transition.
-const EPOCHS: u64 = 16;
-
-struct ShardStreams {
-    live: Vec<InstanceSetup>,
-    cursor: usize,
-    prof: Vec<InstanceSetup>,
-    prof_cursor: usize,
-}
-
-/// The key-sharded zipf-KV fleet service: every core holds an identical
-/// table layout (so one program and one initial build serve
-/// fleet-wide), arrivals rotate owners round-robin with each request
-/// ingressing at the owner's neighbor (all traffic exercises the
-/// forwarding path when `shards > 1`).
-pub struct FleetService {
-    per: Vec<ShardStreams>,
-    shards: usize,
-    per_epoch: usize,
-}
-
-impl FleetWorkload for FleetService {
-    fn arrivals(&mut self, epoch: u64) -> Vec<Arrival> {
-        (0..self.per_epoch)
-            .map(|i| {
-                let owner = (epoch as usize + i) % self.shards;
-                Arrival {
-                    ingress: (owner + 1) % self.shards,
-                    owner,
-                }
-            })
-            .collect()
-    }
-    fn primary_context(&mut self, shard: usize, _job: u64) -> Context {
-        let p = &mut self.per[shard];
-        let i = p.cursor;
-        p.cursor += 1;
-        p.live[i % p.live.len()].make_context(1_000 + i)
-    }
-    fn scavenger_context(&mut self, shard: usize, _epoch: u64, _job: u64, _slot: usize) -> Context {
-        let p = &mut self.per[shard];
-        let i = p.cursor;
-        p.cursor += 1;
-        p.live[i % p.live.len()].make_context(1_000 + i)
-    }
-    fn profiling_contexts(&mut self, shard: usize, _attempt: u32) -> Vec<Context> {
-        let p = &mut self.per[shard];
-        let n = p.prof.len();
-        (0..2)
-            .map(|_| {
-                let i = p.prof_cursor;
-                p.prof_cursor += 1;
-                p.prof[i % n].make_context(9_000 + i)
-            })
-            .collect()
-    }
-}
-
-/// Builds one fresh fleet world: N cores with byte-identical zipf table
-/// layouts, the shared original program and the shared initial build
-/// (profiled against the live distribution — steady cells stay
-/// trigger-free). Shared with the `reach_chaos --fleet` CLI, which
-/// wraps it into a [`FleetChaosWorld`] factory.
-pub fn fleet_world(shards: usize) -> (MultiCore, FleetService, Program, DeployedBuild) {
-    let mut mc = MultiCore::new(MultiCoreConfig::new(shards));
-    let mut per = Vec::new();
-    let mut orig: Option<Program> = None;
-    for s in 0..shards {
-        let m = &mut mc.cores[s];
-        let mut alloc = AddrAlloc::new(crate::LAYOUT_BASE);
-        let params = |theta: f64, seed: u64| ZipfKvParams {
-            table_entries: 1 << 15,
-            lookups: 1024,
-            theta,
-            seed,
-        };
-        let live = build_zipf_kv(&mut m.mem, &mut alloc, params(3.0, 13), 56);
-        let prof = build_zipf_kv(&mut m.mem, &mut alloc, params(3.0, 17), 12);
-        match &orig {
-            None => orig = Some(live.prog.clone()),
-            Some(o) => assert_eq!(
-                o.fingerprint(),
-                live.prog.fingerprint(),
-                "cores must share one program"
-            ),
-        }
-        per.push(ShardStreams {
-            live: live.instances,
-            cursor: 0,
-            prof: prof.instances,
-            prof_cursor: 0,
-        });
-    }
-    let orig = orig.unwrap();
-    let mut svc = FleetService {
-        per,
-        shards,
-        per_epoch: shards,
-    };
-    let built = {
-        let mc0 = &mut mc.cores[0];
-        pgo_pipeline_degrading(
-            mc0,
-            &orig,
-            |a| svc.profiling_contexts(0, a),
-            &super::chaos::default_chaos_opts().sup.degrade,
-        )
-    };
-    assert_eq!(built.rung, Rung::FullPgo, "{:?}", built.reasons);
-    (mc, svc, orig, DeployedBuild::from(built))
-}
-
-/// The fleet configuration every cell (and `reach_chaos --fleet`) runs:
-/// the chaos-suite supervisor knobs per shard, fleet epochs sized for a
-/// full rolling deploy, work-stealing on.
-pub fn default_fleet_opts(shards: usize, seed: u64) -> FleetOptions {
-    FleetOptions {
-        shards,
-        epochs: EPOCHS,
-        sup: super::chaos::default_chaos_opts().sup,
-        seed,
-        ..FleetOptions::default()
-    }
-}
-
-/// The rolling-deploy shape the deploy cells (and the fleet chaos
-/// rollout arm) use: drain from epoch 2, one health epoch per shard, a
-/// permissive p99 gate (fault containment is what the chaos oracles
-/// probe; the tight-p99 freeze path has its own unit tests).
-pub fn default_rollout() -> RolloutOptions {
-    RolloutOptions {
-        start_epoch: 2,
-        health_epochs: 1,
-        p99_factor: 100.0,
-        poison: None,
-    }
-}
-
-/// The `reach_chaos --fleet` engine configuration over [`fleet_world`].
-pub fn default_fleet_chaos_opts(shards: usize) -> FleetChaosOptions {
-    let mut o = FleetChaosOptions::new(default_fleet_opts(shards, 7));
-    o.rollout_template = default_rollout();
-    o
-}
-
-/// A [`FleetChaosWorld`] factory over [`fleet_world`] for the chaos CLI.
-pub fn fleet_chaos_factory(shards: usize) -> impl FnMut(&FleetChaosSchedule) -> FleetChaosWorld {
-    move |_schedule: &FleetChaosSchedule| {
-        let (mc, svc, original, initial) = fleet_world(shards);
-        FleetChaosWorld {
-            mc,
-            workload: Box::new(svc),
-            original,
-            initial,
-        }
-    }
-}
+use crate::serving::{default_fleet_opts, default_rollout, fleet_world, FLEET_EPOCHS};
+use reach_core::run_fleet;
 
 /// One matrix point.
 struct Config {
@@ -286,7 +124,7 @@ impl Experiment for Multicore {
             .into_iter()
             .find(|c| c.name == cell.config)
             .expect("known fleet config");
-        let (mut mc, mut svc, orig, initial) = fleet_world(cfg.cores);
+        let (mut mc, mut svc, orig, initial) = fleet_world(cfg.cores, false);
         let mut opts = default_fleet_opts(cfg.cores, seed);
         opts.sup.supervise = cfg.supervised;
         if cfg.deploy {
@@ -305,7 +143,7 @@ impl Experiment for Multicore {
         m.put_u64("cores", cfg.cores as u64)
             .put_u64("violations", rep.violations.len() as u64)
             .put_u64("served", served)
-            .put_f64("agg_jobs_per_epoch", served as f64 / EPOCHS as f64)
+            .put_f64("agg_jobs_per_epoch", served as f64 / FLEET_EPOCHS as f64)
             .put_u64("p99_max", p99s.iter().copied().max().unwrap_or(0))
             .put_u64("p99_min", p99s.iter().copied().min().unwrap_or(0))
             .put_u64("job_faults", job_faults)

@@ -31,16 +31,13 @@
 
 use crate::experiment::{Cell, CellMetrics, Experiment, Tier};
 use crate::report::{BenchReport, CellStatus};
+use crate::serving::{fast_degrade, runaway_prog};
 use reach_core::{
-    percentile, pgo_pipeline_degrading, supervise, Action, BreakerState, DegradeOptions,
-    DeployedBuild, DualModeOptions, ServiceWorkload, SupervisorOptions, SupervisorReport,
-    WatchdogOptions,
+    percentile, pgo_pipeline_degrading, supervise, Action, BreakerState, DeployedBuild,
+    DualModeOptions, ServiceWorkload, SupervisorOptions, SupervisorReport, WatchdogOptions,
 };
-use reach_profile::{OnlineEstimatorOptions, Periods};
-use reach_sim::{
-    AluOp, Cond, Context, FaultInjector, FaultPlan, Machine, MachineConfig, Program,
-    ProgramBuilder, Reg,
-};
+use reach_profile::OnlineEstimatorOptions;
+use reach_sim::{Context, FaultInjector, FaultPlan, Machine, MachineConfig, Program};
 use reach_workloads::{build_zipf_kv, AddrAlloc, InstanceSetup, ZipfKvParams};
 
 /// Post-recovery p99 must be within this factor of healthy steady state.
@@ -137,32 +134,6 @@ impl ServiceWorkload for Service {
             })
             .collect()
     }
-}
-
-/// A cooperative-free infinite loop for the overload scenario's
-/// scavenger pool.
-fn runaway_prog() -> Program {
-    let mut b = ProgramBuilder::new("runaway");
-    b.imm(Reg(1), 1);
-    let top = b.label();
-    b.bind(top);
-    b.alu(AluOp::Add, Reg(2), Reg(2), Reg(1), 1);
-    b.branch(Cond::Nez, Reg(1), top);
-    b.halt();
-    b.finish().unwrap()
-}
-
-/// Profiling periods sized to the 1024-lookup test jobs (the defaults
-/// would leave too few samples to pass profile validation).
-fn fast_degrade() -> DegradeOptions {
-    let mut d = DegradeOptions::default();
-    d.pipeline.collector.periods = Periods {
-        l2_miss: 13,
-        l3_miss: 13,
-        stall: 13,
-        retired: 13,
-    };
-    d
 }
 
 fn breaker_str(b: &BreakerState) -> &'static str {

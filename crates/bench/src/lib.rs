@@ -29,6 +29,7 @@ pub mod experiment;
 pub mod experiments;
 pub mod harness;
 pub mod report;
+pub mod serving;
 pub mod table;
 pub mod workloads;
 

@@ -34,11 +34,11 @@
 //! Determinism carries over wholesale: the router's jitter comes from
 //! one seeded [`SplitMix64`], shard seeds derive from the fleet seed,
 //! and the fleet event log serializes to canonical JSON with an FNV-1a
-//! digest, so a fleet replay is byte-identical — the property the fleet
-//! chaos engine gates on.
+//! digest, so a fleet replay is byte-identical — the property the chaos
+//! engine ([`crate::fleet_chaos`]) gates on.
 
 use crate::degrade::{pgo_pipeline_degrading, Rung};
-use crate::journal::{fnv1a, project, Journal};
+use crate::journal::{fnv1a, project, Journal, JournalRecord};
 use crate::metrics::percentile;
 use crate::supervisor::{
     build_is_trusted, incidents_hash, mix64, recover, validate_options, BreakerState, CrashPoint,
@@ -425,6 +425,9 @@ pub struct ShardSummary {
     pub final_rung: Rung,
     /// Breaker state at fleet end.
     pub breaker: BreakerState,
+    /// The shard's durable store at fleet end — flushed and audited when
+    /// the shard ended up, as the crash left it when it ended down.
+    pub journal: Journal,
 }
 
 impl Default for ShardSummary {
@@ -441,6 +444,7 @@ impl Default for ShardSummary {
             incidents: Vec::new(),
             final_rung: Rung::Uninstrumented,
             breaker: BreakerState::Closed,
+            journal: Journal::new(),
         }
     }
 }
@@ -525,6 +529,12 @@ impl FleetReport {
     /// Total jobs served fleet-wide.
     pub fn served(&self) -> u64 {
         self.shards.iter().map(|s| s.served).sum()
+    }
+
+    /// Requests shed fleet-wide: by the forwarding queue (full or timed
+    /// out) and by the shards' own admission queues.
+    pub fn shed(&self) -> u64 {
+        self.forward_shed + self.timeouts + self.shards.iter().map(|s| s.shed_jobs).sum::<u64>()
     }
 }
 
@@ -830,12 +840,20 @@ impl<'a> Fleet<'a> {
             // The fleet clock kept running while the shard was down;
             // resume at the fleet epoch (journal epochs stay monotone).
             resume.epoch = epoch;
-            // Fleet invariant: a recovered shard never serves an
-            // unverified build. If the journal resurrected one (e.g. a
-            // poisoned rollout artifact deployed just before the crash),
-            // pin the fleet's last-known-good build over it and freeze
-            // any in-flight rollout — the artifact is bad.
+            // Fleet oracle: recovery never hands back an unverified
+            // build. `recover` runs this same gate, so only a recovery
+            // that skips re-validation gets here (e.g. resurrecting a
+            // poisoned rollout artifact deployed just before the crash).
+            // Contain it anyway: pin the fleet's last-known-good build
+            // over it and freeze any in-flight rollout.
             let untrusted = !build_is_trusted(self.original, &rec.build, &sh.sup);
+            if untrusted {
+                self.rep.violations.push(format!(
+                    "oracle/unverified-build: shard {s} recovered an untrusted {} build \
+                     at epoch {epoch}",
+                    rec.build.rung
+                ));
+            }
             sh.state = ShardState::Up {
                 el: Box::new(EpochLoop::new(rec.build, &sh.sup, Some(resume))),
                 draining: false,
@@ -1256,41 +1274,19 @@ impl<'a> Fleet<'a> {
             else {
                 continue;
             };
+            let (live_fp, next_job) = (el.deployed().prog.fingerprint(), el.next_job());
+            let live = el.seal();
             sh.journal.flush();
-            // Fleet oracle: each shard's journal, projected, equals
-            // that shard's live state — jointly, the live fleet.
-            let st = project(&sh.journal.replay().records);
-            let live = el.deployed();
-            let live_fp = live.prog.fingerprint();
-            match st.deploy {
-                Some((fp, rung, _)) => {
-                    if fp != live_fp || rung != live.rung {
-                        self.rep.violations.push(format!(
-                            "oracle/journal-projection: shard {s} journal deploy {fp:#x}/{rung} \
-                             != live {live_fp:#x}/{}",
-                            live.rung
-                        ));
-                    }
-                }
-                None => self.rep.violations.push(format!(
-                    "oracle/journal-projection: shard {s} journal has no deploy record"
-                )),
-            }
-            if st.breaker != el.breaker() {
-                self.rep.violations.push(format!(
-                    "oracle/journal-projection: shard {s} journal breaker {:?} != live {:?}",
-                    st.breaker,
-                    el.breaker()
-                ));
-            }
-            if st.next_job > el.next_job() {
-                self.rep.violations.push(format!(
-                    "oracle/journal-projection: shard {s} journal next_job {} ahead of live {}",
-                    st.next_job,
-                    el.next_job()
-                ));
-            }
-            sh.summary.absorb(el.seal());
+            audit_journal(
+                s,
+                &sh.journal,
+                live_fp,
+                next_job,
+                &live,
+                sh.sup.scavengers,
+                &mut self.rep.violations,
+            );
+            sh.summary.absorb(live);
         }
 
         // Fleet oracle: a poisoned rollout build never reaches a second
@@ -1302,8 +1298,94 @@ impl<'a> Fleet<'a> {
             ));
         }
 
-        self.rep.shards = self.shards.into_iter().map(|sh| sh.summary).collect();
+        self.rep.shards = (self.shards.into_iter())
+            .map(|sh| ShardSummary {
+                journal: sh.journal,
+                ..sh.summary
+            })
+            .collect();
         self.rep
+    }
+}
+
+/// Fleet oracle, on the replay of shard `s`'s journal after the clean
+/// flush: the journal is a faithful record of the shard's live state
+/// (`live_fp`, `next_job` and the sealed report) — jointly, of the live
+/// fleet. Epoch advances strictly increase; no torn tail survives the
+/// flush; the last deploy names the live build, and its stored artifact
+/// is the one its fingerprint names; breaker, failure count and
+/// scavenger budget equal live; the job cursor is not ahead of live; and
+/// an open breaker never sits over full PGO, live or journaled.
+fn audit_journal(
+    s: usize,
+    journal: &Journal,
+    live_fp: u64,
+    next_job: u64,
+    live: &SupervisorReport,
+    scavengers: usize,
+    violations: &mut Vec<String>,
+) {
+    let mut flag = |oracle: &str, what: String| {
+        violations.push(format!("oracle/{oracle}: shard {s} {what}"));
+    };
+    let replay = journal.replay();
+    let advances: Vec<u64> = (replay.records.iter())
+        .filter_map(|r| match *r {
+            JournalRecord::EpochAdvance { epoch, .. } => Some(epoch),
+            _ => None,
+        })
+        .collect();
+    if let Some(w) = advances.windows(2).find(|w| w[1] <= w[0]) {
+        let what = format!("journal advances to epoch {} after {}", w[1], w[0]);
+        flag("journal-epochs", what);
+    }
+    if replay.torn_tail {
+        flag(
+            "journal-projection",
+            "journal torn after the clean flush".into(),
+        );
+    }
+    let st = project(&replay.records);
+    let budget = st
+        .scav_budget
+        .map_or(scavengers, |b| (b as usize).min(scavengers));
+    let journaled = (
+        st.deploy.map(|(fp, rung, _)| (fp, rung)),
+        st.breaker,
+        st.failures,
+        budget,
+    );
+    let now = (
+        Some((live_fp, live.final_rung)),
+        live.breaker,
+        live.rebuild_failures,
+        live.scav_budget_final,
+    );
+    if journaled != now {
+        let what =
+            format!("journal (deploy, breaker, failures, budget) {journaled:?} != live {now:?}");
+        flag("journal-projection", what);
+    }
+    let stored = |fp| {
+        journal
+            .get_build(fp)
+            .is_some_and(|b| b.prog.fingerprint() == fp)
+    };
+    if st.deploy.is_some_and(|(fp, _, _)| !stored(fp)) {
+        let what = "journal deploys an artifact the store lacks or holds as another build";
+        flag("journal-projection", what.into());
+    }
+    if st.next_job > next_job {
+        let what = format!("journal next_job {} ahead of live {next_job}", st.next_job);
+        flag("journal-projection", what);
+    }
+    let open_over_pgo = |breaker, rung| breaker == BreakerState::Open && rung == Rung::FullPgo;
+    if open_over_pgo(live.breaker, live.final_rung)
+        || st
+            .deploy
+            .is_some_and(|(_, rung, _)| open_over_pgo(st.breaker, rung))
+    {
+        flag("breaker-rung", "breaker open over a full-PGO build".into());
     }
 }
 
@@ -1333,170 +1415,8 @@ fn build_rollout(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dualmode::{DualModeOptions, WatchdogOptions};
-    use reach_profile::OnlineEstimatorOptions;
-    use reach_sim::{FaultInjector, FaultPlan, Inst, MultiCoreConfig};
-    use reach_workloads::{build_zipf_kv, AddrAlloc, InstanceSetup, ZipfKvParams};
-
-    const LOOKUPS: u64 = 1024;
-
-    struct ShardStreams {
-        live: Vec<InstanceSetup>,
-        cursor: usize,
-        prof: Vec<InstanceSetup>,
-        prof_cursor: usize,
-    }
-
-    /// Key-sharded zipf-KV service: every core holds an identical table
-    /// layout (so one program serves fleet-wide), each shard draws from
-    /// its own instance streams, and arrivals rotate owners round-robin
-    /// with an optional cross-shard ingress offset.
-    struct FleetService {
-        per: Vec<ShardStreams>,
-        shards: usize,
-        per_epoch: usize,
-        cross: bool,
-    }
-
-    impl FleetWorkload for FleetService {
-        fn arrivals(&mut self, epoch: u64) -> Vec<Arrival> {
-            (0..self.per_epoch)
-                .map(|i| {
-                    let owner = (epoch as usize + i) % self.shards;
-                    let ingress = if self.cross {
-                        (owner + 1) % self.shards
-                    } else {
-                        owner
-                    };
-                    Arrival { ingress, owner }
-                })
-                .collect()
-        }
-        fn primary_context(&mut self, shard: usize, _job: u64) -> Context {
-            let p = &mut self.per[shard];
-            let i = p.cursor;
-            p.cursor += 1;
-            p.live[i % p.live.len()].make_context(1_000 + i)
-        }
-        fn scavenger_context(
-            &mut self,
-            shard: usize,
-            _epoch: u64,
-            _job: u64,
-            _slot: usize,
-        ) -> Context {
-            let p = &mut self.per[shard];
-            let i = p.cursor;
-            p.cursor += 1;
-            p.live[i % p.live.len()].make_context(1_000 + i)
-        }
-        fn profiling_contexts(&mut self, shard: usize, _attempt: u32) -> Vec<Context> {
-            let p = &mut self.per[shard];
-            let n = p.prof.len();
-            (0..2)
-                .map(|_| {
-                    let i = p.prof_cursor;
-                    p.prof_cursor += 1;
-                    p.prof[i % n].make_context(9_000 + i)
-                })
-                .collect()
-        }
-    }
-
-    fn fast_degrade() -> DegradeOptions {
-        let mut d = DegradeOptions::default();
-        d.pipeline.collector.periods = reach_profile::Periods {
-            l2_miss: 13,
-            l3_miss: 13,
-            stall: 13,
-            retired: 13,
-        };
-        d
-    }
-
-    use crate::degrade::DegradeOptions;
-
-    fn fleet_sup() -> SupervisorOptions {
-        SupervisorOptions {
-            epochs: 12,
-            service_per_epoch: 1,
-            scavengers: 2,
-            insitu_period: 31,
-            estimator: OnlineEstimatorOptions {
-                window: 2048,
-                min_samples: 8,
-            },
-            staleness_threshold: 0.6,
-            seed: 42,
-            degrade: fast_degrade(),
-            dual: DualModeOptions {
-                drain_scavengers: false,
-                isolate_faults: true,
-                watchdog: Some(WatchdogOptions {
-                    slice_steps: 2_000,
-                    overrun_cycles: 500,
-                    max_overruns: u32::MAX,
-                    ..WatchdogOptions::default()
-                }),
-                ..DualModeOptions::default()
-            },
-            ..SupervisorOptions::default()
-        }
-    }
-
-    /// Builds an N-core machine with identical per-core table layouts,
-    /// the shared original program, and the shared initial deployment
-    /// (profiled against the live distribution, so steady state stays
-    /// trigger-free).
-    fn fleet_world(
-        shards: usize,
-        per_epoch: usize,
-        cross: bool,
-    ) -> (MultiCore, FleetService, Program, DeployedBuild) {
-        let mut mc = MultiCore::new(MultiCoreConfig::new(shards));
-        let mut per = Vec::new();
-        let mut orig: Option<Program> = None;
-        for s in 0..shards {
-            let m = &mut mc.cores[s];
-            let mut alloc = AddrAlloc::new(0x800_0000);
-            let params = |theta: f64, seed: u64| ZipfKvParams {
-                table_entries: 1 << 15,
-                lookups: LOOKUPS,
-                theta,
-                seed,
-            };
-            let live = build_zipf_kv(&mut m.mem, &mut alloc, params(3.0, 13), 56);
-            let prof = build_zipf_kv(&mut m.mem, &mut alloc, params(3.0, 17), 12);
-            match &orig {
-                None => orig = Some(live.prog.clone()),
-                Some(o) => assert_eq!(
-                    o.fingerprint(),
-                    live.prog.fingerprint(),
-                    "cores must share one program"
-                ),
-            }
-            per.push(ShardStreams {
-                live: live.instances,
-                cursor: 0,
-                prof: prof.instances,
-                prof_cursor: 0,
-            });
-        }
-        let orig = orig.unwrap();
-        let mut svc = FleetService {
-            per,
-            shards,
-            per_epoch,
-            cross,
-        };
-        let built = {
-            let contexts = |svc: &mut FleetService, a: u32| svc.profiling_contexts(0, a);
-            let mc0 = &mut mc.cores[0];
-            pgo_pipeline_degrading(mc0, &orig, |a| contexts(&mut svc, a), &fast_degrade())
-        };
-        assert_eq!(built.rung, Rung::FullPgo, "{:?}", built.reasons);
-        (mc, svc, orig, DeployedBuild::from(built))
-    }
+    use crate::testkit::{fleet_sup, fleet_world};
+    use reach_sim::{FaultInjector, FaultPlan, Inst};
 
     #[test]
     fn steady_fleet_is_deterministic_and_clean() {

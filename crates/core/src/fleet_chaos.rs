@@ -1,41 +1,43 @@
-//! Fleet-level chaos: randomized shard-crash × torn-journal × runaway ×
-//! poisoned-rollout schedules over [`run_fleet`], with oracles for the
-//! properties only a fleet can violate.
+//! Deterministic chaos campaigns over [`run_fleet`]: randomized
+//! shard-crash × torn-journal × fault-channel × runaway ×
+//! poisoned-rollout schedules, the fleet's oracles, and a shrinker that
+//! cuts a violating schedule down to a minimal copy-pasteable repro.
 //!
-//! The single-shard chaos engine ([`crate::chaos`]) proves one
-//! supervisor survives crash/restart storms. This module aims the same
-//! FoundationDB-style discipline at the *fleet* failure surface: a
-//! shard killed mid-rollout, a torn journal on one shard while another
-//! hosts a runaway scavenger, a poisoned build pushed through the
-//! rolling-deploy pipeline. A [`FleetChaosSchedule`] is a pure value;
-//! running it twice produces byte-identical fleet event logs and
-//! per-shard incident logs, folded into one `xr_hash` that gates the
-//! whole batch.
+//! This is the repository's one chaos engine. A single supervisor under
+//! chaos is the one-shard fleet, under the fleet's crash model: a
+//! shard's crash channel fires at its `n`-th crash-point consultation,
+//! the shard stays down for the rest of that fleet epoch and recovers
+//! through [`crate::recover`] at the top of the next one, before that
+//! epoch's arrivals are routed; the crashed epoch is not re-served (jobs
+//! the dead loop had admitted are lost), and each shard crashes at most
+//! once (its injector dies with the process).
 //!
-//! Oracles (beyond the per-shard invariants, which keep holding because
-//! each shard still runs the same journaled epoch loop):
+//! The discipline is FoundationDB-style deterministic simulation
+//! testing. A [`FleetChaosSchedule`] is a pure value; running it twice
+//! produces byte-identical fleet event logs and per-shard incident logs,
+//! folded into one `xr_hash` that gates a whole batch. Every oracle is
+//! written once:
 //!
-//! 1. **Capacity under rolling deploys** — every crash-free epoch keeps
-//!    at least (N−1)/N shards serving (audited inside [`run_fleet`]).
-//! 2. **Poison containment** — a rollout build corrupted after its
-//!    build-time gates never reaches a second shard: the per-shard
-//!    re-validation or the health window stops it (audited inside
-//!    [`run_fleet`]).
-//! 3. **Projected journals equal live fleet state** — each shard's
-//!    journal, projected, matches that shard's live deployment, breaker
-//!    and job cursor at the end of the run (audited inside
-//!    [`run_fleet`]).
-//! 4. **Bounded shard unavailability** — every injected shard crash
-//!    that does not land in the final epoch is followed by a recovery
-//!    for that shard, and the fleet never loses more shards than
-//!    crashes were injected.
+//! * inside [`run_fleet`] — capacity under rolling deploys, poison
+//!   containment, no recovery hands back an unverified build, and each
+//!   shard's journal replays to its live state at the end of the run
+//!   (strictly increasing epochs, no torn tail, the deployed artifact,
+//!   breaker, failures, scavenger budget, breaker-open ⇒ no full PGO);
+//! * here — the initial build is trusted, served epochs never go
+//!   backwards on a shard, and every crash not in the final epoch is
+//!   followed by that shard's recovery.
+//!
+//! [`minimize`] shrinks a violating schedule with [`ddmin`] over its
+//! armed faults (each crash, each plan channel, each workload arm), and
+//! [`FleetChaosSchedule::repro`] prints the survivor as a constructor
+//! chain.
 
 use crate::fleet::{
     run_fleet, shard_seed, FleetConfigError, FleetEvent, FleetOptions, FleetReport, FleetWorkload,
     RolloutOptions,
 };
-use crate::supervisor::{mix64, DeployedBuild};
-use reach_sim::{FaultInjector, FaultPlan, Inst, MultiCore, Program, SplitMix64};
+use crate::supervisor::{build_is_trusted, mix64, DeployedBuild};
+use reach_sim::{ddmin, FaultInjector, FaultPlan, Inst, MultiCore, Program, SplitMix64};
 
 /// A fleet chaos configuration the engine refuses to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,8 +45,9 @@ pub enum FleetChaosError {
     /// The underlying fleet configuration is degenerate.
     Fleet(FleetConfigError),
     /// The schedule arms a runaway scavenger but `sup.dual.watchdog` is
-    /// `None` — same hang class as
-    /// [`crate::chaos::ChaosConfigError::RunawayWithoutWatchdog`].
+    /// `None`: a cooperative-free scavenger with no watchdog never
+    /// yields the slice back, so the epoch would spin until the
+    /// unwatched-slice step cap — in practice, a hang.
     RunawayWithoutWatchdog,
     /// A crash is scheduled on a shard index the fleet does not have.
     CrashShardOutOfRange,
@@ -100,6 +103,39 @@ pub struct FleetChaosSchedule {
     pub poisoned: bool,
 }
 
+/// One armed fault of a schedule, as the shrinker sees it: a crash, or
+/// one entry of [`ARMS`].
+#[derive(Clone, Copy, Debug)]
+enum Fault {
+    Crash(usize),
+    Arm(usize),
+}
+
+/// Copies one fault arm — a plan channel with its parameter, or a
+/// workload arm — from the second schedule into the first.
+type CopyArm = fn(&mut FleetChaosSchedule, &FleetChaosSchedule);
+
+const ARMS: [CopyArm; 12] = [
+    |to, from| to.plan.pebs_drop = from.plan.pebs_drop,
+    |to, from| to.plan.pebs_extra_skid = from.plan.pebs_extra_skid,
+    |to, from| {
+        to.plan.pebs_pc_corrupt = from.plan.pebs_pc_corrupt;
+        to.plan.pebs_pc_corrupt_range = from.plan.pebs_pc_corrupt_range;
+    },
+    |to, from| to.plan.lbr_drop = from.plan.lbr_drop,
+    |to, from| {
+        to.plan.prefetch_corrupt = from.plan.prefetch_corrupt;
+        to.plan.prefetch_corrupt_lines = from.plan.prefetch_corrupt_lines;
+    },
+    |to, from| to.plan.trap_every = from.plan.trap_every,
+    |to, from| to.plan.torn_write = from.plan.torn_write,
+    |to, from| to.plan.partial_flush = from.plan.partial_flush,
+    |to, from| to.torn_shard = from.torn_shard,
+    |to, from| to.runaway_shard = from.runaway_shard,
+    |to, from| to.rollout = from.rollout,
+    |to, from| to.poisoned = from.poisoned,
+];
+
 impl FleetChaosSchedule {
     /// A schedule with nothing armed.
     pub fn quiet(seed: u64) -> Self {
@@ -128,6 +164,39 @@ impl FleetChaosSchedule {
             .find(|&&(cs, _)| cs == s)
             .map(|&(_, at)| at);
         (!plan.is_none()).then_some(plan)
+    }
+
+    /// The armed faults, crashes first: what the shrinker removes.
+    fn faults(&self) -> Vec<Fault> {
+        let quiet = FleetChaosSchedule::quiet(self.plan.seed);
+        let armed = (0..ARMS.len()).filter(|&k| {
+            let mut s = quiet.clone();
+            ARMS[k](&mut s, self);
+            s != quiet
+        });
+        (0..self.crashes.len())
+            .map(Fault::Crash)
+            .chain(armed.map(Fault::Arm))
+            .collect()
+    }
+
+    /// This schedule with only `faults` armed.
+    fn keeping(&self, faults: &[Fault]) -> FleetChaosSchedule {
+        let mut s = FleetChaosSchedule::quiet(self.plan.seed);
+        for f in faults {
+            match *f {
+                Fault::Crash(i) => s.crashes.push(self.crashes[i]),
+                Fault::Arm(k) => ARMS[k](&mut s, self),
+            }
+        }
+        s
+    }
+
+    /// How many distinct faults the schedule arms: one per crash, one
+    /// per armed plan channel, one per set workload arm (torn shard,
+    /// runaway shard, rollout, poison). The shrinker's target metric.
+    pub fn event_count(&self) -> usize {
+        self.faults().len()
     }
 
     /// The constructor chain that rebuilds this schedule — printed with
@@ -162,7 +231,8 @@ pub struct FleetChaosWorld {
 pub struct FleetChaosOptions {
     /// Fleet configuration for every run. `fleet.rollout` is overridden
     /// per schedule (from `rollout_template` when the schedule arms a
-    /// rollout, `None` otherwise).
+    /// rollout, `None` otherwise). `fleet.recover.revalidate: false` is
+    /// the deliberately-broken recovery the oracles exist to catch.
     pub fleet: FleetOptions,
     /// Rolling-deploy shape used when a schedule arms `rollout`; its
     /// `poison` field is overridden by the schedule's `poisoned` arm.
@@ -191,43 +261,15 @@ fn poison_yield_saves(b: &mut DeployedBuild) {
     }
 }
 
-/// Everything one fleet schedule run did, and every invariant it broke.
-#[derive(Clone, Debug, Default)]
-pub struct FleetScheduleRun {
-    /// Oracle violations (fleet-internal + engine-level), empty on a
-    /// healthy run.
-    pub violations: Vec<String>,
-    /// Shard crashes injected.
-    pub crashes: u64,
-    /// Shard recoveries performed.
-    pub recoveries: u64,
-    /// Jobs served fleet-wide.
-    pub served: u64,
-    /// Requests shed (admission queues + forwarding queue + timeouts).
-    pub shed: u64,
-    /// Forward-queue retry attempts.
-    pub retries: u64,
-    /// Shards the rollout build reached.
-    pub rollout_deploys: u64,
-    /// True when the rollout froze.
-    pub rollout_frozen: bool,
-    /// Scavenger slice-epochs moved by work-stealing.
-    pub steals: u64,
-    /// Fleet event-log length.
-    pub events: u64,
-    /// The fleet determinism digest ([`FleetReport::fleet_hash`]).
-    pub fleet_hash: u64,
-}
-
 /// Runs one fleet schedule: arms per-shard injectors, runs the fleet
-/// (which crashes/recovers shards inline), then audits the engine-level
-/// oracles on top of the fleet's own. Deterministic in
-/// `(factory, schedule, opts)`.
+/// (which crashes and recovers shards inline, auditing its own oracles),
+/// then adds the engine-level oracles to the report's violations.
+/// Deterministic in `(factory, schedule, opts)`.
 pub fn run_fleet_schedule(
     factory: &mut dyn FnMut(&FleetChaosSchedule) -> FleetChaosWorld,
     schedule: &FleetChaosSchedule,
     opts: &FleetChaosOptions,
-) -> Result<FleetScheduleRun, FleetChaosError> {
+) -> Result<FleetReport, FleetChaosError> {
     if schedule.runaway_shard.is_some() && opts.fleet.sup.dual.watchdog.is_none() {
         return Err(FleetChaosError::RunawayWithoutWatchdog);
     }
@@ -251,7 +293,17 @@ pub fn run_fleet_schedule(
         world.mc.cores[s].faults = schedule.shard_plan(s).map(FaultInjector::new);
     }
 
-    let rep = run_fleet(
+    // Never serve an unverified build, from the first epoch on: trust in
+    // the initial build is re-derived here, not believed.
+    let mut violations = Vec::new();
+    if !build_is_trusted(&world.original, &world.initial, &fleet_opts.sup) {
+        violations.push(format!(
+            "oracle/unverified-build: the initial {} build is untrusted",
+            world.initial.rung
+        ));
+    }
+
+    let mut rep = run_fleet(
         &mut world.mc,
         world.workload.as_mut(),
         &world.original,
@@ -259,26 +311,22 @@ pub fn run_fleet_schedule(
         &fleet_opts,
     )?;
 
-    let mut run = FleetScheduleRun {
-        violations: rep.violations.clone(),
-        crashes: rep.crashes,
-        recoveries: rep.recoveries,
-        served: rep.served(),
-        shed: rep.forward_shed + rep.timeouts + rep.shards.iter().map(|s| s.shed_jobs).sum::<u64>(),
-        retries: rep.retries,
-        rollout_deploys: rep.rollout_deploys,
-        rollout_frozen: rep.rollout_frozen,
-        steals: rep.steals,
-        events: rep.events.len() as u64,
-        fleet_hash: rep.fleet_hash(),
-    };
-
-    audit_bounded_unavailability(&rep, schedule, fleet_opts.epochs, &mut run.violations);
-    Ok(run)
+    // Served epochs never go backwards on a shard, across its restarts.
+    for (s, sh) in rep.shards.iter().enumerate() {
+        if let Some(w) = sh.latencies.windows(2).find(|w| w[1].0 < w[0].0) {
+            violations.push(format!(
+                "oracle/epoch-monotonicity: shard {s} served epoch {} after epoch {}",
+                w[1].0, w[0].0
+            ));
+        }
+    }
+    audit_bounded_unavailability(&rep, schedule, fleet_opts.epochs, &mut violations);
+    rep.violations.extend(violations);
+    Ok(rep)
 }
 
-/// Oracle 4: every injected crash is bounded — at most one per armed
-/// shard, and each crash not in the final epoch has a matching recovery.
+/// Every injected crash is bounded — at most one per armed shard, and
+/// each crash not in the final epoch has a matching recovery.
 fn audit_bounded_unavailability(
     rep: &FleetReport,
     schedule: &FleetChaosSchedule,
@@ -402,12 +450,12 @@ pub fn run_fleet_campaigns(
         rep.campaigns += 1;
         rep.crashes += run.crashes;
         rep.recoveries += run.recoveries;
-        rep.served += run.served;
-        rep.shed += run.shed;
+        rep.served += run.served();
+        rep.shed += run.shed();
         rep.rollout_deploys += run.rollout_deploys;
         rep.rollouts_frozen += u64::from(run.rollout_frozen);
         rep.steals += run.steals;
-        rep.xr_hash = mix64(rep.xr_hash, run.fleet_hash);
+        rep.xr_hash = mix64(rep.xr_hash, run.fleet_hash());
         if !run.violations.is_empty() {
             rep.violating += 1;
             rep.violations.push((schedule, run.violations));
@@ -416,141 +464,83 @@ pub fn run_fleet_campaigns(
     Ok(rep)
 }
 
+/// Shrinks a violating schedule: [`ddmin`] over its armed faults, a
+/// candidate kept only while it still violates, until no single fault
+/// can be dropped or `budget` trials are spent. Returns the minimal
+/// schedule and the trials spent.
+pub fn minimize(
+    factory: &mut dyn FnMut(&FleetChaosSchedule) -> FleetChaosWorld,
+    schedule: &FleetChaosSchedule,
+    opts: &FleetChaosOptions,
+    budget: u64,
+) -> Result<(FleetChaosSchedule, u64), FleetChaosError> {
+    // The whole schedule runs first: that validates the configuration
+    // every sub-schedule shares, and a schedule that violates nothing is
+    // its own minimum.
+    if run_fleet_schedule(factory, schedule, opts)?
+        .violations
+        .is_empty()
+    {
+        return Ok((schedule.clone(), 1));
+    }
+    let (kept, trials) = ddmin(&schedule.faults(), budget.saturating_sub(1), |faults| {
+        let run = run_fleet_schedule(factory, &schedule.keeping(faults), opts);
+        !run.expect("a sub-schedule of a valid schedule is valid")
+            .violations
+            .is_empty()
+    });
+    Ok((schedule.keeping(&kept), 1 + trials))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::degrade::{DegradeOptions, Rung};
-    use crate::dualmode::{DualModeOptions, WatchdogOptions};
-    use crate::fleet::{Arrival, FleetOptions};
-    use crate::pgo_pipeline_degrading;
+    use crate::fleet::FleetOptions;
     use crate::pipeline::{lint_gate, verify_gate};
-    use crate::supervisor::SupervisorOptions;
-    use reach_profile::{OnlineEstimatorOptions, Periods};
-    use reach_sim::{AluOp, Cond, Context, MultiCoreConfig, ProgramBuilder, Reg};
-    use reach_workloads::{build_zipf_kv, AddrAlloc, InstanceSetup, ZipfKvParams};
+    use crate::supervisor::{Action, BreakerState, RecoverOptions};
+    use crate::testkit::{fleet_sup, fleet_world};
+    use reach_profile::Profile;
 
-    const LOOKUPS: u64 = 1024;
-
-    struct ShardStreams {
-        live: Vec<InstanceSetup>,
-        cursor: usize,
-        prof: Vec<InstanceSetup>,
-        prof_cursor: usize,
-    }
-
-    /// The fleet test service with the runaway arm: the schedule's
-    /// runaway shard swaps its scavenger pool to a spin loop for a
-    /// burst of mid-run epochs.
-    struct ChaosFleetService {
-        per: Vec<ShardStreams>,
-        shards: usize,
-        per_epoch: usize,
-        runaway_shard: Option<usize>,
-        runaway: Program,
-    }
-
-    impl FleetWorkload for ChaosFleetService {
-        fn arrivals(&mut self, epoch: u64) -> Vec<Arrival> {
-            (0..self.per_epoch)
-                .map(|i| {
-                    let owner = (epoch as usize + i) % self.shards;
-                    Arrival {
-                        ingress: (owner + 1) % self.shards,
-                        owner,
-                    }
-                })
-                .collect()
-        }
-        fn primary_context(&mut self, shard: usize, _job: u64) -> Context {
-            let p = &mut self.per[shard];
-            let i = p.cursor;
-            p.cursor += 1;
-            p.live[i % p.live.len()].make_context(1_000 + i)
-        }
-        fn scavenger_context(
-            &mut self,
-            shard: usize,
-            _epoch: u64,
-            _job: u64,
-            _slot: usize,
-        ) -> Context {
-            let p = &mut self.per[shard];
-            let i = p.cursor;
-            p.cursor += 1;
-            p.live[i % p.live.len()].make_context(1_000 + i)
-        }
-        fn scavenger_program(&mut self, shard: usize, epoch: u64) -> Option<Program> {
-            (self.runaway_shard == Some(shard) && (3..6).contains(&epoch))
-                .then(|| self.runaway.clone())
-        }
-        fn profiling_contexts(&mut self, shard: usize, _attempt: u32) -> Vec<Context> {
-            let p = &mut self.per[shard];
-            let n = p.prof.len();
-            (0..2)
-                .map(|_| {
-                    let i = p.prof_cursor;
-                    p.prof_cursor += 1;
-                    p.prof[i % n].make_context(9_000 + i)
-                })
-                .collect()
-        }
-    }
-
-    fn runaway_prog() -> Program {
-        let mut b = ProgramBuilder::new("runaway");
-        b.imm(Reg(1), 1);
-        let top = b.label();
-        b.bind(top);
-        b.alu(AluOp::Add, Reg(2), Reg(2), Reg(1), 1);
-        b.branch(Cond::Nez, Reg(1), top);
-        b.halt();
-        b.finish().unwrap()
-    }
-
-    fn fast_degrade() -> DegradeOptions {
-        let mut d = DegradeOptions::default();
-        d.pipeline.collector.periods = Periods {
-            l2_miss: 13,
-            l3_miss: 13,
-            stall: 13,
-            retired: 13,
-        };
-        d
-    }
-
-    fn chaos_sup() -> SupervisorOptions {
-        SupervisorOptions {
-            epochs: 10,
-            service_per_epoch: 1,
-            scavengers: 2,
-            insitu_period: 31,
-            estimator: OnlineEstimatorOptions {
-                window: 2048,
-                min_samples: 8,
-            },
-            staleness_threshold: 0.6,
-            seed: 42,
-            degrade: fast_degrade(),
-            dual: DualModeOptions {
-                drain_scavengers: false,
-                isolate_faults: true,
-                watchdog: Some(WatchdogOptions {
-                    slice_steps: 2_000,
-                    overrun_cycles: 500,
-                    max_overruns: u32::MAX,
-                    ..WatchdogOptions::default()
-                }),
-                ..DualModeOptions::default()
-            },
-            ..SupervisorOptions::default()
-        }
-    }
+    // Hand mutations tried against the oracles of the chaos engine (the
+    // journal audit in `Fleet::seal`, the recovery check in
+    // `recover_down_shards`, the checks in `run_fleet_schedule`), each
+    // failing the tests named (`cargo test --release -p reach-core`);
+    // no equivalent mutant was found:
+    //
+    //  1. `recover` ignores `revalidate` and never re-validates —
+    //     `broken_recovery_is_caught_and_minimized_to_a_tiny_repro`,
+    //     `poisoned_rollout_is_contained_under_crash_chaos`,
+    //     `fleet_campaign_batch_is_deterministic_and_clean`;
+    //  2. the deploy transition skips its `Breaker` append —
+    //     `rebuild_storms_survive_a_crash`,
+    //     `first_deploying_shard_survives_a_crash_at_every_consultation`;
+    //  3. the SLO shed path drops its `ScavBudget` record —
+    //     `runaway_shard_is_survived`;
+    //  4. `step_epoch` writes its `EpochAdvance` twice — every fleet run;
+    //  5. `recover` replays the journal without repairing it (a torn
+    //     tail survives) — `crashed_shard_recovers_and_oracles_hold`;
+    //  6. the artifact store answers every lookup with its first build —
+    //     `rebuild_storms_survive_a_crash` and the poisoned-rollout tests;
+    //  7. the backoff `Breaker` record journals `failures: 0` —
+    //     `rebuild_storms_survive_a_crash`;
+    //  8. the breaker opens over the serving build, not the fallback —
+    //     `rebuild_storms_survive_a_crash`;
+    //  9. a shard's sealed segments fold newest-first (served epochs go
+    //     backwards) — `crashed_shard_recovers_and_oracles_hold` and the
+    //     crash sweeps;
+    // 10. `project` forgets that a full-PGO deploy closes the breaker —
+    //     `rebuild_storms_survive_a_crash`;
+    // 11. the initial-build check removed —
+    //     `poison_is_caught_by_the_gates_and_an_untrusted_start_is_a_violation`;
+    // 12. the untrusted-recovery check removed (the re-pin kept) —
+    //     `broken_recovery_is_caught_and_minimized_to_a_tiny_repro`.
 
     fn chaos_fleet_opts(shards: usize) -> FleetChaosOptions {
         let mut o = FleetChaosOptions::new(FleetOptions {
             shards,
             epochs: 10,
-            sup: chaos_sup(),
+            sup: fleet_sup(),
             seed: 7,
             ..FleetOptions::default()
         });
@@ -564,60 +554,28 @@ mod tests {
     }
 
     /// Builds one fresh fleet world for a schedule: identical per-core
-    /// zipf tables (one shared program + initial build), runaway arm
-    /// wired to the schedule's runaway shard.
+    /// zipf tables (one shared program + initial build), cross-shard
+    /// traffic, the runaway arm wired to the schedule's runaway shard.
     fn fleet_factory(shards: usize) -> impl FnMut(&FleetChaosSchedule) -> FleetChaosWorld {
         move |schedule: &FleetChaosSchedule| {
-            let mut mc = MultiCore::new(MultiCoreConfig::new(shards));
-            let mut per = Vec::new();
-            let mut orig: Option<Program> = None;
-            for s in 0..shards {
-                let m = &mut mc.cores[s];
-                let mut alloc = AddrAlloc::new(0x800_0000);
-                let params = |theta: f64, seed: u64| ZipfKvParams {
-                    table_entries: 1 << 15,
-                    lookups: LOOKUPS,
-                    theta,
-                    seed,
-                };
-                let live = build_zipf_kv(&mut m.mem, &mut alloc, params(3.0, 13), 56);
-                let prof = build_zipf_kv(&mut m.mem, &mut alloc, params(3.0, 17), 12);
-                match &orig {
-                    None => orig = Some(live.prog.clone()),
-                    Some(o) => assert_eq!(o.fingerprint(), live.prog.fingerprint()),
-                }
-                per.push(ShardStreams {
-                    live: live.instances,
-                    cursor: 0,
-                    prof: prof.instances,
-                    prof_cursor: 0,
-                });
-            }
-            let orig = orig.unwrap();
-            let mut svc = ChaosFleetService {
-                per,
-                shards,
-                per_epoch: 2,
-                runaway_shard: schedule.runaway_shard,
-                runaway: runaway_prog(),
-            };
-            let built = {
-                let mc0 = &mut mc.cores[0];
-                pgo_pipeline_degrading(
-                    mc0,
-                    &orig,
-                    |a| svc.profiling_contexts(0, a),
-                    &fast_degrade(),
-                )
-            };
-            assert_eq!(built.rung, Rung::FullPgo, "{:?}", built.reasons);
+            let (mc, mut svc, original, initial) = fleet_world(shards, 2, true);
+            svc.runaway = schedule.runaway_shard;
             FleetChaosWorld {
                 mc,
                 workload: Box::new(svc),
-                original: orig,
-                initial: DeployedBuild::from(built),
+                original,
+                initial,
             }
         }
+    }
+
+    fn clean(run: &FleetReport, schedule: &FleetChaosSchedule) {
+        assert_eq!(
+            run.violations,
+            Vec::<String>::new(),
+            "repro: {}",
+            schedule.repro()
+        );
     }
 
     #[test]
@@ -630,22 +588,25 @@ mod tests {
         };
         let a = run_fleet_schedule(&mut factory, &schedule, &opts).unwrap();
         let b = run_fleet_schedule(&mut factory, &schedule, &opts).unwrap();
-        assert_eq!(a.violations, Vec::<String>::new());
-        assert!(a.served > 0);
+        clean(&a, &schedule);
+        assert!(a.served() > 0);
         assert_eq!(a.crashes, 0);
         assert!(a.rollout_deploys >= 1, "quiet rollout should deploy");
         assert_eq!(
-            a.fleet_hash, b.fleet_hash,
+            a.fleet_hash(),
+            b.fleet_hash(),
             "fleet chaos replay must be byte-identical"
         );
     }
 
     /// Every channel of a hand-written plan reaches the shards, not only
-    /// the four the random generator arms, and the repro names it.
+    /// the four the random generator arms; the repro names it and the
+    /// event count counts it.
     #[test]
     fn a_sampler_only_plan_arms_every_shard_and_shows_in_the_repro() {
         let quiet = FleetChaosSchedule::quiet(5);
         assert_eq!(quiet.shard_plan(0), None);
+        assert_eq!(quiet.event_count(), 0);
         let armed = [
             FaultPlan::none(5).with_pebs_drop(0.5),
             FaultPlan::none(5).with_pebs_extra_skid(2),
@@ -669,6 +630,12 @@ mod tests {
                 );
             }
             assert!(s.repro().contains(&plan.repro()), "{}", s.repro());
+            assert_eq!(s.event_count(), 1);
+            assert_eq!(
+                s.keeping(&s.faults()),
+                s,
+                "faults must rebuild the schedule"
+            );
         }
         // The torn channels still reach the torn shard only, and a crash
         // alone arms its shard.
@@ -682,6 +649,8 @@ mod tests {
         assert_eq!(s.shard_plan(1).map(|p| p.torn_write), Some(0.5));
         let crashed = s.shard_plan(2).expect("crash arms the shard");
         assert_eq!((crashed.crash_at, crashed.torn_write), (Some(7), 0.0));
+        assert_eq!(s.event_count(), 3);
+        assert_eq!(s.keeping(&s.faults()), s);
     }
 
     #[test]
@@ -696,12 +665,7 @@ mod tests {
             ..FleetChaosSchedule::quiet(0xD1E)
         };
         let run = run_fleet_schedule(&mut factory, &schedule, &opts).unwrap();
-        assert_eq!(
-            run.violations,
-            Vec::<String>::new(),
-            "repro: {}",
-            schedule.repro()
-        );
+        clean(&run, &schedule);
         assert_eq!(run.crashes, 1, "the scheduled crash must fire");
         assert_eq!(run.recoveries, 1, "the crashed shard must recover");
     }
@@ -729,12 +693,7 @@ mod tests {
                     ..FleetChaosSchedule::quiet(0x5EE9)
                 };
                 let run = run_fleet_schedule(&mut factory, &schedule, &opts).unwrap();
-                assert_eq!(
-                    run.violations,
-                    Vec::<String>::new(),
-                    "repro: {}",
-                    schedule.repro()
-                );
+                clean(&run, &schedule);
                 if run.crashes == 0 {
                     assert_eq!(
                         run.rollout_frozen,
@@ -762,34 +721,87 @@ mod tests {
             ..FleetChaosSchedule::quiet(0xBAD)
         };
         let run = run_fleet_schedule(&mut factory, &schedule, &opts).unwrap();
-        assert_eq!(
-            run.violations,
-            Vec::<String>::new(),
-            "repro: {}",
-            schedule.repro()
-        );
+        clean(&run, &schedule);
         assert!(
             run.rollout_deploys <= 1,
             "poison must never reach a second shard"
         );
     }
 
+    /// A runaway burst on one shard, with the SLO guard armed and no
+    /// probation to earn slices back: the shard ends the run with its
+    /// scavenger pool shed, a journaled budget change the end-of-run
+    /// audit compares with live, and the fleet survives.
     #[test]
     fn runaway_shard_is_survived() {
-        let opts = chaos_fleet_opts(2);
+        let mut opts = chaos_fleet_opts(2);
+        opts.fleet.sup.slo_p99_cycles = 800_000;
+        opts.fleet.sup.slo_window = 2;
+        opts.fleet.sup.probation_epochs = u64::MAX;
         let mut factory = fleet_factory(2);
         let schedule = FleetChaosSchedule {
             runaway_shard: Some(1),
             ..FleetChaosSchedule::quiet(5)
         };
         let run = run_fleet_schedule(&mut factory, &schedule, &opts).unwrap();
-        assert_eq!(
-            run.violations,
-            Vec::<String>::new(),
-            "repro: {}",
-            schedule.repro()
-        );
-        assert!(run.served > 0);
+        clean(&run, &schedule);
+        assert!(run.served() > 0);
+        let shed = run.shards[1]
+            .incidents
+            .iter()
+            .any(|i| matches!(i.action, Action::ShedScavengers { .. }));
+        assert!(shed, "the runaway shard never shed its pool");
+    }
+
+    /// Every shard's rebuilds fail (a wiped profile with no retries) and
+    /// one shard crashes in the middle of it. With two failures allowed
+    /// the breakers open over a degraded rung and correlate into a
+    /// fleet-wide LKG pin; with no limit every shard ends the run backing
+    /// off. Either way every breaker transition is journaled ahead of the
+    /// live one.
+    #[test]
+    fn rebuild_storms_survive_a_crash() {
+        for max_failures in [2, u32::MAX] {
+            let mut opts = chaos_fleet_opts(2);
+            opts.fleet.epochs = 14;
+            opts.fleet.sup.staleness_threshold = 0.0;
+            opts.fleet.sup.max_rebuild_failures = max_failures;
+            opts.fleet.sup.degrade = DegradeOptions {
+                max_reprofiles: 0,
+                profile_mutator: Some(|p: &mut Profile| p.total_samples = 0),
+                ..opts.fleet.sup.degrade
+            };
+            let mut factory = fleet_factory(2);
+            let schedule = FleetChaosSchedule {
+                plan: FaultPlan::none(0x57).with_torn_write(0.7),
+                crashes: vec![(1, 13)],
+                torn_shard: Some(1),
+                ..FleetChaosSchedule::quiet(0x57)
+            };
+            let run = run_fleet_schedule(&mut factory, &schedule, &opts).unwrap();
+            clean(&run, &schedule);
+            assert_eq!(run.crashes, 1);
+            if max_failures == u32::MAX {
+                for sh in &run.shards {
+                    assert!(matches!(sh.breaker, BreakerState::Backoff { .. }));
+                }
+                continue;
+            }
+            let opened = |s: usize| {
+                run.shards[s]
+                    .incidents
+                    .iter()
+                    .any(|i| matches!(i.action, Action::BreakerOpen { .. }))
+            };
+            assert!(opened(0) && opened(1), "{:?}", run.events);
+            assert!(
+                run.events
+                    .iter()
+                    .any(|e| matches!(e, FleetEvent::CorrelatedBreakers { .. })),
+                "{:?}",
+                run.events
+            );
+        }
     }
 
     #[test]
@@ -803,6 +815,11 @@ mod tests {
             run_fleet_schedule(&mut factory, &runaway, &opts).unwrap_err(),
             FleetChaosError::RunawayWithoutWatchdog
         );
+        // The same guard protects the shrinker's re-runs.
+        assert_eq!(
+            minimize(&mut factory, &runaway, &opts, 8).unwrap_err(),
+            FleetChaosError::RunawayWithoutWatchdog
+        );
         let opts = chaos_fleet_opts(2);
         let mut oob = FleetChaosSchedule::quiet(1);
         oob.crashes = vec![(9, 1)];
@@ -812,13 +829,14 @@ mod tests {
         );
     }
 
+    /// The poison mutator must produce a gate-detectable artifact, or the
+    /// containment oracles test nothing — and a world that starts on
+    /// such a build is refused from the first epoch.
     #[test]
-    fn poison_is_caught_by_gates_and_recovery_repin_is_trusted() {
-        // The poison mutator must actually produce a gate-detectable
-        // artifact, or the containment oracles test nothing.
+    fn poison_is_caught_by_the_gates_and_an_untrusted_start_is_a_violation() {
         let mut factory = fleet_factory(2);
         let world = factory(&FleetChaosSchedule::quiet(0));
-        let sup = chaos_sup();
+        let sup = fleet_sup();
         let mut poisoned = world.initial.clone();
         poison_yield_saves(&mut poisoned);
         let lint = &sup.degrade.pipeline.lint;
@@ -828,6 +846,72 @@ mod tests {
             caught,
             "poison_yield_saves must be detectable by the swap gates"
         );
+
+        let mut poisoned_start = |s: &FleetChaosSchedule| {
+            let mut w = fleet_factory(2)(s);
+            poison_yield_saves(&mut w.initial);
+            w
+        };
+        let quiet = FleetChaosSchedule::quiet(0);
+        let run = run_fleet_schedule(&mut poisoned_start, &quiet, &chaos_fleet_opts(2)).unwrap();
+        assert_eq!(
+            run.violations,
+            vec!["oracle/unverified-build: the initial full-pgo build is untrusted".to_string()]
+        );
+    }
+
+    /// The acceptance demo: a recovery path that skips re-validation
+    /// (`revalidate: false`) brings a poisoned rollout artifact back
+    /// after a crash, the fleet's recovery oracle catches it, and the
+    /// shrinker reduces the noisy schedule to a ≤3-event repro.
+    #[test]
+    fn broken_recovery_is_caught_and_minimized_to_a_tiny_repro() {
+        let mut opts = chaos_fleet_opts(2);
+        opts.fleet.recover = RecoverOptions { revalidate: false };
+        let mut factory = fleet_factory(2);
+        let noisy = FleetChaosSchedule {
+            plan: FaultPlan::none(0x51AB)
+                .with_torn_write(0.5)
+                .with_lbr_drop(0.4),
+            crashes: vec![(0, 8)],
+            torn_shard: Some(0),
+            runaway_shard: Some(1),
+            rollout: true,
+            poisoned: true,
+        };
+        assert_eq!(noisy.event_count(), 7);
+        let caught = |run: &FleetReport| {
+            run.violations
+                .iter()
+                .any(|v| v.starts_with("oracle/unverified-build: shard 0 recovered"))
+        };
+        let run = run_fleet_schedule(&mut factory, &noisy, &opts).unwrap();
+        assert!(
+            caught(&run),
+            "broken recovery not caught: {:?}",
+            run.violations
+        );
+
+        let (minimal, trials) = minimize(&mut factory, &noisy, &opts, 64).unwrap();
+        assert!(trials > 0);
+        assert!(
+            minimal.event_count() <= 3,
+            "not minimal: {} events, {}",
+            minimal.event_count(),
+            minimal.repro()
+        );
+        assert!(!minimal.crashes.is_empty(), "a crash is load-bearing here");
+        assert!(minimal.repro().starts_with("FleetChaosSchedule {"));
+        // The minimal schedule still reproduces.
+        let rerun = run_fleet_schedule(&mut factory, &minimal, &opts).unwrap();
+        assert!(caught(&rerun), "{:?}", rerun.violations);
+        // With re-validation restored, the very same poison is degraded
+        // around instead of served.
+        opts.fleet.recover.revalidate = true;
+        let healed = run_fleet_schedule(&mut factory, &minimal, &opts).unwrap();
+        clean(&healed, &minimal);
+        assert!(healed.shards[0].recoveries_degraded >= 1);
+        assert_ne!(healed.shards[0].final_rung, Rung::FullPgo);
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! record boundary, exactly like WAL repair on restart. [`project`]
 //! folds a replayed record sequence into the [`JournalState`] the
 //! supervisor resumes from — and, at a clean shutdown, the same fold is
-//! the oracle the chaos engine compares against live state.
+//! what the fleet's end-of-run audit compares against live state.
 
 use crate::degrade::Rung;
 use crate::supervisor::{BreakerState, DeployedBuild};
@@ -232,7 +232,7 @@ pub struct Replay {
 }
 
 /// The supervisor state a replayed journal projects to — what recovery
-/// resumes from, and what the chaos oracles compare against live state
+/// resumes from, and what the fleet's audit compares against live state
 /// at a clean shutdown.
 #[derive(Clone, Debug, PartialEq)]
 pub struct JournalState {
@@ -274,7 +274,17 @@ pub fn project(records: &[JournalRecord]) -> JournalState {
                 epoch,
                 rung,
                 fingerprint,
-            } => st.deploy = Some((fingerprint, rung, epoch)),
+            } => {
+                st.deploy = Some((fingerprint, rung, epoch));
+                // Every deploy that ships full PGO closes the breaker (a
+                // rebuild past both gates, a rollout, an LKG pin), but
+                // its `Breaker` record follows the swap and a crash can
+                // lose it; the deploy alone already decides.
+                if rung == Rung::FullPgo {
+                    st.breaker = BreakerState::Closed;
+                    st.failures = 0;
+                }
+            }
             JournalRecord::Breaker {
                 state, failures, ..
             } => {
@@ -296,7 +306,7 @@ pub fn project(records: &[JournalRecord]) -> JournalState {
 
 /// The simulated durable store: journal byte image + write buffer +
 /// artifact store. Survives [`crate::supervisor`] restarts by living
-/// outside them (the chaos engine owns it across crash segments).
+/// outside them (a fleet shard owns it across its crash segments).
 #[derive(Clone, Debug, Default)]
 pub struct Journal {
     durable: Vec<u8>,
@@ -318,11 +328,6 @@ impl Journal {
     /// True when nothing has ever been durably written.
     pub fn is_empty(&self) -> bool {
         self.durable.is_empty() && self.buffered.is_empty()
-    }
-
-    /// Byte length of the durable journal image.
-    pub fn durable_len(&self) -> usize {
-        self.durable.len()
     }
 
     /// Appends one record. Without faults the append is write-through;
@@ -447,18 +452,6 @@ impl Journal {
             .find(|(fp, _)| *fp == fingerprint)
             .map(|(_, b)| b)
     }
-
-    /// Test hook: bit-rots a stored artifact in place (the chaos
-    /// engine's broken-recovery scenarios corrupt the artifact the
-    /// journal points at, then check the recovery gates catch it).
-    pub fn mutate_build(&mut self, fingerprint: u64, f: impl FnOnce(&mut StoredBuild)) -> bool {
-        if let Some(slot) = self.builds.iter_mut().find(|(fp, _)| *fp == fingerprint) {
-            f(&mut slot.1);
-            true
-        } else {
-            false
-        }
-    }
 }
 
 #[cfg(test)]
@@ -502,7 +495,7 @@ mod tests {
         }
         let rep = j.replay();
         assert!(!rep.torn_tail);
-        assert_eq!(rep.valid_bytes, j.durable_len());
+        assert_eq!(rep.valid_bytes, j.durable.len());
         assert_eq!(rep.records, sample_records());
         let st = project(&rep.records);
         assert_eq!(st.epoch, Some(5));
@@ -511,6 +504,27 @@ mod tests {
         assert_eq!(st.breaker, BreakerState::Backoff { until_epoch: 7 });
         assert_eq!(st.failures, 2);
         assert_eq!(st.scav_budget, Some(1));
+    }
+
+    /// A crash between a full-PGO deploy and its `Breaker` record (a
+    /// rollout pinned over an open breaker) must not project an open
+    /// breaker over full PGO; a degraded deploy leaves the breaker alone.
+    #[test]
+    fn a_full_pgo_deploy_closes_the_breaker_even_without_its_breaker_record() {
+        let open = JournalRecord::Breaker {
+            epoch: 2,
+            state: BreakerState::Open,
+            failures: 2,
+        };
+        let deploy = |rung| JournalRecord::Deploy {
+            epoch: 3,
+            rung,
+            fingerprint: 7,
+        };
+        let st = project(&[open, deploy(Rung::FullPgo)]);
+        assert_eq!((st.breaker, st.failures), (BreakerState::Closed, 0));
+        let st = project(&[open, deploy(Rung::ScavengerOnly)]);
+        assert_eq!((st.breaker, st.failures), (BreakerState::Open, 2));
     }
 
     #[test]
@@ -527,7 +541,7 @@ mod tests {
         assert_eq!(rep.records, sample_records()[..4].to_vec());
         let repaired = j.repair();
         assert_eq!(repaired.records.len(), 4);
-        assert_eq!(j.durable_len(), repaired.valid_bytes);
+        assert_eq!(j.durable.len(), repaired.valid_bytes);
         assert!(!j.replay().torn_tail, "repair leaves a clean image");
         // The store keeps working after repair.
         j.append(
@@ -576,14 +590,14 @@ mod tests {
         // Quiet torn channel: the record is simply absent.
         let mut j = Journal::new();
         j.append(&sample_records()[0], None);
-        let before = j.durable_len();
+        let before = j.durable.len();
         let mut fi = FaultInjector::new(FaultPlan::none(1));
         j.crash_during_append(&sample_records()[1], Some(&mut fi));
-        assert_eq!(j.durable_len(), before);
+        assert_eq!(j.durable.len(), before);
         // Armed torn channel: a strict prefix lands and replay rejects it.
         let mut fi = FaultInjector::new(FaultPlan::none(1).with_torn_write(1.0));
         j.crash_during_append(&sample_records()[2], Some(&mut fi));
-        assert!(j.durable_len() > before);
+        assert!(j.durable.len() > before);
         let rep = j.replay();
         assert!(rep.torn_tail);
         assert_eq!(rep.records, sample_records()[..1].to_vec());
@@ -620,8 +634,6 @@ mod tests {
         );
         assert!(j.get_build(7).is_some());
         assert!(j.get_build(8).is_none());
-        assert!(j.mutate_build(7, |b| b.rung = Rung::ScavengerOnly));
-        assert_eq!(j.get_build(7).unwrap().rung, Rung::ScavengerOnly);
         // Same fingerprint replaces in place.
         j.store_build(
             7,

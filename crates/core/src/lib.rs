@@ -21,6 +21,14 @@
 //!   detection, background re-profile + epoch-boundary hot swap, a
 //!   circuit breaker over the degradation ladder, and overload
 //!   shedding, all recorded in a replay-deterministic incident log.
+//! * [`journal`] — the supervisor's write-ahead journal and artifact
+//!   store, with the crash semantics recovery must repair.
+//! * [`fleet`] — N shard supervisors on an N-core machine under one
+//!   fleet clock: routing, rolling deploys, correlated breakers, work
+//!   stealing, and the oracles that audit every run.
+//! * [`fleet_chaos`] — the chaos engine: seeded crash and fault
+//!   schedules over the fleet (a single supervisor is the one-shard
+//!   fleet), and the shrinker for a schedule that breaks an oracle.
 //! * [`whatif`] — §4.1 hardware what-if: presence-probe-conditional
 //!   yields.
 //! * [`metrics`] — percentiles and cycle-accounting summaries.
@@ -50,7 +58,6 @@
 //! w.instances[0].assert_checksum(&ctxs[0]);
 //! ```
 
-pub mod chaos;
 pub mod degrade;
 pub mod dualmode;
 pub mod executor;
@@ -61,12 +68,9 @@ pub mod metrics;
 pub mod pipeline;
 pub mod scheduler;
 pub mod supervisor;
+mod testkit;
 pub mod whatif;
 
-pub use chaos::{
-    minimize, random_schedule, run_campaigns, run_schedule, CampaignReport, ChaosConfigError,
-    ChaosOptions, ChaosSchedule, ChaosWorld, ScheduleRun,
-};
 pub use degrade::{
     pgo_pipeline_degrading, scavenger_only_build, DegradeOptions, DegradeReason, DegradedBuild,
     Rung,
@@ -78,8 +82,8 @@ pub use fleet::{
     FleetEvent, FleetOptions, FleetReport, FleetWorkload, RolloutOptions, ShardSummary,
 };
 pub use fleet_chaos::{
-    random_fleet_schedule, run_fleet_campaigns, run_fleet_schedule, FleetCampaignReport,
-    FleetChaosError, FleetChaosOptions, FleetChaosSchedule, FleetChaosWorld, FleetScheduleRun,
+    minimize, random_fleet_schedule, run_fleet_campaigns, run_fleet_schedule, FleetCampaignReport,
+    FleetChaosError, FleetChaosOptions, FleetChaosSchedule, FleetChaosWorld,
 };
 pub use journal::{project, Journal, JournalRecord, JournalState, Replay, StoredBuild};
 pub use metrics::{percentile, percentiles, ratio, CycleSummary};

@@ -89,8 +89,9 @@ impl From<DegradedBuild> for DeployedBuild {
 /// one function (`attempt_rebuild` runs the two gates itself: a crash
 /// point sits between them and its incident names the gate that
 /// refused), and it derives the answer from the bytes alone — which is
-/// why the chaos oracle can call it before every segment without
-/// believing anything recovery or a swap concluded.
+/// why the fleet can call it after every recovery, and the chaos engine
+/// on every initial build, without believing anything recovery or a
+/// swap concluded.
 pub(crate) fn build_is_trusted(
     original: &Program,
     build: &DeployedBuild,
@@ -592,8 +593,8 @@ impl SupervisorReport {
 }
 
 /// Canonical JSON text of any incident sequence — also usable on a log
-/// *concatenated across crash segments and recoveries*, which is how the
-/// chaos engine extends the replay-determinism contract across restarts.
+/// *concatenated across crash segments and recoveries*, which is how a
+/// fleet shard extends the replay-determinism contract across restarts.
 pub fn incidents_json(incidents: &[Incident]) -> String {
     Json::Array(incidents.iter().map(Incident::to_json).collect()).to_string()
 }
@@ -697,7 +698,7 @@ pub enum SuperviseExit {
     Completed(SupervisorReport),
     /// An injected crash killed the process mid-loop. The report covers
     /// the segment up to the crash (volatile — a real crash would lose
-    /// it; the chaos engine keeps it for its oracles).
+    /// it; a simulated one may keep it for its oracles).
     Crashed {
         /// Which loop stage the crash landed in.
         point: CrashPoint,
@@ -706,16 +707,6 @@ pub enum SuperviseExit {
         /// The segment's partial report.
         report: SupervisorReport,
     },
-}
-
-impl SuperviseExit {
-    /// The segment report, however the segment ended.
-    pub fn report(&self) -> &SupervisorReport {
-        match self {
-            SuperviseExit::Completed(r) => r,
-            SuperviseExit::Crashed { report, .. } => report,
-        }
-    }
 }
 
 /// Runs the self-healing control loop for `opts.epochs` scheduler
@@ -795,7 +786,7 @@ fn run_loop(
     }
     // Clean shutdown: anything the partial-flush channel held back
     // reaches the durable image, so a clean journal projects exactly the
-    // live final state (the chaos engine's state-equality oracle).
+    // live final state (what the fleet's end-of-run journal audit checks).
     if let Some(j) = journal {
         j.flush();
     }
@@ -1003,7 +994,9 @@ impl EpochLoop {
     /// left in; then the estimator and SLO window restart against the new
     /// reference and `incident` (whose epoch is the deployment's) is
     /// logged. Crash instants are numbered by consultation, so the order
-    /// is part of the replay contract.
+    /// is part of the replay contract. A crash between the two records
+    /// leaves the old breaker durable under the new build, which is why
+    /// [`project`] reads a full-PGO `Deploy` as closing the breaker.
     fn deploy(
         &mut self,
         machine: &mut Machine,
@@ -1573,11 +1566,9 @@ mod tests {
     use super::*;
     use crate::dualmode::WatchdogOptions;
     use crate::journal::Journal;
-    use reach_profile::Periods;
+    use crate::testkit::{fast_degrade, runaway_prog, LOOKUPS};
     use reach_sim::{AluOp, Cond, Inst, MachineConfig, ProgramBuilder, Reg};
     use reach_workloads::{build_zipf_kv, AddrAlloc, ZipfKvParams};
-
-    const LOOKUPS: u64 = 1024;
 
     /// A zipf-KV service with independently skewed *profiled* and *live*
     /// traffic: the instrumentation was built against the stale pool's
@@ -1669,32 +1660,6 @@ mod tests {
                 })
                 .collect()
         }
-    }
-
-    /// A cooperative-free infinite loop for the scavenger pool.
-    fn runaway_prog() -> Program {
-        let mut b = ProgramBuilder::new("runaway");
-        b.imm(Reg(1), 1);
-        let top = b.label();
-        b.bind(top);
-        b.alu(AluOp::Add, Reg(2), Reg(2), Reg(1), 1);
-        b.branch(Cond::Nez, Reg(1), top);
-        b.halt();
-        b.finish().unwrap()
-    }
-
-    /// Degrade options whose profiling periods suit the small test
-    /// workload (1024 lookups would yield too few samples at the
-    /// default period).
-    fn fast_degrade() -> DegradeOptions {
-        let mut d = DegradeOptions::default();
-        d.pipeline.collector.periods = Periods {
-            l2_miss: 13,
-            l3_miss: 13,
-            stall: 13,
-            retired: 13,
-        };
-        d
     }
 
     /// Initial deployment: full-PGO build against the service's
@@ -2289,6 +2254,83 @@ mod tests {
         assert_eq!(st.breaker, r.breaker);
     }
 
+    /// A recovered loop that crashes again recovers again: two
+    /// crash–recover cycles, each process under a fresh injector, then a
+    /// clean completion. The journal projects the live final state, and
+    /// the incident log concatenated across both restarts replays
+    /// bit-for-bit.
+    #[test]
+    fn a_recovered_loop_that_crashes_again_recovers_again() {
+        use reach_sim::{FaultInjector, FaultPlan};
+        let run = || {
+            let mut m = Machine::new(MachineConfig::default());
+            let mut svc = ZipfService::new(&mut m, 0.0, 3.0);
+            let orig = svc.prog.clone();
+            let mut build = initial_build(&mut m, &svc, &orig);
+            let opts = drift_opts();
+            let mut journal = Journal::new();
+            let (mut resume, mut incidents, mut process) = (None, Vec::new(), 0u64);
+            let live = loop {
+                // The first two processes crash at their 4th crash-point
+                // consultation; the third runs clean.
+                let plan = FaultPlan::none(process).with_torn_write(0.7);
+                let plan = if process < 2 {
+                    plan.with_crash_at(4)
+                } else {
+                    plan
+                };
+                m.faults = Some(FaultInjector::new(plan));
+                process += 1;
+                let exit = supervise_journaled(
+                    &mut m,
+                    &mut svc,
+                    &orig,
+                    build.clone(),
+                    &opts,
+                    &mut journal,
+                    resume,
+                )
+                .unwrap();
+                let report = match exit {
+                    SuperviseExit::Completed(r) => break r,
+                    SuperviseExit::Crashed { report, .. } => report,
+                };
+                incidents.extend(report.incidents);
+                m.faults = None;
+                let rec = recover(
+                    &mut journal,
+                    &orig,
+                    &mut m,
+                    &opts,
+                    &RecoverOptions::default(),
+                )
+                .unwrap();
+                incidents.extend(rec.incidents);
+                (build, resume) = (rec.build, Some(rec.resume));
+            };
+            assert_eq!(process, 3, "both crashes must fire");
+            incidents.extend(live.incidents.iter().cloned());
+            let recoveries = incidents
+                .iter()
+                .filter(|i| i.trigger == Trigger::CrashRecovery)
+                .count();
+            assert_eq!(recoveries, 2);
+
+            let st = project(&journal.replay().records);
+            assert_eq!(st.epoch, Some(opts.epochs - 1));
+            let (fp, rung, _) = st.deploy.expect("a deploy is journaled");
+            assert_eq!(rung, live.final_rung);
+            let stored = journal.get_build(fp).expect("the artifact is stored");
+            assert_eq!(stored.prog.fingerprint(), fp);
+            assert_eq!(st.breaker, live.breaker);
+            assert_eq!(st.failures, live.rebuild_failures);
+            let budget = st.scav_budget.map_or(opts.scavengers, |b| b as usize);
+            assert_eq!(budget, live.scav_budget_final);
+            incidents_hash(&incidents)
+        };
+        assert_eq!(run(), run());
+    }
+
     #[test]
     fn recovery_degrades_when_the_recovered_artifact_fails_the_gates() {
         let mut m = Machine::new(MachineConfig::default());
@@ -2309,13 +2351,13 @@ mod tests {
         // and fall down the ladder.
         let st = crate::journal::project(&journal.replay().records);
         let (fp, _, _) = st.deploy.expect("initial deploy journaled");
-        assert!(journal.mutate_build(fp, |b| {
-            for inst in &mut b.prog.insts {
-                if let Inst::Yield { save_regs, .. } = inst {
-                    *save_regs = Some(0);
-                }
+        let mut rotted = journal.get_build(fp).expect("artifact stored").clone();
+        for inst in &mut rotted.prog.insts {
+            if let Inst::Yield { save_regs, .. } = inst {
+                *save_regs = Some(0);
             }
-        }));
+        }
+        journal.store_build(fp, rotted);
         // Snapshot before recovering: a degraded recovery re-points the
         // journal at its fallback deployment.
         let mut j2 = journal.clone();

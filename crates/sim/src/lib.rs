@@ -58,6 +58,7 @@ pub mod mem;
 pub mod multicore;
 pub mod pebs;
 pub mod rng;
+pub mod shrink;
 pub mod smt;
 pub mod trace;
 
@@ -97,5 +98,6 @@ pub use mem::{MemError, Memory};
 pub use multicore::{MultiCore, MultiCoreConfig, UncoreStatus};
 pub use pebs::{HwEvent, PebsConfig, PebsSampler, Sample};
 pub use rng::{SplitMix64, Zipf};
+pub use shrink::ddmin;
 pub use smt::{run_smt, SmtReport};
 pub use trace::{Trace, TraceEntry};

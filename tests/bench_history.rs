@@ -5,7 +5,11 @@
 //! `"commit": null`; the next PR to touch the file fills it in.
 //!
 //! A workload cell carries `ops_per_s` and may carry any other end-to-end
-//! metric `BENCHMARK.json` names. A row whose PR claimed a gain says where
+//! metric `BENCHMARK.json` names. It may also carry `"spread": {<metric>:
+//! x}`, the parent runs' interquartile range over their median, so a
+//! reader can set each change against its `BENCHMARK.json` bound; a
+//! spread wider than the bound leaves that metric unresolved by the row.
+//! A row whose PR claimed a gain says where
 //! — `"claim": {"workload", "metric"}` — and must carry that metric for
 //! that workload, so the trajectory shows the number the claim was judged
 //! on. A row that does not parse, or has another shape, fails here; CI
@@ -61,6 +65,17 @@ fn every_row_parses_and_pr_numbers_increase() {
                         if metric == "pairs" {
                             let pairs = value.as_u64();
                             assert!(pairs.is_ok_and(|p| p > 0), "line {n}, {workload}: pairs");
+                            continue;
+                        }
+                        if metric == "spread" {
+                            let Json::Object(spreads) = value else {
+                                panic!("line {n}, {workload}: spread is {value}");
+                            };
+                            for (metric, s) in spreads {
+                                let known = metrics.iter().any(|m| m == metric);
+                                let ok = s.as_f64().is_ok_and(|x| x >= 0.0);
+                                assert!(known && ok, "line {n}, {workload}: spread {metric}");
+                            }
                             continue;
                         }
                         let known = metrics.iter().any(|m| m == metric);

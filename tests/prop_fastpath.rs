@@ -920,7 +920,7 @@ fn observe_multi(
     }
 }
 
-/// The arming the serving stack and the chaos engines run under, beside
+/// The arming the serving stack and the chaos engine run under, beside
 /// the random ones: the in-situ and retirement samplers, and traps with
 /// LBR drops.
 fn gen_multi_arming() -> impl Strategy<Value = Arming> {

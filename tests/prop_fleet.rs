@@ -15,7 +15,7 @@
 //! control, not behavior, so at N=1 it must vanish.
 
 use proptest::prelude::*;
-use reach_bench::experiments::multicore::{default_fleet_opts, default_rollout, fleet_world};
+use reach_bench::serving::{default_fleet_opts, default_rollout, fleet_world};
 use reach_core::{
     incidents_hash, run_fleet, shard_seed, supervise_journaled, Arrival, DeployedBuild,
     FleetWorkload, Journal, ServiceWorkload, SuperviseExit,
@@ -145,7 +145,7 @@ type ShardPrint = (u64, u64, u64, u64, Vec<(u64, u64)>);
 /// to its determinism fingerprint: the fleet hash plus every per-shard
 /// counter stream.
 fn fleet_fingerprint(seed: u64) -> (u64, Vec<ShardPrint>) {
-    let (mut mc, mut svc, orig, initial) = fleet_world(2);
+    let (mut mc, mut svc, orig, initial) = fleet_world(2, false);
     let mut opts = default_fleet_opts(2, seed);
     opts.rollout = Some(default_rollout());
     let hits_before: Vec<u64> = mc.cores.iter().map(|c| c.block_cache.stats.hits).collect();
