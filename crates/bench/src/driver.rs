@@ -8,28 +8,26 @@
 //! experiment cannot serialize the suite behind it.
 //!
 //! Everything an experiment reports is simulated and a pure function of
-//! the cell's seed. The two `wall_ms` fields stamped here are progress
-//! information for whoever reads a BENCH file; `bench_diff` never
-//! compares them. Host time is `benchmark/run.sh`'s job.
+//! the cell's seed, and the driver adds nothing else to a report: the
+//! files are byte-identical at any `--jobs`, and regenerating
+//! `bench/baselines/` on an unchanged tree leaves `git diff` empty. Host
+//! time is `benchmark/run.sh`'s job.
 //!
 //! Failure containment: a cell that panics (the pre-driver `exp_all`
 //! aborted the whole suite when one sibling binary failed to launch) is
 //! caught, recorded as a `failed` cell with its message, and the rest of
 //! the matrix keeps running.
 
-use crate::experiment::{cell_seed, Cell, Experiment, Tier};
+use crate::experiment::{cell_seed, Cell, Experiment};
 use crate::report::{BenchReport, CellResult, CellStatus, SCHEMA_VERSION};
 use crate::table::Table;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Driver configuration.
 #[derive(Clone, Debug)]
 pub struct DriverOptions {
-    /// Full matrix or CI smoke subset.
-    pub tier: Tier,
     /// Worker threads; 0 means `available_parallelism`.
     pub jobs: usize,
     /// Where `BENCH_*.json` files land; `None` disables writing.
@@ -41,7 +39,6 @@ pub struct DriverOptions {
 impl Default for DriverOptions {
     fn default() -> DriverOptions {
         DriverOptions {
-            tier: Tier::Full,
             jobs: 0,
             out_dir: Some(PathBuf::from(".")),
             only: Vec::new(),
@@ -51,7 +48,7 @@ impl Default for DriverOptions {
 
 impl DriverOptions {
     /// Parses `exp_all`'s CLI surface:
-    /// `[--smoke] [--jobs N] [--out-dir DIR] [--no-out] [--only a,b]`.
+    /// `[--jobs N] [--out-dir DIR] [--no-out] [--only a,b]`.
     ///
     /// # Errors
     ///
@@ -63,8 +60,6 @@ impl DriverOptions {
             let mut value_of =
                 |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
             match a.as_str() {
-                "--smoke" => opts.tier = Tier::Smoke,
-                "--full" => opts.tier = Tier::Full,
                 "--jobs" => {
                     let v = value_of("--jobs")?;
                     opts.jobs = v
@@ -82,9 +77,7 @@ impl DriverOptions {
                 }
                 "--help" | "-h" => {
                     return Err(
-                        "usage: [--smoke|--full] [--jobs N] [--out-dir DIR] [--no-out] \
-                         [--only exp1,exp2]"
-                            .into(),
+                        "usage: [--jobs N] [--out-dir DIR] [--no-out] [--only exp1,exp2]".into(),
                     );
                 }
                 other => return Err(format!("unknown flag {other:?} (try --help)")),
@@ -105,34 +98,16 @@ impl DriverOptions {
     }
 }
 
-/// `git rev-parse --short=12 HEAD`, or "unknown" outside a checkout.
-pub fn git_sha() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".into())
-}
-
-/// Runs one cell with panic containment, returning its result and
-/// timing.
+/// Runs one cell with panic containment.
 fn run_one(exp: &dyn Experiment, cell: &Cell) -> CellResult {
-    #[allow(clippy::disallowed_methods)] // wall_ms: progress only, never compared
-    let started = Instant::now();
     let seed = cell_seed(exp.name(), cell);
     let outcome =
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exp.run_cell(cell, seed)));
-    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     match outcome {
         Ok(metrics) => CellResult {
             cell: cell.clone(),
             status: CellStatus::Ok,
             metrics,
-            wall_ms,
         },
         Err(payload) => {
             let msg = payload
@@ -144,7 +119,6 @@ fn run_one(exp: &dyn Experiment, cell: &Cell) -> CellResult {
                 cell: cell.clone(),
                 status: CellStatus::Failed(msg),
                 metrics: Default::default(),
-                wall_ms,
             }
         }
     }
@@ -157,10 +131,8 @@ fn run_one(exp: &dyn Experiment, cell: &Cell) -> CellResult {
 /// `finish` violations land in [`BenchReport::violations`]. Neither
 /// aborts the suite.
 pub fn run_suite(exps: &[&dyn Experiment], opts: &DriverOptions) -> Vec<BenchReport> {
-    #[allow(clippy::disallowed_methods)] // wall_ms: progress only, never compared
-    let suite_start = Instant::now();
     // Flatten: (experiment index, cell index within experiment, cell).
-    let matrices: Vec<Vec<Cell>> = exps.iter().map(|e| e.cells(opts.tier)).collect();
+    let matrices: Vec<Vec<Cell>> = exps.iter().map(|e| e.cells()).collect();
     let jobs: Vec<(usize, usize)> = matrices
         .iter()
         .enumerate()
@@ -190,7 +162,6 @@ pub fn run_suite(exps: &[&dyn Experiment], opts: &DriverOptions) -> Vec<BenchRep
     });
     std::panic::set_hook(prev_hook);
 
-    let sha = git_sha();
     exps.iter()
         .zip(slots)
         .map(|(exp, slot)| {
@@ -203,10 +174,7 @@ pub fn run_suite(exps: &[&dyn Experiment], opts: &DriverOptions) -> Vec<BenchRep
             let mut report = BenchReport {
                 experiment: exp.name().to_string(),
                 schema_version: SCHEMA_VERSION,
-                git_sha: sha.clone(),
-                tier: opts.tier,
                 cells,
-                wall_ms: suite_start.elapsed().as_secs_f64() * 1e3,
                 violations: Vec::new(),
             };
             report.violations = exp.finish(&mut report);
@@ -298,12 +266,11 @@ pub fn run_and_emit(exps: &[&dyn Experiment], opts: &DriverOptions) -> i32 {
         .count();
     let violations: usize = reports.iter().map(|r| r.violations.len()).sum();
     println!(
-        "{} experiment(s), {} cell(s), {} failed, {} violation(s), tier {}.",
+        "{} experiment(s), {} cell(s), {} failed, {} violation(s).",
         reports.len(),
         total_cells,
         failed,
         violations,
-        opts.tier.as_str(),
     );
     i32::from(!clean)
 }
@@ -358,12 +325,8 @@ mod tests {
             "toy"
         }
 
-        fn cells(&self, tier: Tier) -> Vec<Cell> {
-            let n = match tier {
-                Tier::Full => 6,
-                Tier::Smoke => 2,
-            };
-            (0..n).map(|i| Cell::new("w", format!("c={i}"))).collect()
+        fn cells(&self) -> Vec<Cell> {
+            (0..6).map(|i| Cell::new("w", format!("c={i}"))).collect()
         }
 
         fn run_cell(&self, cell: &Cell, seed: u64) -> CellMetrics {
@@ -406,19 +369,16 @@ mod tests {
     #[test]
     fn repeated_runs_are_deterministic() {
         let toy = Toy { panic_on: "" };
-        let opts = DriverOptions {
-            jobs: 3,
-            out_dir: None,
-            ..DriverOptions::default()
+        let run = |jobs| {
+            let opts = DriverOptions {
+                jobs,
+                out_dir: None,
+                ..DriverOptions::default()
+            };
+            run_suite(&[&toy], &opts)[0].to_text()
         };
-        let a = run_suite(&[&toy], &opts);
-        let b = run_suite(&[&toy], &opts);
-        for (ra, rb) in a.iter().zip(&b) {
-            for (ca, cb) in ra.cells.iter().zip(&rb.cells) {
-                assert_eq!(ca.cell, cb.cell);
-                assert_eq!(ca.metrics, cb.metrics);
-            }
-        }
+        assert_eq!(run(3), run(3));
+        assert_eq!(run(1), run(3));
     }
 
     /// Regression for the pre-driver `exp_all`, which `panic!`ed out of
@@ -457,38 +417,22 @@ mod tests {
     }
 
     #[test]
-    fn smoke_is_a_subset() {
-        let toy = Toy { panic_on: "" };
-        let full = toy.cells(Tier::Full);
-        for c in toy.cells(Tier::Smoke) {
-            assert!(full.contains(&c));
-        }
-    }
-
-    #[test]
     fn cli_parses_the_shared_surface() {
         let opts = DriverOptions::parse(
-            [
-                "--smoke",
-                "--jobs",
-                "4",
-                "--out-dir",
-                "/tmp/x",
-                "--only",
-                "a,b",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
+            ["--jobs", "4", "--out-dir", "/tmp/x", "--only", "a,b"]
+                .iter()
+                .map(|s| s.to_string()),
         )
         .unwrap();
-        assert_eq!(opts.tier, Tier::Smoke);
         assert_eq!(opts.jobs, 4);
         assert_eq!(
             opts.out_dir.as_deref(),
             Some(std::path::Path::new("/tmp/x"))
         );
         assert_eq!(opts.only, ["a", "b"]);
-        assert!(DriverOptions::parse(["--bogus".to_string()].into_iter()).is_err());
+        for gone in ["--bogus", "--smoke", "--full"] {
+            assert!(DriverOptions::parse([gone.to_string()].into_iter()).is_err());
+        }
         let none = DriverOptions::parse(["--no-out".to_string()].into_iter()).unwrap();
         assert!(none.out_dir.is_none());
     }
@@ -497,7 +441,6 @@ mod tests {
     fn render_marks_failed_cells() {
         let toy = Toy { panic_on: "c=1" };
         let opts = DriverOptions {
-            tier: Tier::Smoke,
             jobs: 1,
             out_dir: None,
             ..DriverOptions::default()

@@ -8,45 +8,15 @@
 //!
 //! Cells report their results as typed [`CellMetrics`] (exact `u64`
 //! counters, `f64` fractions/ratios, or small enums as strings), which
-//! serialize losslessly into the `BENCH_<experiment>.json` schema (see
-//! [`crate::report`]) and diff against committed baselines (see
-//! [`crate::diff`]).
+//! serialize into the `BENCH_<experiment>.json` schema (see
+//! [`crate::report`]); the committed copies in `bench/baselines/` are
+//! gated by regenerating them and running `git diff`.
 
 use crate::report::BenchReport;
 
-/// How much of the matrix to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Tier {
-    /// The full matrix behind every EXPERIMENTS.md table.
-    Full,
-    /// A CI-sized subset. Smoke cells are a *subset* of the full matrix
-    /// (same workload/config keys, same per-cell work) wherever possible,
-    /// so smoke baselines stay comparable with full-tier runs.
-    Smoke,
-}
-
-impl Tier {
-    /// Canonical lowercase name ("full" / "smoke").
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Tier::Full => "full",
-            Tier::Smoke => "smoke",
-        }
-    }
-
-    /// Inverse of [`Tier::as_str`].
-    pub fn parse(s: &str) -> Option<Tier> {
-        match s {
-            "full" => Some(Tier::Full),
-            "smoke" => Some(Tier::Smoke),
-            _ => None,
-        }
-    }
-}
-
 /// One point of an experiment's matrix: a workload crossed with a
 /// configuration. Both strings are stable keys — they name the cell in
-/// BENCH JSON and are what [`crate::diff`] matches baselines against.
+/// BENCH JSON and in its one line of a `git diff`.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Cell {
     /// Workload key (e.g. "chase", "multi4", "zipf").
@@ -80,7 +50,7 @@ impl std::fmt::Display for Cell {
 /// through JSON without passing through `f64`); fractions and ratios are
 /// `f64` (NaN serializes as `null` — "not available", e.g. a degradation
 /// ratio with a zero baseline); small categorical outcomes (degradation
-/// rungs, reasons) are strings and diff by equality.
+/// rungs, reasons) are strings.
 #[derive(Clone, Debug, PartialEq)]
 pub enum MetricValue {
     /// An exact counter.
@@ -179,8 +149,8 @@ impl CellMetrics {
     }
 }
 
-/// One experiment: a stable name, a cell matrix per [`Tier`], and a
-/// deterministic per-cell measurement.
+/// One experiment: a stable name, a cell matrix, and a deterministic
+/// per-cell measurement.
 ///
 /// Implementations must be `Sync`: the driver calls [`Experiment::run_cell`]
 /// from several threads at once. Each call must build all of its own
@@ -201,9 +171,8 @@ pub trait Experiment: Sync {
         ""
     }
 
-    /// The cell matrix for a tier. Smoke must be a subset-or-equal
-    /// amount of work vs full.
-    fn cells(&self, tier: Tier) -> Vec<Cell>;
+    /// The cell matrix, in report order.
+    fn cells(&self) -> Vec<Cell>;
 
     /// Measures one cell. `seed` is derived from the cell key (see
     /// [`cell_seed`]) and is the only randomness a cell may consume;

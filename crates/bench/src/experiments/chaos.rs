@@ -30,7 +30,7 @@
 //! plus the shrinker that cuts any violating schedule down to a
 //! copy-pasteable minimal repro.
 
-use crate::experiment::{Cell, CellMetrics, Experiment, Tier};
+use crate::experiment::{Cell, CellMetrics, Experiment};
 use crate::report::{BenchReport, CellStatus};
 use crate::serving::{chaos_factory, default_fleet_chaos_opts};
 use reach_core::{mix64, run_fleet_schedule, Ev, FleetChaosSchedule, Trigger};
@@ -145,9 +145,7 @@ impl Experiment for Chaos {
          crashed epoch is not re-served) lies in [0, 1]."
     }
 
-    fn cells(&self, _tier: Tier) -> Vec<Cell> {
-        // Already CI-sized; smoke == full keeps one committed baseline
-        // valid for both tiers.
+    fn cells(&self) -> Vec<Cell> {
         classes()
             .iter()
             .map(|c| Cell::new("zipf-drift", c.name))

@@ -8,14 +8,13 @@
 //! many contexts one 100 ns miss actually needs when the scavengers
 //! themselves keep missing.
 
-use crate::experiment::{Cell, CellMetrics, Experiment, Tier};
+use crate::experiment::{Cell, CellMetrics, Experiment};
 use crate::{fresh, pgo_build};
 use reach_core::{ratio, run_dual_mode, DualModeOptions, PipelineOptions};
 use reach_sim::{Context, MachineConfig};
 use reach_workloads::{build_chase, ChaseParams};
 
 const MAX_POOL: usize = 8;
-const SMOKE_POOLS: &[usize] = &[0, 2, 8];
 
 fn params() -> ChaseParams {
     ChaseParams {
@@ -45,9 +44,8 @@ impl Experiment for F10DualMode {
          scale-up); primary latency stays bounded while efficiency climbs."
     }
 
-    fn cells(&self, tier: Tier) -> Vec<Cell> {
+    fn cells(&self) -> Vec<Cell> {
         (0..=MAX_POOL)
-            .filter(|p| tier == Tier::Full || SMOKE_POOLS.contains(p))
             .map(|p| Cell::new("chase", format!("pool={p}")))
             .collect()
     }

@@ -14,7 +14,7 @@
 //! coroutines dominate the 10 ns–1 µs middle band; OS threads only become
 //! *viable* (≫ sequential) at µs scale.
 
-use crate::experiment::{Cell, CellMetrics, Experiment, Tier};
+use crate::experiment::{Cell, CellMetrics, Experiment};
 use crate::{fresh, interleave_checked, pgo_build};
 use reach_baselines::run_sequential;
 use reach_core::{InterleaveOptions, PipelineOptions, SwitchMode};
@@ -35,10 +35,6 @@ const DURATIONS: &[(u64, &str)] = &[
     (9000, "event=3us"),
     (30000, "event=10us"),
 ];
-
-/// The smoke subset: one point per regime (OoOE-owned, coroutine-owned,
-/// thread-viable).
-const SMOKE: &[&str] = &["event=10ns", "event=300ns", "event=3us"];
 
 fn config_for(mem_latency: u64) -> MachineConfig {
     let mut cfg = MachineConfig::default();
@@ -77,10 +73,9 @@ impl Experiment for F1Spectrum {
          coroutines+PGO own the 10ns-1us band; threads only catch up near 1us+."
     }
 
-    fn cells(&self, tier: Tier) -> Vec<Cell> {
+    fn cells(&self) -> Vec<Cell> {
         DURATIONS
             .iter()
-            .filter(|(_, label)| tier == Tier::Full || SMOKE.contains(label))
             .map(|&(_, label)| Cell::new("multi4", label))
             .collect()
     }

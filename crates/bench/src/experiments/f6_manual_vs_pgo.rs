@@ -16,7 +16,7 @@
 //!   wildly different miss behaviour: the developer cannot tell them
 //!   apart, the profile can.
 
-use crate::experiment::{Cell, CellMetrics, Experiment, Tier};
+use crate::experiment::{Cell, CellMetrics, Experiment};
 use crate::{fresh, interleave_checked, pgo_build};
 use reach_baselines::instrument_manual;
 use reach_core::{InterleaveOptions, PipelineOptions};
@@ -100,7 +100,7 @@ impl Experiment for F6ManualVsPgo {
          impossible to make statically (tiered sites)."
     }
 
-    fn cells(&self, _tier: Tier) -> Vec<Cell> {
+    fn cells(&self) -> Vec<Cell> {
         WORKLOADS
             .iter()
             .flat_map(|w| MECHANISMS.iter().map(move |m| Cell::new(*w, *m)))

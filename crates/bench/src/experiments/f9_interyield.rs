@@ -13,7 +13,7 @@
 //! coroutines; the target sweep (150–1200 cycles) quantifies the §3.3
 //! tension between timely yielding and check/switch overhead.
 
-use crate::experiment::{Cell, CellMetrics, Experiment, Tier};
+use crate::experiment::{Cell, CellMetrics, Experiment};
 use crate::{fresh, pgo_build};
 use reach_core::{percentiles, run_interleaved, InterleaveOptions, PipelineOptions};
 use reach_instrument::ScavengerOptions;
@@ -29,8 +29,6 @@ const CONFIGS: &[&str] = &[
     "scav-600",
     "scav-1200",
 ];
-
-const SMOKE: &[&str] = &["primary-only", "scav-300"];
 
 fn params() -> ChaseParams {
     ChaseParams {
@@ -63,10 +61,9 @@ impl Experiment for F9InterYield {
          conditional yields and their overhead."
     }
 
-    fn cells(&self, tier: Tier) -> Vec<Cell> {
+    fn cells(&self) -> Vec<Cell> {
         CONFIGS
             .iter()
-            .filter(|c| tier == Tier::Full || SMOKE.contains(c))
             .map(|c| Cell::new("chase-burst", *c))
             .collect()
     }

@@ -17,9 +17,9 @@
 //! The bound checks run in [`Experiment::finish`] over the assembled
 //! report (the healthy reference is the same workload's `baseline` cell),
 //! so cells stay independent under the parallel driver; violations make
-//! the run exit non-zero, which is how CI consumes this as a smoke test.
+//! the run exit non-zero, which fails CI's baseline regeneration.
 
-use crate::experiment::{Cell, CellMetrics, Experiment, Tier};
+use crate::experiment::{Cell, CellMetrics, Experiment};
 use crate::report::{BenchReport, CellStatus};
 use crate::{fresh, workload_builder, WORKLOAD_NAMES};
 use reach_core::{
@@ -188,12 +188,8 @@ impl Experiment for FaultMatrix {
          or an isolated, reported trap."
     }
 
-    fn cells(&self, tier: Tier) -> Vec<Cell> {
-        let workloads: &[&str] = match tier {
-            Tier::Full => &WORKLOAD_NAMES,
-            Tier::Smoke => &["chase"],
-        };
-        workloads
+    fn cells(&self) -> Vec<Cell> {
+        WORKLOAD_NAMES
             .iter()
             .flat_map(|w| classes().into_iter().map(move |c| Cell::new(*w, c.name)))
             .collect()

@@ -67,7 +67,7 @@ pub fn by_name(name: &str) -> Option<Box<dyn Experiment>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{cell_seed, Cell, Tier};
+    use crate::experiment::{cell_seed, Cell};
 
     #[test]
     fn registry_names_are_unique_and_resolvable() {
@@ -83,8 +83,9 @@ mod tests {
     }
 
     /// Every metric is a pure function of the cell and its seed — the
-    /// premise of gating at `--rel 0` with no exemption. The two cells
-    /// are from the experiments that once timed themselves on the host.
+    /// premise of regenerating the baselines byte-identically. The two
+    /// cells are from the experiments that once timed themselves on the
+    /// host.
     #[test]
     fn a_cell_run_twice_returns_equal_metrics() {
         for (exp, workload, config) in [
@@ -93,38 +94,21 @@ mod tests {
         ] {
             let e = by_name(exp).unwrap();
             let cell = Cell::new(workload, config);
-            assert!(e.cells(Tier::Smoke).contains(&cell));
+            assert!(e.cells().contains(&cell));
             let seed = cell_seed(exp, &cell);
             assert_eq!(e.run_cell(&cell, seed), e.run_cell(&cell, seed), "{exp}");
         }
     }
 
     #[test]
-    fn every_smoke_matrix_is_a_subset_of_full() {
-        for e in all() {
-            let full = e.cells(Tier::Full);
-            let smoke = e.cells(Tier::Smoke);
-            assert!(!smoke.is_empty(), "{}: empty smoke matrix", e.name());
-            for c in &smoke {
-                assert!(
-                    full.contains(c),
-                    "{}: smoke cell {c} not in the full matrix",
-                    e.name()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn cell_keys_are_unique_within_each_experiment() {
         for e in all() {
-            for tier in [Tier::Full, Tier::Smoke] {
-                let cells = e.cells(tier);
-                let mut keys: Vec<String> = cells.iter().map(|c| c.key()).collect();
-                keys.sort();
-                keys.dedup();
-                assert_eq!(keys.len(), cells.len(), "{}: duplicate cell key", e.name());
-            }
+            let cells = e.cells();
+            assert!(!cells.is_empty(), "{}: empty matrix", e.name());
+            let mut keys: Vec<String> = cells.iter().map(|c| c.key()).collect();
+            keys.sort();
+            keys.dedup();
+            assert_eq!(keys.len(), cells.len(), "{}: duplicate cell key", e.name());
         }
     }
 }

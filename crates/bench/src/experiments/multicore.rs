@@ -3,21 +3,24 @@
 //! Each cell runs the key-sharded zipf-KV fleet of
 //! [`reach_core::run_fleet`] on an N-core [`reach_sim::MultiCore`]
 //! (per-core private L1/L2, shared-L3 occupancy + DRAM-bandwidth
-//! contention model) and reports aggregate throughput scaling,
-//! per-shard tail latency, cross-shard forwarding behavior and —
-//! in the deploy cells — the rolling re-instrumentation rollout riding
-//! behind the max-unavailable=1 gate, with drained shards donating
-//! their scavenger slices to the survivors.
+//! contention model) and reports jobs served, per-shard tail latency,
+//! cross-shard forwarding behavior and — in the deploy cells — the
+//! rolling re-instrumentation rollout riding behind the
+//! max-unavailable=1 gate, with drained shards donating their scavenger
+//! slices to the survivors.
 //!
 //! The matrix crosses core count {1, 2, 4} with supervised vs.
 //! unsupervised serving and steady-state vs. deploy-in-flight. Traffic
-//! scales with the shard count (one owner-rotating arrival per shard
-//! per epoch, each ingressing at its neighbor), so `agg_jobs_per_epoch`
-//! is the scaling curve and `p99_max` the worst shard's tail.
+//! is one owner-rotating arrival per shard per epoch, each ingressing
+//! at its neighbor, so a steady cell's `served` is shards × epochs by
+//! construction: a count, not a scaling result. What the core count
+//! moves is `p99_max` (the worst shard's tail), forwarding and the
+//! uncore contention peaks. Whether the fleet scales on the host is
+//! measured by `benchmark/` (`core.fleet.shard_scaling`), not here.
 //!
 //! Everything here is simulated and deterministic: every counter, the
-//! per-shard p99s and the fleet event-log hash gate byte-identically at
-//! `--rel 0`. Zero `violations` doubles as the fleet-invariant gate
+//! per-shard p99s and the fleet event-log hash regenerate
+//! byte-identically. Zero `violations` doubles as the fleet-invariant gate
 //! (capacity during healthy rolling deploys, poison containment, no
 //! untrusted recovery, every journal replaying to its shard's live
 //! state).
@@ -28,9 +31,9 @@
 //! [`fleet_world`](crate::serving::fleet_world), audited by the same
 //! oracles.
 
-use crate::experiment::{Cell, CellMetrics, Experiment, Tier};
+use crate::experiment::{Cell, CellMetrics, Experiment};
 use crate::report::{BenchReport, CellStatus};
-use crate::serving::{default_fleet_opts, default_rollout, fleet_world, FLEET_EPOCHS};
+use crate::serving::{default_fleet_opts, default_rollout, fleet_world};
 use reach_core::run_fleet;
 
 /// One matrix point.
@@ -105,14 +108,14 @@ impl Experiment for Multicore {
          (capacity >= (N-1)/N during healthy rolling deploys, poison \
          containment, journal projection == live state) and the deploy \
          cells complete their rollout behind the max-unavailable=1 \
-         gate. agg_jobs_per_epoch is the throughput-scaling curve, \
-         p99_max the worst shard's tail; fleet_hash certifies the \
-         fleet event + incident logs replayed bit-for-bit."
+         gate. Traffic is one arrival per shard per epoch, so served is \
+         shards x epochs by construction (a drained shard-epoch costs \
+         one job), not a scaling result; p99_max is the worst shard's \
+         tail; fleet_hash certifies the fleet event + incident logs \
+         replayed bit-for-bit."
     }
 
-    fn cells(&self, _tier: Tier) -> Vec<Cell> {
-        // Already CI-sized; smoke == full keeps one committed baseline
-        // valid for both tiers.
+    fn cells(&self) -> Vec<Cell> {
         configs()
             .iter()
             .map(|c| Cell::new("zipf-fleet", c.name))
@@ -137,13 +140,10 @@ impl Experiment for Multicore {
         let swaps: u64 = rep.shards.iter().map(|s| s.swaps).sum();
         let job_faults: u64 = rep.shards.iter().map(|s| s.job_faults).sum();
         let p99s: Vec<u64> = rep.shards.iter().map(|s| s.p99()).collect();
-        let served = rep.served();
-
         let mut m = CellMetrics::new();
         m.put_u64("cores", cfg.cores as u64)
             .put_u64("violations", rep.violations.len() as u64)
-            .put_u64("served", served)
-            .put_f64("agg_jobs_per_epoch", served as f64 / FLEET_EPOCHS as f64)
+            .put_u64("served", rep.served())
             .put_u64("p99_max", p99s.iter().copied().max().unwrap_or(0))
             .put_u64("p99_min", p99s.iter().copied().min().unwrap_or(0))
             .put_u64("job_faults", job_faults)

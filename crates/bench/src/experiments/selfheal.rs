@@ -29,7 +29,7 @@
 //! degraded rung — never a panic. Violations fail the run, which is how
 //! CI consumes this experiment.
 
-use crate::experiment::{Cell, CellMetrics, Experiment, Tier};
+use crate::experiment::{Cell, CellMetrics, Experiment};
 use crate::report::{BenchReport, CellStatus};
 use crate::serving::{fast_degrade, runaway_prog};
 use reach_core::{
@@ -236,9 +236,7 @@ impl Experiment for SelfHeal {
          degraded rung; and the healthy arm never false-triggers."
     }
 
-    fn cells(&self, _tier: Tier) -> Vec<Cell> {
-        // The matrix is already CI-sized; smoke == full keeps the
-        // committed baseline valid for both tiers.
+    fn cells(&self) -> Vec<Cell> {
         SCENARIOS
             .iter()
             .flat_map(|s| POLICIES.iter().map(move |p| Cell::new(*s, *p)))

@@ -10,8 +10,9 @@
 //! fault log (`prop_fastpath` holds the same property on random
 //! programs; this holds it on the workloads the other experiments run).
 //!
-//! The metrics are all simulated and deterministic, gated byte-identical
-//! by `bench_diff` like every other experiment: `sim_insts` /
+//! The metrics are all simulated and deterministic, and the committed
+//! baseline must regenerate byte-identically like every other
+//! experiment's: `sim_insts` /
 //! `sim_cycles` / `samples`, and the block cache's `blocks_compiled` /
 //! `block_hit_rate` / `block_invalidations`. Host throughput is not
 //! measured here: `benchmark/run.sh run` reports it in calibrated time
@@ -34,7 +35,7 @@
 //! are what production runs, and what the superblock engine's observed
 //! instance has to agree with `step` under.
 
-use crate::experiment::{Cell, CellMetrics, Experiment, Tier};
+use crate::experiment::{Cell, CellMetrics, Experiment};
 use crate::fresh;
 use reach_baselines::run_sequential;
 use reach_profile::CollectorConfig;
@@ -62,9 +63,6 @@ const WORKLOADS: &[&str] = &[
     "scan-warm",
     "alu-dense",
 ];
-
-/// CI smoke subset: miss-path kernels plus the dispatch-bound kernels.
-const SMOKE: &[&str] = &["chase-hot", "chase-dram", "chase-tight", "alu-dense"];
 
 /// Observation regimes (cell configs); see the module docs.
 const REGIMES: &[&str] = &["seq", "insitu", "collect4", "faults"];
@@ -266,10 +264,9 @@ impl Experiment for SimPerf {
          interp-membound / interp-dispatch)."
     }
 
-    fn cells(&self, tier: Tier) -> Vec<Cell> {
+    fn cells(&self) -> Vec<Cell> {
         WORKLOADS
             .iter()
-            .filter(|w| tier == Tier::Full || SMOKE.contains(w))
             .flat_map(|w| REGIMES.iter().map(move |r| Cell::new(*w, *r)))
             .collect()
     }

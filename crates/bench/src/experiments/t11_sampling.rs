@@ -7,7 +7,7 @@
 //! miss-PC set (at the 0.5-likelihood threshold) plus the mean absolute
 //! error of likelihood estimates, against the run-time cost of sampling.
 
-use crate::experiment::{Cell, CellMetrics, Experiment, Tier};
+use crate::experiment::{Cell, CellMetrics, Experiment};
 use crate::fresh;
 use reach_profile::{collect, score, CollectorConfig, Periods};
 use reach_sim::MachineConfig;
@@ -23,12 +23,6 @@ const CONFIGS: &[(&str, u64, u32, usize)] = &[
     ("periods=1x,skid=4,buf=4096", 1, 4, 4096), // samples land late
     ("periods=1x,skid=16,buf=4096", 1, 16, 4096),
     ("periods=1x,skid=0,buf=32", 1, 0, 32), // tiny buffer: drops
-];
-
-const SMOKE: &[&str] = &[
-    "periods=1x,skid=0,buf=4096",
-    "periods=64x,skid=0,buf=4096",
-    "periods=1x,skid=16,buf=4096",
 ];
 
 /// The T11 sampling-fidelity experiment.
@@ -49,10 +43,9 @@ impl Experiment for T11Sampling {
          undersized buffers drop samples."
     }
 
-    fn cells(&self, tier: Tier) -> Vec<Cell> {
+    fn cells(&self) -> Vec<Cell> {
         CONFIGS
             .iter()
-            .filter(|(c, _, _, _)| tier == Tier::Full || SMOKE.contains(c))
             .map(|&(c, _, _, _)| Cell::new("tiered", c))
             .collect()
     }

@@ -10,7 +10,7 @@
 //! check on the hit path. The sweep over skew shows the win growing as
 //! the hit fraction rises.
 
-use crate::experiment::{Cell, CellMetrics, Experiment, Tier};
+use crate::experiment::{Cell, CellMetrics, Experiment};
 use crate::{fresh, interleave_checked, pgo_build};
 use reach_core::{make_conditional, InterleaveOptions, PipelineOptions};
 use reach_instrument::{Policy, PrimaryOptions};
@@ -20,7 +20,6 @@ use reach_workloads::{build_zipf_kv, ZipfKvParams};
 const N: usize = 8;
 
 const THETAS: &[&str] = &["0.0", "0.6", "0.9", "1.1"];
-const SMOKE_THETAS: &[&str] = &["0.0", "1.1"];
 const BINARIES: &[&str] = &["static", "probe-cond"];
 
 /// The T12 presence-probe what-if experiment.
@@ -41,10 +40,9 @@ impl Experiment for T12WhatIf {
          probe only adds its check cost."
     }
 
-    fn cells(&self, tier: Tier) -> Vec<Cell> {
+    fn cells(&self) -> Vec<Cell> {
         THETAS
             .iter()
-            .filter(|t| tier == Tier::Full || SMOKE_THETAS.contains(t))
             .flat_map(|t| {
                 BINARIES
                     .iter()

@@ -8,7 +8,7 @@
 //! stalls). Reported: makespan, sojourn percentiles, per-task service
 //! time, and machine efficiency.
 
-use crate::experiment::{Cell, CellMetrics, Experiment, Tier};
+use crate::experiment::{Cell, CellMetrics, Experiment};
 use crate::fresh;
 use reach_core::{pgo_pipeline, run_task_queue, PipelineOptions, SchedPolicy, Task};
 use reach_sim::MachineConfig;
@@ -49,7 +49,7 @@ impl Experiment for T13Scheduler {
          near solo (side-car stretches every task it rotates through)."
     }
 
-    fn cells(&self, _tier: Tier) -> Vec<Cell> {
+    fn cells(&self) -> Vec<Cell> {
         POLICIES
             .iter()
             .map(|p| Cell::new("task-queue", *p))

@@ -15,7 +15,7 @@
 //!   coroutines hide it the same either way — the two mechanisms
 //!   complement, not compete.
 
-use crate::experiment::{Cell, CellMetrics, Experiment, Tier};
+use crate::experiment::{Cell, CellMetrics, Experiment};
 use crate::{fresh, interleave_checked, pgo_build};
 use reach_baselines::run_sequential;
 use reach_core::{InterleaveOptions, PipelineOptions};
@@ -75,7 +75,7 @@ impl Experiment for T14HwPrefetcher {
          complementary, which is why the paper targets the irregular case."
     }
 
-    fn cells(&self, _tier: Tier) -> Vec<Cell> {
+    fn cells(&self) -> Vec<Cell> {
         PREFETCH
             .iter()
             .flat_map(|p| WORKLOADS.iter().map(move |w| Cell::new(*w, *p)))

@@ -15,7 +15,7 @@
 //!   cycles and retired instructions: approximate counts, full event
 //!   visibility, overhead proportional to the sampling rate.
 
-use crate::experiment::{Cell, CellMetrics, Experiment, Tier};
+use crate::experiment::{Cell, CellMetrics, Experiment};
 use crate::fresh;
 use reach_instrument::{instrument_counting, R_COUNTER_BASE};
 use reach_profile::{collect, CollectorConfig};
@@ -87,7 +87,7 @@ impl Experiment for T15ProfilingMethods {
          instrumenter needs."
     }
 
-    fn cells(&self, _tier: Tier) -> Vec<Cell> {
+    fn cells(&self) -> Vec<Cell> {
         WORKLOADS
             .iter()
             .flat_map(|w| METHODS.iter().map(move |m| Cell::new(*w, *m)))

@@ -19,7 +19,7 @@
 //! matching plain cell, so the four cells stay independent under the
 //! parallel driver.
 
-use crate::experiment::{Cell, CellMetrics, Experiment, Tier};
+use crate::experiment::{Cell, CellMetrics, Experiment};
 use crate::fresh;
 use crate::report::{BenchReport, CellStatus};
 use reach_baselines::run_sequential;
@@ -86,7 +86,7 @@ impl Experiment for T16Sfi {
          the co-design question §4.2 raises."
     }
 
-    fn cells(&self, _tier: Tier) -> Vec<Cell> {
+    fn cells(&self) -> Vec<Cell> {
         EXECUTORS
             .iter()
             .flat_map(|e| BINARIES.iter().map(move |b| Cell::new(*b, *e)))

@@ -18,7 +18,7 @@
 //!
 //! [`remap_to_origin`]: reach_instrument::remap_to_origin
 
-use crate::experiment::{Cell, CellMetrics, Experiment, Tier};
+use crate::experiment::{Cell, CellMetrics, Experiment};
 use crate::interleave_checked;
 use crate::report::{BenchReport, CellStatus};
 use reach_core::InterleaveOptions;
@@ -81,7 +81,7 @@ impl Experiment for T17Drift {
          the useless yields — §2's continuous-profiling loop, closed."
     }
 
-    fn cells(&self, _tier: Tier) -> Vec<Cell> {
+    fn cells(&self) -> Vec<Cell> {
         PHASES.iter().map(|p| Cell::new("zipf-drift", *p)).collect()
     }
 

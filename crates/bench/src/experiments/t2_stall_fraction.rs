@@ -6,7 +6,7 @@
 //! chase, large hash probe, uniform KV over a DRAM-sized table) must land
 //! above 60%; the locality controls (streaming scan, hot KV) stay below.
 
-use crate::experiment::{Cell, CellMetrics, Experiment, Tier};
+use crate::experiment::{Cell, CellMetrics, Experiment};
 use crate::fresh;
 use reach_baselines::run_sequential;
 use reach_sim::{MachineConfig, Memory};
@@ -15,7 +15,7 @@ use reach_workloads::{
     ChaseParams, HashParams, ScanParams, SearchParams, ZipfKvParams,
 };
 
-/// Workload keys, full-tier order; the first four are the memory-bound
+/// Workload keys, in table order; the first four are the memory-bound
 /// kernels the paper's claim covers, the last two the locality controls.
 const WORKLOADS: &[&str] = &[
     "chase-dram",
@@ -25,8 +25,6 @@ const WORKLOADS: &[&str] = &[
     "kv-skewed",
     "scan-warm",
 ];
-
-const SMOKE: &[&str] = &["chase-dram", "kv-uniform", "scan-warm"];
 
 fn build(name: &str, mem: &mut Memory, alloc: &mut AddrAlloc) -> BuiltWorkload {
     match name {
@@ -118,12 +116,8 @@ impl Experiment for T2StallFraction {
          binary search) show stall > 60%."
     }
 
-    fn cells(&self, tier: Tier) -> Vec<Cell> {
-        WORKLOADS
-            .iter()
-            .filter(|w| tier == Tier::Full || SMOKE.contains(w))
-            .map(|w| Cell::new(*w, "plain"))
-            .collect()
+    fn cells(&self) -> Vec<Cell> {
+        WORKLOADS.iter().map(|w| Cell::new(*w, "plain")).collect()
     }
 
     fn run_cell(&self, cell: &Cell, _seed: u64) -> CellMetrics {

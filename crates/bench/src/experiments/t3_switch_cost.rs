@@ -12,7 +12,7 @@
 //! calibrated workload in `benchmark/` and is therefore not quoted;
 //! `examples/host_interleaving.rs` shows the mechanism on real hardware.
 
-use crate::experiment::{Cell, CellMetrics, Experiment, Tier};
+use crate::experiment::{Cell, CellMetrics, Experiment};
 use crate::{cyc_ns, fresh, interleave_checked, pgo_build};
 use reach_core::{InterleaveOptions, PipelineOptions, SwitchMode};
 use reach_instrument::PrimaryOptions;
@@ -75,7 +75,7 @@ impl Experiment for T3SwitchCost {
          further (compare the coro rows' measured cost)."
     }
 
-    fn cells(&self, _tier: Tier) -> Vec<Cell> {
+    fn cells(&self) -> Vec<Cell> {
         MECHANISMS.iter().map(|m| Cell::new("chase", *m)).collect()
     }
 

@@ -10,7 +10,7 @@
 //! hardware's 8 contexts (`eff_smt` is n/a past the limit); software
 //! coroutines keep scaling.
 
-use crate::experiment::{Cell, CellMetrics, Experiment, Tier};
+use crate::experiment::{Cell, CellMetrics, Experiment};
 use crate::{fresh, interleave_checked, pgo_build};
 use reach_core::{InterleaveOptions, PipelineOptions};
 use reach_sim::{run_smt, MachineConfig};
@@ -18,7 +18,6 @@ use reach_workloads::{build_multi_chase, MultiChaseParams};
 
 const MAX_N: usize = 64;
 const SWEEP: &[usize] = &[1, 2, 4, 8, 16, 32, 64];
-const SMOKE: &[usize] = &[1, 8, 64];
 
 fn params() -> MultiChaseParams {
     MultiChaseParams {
@@ -47,10 +46,9 @@ impl Experiment for T4Concurrency {
          coalesced coroutine yields keep climbing well past it."
     }
 
-    fn cells(&self, tier: Tier) -> Vec<Cell> {
+    fn cells(&self) -> Vec<Cell> {
         SWEEP
             .iter()
-            .filter(|n| tier == Tier::Full || SMOKE.contains(n))
             .map(|n| Cell::new("multi4", format!("n={n}")))
             .collect()
     }

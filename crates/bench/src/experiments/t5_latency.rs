@@ -18,7 +18,7 @@
 //! `vs_solo` is derived in [`Experiment::finish`] from the solo cell, so
 //! the four cells stay independent under the parallel driver.
 
-use crate::experiment::{Cell, CellMetrics, Experiment, Tier};
+use crate::experiment::{Cell, CellMetrics, Experiment};
 use crate::report::{BenchReport, CellStatus};
 use reach_core::{
     pgo_pipeline, ratio, run_dual_mode, run_interleaved, DualModeOptions, InterleaveOptions,
@@ -92,7 +92,7 @@ impl Experiment for T5Latency {
          dual-mode keeps it near solo while efficiency stays high."
     }
 
-    fn cells(&self, _tier: Tier) -> Vec<Cell> {
+    fn cells(&self) -> Vec<Cell> {
         MECHANISMS
             .iter()
             .map(|m| Cell::new("query+batch", *m))

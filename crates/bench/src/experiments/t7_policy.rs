@@ -10,7 +10,7 @@
 //! switch) from the DRAM site (likely miss, very worth it) — the
 //! quantitative gain/cost model can.
 
-use crate::experiment::{Cell, CellMetrics, Experiment, Tier};
+use crate::experiment::{Cell, CellMetrics, Experiment};
 use crate::{fresh, interleave_checked, pgo_build};
 use reach_core::{InterleaveOptions, PipelineOptions};
 use reach_instrument::{Policy, PrimaryOptions};
@@ -32,8 +32,6 @@ const POLICIES: &[&str] = &[
     "cost-margin-1.0",
     "all",
 ];
-
-const SMOKE: &[&str] = &["threshold-0.1", "top-2", "cost-margin-1.0", "all"];
 
 fn policy(config: &str) -> Policy {
     if let Some(thr) = config.strip_prefix("threshold-") {
@@ -69,12 +67,8 @@ impl Experiment for T7Policy {
          only the sites whose hidden stall beats the switch price."
     }
 
-    fn cells(&self, tier: Tier) -> Vec<Cell> {
-        POLICIES
-            .iter()
-            .filter(|p| tier == Tier::Full || SMOKE.contains(p))
-            .map(|p| Cell::new("tiered", *p))
-            .collect()
+    fn cells(&self) -> Vec<Cell> {
+        POLICIES.iter().map(|p| Cell::new("tiered", *p)).collect()
     }
 
     fn run_cell(&self, cell: &Cell, _seed: u64) -> CellMetrics {

@@ -7,7 +7,7 @@
 //! architectural file to the handful of live registers. The matrix shows
 //! all four combinations.
 
-use crate::experiment::{Cell, CellMetrics, Experiment, Tier};
+use crate::experiment::{Cell, CellMetrics, Experiment};
 use crate::{fresh, interleave_checked, pgo_build};
 use reach_core::{InterleaveOptions, PipelineOptions};
 use reach_instrument::PrimaryOptions;
@@ -41,7 +41,7 @@ impl Experiment for T8Ablation {
          ceiling of the mechanism on switch-bound kernels."
     }
 
-    fn cells(&self, _tier: Tier) -> Vec<Cell> {
+    fn cells(&self) -> Vec<Cell> {
         COMBOS
             .iter()
             .map(|&(config, _, _)| Cell::new("multi4", config))

@@ -16,21 +16,18 @@
 //!   applied to the shipped binary, and the checker must *kill* (refuse)
 //!   every one.
 //!
-//! Every metric is deterministic and gated byte-identical by
-//! `bench_diff`. The proof's host time is not measured here:
+//! Every metric is deterministic, so the committed baseline regenerates
+//! byte-identically. The proof's host time is not measured here:
 //! `benchmark/run.sh run --workload rebuild-cycle --trace 1` reports it
 //! in calibrated time as `instrument.equiv.us`.
 
-use crate::experiment::{Cell, CellMetrics, Experiment, Tier};
+use crate::experiment::{Cell, CellMetrics, Experiment};
 use crate::harness::{fresh, pgo_build};
 use crate::workloads::{workload_builder, WORKLOAD_NAMES};
 use reach_core::PipelineOptions;
 use reach_instrument::{verify_rewrite, LintOptions};
 use reach_sim::isa::{Inst, Program, Reg};
 use reach_sim::MachineConfig;
-
-/// CI smoke subset.
-const SMOKE: &[&str] = &["chase", "zipf"];
 
 /// One seeded rewrite mutant: mutates the shipped binary and/or its
 /// origin map in place, returning `false` when the binary has no site
@@ -191,10 +188,9 @@ impl Experiment for Verify {
          (instrument.equiv.us)."
     }
 
-    fn cells(&self, tier: Tier) -> Vec<Cell> {
+    fn cells(&self) -> Vec<Cell> {
         WORKLOAD_NAMES
             .iter()
-            .filter(|w| tier == Tier::Full || SMOKE.contains(w))
             .map(|w| Cell::new(*w, "pipeline"))
             .collect()
     }

@@ -9,21 +9,20 @@
 //! `BENCH_<experiment>.json` per experiment (see [`report`]).
 //!
 //! `exp_all` runs the whole registry, or the experiments `--only`
-//! names, in-process via [`driver::suite_main`]; `bench_diff` gates two
-//! BENCH runs against per-metric regression thresholds (see [`diff`]).
-//!
-//! Run the CI-sized tier with:
+//! names, in-process via [`driver::suite_main`]. The committed
+//! `bench/baselines/` are its output, and the gate is to regenerate them
+//! and run `git diff`:
 //!
 //! ```sh
-//! cargo run --release -p reach-bench --bin exp_all -- --smoke --jobs 4
+//! cargo run --release -p reach-bench --bin exp_all -- --jobs 4 --out-dir bench/baselines
+//! git diff --exit-code -- bench/baselines
 //! ```
 //!
-//! Every number written here is in simulated cycles and gates
-//! byte-identically. Host time is measured in one place, the calibrated
+//! Every number written here is in simulated cycles and a pure function
+//! of the tree. Host time is measured in one place, the calibrated
 //! `benchmark/run.sh run` at the repository root; the host-hardware side
 //! of the mechanism is shown, unquoted, by `examples/host_interleaving.rs`.
 
-pub mod diff;
 pub mod driver;
 pub mod experiment;
 pub mod experiments;
@@ -33,9 +32,8 @@ pub mod serving;
 pub mod table;
 pub mod workloads;
 
-pub use diff::{diff_paths, diff_reports, DiffResult, Thresholds};
 pub use driver::{run_suite, DriverOptions};
-pub use experiment::{cell_seed, Cell, CellMetrics, Experiment, MetricValue, Tier};
+pub use experiment::{cell_seed, Cell, CellMetrics, Experiment, MetricValue};
 pub use harness::{fresh, interleave_checked, pgo_build, RunRow, WorkloadBuilder, LAYOUT_BASE};
 pub use report::{BenchReport, CellResult, CellStatus, SCHEMA_VERSION};
 pub use table::{cyc_ns, f, pct, Table};

@@ -1,40 +1,30 @@
-//! The `BENCH_<experiment>.json` schema: machine-readable, diffable
-//! results for every experiment run.
+//! The `BENCH_<experiment>.json` schema: the machine-readable result of
+//! every experiment run, and the committed baselines in
+//! `bench/baselines/`.
 //!
-//! The build environment has no registry access, so (de)serialization
-//! goes through the workspace's explicit [`Json`] tree
-//! (`reach_profile::json`) instead of serde; the schema round-trips
-//! losslessly, including exact `u64` counters and NaN metrics (written
-//! as `null`).
-//!
-//! Schema (stable; bump [`SCHEMA_VERSION`] on incompatible change):
+//! A report holds only what the tree computes: no host clock, no commit
+//! id, no tier. Regenerating the baselines on an unchanged tree
+//! therefore rewrites every file byte for byte, and the gate is
+//! `git diff --exit-code -- bench/baselines`. The file puts its header
+//! on the first line and each cell on a line of its own, so a diff
+//! names the cell that moved:
 //!
 //! ```json
-//! {
-//!   "experiment": "t4_concurrency",
-//!   "schema_version": 1,
-//!   "git_sha": "1cd3354abcde",
-//!   "tier": "smoke",
-//!   "wall_ms": 1234.5,
-//!   "violations": [],
-//!   "cells": [
-//!     {"workload": "multi4", "config": "n=8", "status": "ok",
-//!      "wall_ms": 88.1, "metrics": {"eff_smt": 0.61, "eff_coro": 0.93}},
-//!     {"workload": "multi4", "config": "n=64", "status": "failed",
-//!      "error": "...", "wall_ms": 0.2, "metrics": {}}
-//!   ]
-//! }
+//! {"experiment":"t4_concurrency","schema_version":2,"violations":[],"cells":[
+//! {"workload":"multi4","config":"n=8","status":"ok","metrics":{"eff_smt":0.61,"eff_coro":0.93}},
+//! {"workload":"multi4","config":"n=64","status":"failed","error":"...","metrics":{}}
+//! ]}
 //! ```
 //!
-//! `wall_ms` fields are observability only — excluded from
-//! determinism comparisons and from [`crate::diff`].
+//! Every line is written by the workspace's [`Json`] printer
+//! (`reach_profile::json`); NaN metrics are written as `null`.
 
-use crate::experiment::{Cell, CellMetrics, MetricValue, Tier};
-use reach_profile::{Json, JsonError};
+use crate::experiment::{Cell, CellMetrics, MetricValue};
+use reach_profile::Json;
 use std::path::{Path, PathBuf};
 
 /// Version of the BENCH JSON schema this crate writes.
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// Outcome of one cell.
 #[derive(Clone, Debug, PartialEq)]
@@ -55,8 +45,6 @@ pub struct CellResult {
     pub status: CellStatus,
     /// The metrics (empty for failed cells).
     pub metrics: CellMetrics,
-    /// Wall-clock time the cell took (observability only).
-    pub wall_ms: f64,
 }
 
 /// One experiment's full machine-readable result.
@@ -66,14 +54,8 @@ pub struct BenchReport {
     pub experiment: String,
     /// Schema version written.
     pub schema_version: u64,
-    /// `git rev-parse --short=12 HEAD` at run time, or "unknown".
-    pub git_sha: String,
-    /// Which tier produced these cells.
-    pub tier: Tier,
     /// Per-cell results, matrix order.
     pub cells: Vec<CellResult>,
-    /// Wall-clock time for the whole experiment (observability only).
-    pub wall_ms: f64,
     /// Experiment-level bound violations from [`crate::experiment::Experiment::finish`];
     /// non-empty means the generating run exited non-zero.
     pub violations: Vec<String>,
@@ -82,22 +64,30 @@ pub struct BenchReport {
 fn metric_to_json(v: &MetricValue) -> Json {
     match v {
         MetricValue::UInt(n) => Json::UInt(*n),
-        MetricValue::Float(x) if x.is_nan() => Json::Null,
         MetricValue::Float(x) => Json::Float(*x),
         MetricValue::Str(s) => Json::Str(s.clone()),
     }
 }
 
-fn metric_from_json(v: &Json) -> Result<MetricValue, JsonError> {
-    match v {
-        Json::UInt(n) => Ok(MetricValue::UInt(*n)),
-        Json::Float(x) => Ok(MetricValue::Float(*x)),
-        Json::Null => Ok(MetricValue::Float(f64::NAN)),
-        Json::Str(s) => Ok(MetricValue::Str(s.clone())),
-        other => Err(JsonError::shape(format!(
-            "metric value must be int/float/null/string, got {other:?}"
-        ))),
+fn cell_to_json(c: &CellResult) -> Json {
+    let mut fields = vec![
+        ("workload".into(), Json::Str(c.cell.workload.clone())),
+        ("config".into(), Json::Str(c.cell.config.clone())),
+    ];
+    match &c.status {
+        CellStatus::Ok => fields.push(("status".into(), Json::Str("ok".into()))),
+        CellStatus::Failed(msg) => {
+            fields.push(("status".into(), Json::Str("failed".into())));
+            fields.push(("error".into(), Json::Str(msg.clone())));
+        }
     }
+    let metrics = c
+        .metrics
+        .iter()
+        .map(|(k, v)| (k.to_string(), metric_to_json(v)))
+        .collect();
+    fields.push(("metrics".into(), Json::Object(metrics)));
+    Json::Object(fields)
 }
 
 impl BenchReport {
@@ -106,118 +96,30 @@ impl BenchReport {
         format!("BENCH_{}.json", self.experiment)
     }
 
-    /// Serializes to the schema above.
-    pub fn to_json(&self) -> Json {
-        let cells = self
-            .cells
-            .iter()
-            .map(|c| {
-                let mut fields = vec![
-                    ("workload".into(), Json::Str(c.cell.workload.clone())),
-                    ("config".into(), Json::Str(c.cell.config.clone())),
-                ];
-                match &c.status {
-                    CellStatus::Ok => {
-                        fields.push(("status".into(), Json::Str("ok".into())));
-                    }
-                    CellStatus::Failed(msg) => {
-                        fields.push(("status".into(), Json::Str("failed".into())));
-                        fields.push(("error".into(), Json::Str(msg.clone())));
-                    }
-                }
-                fields.push(("wall_ms".into(), Json::Float(c.wall_ms)));
-                fields.push((
-                    "metrics".into(),
-                    Json::Object(
-                        c.metrics
-                            .iter()
-                            .map(|(k, v)| (k.to_string(), metric_to_json(v)))
-                            .collect(),
-                    ),
-                ));
-                Json::Object(fields)
-            })
-            .collect();
-        Json::Object(vec![
+    /// The file's text: the header line, one line per cell, and the
+    /// closing line (see the module doc).
+    pub(crate) fn to_text(&self) -> String {
+        let header = Json::Object(vec![
             ("experiment".into(), Json::Str(self.experiment.clone())),
             ("schema_version".into(), Json::UInt(self.schema_version)),
-            ("git_sha".into(), Json::Str(self.git_sha.clone())),
-            ("tier".into(), Json::Str(self.tier.as_str().into())),
-            ("wall_ms".into(), Json::Float(self.wall_ms)),
             (
                 "violations".into(),
-                Json::Array(
-                    self.violations
-                        .iter()
-                        .map(|v| Json::Str(v.clone()))
-                        .collect(),
-                ),
+                Json::Array(self.violations.iter().cloned().map(Json::Str).collect()),
             ),
-            ("cells".into(), Json::Array(cells)),
         ])
-    }
-
-    /// Parses a report; inverse of [`BenchReport::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Any missing key, wrong type, unknown tier/status or unsupported
-    /// schema version is a typed [`JsonError`].
-    pub fn from_json(v: &Json) -> Result<BenchReport, JsonError> {
-        let schema_version = v.get("schema_version")?.as_u64()?;
-        if schema_version > SCHEMA_VERSION {
-            return Err(JsonError::shape(format!(
-                "schema_version {schema_version} is newer than supported {SCHEMA_VERSION}"
-            )));
-        }
-        let tier_s = v.get("tier")?.as_str()?;
-        let tier = Tier::parse(tier_s)
-            .ok_or_else(|| JsonError::shape(format!("unknown tier {tier_s:?}")))?;
-        let mut cells = Vec::new();
-        for cj in v.get("cells")?.as_array()? {
-            let status = match cj.get("status")?.as_str()? {
-                "ok" => CellStatus::Ok,
-                "failed" => CellStatus::Failed(cj.get("error")?.as_str()?.to_string()),
-                other => {
-                    return Err(JsonError::shape(format!("unknown cell status {other:?}")));
-                }
-            };
-            let mut metrics = CellMetrics::new();
-            match cj.get("metrics")? {
-                Json::Object(fields) => {
-                    for (k, mv) in fields {
-                        metrics.put(k.clone(), metric_from_json(mv)?);
-                    }
-                }
-                other => {
-                    return Err(JsonError::shape(format!(
-                        "metrics must be an object, got {other:?}"
-                    )));
-                }
-            }
-            cells.push(CellResult {
-                cell: Cell::new(
-                    cj.get("workload")?.as_str()?.to_string(),
-                    cj.get("config")?.as_str()?.to_string(),
-                ),
-                status,
-                metrics,
-                wall_ms: cj.get("wall_ms")?.as_f64()?,
-            });
-        }
-        let mut violations = Vec::new();
-        for vj in v.get("violations")?.as_array()? {
-            violations.push(vj.as_str()?.to_string());
-        }
-        Ok(BenchReport {
-            experiment: v.get("experiment")?.as_str()?.to_string(),
-            schema_version,
-            git_sha: v.get("git_sha")?.as_str()?.to_string(),
-            tier,
-            cells,
-            wall_ms: v.get("wall_ms")?.as_f64()?,
-            violations,
-        })
+        .to_string();
+        let cells: Vec<String> = self
+            .cells
+            .iter()
+            .map(|c| cell_to_json(c).to_string())
+            .collect();
+        // `header` ends with the object's closing brace; the cell array
+        // is its last field.
+        format!(
+            "{},\"cells\":[\n{}\n]}}\n",
+            &header[..header.len() - 1],
+            cells.join(",\n")
+        )
     }
 
     /// Writes `BENCH_<experiment>.json` under `dir` (created if absent)
@@ -229,19 +131,8 @@ impl BenchReport {
     pub fn write_to_dir(&self, dir: &Path) -> std::io::Result<PathBuf> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(self.filename());
-        std::fs::write(&path, format!("{}\n", self.to_json()))?;
+        std::fs::write(&path, self.to_text())?;
         Ok(path)
-    }
-
-    /// Reads and parses a BENCH file.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors, malformed JSON, or schema mismatches (stringified).
-    pub fn read_from_file(path: &Path) -> Result<BenchReport, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let json = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        BenchReport::from_json(&json).map_err(|e| format!("{}: {e}", path.display()))
     }
 
     /// Looks a cell up by (workload, config).
@@ -272,61 +163,52 @@ mod tests {
         BenchReport {
             experiment: "demo".into(),
             schema_version: SCHEMA_VERSION,
-            git_sha: "abc123".into(),
-            tier: Tier::Smoke,
             cells: vec![
                 CellResult {
                     cell: Cell::new("chase", "n=8"),
                     status: CellStatus::Ok,
                     metrics: m1,
-                    wall_ms: 12.5,
                 },
                 CellResult {
                     cell: Cell::new("chase", "n=64"),
                     status: CellStatus::Failed("launch error".into()),
                     metrics: CellMetrics::new(),
-                    wall_ms: 0.25,
                 },
             ],
-            wall_ms: 100.0,
             violations: vec!["bound breached".into()],
         }
     }
 
+    /// The text is one JSON document with the header on its first line
+    /// and each cell, in matrix order, on a line of its own.
     #[test]
-    fn schema_round_trips() {
-        let r = sample();
-        let text = r.to_json().to_string();
-        let back = BenchReport::from_json(&Json::parse(&text).unwrap()).unwrap();
-        // NaN breaks derived PartialEq, so compare through the
-        // serialization (null <-> NaN is stable) plus spot checks.
-        assert_eq!(back.to_json().to_string(), text);
-        assert_eq!(back.experiment, "demo");
-        assert_eq!(back.tier, Tier::Smoke);
-        let c = back.cell("chase", "n=8").unwrap();
+    fn text_is_json_with_one_line_per_cell() {
+        let text = sample().to_text();
+        let lines: Vec<&str> = text.lines().collect();
         assert_eq!(
-            c.metrics.get("cycles"),
-            Some(&MetricValue::UInt(u64::MAX - 1))
+            lines,
+            [
+                r#"{"experiment":"demo","schema_version":2,"violations":["bound breached"],"cells":["#,
+                r#"{"workload":"chase","config":"n=8","status":"ok","metrics":{"eff":0.9375,"cycles":18446744073709551614,"rung":"full-pgo","lat_vs_healthy":null}},"#,
+                r#"{"workload":"chase","config":"n=64","status":"failed","error":"launch error","metrics":{}}"#,
+                "]}",
+            ]
         );
-        assert_eq!(c.metrics.get_f64("eff"), Some(0.9375));
-        assert!(c.metrics.get_f64("lat_vs_healthy").unwrap().is_nan());
-        assert_eq!(
-            back.cell("chase", "n=64").unwrap().status,
-            CellStatus::Failed("launch error".into())
-        );
-        assert_eq!(back.violations, vec!["bound breached".to_string()]);
+        let json = Json::parse(&text).unwrap();
+        assert_eq!(json.get("cells").unwrap().as_array().unwrap().len(), 2);
+        assert!(text.ends_with("]}\n"));
     }
 
     #[test]
-    fn newer_schema_version_is_rejected() {
+    fn an_empty_report_is_still_json() {
         let mut r = sample();
-        r.schema_version = SCHEMA_VERSION + 1;
-        let text = r.to_json().to_string();
-        assert!(BenchReport::from_json(&Json::parse(&text).unwrap()).is_err());
+        r.cells.clear();
+        let json = Json::parse(&r.to_text()).unwrap();
+        assert!(json.get("cells").unwrap().as_array().unwrap().is_empty());
     }
 
     #[test]
-    fn file_round_trip() {
+    fn writes_under_its_canonical_name() {
         let dir = std::env::temp_dir().join(format!("reach_bench_report_{}", std::process::id()));
         let r = sample();
         let path = r.write_to_dir(&dir).unwrap();
@@ -334,8 +216,7 @@ mod tests {
             path.file_name().unwrap().to_str().unwrap(),
             "BENCH_demo.json"
         );
-        let back = BenchReport::read_from_file(&path).unwrap();
-        assert_eq!(back.to_json().to_string(), r.to_json().to_string());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), r.to_text());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,12 +1,13 @@
 //! End-to-end harness tests: real experiments through the parallel
-//! driver, BENCH JSON on real disk, and the `exp_all`/`bench_diff`
-//! binaries through their actual CLI surface.
+//! driver, the `exp_all` binary through its actual CLI surface, and the
+//! committed `bench/baselines/` against the registry that writes them.
 
-use reach_bench::experiments::by_name;
+use reach_bench::experiments::{all, by_name};
 use reach_bench::{
-    diff_paths, diff_reports, run_suite, BenchReport, CellStatus, DriverOptions, MetricValue,
-    Thresholds, Tier,
+    run_suite, BenchReport, Cell, CellMetrics, CellStatus, DriverOptions, Experiment, MetricValue,
+    SCHEMA_VERSION,
 };
+use reach_profile::Json;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -16,96 +17,37 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn smoke_opts(jobs: usize) -> DriverOptions {
-    DriverOptions {
-        tier: Tier::Smoke,
-        jobs,
-        out_dir: None,
-        ..DriverOptions::default()
-    }
+fn baselines_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench/baselines")
 }
 
-type ComparableCell = (String, String, Vec<(String, String)>);
-
-/// Strips the observability-only fields that legitimately differ between
-/// runs, leaving exactly what determinism promises.
-fn comparable(r: &BenchReport) -> Vec<ComparableCell> {
-    r.cells
-        .iter()
-        .map(|c| {
-            (
-                c.cell.workload.clone(),
-                c.cell.config.clone(),
-                c.metrics
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), format!("{v:?}")))
-                    .collect(),
-            )
-        })
-        .collect()
+/// One experiment restricted to the cells of one workload, so a test
+/// can run a slice of a wide matrix; `finish` sees the cells that ran.
+struct OneWorkload<'a> {
+    exp: &'a dyn Experiment,
+    workload: &'static str,
 }
 
-#[test]
-fn same_experiment_is_deterministic_across_runs_and_pool_sizes() {
-    let exp = by_name("t13_scheduler").unwrap();
-    let a = run_suite(&[exp.as_ref()], &smoke_opts(1));
-    let b = run_suite(&[exp.as_ref()], &smoke_opts(4));
-    assert_eq!(comparable(&a[0]), comparable(&b[0]));
-    assert!(a[0].cells.iter().all(|c| c.status == CellStatus::Ok));
-}
-
-#[test]
-fn bench_file_round_trips_through_disk() {
-    let exp = by_name("t8_ablation").unwrap();
-    let reports = run_suite(&[exp.as_ref()], &smoke_opts(2));
-    let dir = tmp_dir("roundtrip");
-    let path = reports[0].write_to_dir(&dir).unwrap();
-    assert_eq!(
-        path.file_name().unwrap().to_str().unwrap(),
-        "BENCH_t8_ablation.json"
-    );
-    let back = BenchReport::read_from_file(&path).unwrap();
-    assert_eq!(back.to_json().to_string(), reports[0].to_json().to_string());
-    assert_eq!(comparable(&back), comparable(&reports[0]));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn diff_passes_within_threshold_and_fails_past_it() {
-    let exp = by_name("t8_ablation").unwrap();
-    let base = run_suite(&[exp.as_ref()], &smoke_opts(2)).remove(0);
-
-    // Identical runs diff clean even at zero tolerance.
-    let clean = diff_reports(
-        &base,
-        &base.clone(),
-        &Thresholds {
-            default_rel: 0.0,
-            ..Thresholds::default()
-        },
-    );
-    assert!(clean.ok(), "{:?}", clean.violations);
-    assert!(clean.compared > 0);
-
-    // A 5% efficiency drift passes the default 10% gate; 15% fails it.
-    for (drift, expect_ok) in [(0.95, true), (0.85, false)] {
-        let mut cur = base.clone();
-        let eff = cur.cells[0].metrics.get_f64("eff").unwrap();
-        cur.cells[0].metrics.put_f64("eff", eff * drift);
-        let d = diff_reports(&base, &cur, &Thresholds::default());
-        assert_eq!(d.ok(), expect_ok, "drift {drift}: {:?}", d.violations);
+impl Experiment for OneWorkload<'_> {
+    fn name(&self) -> &'static str {
+        self.exp.name()
     }
 
-    // Dropping a baseline metric from the current run is a violation.
-    let mut cur = base.clone();
-    cur.cells[0].metrics = {
-        let mut m = reach_bench::CellMetrics::new();
-        for (k, v) in base.cells[0].metrics.iter().skip(1) {
-            m.put(k, v.clone());
-        }
-        m
-    };
-    assert!(!diff_reports(&base, &cur, &Thresholds::default()).ok());
+    fn cells(&self) -> Vec<Cell> {
+        self.exp
+            .cells()
+            .into_iter()
+            .filter(|c| c.workload == self.workload)
+            .collect()
+    }
+
+    fn run_cell(&self, cell: &Cell, seed: u64) -> CellMetrics {
+        self.exp.run_cell(cell, seed)
+    }
+
+    fn finish(&self, report: &mut BenchReport) -> Vec<String> {
+        self.exp.finish(report)
+    }
 }
 
 #[test]
@@ -118,8 +60,18 @@ fn fault_matrix_reports_explicit_rungs_and_na_ratios() {
     assert_eq!(MetricValue::Float(reach_core::ratio(5, 0)).render(), "n/a");
 
     let exp = by_name("fault_matrix").unwrap();
-    let report = run_suite(&[exp.as_ref()], &smoke_opts(4)).remove(0);
+    let chase = OneWorkload {
+        exp: exp.as_ref(),
+        workload: "chase",
+    };
+    let opts = DriverOptions {
+        jobs: 4,
+        out_dir: None,
+        ..DriverOptions::default()
+    };
+    let report = run_suite(&[&chase], &opts).remove(0);
     assert!(report.violations.is_empty(), "{:?}", report.violations);
+    assert!(!report.cells.is_empty());
     for c in &report.cells {
         assert_eq!(c.status, CellStatus::Ok, "{}: {:?}", c.cell, c.status);
         assert!(
@@ -135,66 +87,89 @@ fn fault_matrix_reports_explicit_rungs_and_na_ratios() {
     }
 }
 
+/// The gate is "regenerate, then `git diff`"; it cannot see a committed
+/// file that nothing regenerates, or a matrix that no longer matches its
+/// file. Every registered experiment has exactly one baseline, holding
+/// its cells in matrix order and nothing but what the tree computes.
 #[test]
-fn exp_all_binary_writes_valid_bench_files_and_gates_cleanly() {
-    let dir_a = tmp_dir("cli_a");
-    let dir_b = tmp_dir("cli_b");
-    let run = |dir: &Path, jobs: &str| {
-        let st = Command::new(env!("CARGO_BIN_EXE_exp_all"))
-            .args([
-                "--smoke",
-                "--jobs",
-                jobs,
-                "--only",
-                "t13_scheduler,t8_ablation",
-                "--out-dir",
-            ])
-            .arg(dir)
-            .status()
-            .unwrap();
-        assert!(st.success());
-    };
-    run(&dir_a, "2");
-    run(&dir_b, "4");
+fn baselines_hold_one_file_per_experiment_with_its_cells_in_order() {
+    let dir = baselines_dir();
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    files.sort();
+    let mut expected: Vec<String> = all()
+        .iter()
+        .map(|e| format!("BENCH_{}.json", e.name()))
+        .collect();
+    expected.sort();
+    assert_eq!(files, expected, "bench/baselines/ vs experiments::all()");
 
-    // Both runs produced parseable reports with the expected names.
-    for dir in [&dir_a, &dir_b] {
-        for name in ["BENCH_t13_scheduler.json", "BENCH_t8_ablation.json"] {
-            let r = BenchReport::read_from_file(&dir.join(name)).unwrap();
-            assert_eq!(r.tier, Tier::Smoke);
-            assert!(!r.cells.is_empty());
-        }
-    }
-
-    // bench_diff agrees they are identical at zero tolerance…
-    let gate = |base: &Path, cur: &Path, extra: &[&str]| {
-        Command::new(env!("CARGO_BIN_EXE_bench_diff"))
-            .arg(base)
-            .arg(cur)
-            .args(extra)
-            .status()
+    for e in all() {
+        let name = format!("BENCH_{}.json", e.name());
+        let text = std::fs::read_to_string(dir.join(&name)).unwrap();
+        let json = Json::parse(&text).unwrap_or_else(|err| panic!("{name}: {err}"));
+        let Json::Object(fields) = &json else {
+            panic!("{name}: not an object")
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            ["experiment", "schema_version", "violations", "cells"],
+            "{name}"
+        );
+        assert_eq!(json.get("experiment").unwrap().as_str().unwrap(), e.name());
+        assert_eq!(
+            json.get("schema_version").unwrap().as_u64().unwrap(),
+            SCHEMA_VERSION
+        );
+        let committed: Vec<Cell> = json
+            .get("cells")
             .unwrap()
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|c| {
+                Cell::new(
+                    c.get("workload").unwrap().as_str().unwrap(),
+                    c.get("config").unwrap().as_str().unwrap(),
+                )
+            })
+            .collect();
+        assert_eq!(committed, e.cells(), "{name}: cells differ from cells()");
+    }
+}
+
+/// The written files do not depend on the pool size, and on this tree
+/// they are the committed baselines, byte for byte.
+#[test]
+fn exp_all_writes_the_committed_baselines_at_any_job_count() {
+    let names = ["BENCH_t13_scheduler.json", "BENCH_t8_ablation.json"];
+    let run = |jobs: &str| {
+        let dir = tmp_dir(&format!("jobs{jobs}"));
+        let st = Command::new(env!("CARGO_BIN_EXE_exp_all"))
+            .args(["--jobs", jobs, "--only", "t13_scheduler,t8_ablation"])
+            .arg("--out-dir")
+            .arg(&dir)
+            .output()
+            .unwrap();
+        assert!(st.status.success(), "exp_all --jobs {jobs} failed");
+        let mut written: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        written.sort();
+        assert_eq!(written, names.map(String::from));
+        dir
     };
-    assert!(gate(&dir_a, &dir_b, &["--rel", "0"]).success());
-
-    // …and exits non-zero once a regression is injected.
-    let zero = diff_paths(
-        &dir_a,
-        &dir_b,
-        &Thresholds {
-            default_rel: 0.0,
-            ..Thresholds::default()
-        },
-    )
-    .unwrap();
-    assert!(zero.ok(), "{:?}", zero.violations);
-    let mut doctored = BenchReport::read_from_file(&dir_b.join("BENCH_t8_ablation.json")).unwrap();
-    let eff = doctored.cells[0].metrics.get_f64("eff").unwrap();
-    doctored.cells[0].metrics.put_f64("eff", eff * 0.5);
-    doctored.write_to_dir(&dir_b).unwrap();
-    let st = gate(&dir_a, &dir_b, &["--rel", "0.10"]);
-    assert_eq!(st.code(), Some(1));
-
-    std::fs::remove_dir_all(&dir_a).ok();
-    std::fs::remove_dir_all(&dir_b).ok();
+    let one = run("1");
+    let four = run("4");
+    for name in names {
+        let committed = std::fs::read(baselines_dir().join(name)).unwrap();
+        assert_eq!(std::fs::read(one.join(name)).unwrap(), committed, "{name}");
+        assert_eq!(std::fs::read(four.join(name)).unwrap(), committed, "{name}");
+    }
+    std::fs::remove_dir_all(&one).ok();
+    std::fs::remove_dir_all(&four).ok();
 }
