@@ -6,7 +6,9 @@
 //! run under two policies:
 //!
 //! * **supervised** — the full monitor → diagnose → re-profile →
-//!   hot-swap → contain loop of [`reach_core::supervise`];
+//!   hot-swap → contain loop, served through a one-shard
+//!   [`reach_core::run_fleet`] with the uncore contention model
+//!   neutralized ([`solo_core`]);
 //! * **unsupervised** — the same serving loop and the same estimator
 //!   bookkeeping, but no triggers, swaps or shedding (the passive
 //!   baseline the supervisor must beat).
@@ -27,17 +29,19 @@
 //! scavengers and beat the passive arm's burst mean; the rebuild-fault
 //! arm must end with the circuit breaker open on an explicitly recorded
 //! degraded rung — never a panic. Violations fail the run, which is how
-//! CI consumes this experiment.
+//! CI consumes this experiment. Every run also passes the fleet's own
+//! oracles (journal projection, trust, capacity); a cell with any fleet
+//! violation fails.
 
 use crate::experiment::{Cell, CellMetrics, Experiment};
 use crate::report::{BenchReport, CellStatus};
-use crate::serving::{fast_degrade, runaway_prog};
+use crate::serving::{fast_degrade, runaway_prog, solo_core};
 use reach_core::{
-    percentile, pgo_pipeline_degrading, supervise, Action, BreakerState, DeployedBuild,
-    DualModeOptions, ServiceWorkload, SupervisorOptions, SupervisorReport, WatchdogOptions,
+    percentile, pgo_pipeline_degrading, run_fleet, Action, Arrival, BreakerState, DeployedBuild,
+    DualModeOptions, FleetOptions, FleetWorkload, ShardSummary, SupervisorOptions, WatchdogOptions,
 };
 use reach_profile::OnlineEstimatorOptions;
-use reach_sim::{Context, FaultInjector, FaultPlan, Machine, MachineConfig, Program};
+use reach_sim::{Context, FaultInjector, FaultPlan, Machine, Program, UncoreStatus};
 use reach_workloads::{build_zipf_kv, AddrAlloc, InstanceSetup, ZipfKvParams};
 
 /// Post-recovery p99 must be within this factor of healthy steady state.
@@ -57,9 +61,9 @@ const SCENARIOS: &[&str] = &["healthy", "drift", "overload", "rebuild-fault"];
 const POLICIES: &[&str] = &["supervised", "unsupervised"];
 
 /// The zipf service shared by every scenario (same construction as the
-/// supervisor unit fixtures): fresh instances per job, a stale
-/// profiling pool for the initial deployment and a live pool for
-/// rebuilds.
+/// supervisor unit fixtures): one arrival per epoch, fresh instances per
+/// job, a stale profiling pool for the initial deployment and a live
+/// pool for rebuilds.
 struct Service {
     prog: Program,
     live: Vec<InstanceSetup>,
@@ -110,21 +114,30 @@ impl Service {
     }
 }
 
-impl ServiceWorkload for Service {
-    fn arrivals(&mut self, _epoch: u64) -> usize {
-        1
+impl FleetWorkload for Service {
+    fn arrivals(&mut self, _epoch: u64) -> Vec<Arrival> {
+        vec![Arrival {
+            ingress: 0,
+            owner: 0,
+        }]
     }
-    fn primary_context(&mut self, _job: u64) -> Context {
+    fn primary_context(&mut self, _shard: usize, _job: u64) -> Context {
         self.next_live()
     }
-    fn scavenger_context(&mut self, _epoch: u64, _job: u64, _slot: usize) -> Context {
+    fn scavenger_context(
+        &mut self,
+        _shard: usize,
+        _epoch: u64,
+        _job: u64,
+        _slot: usize,
+    ) -> Context {
         self.next_live()
     }
-    fn scavenger_program(&mut self, epoch: u64) -> Option<Program> {
+    fn scavenger_program(&mut self, _shard: usize, epoch: u64) -> Option<Program> {
         let (prog, range) = self.runaway.as_ref()?;
         range.contains(&epoch).then(|| prog.clone())
     }
-    fn profiling_contexts(&mut self, _attempt: u32) -> Vec<Context> {
+    fn profiling_contexts(&mut self, _shard: usize, _attempt: u32) -> Vec<Context> {
         let n = self.prof_live.len();
         (0..2)
             .map(|_| {
@@ -144,9 +157,8 @@ fn breaker_str(b: &BreakerState) -> &'static str {
     }
 }
 
-fn base_opts(seed: u64) -> SupervisorOptions {
+fn base_opts() -> SupervisorOptions {
     SupervisorOptions {
-        epochs: EPOCHS,
         service_per_epoch: 1,
         scavengers: 2,
         insitu_period: 31,
@@ -159,14 +171,13 @@ fn base_opts(seed: u64) -> SupervisorOptions {
         backoff_base_epochs: 1,
         backoff_max_epochs: 8,
         probation_epochs: 4,
-        seed,
         degrade: fast_degrade(),
         ..SupervisorOptions::default()
     }
 }
 
-fn scenario_opts(scenario: &str, seed: u64) -> SupervisorOptions {
-    let mut o = base_opts(seed);
+fn scenario_opts(scenario: &str) -> SupervisorOptions {
+    let mut o = base_opts();
     match scenario {
         "overload" => {
             o.slo_p99_cycles = 800_000;
@@ -201,7 +212,7 @@ fn scenario_opts(scenario: &str, seed: u64) -> SupervisorOptions {
 
 /// Mean primary latency over an epoch range (0 when no jobs landed
 /// there).
-fn mean_over(rep: &SupervisorReport, range: std::ops::Range<u64>) -> u64 {
+fn mean_over(rep: &ShardSummary, range: std::ops::Range<u64>) -> u64 {
     let v: Vec<u64> = rep
         .latencies
         .iter()
@@ -250,25 +261,22 @@ impl Experiment for SelfHeal {
             "drift" | "rebuild-fault" => (0.0, 3.0),
             other => panic!("unknown scenario {other:?}"),
         };
-        let mut m = Machine::new(MachineConfig::default());
-        let mut svc = Service::new(&mut m, stale_theta, live_theta);
+        let mut mc = solo_core();
+        let m = &mut mc.cores[0];
+        let mut svc = Service::new(m, stale_theta, live_theta);
         if scenario == "overload" {
             svc.runaway = Some((runaway_prog(), BURST));
         }
         let orig = svc.prog.clone();
 
-        let mut opts = scenario_opts(scenario, seed);
+        let mut opts = scenario_opts(scenario);
         opts.supervise = cell.config == "supervised";
 
         // Initial deployment: built against the (possibly stale) profile
         // pool, on a fault-free machine.
-        let init: DeployedBuild = pgo_pipeline_degrading(
-            &mut m,
-            &orig,
-            |a| svc.stale_profiling_contexts(a),
-            &opts.degrade,
-        )
-        .into();
+        let init: DeployedBuild =
+            pgo_pipeline_degrading(m, &orig, |a| svc.stale_profiling_contexts(a), &opts.degrade)
+                .into();
         let init_rung = init.rung;
 
         // The rebuild-fault scenario arms PEBS sample loss *after* the
@@ -284,7 +292,26 @@ impl Experiment for SelfHeal {
             ));
         }
 
-        let r = supervise(&mut m, &mut svc, &orig, init, &opts).expect("validated config");
+        let fleet = FleetOptions {
+            shards: 1,
+            epochs: EPOCHS,
+            sup: opts,
+            seed,
+            ..FleetOptions::default()
+        };
+        let rep = run_fleet(&mut mc, &mut svc, &orig, init, &fleet).expect("validated config");
+        assert!(
+            rep.violations.is_empty(),
+            "fleet oracle violation(s): {:?}",
+            rep.violations
+        );
+        // A lone supervisor sees no uncore: against unbounded budgets
+        // every occupancy and demand reading rounds to zero. Hand
+        // mutation, which fails 5 of the 8 cells here: `mc` built with
+        // the default contention budgets. The metrics alone cannot see
+        // it, because one core's traffic never crosses those budgets.
+        assert_eq!(mc.status(), UncoreStatus::default(), "uncore contended");
+        let r = &rep.shards[0];
 
         let sheds = r
             .incidents
@@ -313,14 +340,14 @@ impl Experiment for SelfHeal {
             .put_u64("restores", restores)
             .put_u64("p99_cyc", percentile(&all, 0.99))
             .put_u64("p99_tail_cyc", r.p99_after(TAIL_FROM))
-            .put_u64("burst_mean_cyc", mean_over(&r, BURST))
+            .put_u64("burst_mean_cyc", mean_over(r, BURST))
             .put_f64("staleness_peak", r.staleness_peak)
             .put_f64("staleness_last", r.staleness_last)
             .put_u64("overruns", r.overruns)
             .put_u64("quarantines", r.quarantine_events)
             .put_u64("readmissions", r.readmissions)
             .put_u64("scav_final", r.scav_budget_final as u64)
-            .put_u64("incident_hash", r.incident_log_hash());
+            .put_u64("incident_hash", r.incident_hash());
         out
     }
 

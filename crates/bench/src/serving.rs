@@ -1,8 +1,8 @@
 //! The supervised zipf-KV serving fixtures shared by the SELFHEAL,
 //! CHAOS and MULTICORE experiments, the `reach_chaos` CLI and the fleet
 //! property tests: the runaway scavenger, profiling periods sized to the
-//! 1024-lookup jobs, the per-shard supervisor template, and the
-//! key-sharded fleet in its two worlds.
+//! 1024-lookup jobs, the contention-free single core, the per-shard
+//! supervisor template, and the key-sharded fleet in its two worlds.
 //!
 //! * **steady** — the initial build is profiled against live traffic,
 //!   so staleness never trips a rebuild (MULTICORE, and the 2-shard
@@ -51,13 +51,22 @@ pub fn fast_degrade() -> DegradeOptions {
     d
 }
 
+/// One core whose shared-L3 and DRAM budgets no window can exceed, so
+/// the uncore model never perturbs a one-shard fleet: it serves what a
+/// lone machine would (SELFHEAL, and the supervisor replay properties).
+pub fn solo_core() -> MultiCore {
+    let mut cfg = MultiCoreConfig::new(1);
+    cfg.shared_l3_lines = u64::MAX;
+    cfg.dram_lines_per_kcycle = u64::MAX;
+    MultiCore::new(cfg)
+}
+
 /// The per-shard supervisor every fleet world runs. The watchdog must be
 /// armed — without it a runaway scavenger gets an unbounded slice and
 /// the run never terminates (containment is the supervisor's job; the
 /// per-job watchdog just bounds each slice).
 pub fn chaos_sup() -> SupervisorOptions {
     SupervisorOptions {
-        epochs: 10,
         service_per_epoch: 1,
         scavengers: 2,
         insitu_period: 31,
@@ -66,7 +75,6 @@ pub fn chaos_sup() -> SupervisorOptions {
             min_samples: 8,
         },
         staleness_threshold: 0.6,
-        seed: 42,
         degrade: fast_degrade(),
         dual: DualModeOptions {
             drain_scavengers: false,

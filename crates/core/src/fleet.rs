@@ -1,12 +1,12 @@
 //! The fleet supervisor: N per-core shard supervisors composed under
 //! one deterministic fleet clock.
 //!
-//! Everything the single-shard supervisor does — dual-mode serving,
-//! staleness-triggered rebuilds, circuit breaking, journaled crash
-//! recovery — keeps happening *per shard*, unchanged, on that shard's
-//! own core of a [`MultiCore`]. This module adds the failure modes only
-//! a fleet can express, each behind an explicit, journal-auditable
-//! rule:
+//! This is the only code that runs the supervised loop: a single
+//! supervisor is the one-shard fleet. Everything the supervisor does —
+//! dual-mode serving, staleness-triggered rebuilds, circuit breaking,
+//! journaled crash recovery — happens *per shard* on that shard's own
+//! core of a [`MultiCore`]. This module adds the failure modes only a
+//! fleet can express, each behind an explicit, journal-auditable rule:
 //!
 //! * **Key-sharded routing with bounded forwarding** — every request
 //!   has an owner shard; requests that land elsewhere (or arrive while
@@ -41,8 +41,8 @@ use crate::degrade::{pgo_pipeline_degrading, Rung};
 use crate::journal::{fnv1a, project, Journal, JournalRecord};
 use crate::metrics::percentile;
 use crate::supervisor::{
-    build_is_trusted, incidents_hash, mix64, recover, validate_options, BreakerState, CrashPoint,
-    DeployedBuild, EpochLoop, Incident, RecoverOptions, ServiceWorkload, SupervisorConfigError,
+    build_is_trusted, incidents_hash, mix64, p99_after, recover, validate_options, BreakerState,
+    CrashPoint, DeployedBuild, EpochLoop, Incident, RecoverOptions, SupervisorConfigError,
     SupervisorOptions, SupervisorReport,
 };
 use reach_profile::Json;
@@ -60,9 +60,9 @@ pub struct Arrival {
 }
 
 /// The sharded service the fleet runs. The fleet owns admission and
-/// routing; the workload provides traffic and per-shard contexts, like
-/// [`ServiceWorkload`] does for one shard. Job numbers are per-shard
-/// admission sequence numbers.
+/// routing; the workload provides traffic, per-shard contexts for
+/// serving and re-profiling, and an optional scavenger override. Job
+/// numbers are per-shard admission sequence numbers.
 pub trait FleetWorkload {
     /// Requests arriving fleet-wide at the start of `epoch`.
     fn arrivals(&mut self, epoch: u64) -> Vec<Arrival>;
@@ -77,34 +77,6 @@ pub trait FleetWorkload {
     }
     /// Fresh profiling contexts for `shard`'s rebuild attempt `attempt`.
     fn profiling_contexts(&mut self, shard: usize, attempt: u32) -> Vec<Context>;
-}
-
-/// Adapts one shard's slice of a [`FleetWorkload`] to the single-shard
-/// [`ServiceWorkload`] the epoch loop serves. The fleet router decides
-/// admissions, so `arrivals` returns whatever the router granted this
-/// epoch rather than consulting the workload.
-struct ShardAdapter<'a> {
-    shard: usize,
-    admitted: usize,
-    fleet: &'a mut dyn FleetWorkload,
-}
-
-impl ServiceWorkload for ShardAdapter<'_> {
-    fn arrivals(&mut self, _epoch: u64) -> usize {
-        self.admitted
-    }
-    fn primary_context(&mut self, job: u64) -> Context {
-        self.fleet.primary_context(self.shard, job)
-    }
-    fn scavenger_context(&mut self, epoch: u64, job: u64, slot: usize) -> Context {
-        self.fleet.scavenger_context(self.shard, epoch, job, slot)
-    }
-    fn scavenger_program(&mut self, epoch: u64) -> Option<Program> {
-        self.fleet.scavenger_program(self.shard, epoch)
-    }
-    fn profiling_contexts(&mut self, attempt: u32) -> Vec<Context> {
-        self.fleet.profiling_contexts(self.shard, attempt)
-    }
 }
 
 /// Rolling-deploy configuration.
@@ -140,10 +112,10 @@ impl Default for RolloutOptions {
 pub struct FleetOptions {
     /// Shard count; must equal the [`MultiCore`]'s core count.
     pub shards: usize,
-    /// Fleet epochs to run (each shard's `sup.epochs` is overridden).
+    /// Fleet epochs to run.
     pub epochs: u64,
-    /// Per-shard supervisor template. Shard `s` runs it with seed
-    /// `mix(seed, s)`; everything else is shared.
+    /// The supervisor every shard runs. Shard `s` draws its backoff
+    /// jitter from [`shard_seed`]`(seed, s)`.
     pub sup: SupervisorOptions,
     /// Forwarding-queue bound; requests beyond it are shed on arrival.
     pub forward_bound: usize,
@@ -425,6 +397,20 @@ pub struct ShardSummary {
     pub final_rung: Rung,
     /// Breaker state at fleet end.
     pub breaker: BreakerState,
+    /// Consecutive rebuild failures at fleet end.
+    pub rebuild_failures: u32,
+    /// Scavenger-pool budget at fleet end.
+    pub scav_budget_final: usize,
+    /// Highest finite staleness estimate observed (NaN when none was).
+    pub staleness_peak: f64,
+    /// Last segment's last finite staleness estimate (NaN when none).
+    pub staleness_last: f64,
+    /// Watchdog overruns across all served jobs.
+    pub overruns: u64,
+    /// Watchdog quarantine events across all served jobs.
+    pub quarantine_events: u64,
+    /// Watchdog probation re-admissions across all served jobs.
+    pub readmissions: u64,
     /// The shard's durable store at fleet end — flushed and audited when
     /// the shard ended up, as the crash left it when it ended down.
     pub journal: Journal,
@@ -444,6 +430,13 @@ impl Default for ShardSummary {
             incidents: Vec::new(),
             final_rung: Rung::Uninstrumented,
             breaker: BreakerState::Closed,
+            rebuild_failures: 0,
+            scav_budget_final: 0,
+            staleness_peak: f64::NAN,
+            staleness_last: f64::NAN,
+            overruns: 0,
+            quarantine_events: 0,
+            readmissions: 0,
             journal: Journal::new(),
         }
     }
@@ -457,22 +450,36 @@ impl ShardSummary {
 
     /// p99 primary latency across the whole run.
     pub fn p99(&self) -> u64 {
-        let v: Vec<u64> = self.latencies.iter().map(|(_, l)| *l).collect();
-        percentile(&v, 0.99)
+        self.p99_after(0)
+    }
+
+    /// p99 primary latency over jobs served at `epoch` or later (0 when
+    /// none were).
+    pub fn p99_after(&self, epoch: u64) -> u64 {
+        p99_after(&self.latencies, epoch)
     }
 
     /// Folds one sealed segment — a loop that crashed, or the one still
-    /// live when the fleet ends — into the shard's totals.
+    /// live when the fleet ends — into the shard's totals: counters sum,
+    /// end-of-run state is the last segment's, and the staleness peak is
+    /// the maximum over segments.
     fn absorb(&mut self, r: SupervisorReport) {
         self.served += r.served;
         self.shed_jobs += r.shed_jobs;
         self.job_faults += r.job_faults;
         self.swaps += r.swaps;
         self.rebuilds += r.rebuilds;
+        self.overruns += r.overruns;
+        self.quarantine_events += r.quarantine_events;
+        self.readmissions += r.readmissions;
         self.latencies.extend(r.latencies);
         self.incidents.extend(r.incidents);
         self.final_rung = r.final_rung;
         self.breaker = r.breaker;
+        self.rebuild_failures = r.rebuild_failures;
+        self.scav_budget_final = r.scav_budget_final;
+        self.staleness_peak = self.staleness_peak.max(r.staleness_peak);
+        self.staleness_last = r.staleness_last;
     }
 }
 
@@ -538,9 +545,9 @@ impl FleetReport {
     }
 }
 
-/// The seed shard `shard` runs under for fleet seed `fleet_seed` —
-/// exposed so differential tests can configure a standalone supervisor
-/// identically to a fleet shard.
+/// The seed shard `shard` runs under for fleet seed `fleet_seed`: its
+/// loop's backoff jitter, and its slice of a chaos schedule's fault
+/// plan.
 pub fn shard_seed(fleet_seed: u64, shard: u64) -> u64 {
     mix64(fleet_seed, shard)
 }
@@ -587,7 +594,6 @@ enum RolloutPhase {
 struct Shard {
     state: ShardState,
     journal: Journal,
-    sup: SupervisorOptions,
     summary: ShardSummary,
 }
 
@@ -608,9 +614,9 @@ impl Shard {
     }
 
     /// The live loop with the journal it writes ahead to.
-    fn live(&mut self) -> Option<(&mut EpochLoop, Option<&mut Journal>)> {
+    fn live(&mut self) -> Option<(&mut EpochLoop, &mut Journal)> {
         match &mut self.state {
-            ShardState::Up { el, .. } => Some((&mut **el, Some(&mut self.journal))),
+            ShardState::Up { el, .. } => Some((&mut **el, &mut self.journal)),
             ShardState::Down => None,
         }
     }
@@ -712,25 +718,23 @@ impl<'a> Fleet<'a> {
         initial: DeployedBuild,
         opts: &'a FleetOptions,
     ) -> Result<Self, FleetConfigError> {
-        let mut shards: Vec<Shard> = Vec::with_capacity(opts.shards);
-        for s in 0..opts.shards {
-            let mut sup = opts.sup.clone();
-            sup.epochs = opts.epochs;
-            sup.seed = shard_seed(opts.seed, s as u64);
-            validate_options(&sup)?;
-            shards.push(Shard {
+        validate_options(&opts.sup)?;
+        let shards = (0..opts.shards)
+            .map(|s| Shard {
                 state: ShardState::Up {
-                    el: Box::new(EpochLoop::new(initial.clone(), &sup, None)),
+                    el: Box::new(EpochLoop::new(
+                        s,
+                        initial.clone(),
+                        &opts.sup,
+                        shard_seed(opts.seed, s as u64),
+                        None,
+                    )),
                     draining: false,
                 },
                 journal: Journal::new(),
-                sup,
-                summary: ShardSummary {
-                    final_rung: initial.rung,
-                    ..ShardSummary::default()
-                },
-            });
-        }
+                summary: ShardSummary::default(),
+            })
+            .collect();
         let mut fleet = Fleet {
             mc,
             original,
@@ -759,10 +763,10 @@ impl<'a> Fleet<'a> {
         // Persist each shard's initial deployment before the first
         // epoch. A crash here is treated like any other.
         for s in 0..opts.shards {
-            let Some((el, mut journal)) = fleet.shards[s].live() else {
+            let Some((el, journal)) = fleet.shards[s].live() else {
                 continue;
             };
-            if let Err(point) = el.persist_initial(&mut fleet.mc.cores[s], &mut journal) {
+            if let Err(point) = el.persist_initial(&mut fleet.mc.cores[s], journal) {
                 fleet.crash_shard(s, 0, point);
             }
         }
@@ -801,11 +805,10 @@ impl<'a> Fleet<'a> {
     /// already down has nothing to pin — recovery re-checks whatever it
     /// comes back with.
     fn repin_to_lkg(&mut self, s: usize, epoch: u64) {
-        let Some((el, mut journal)) = self.shards[s].live() else {
+        let Some((el, journal)) = self.shards[s].live() else {
             return;
         };
-        let pinned =
-            el.deploy_rollout(&mut self.mc.cores[s], &mut journal, self.lkg.clone(), epoch);
+        let pinned = el.deploy_rollout(&mut self.mc.cores[s], journal, self.lkg.clone(), epoch);
         match pinned {
             Err(point) => self.crash_shard(s, epoch, point),
             Ok(()) => self.rep.events.push(FleetEvent::RevertedToLkg {
@@ -828,7 +831,7 @@ impl<'a> Fleet<'a> {
                 &mut sh.journal,
                 self.original,
                 &mut self.mc.cores[s],
-                &sh.sup,
+                &self.opts.sup,
                 &self.opts.recover,
             )?;
             self.rep.recoveries += 1;
@@ -846,7 +849,7 @@ impl<'a> Fleet<'a> {
             // poisoned rollout artifact deployed just before the crash).
             // Contain it anyway: pin the fleet's last-known-good build
             // over it and freeze any in-flight rollout.
-            let untrusted = !build_is_trusted(self.original, &rec.build, &sh.sup);
+            let untrusted = !build_is_trusted(self.original, &rec.build, &self.opts.sup);
             if untrusted {
                 self.rep.violations.push(format!(
                     "oracle/unverified-build: shard {s} recovered an untrusted {} build \
@@ -854,8 +857,15 @@ impl<'a> Fleet<'a> {
                     rec.build.rung
                 ));
             }
+            let seed = shard_seed(self.opts.seed, s as u64);
             sh.state = ShardState::Up {
-                el: Box::new(EpochLoop::new(rec.build, &sh.sup, Some(resume))),
+                el: Box::new(EpochLoop::new(
+                    s,
+                    rec.build,
+                    &self.opts.sup,
+                    seed,
+                    Some(resume),
+                )),
                 draining: false,
             };
             if untrusted {
@@ -867,10 +877,10 @@ impl<'a> Fleet<'a> {
                     );
                 }
                 // Oracle: the re-pin must leave the shard trusted.
-                let sh = &self.shards[s];
-                if !sh
+                let sup = &self.opts.sup;
+                if !self.shards[s]
                     .el()
-                    .is_some_and(|el| build_is_trusted(self.original, el.deployed(), &sh.sup))
+                    .is_some_and(|el| build_is_trusted(self.original, el.deployed(), sup))
                 {
                     self.rep.violations.push(format!(
                         "oracle/unverified-build: shard {s} still serving an untrusted build \
@@ -942,7 +952,7 @@ impl<'a> Fleet<'a> {
                     return;
                 }
                 let post_faults = self.shards[shard].job_faults();
-                let post_p99 = el.report().p99_after(deploy_epoch);
+                let post_p99 = p99_after(&el.report().latencies, deploy_epoch);
                 let p99_limit = (baseline_p99 as f64 * ro.p99_factor) as u64;
                 let faulted = post_faults > baseline_faults;
                 let slow = baseline_p99 > 0 && post_p99 > p99_limit;
@@ -1096,20 +1106,16 @@ impl<'a> Fleet<'a> {
         bonus: &[u64],
     ) {
         for s in 0..self.shards.len() {
-            let Some((el, mut journal)) = self.shards[s].live() else {
+            let Some((el, journal)) = self.shards[s].live() else {
                 continue;
-            };
-            let mut adapter = ShardAdapter {
-                shard: s,
-                admitted: admit[s],
-                fleet: &mut *workload,
             };
             el.set_scav_bonus(bonus[s] as usize);
             let stepped = el.step_epoch(
                 &mut self.mc.cores[s],
-                &mut adapter,
+                workload,
+                admit[s],
                 self.original,
-                &mut journal,
+                journal,
                 epoch,
             );
             if let Err(point) = stepped {
@@ -1139,7 +1145,7 @@ impl<'a> Fleet<'a> {
                 workload,
                 shard,
                 self.original,
-                &self.shards[shard].sup,
+                &self.opts.sup,
             );
             match built {
                 Some(mut b) => {
@@ -1162,7 +1168,7 @@ impl<'a> Fleet<'a> {
         // fetched; the first shard is the supply-chain window the health
         // gate covers.
         let second_or_later = self.rep.rollout_deploys > 0;
-        if second_or_later && !build_is_trusted(self.original, &b, &self.shards[shard].sup) {
+        if second_or_later && !build_is_trusted(self.original, &b, &self.opts.sup) {
             self.freeze(
                 epoch,
                 format!("shard {shard} re-validation rejected the rollout artifact"),
@@ -1173,10 +1179,10 @@ impl<'a> Fleet<'a> {
         let sh = &mut self.shards[shard];
         let (baseline_p99, baseline_faults) = (sh.p99(), sh.job_faults());
         let (fingerprint, rung) = (b.prog.fingerprint(), b.rung);
-        let Some((el, mut journal)) = sh.live() else {
+        let Some((el, journal)) = sh.live() else {
             return;
         };
-        let deployed = el.deploy_rollout(&mut self.mc.cores[shard], &mut journal, b, epoch);
+        let deployed = el.deploy_rollout(&mut self.mc.cores[shard], journal, b, epoch);
         match deployed {
             Err(point) => {
                 self.crash_shard(shard, epoch, point);
@@ -1276,6 +1282,9 @@ impl<'a> Fleet<'a> {
             };
             let (live_fp, next_job) = (el.deployed().prog.fingerprint(), el.next_job());
             let live = el.seal();
+            // Clean shutdown: anything the partial-flush channel held
+            // back reaches the durable image, so a clean journal projects
+            // exactly the live final state the audit compares against.
             sh.journal.flush();
             audit_journal(
                 s,
@@ -1283,7 +1292,7 @@ impl<'a> Fleet<'a> {
                 live_fp,
                 next_job,
                 &live,
-                sh.sup.scavengers,
+                self.opts.sup.scavengers,
                 &mut self.rep.violations,
             );
             sh.summary.absorb(live);
@@ -1415,8 +1424,86 @@ fn build_rollout(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::{fleet_sup, fleet_world};
+    use crate::degrade::DegradeOptions;
+    use crate::testkit::{fleet_sup, fleet_world, fleet_world_on, solo_core, Solo, SoloExit};
+    use reach_profile::Profile;
     use reach_sim::{FaultInjector, FaultPlan, Inst};
+
+    /// A one-shard fleet with neutralized uncore contention serves,
+    /// journals, swaps and logs exactly what the reference standalone
+    /// loop serves under the shard's derived seed: at N=1 the fleet layer
+    /// vanishes. Every rebuild fails (a wiped profile, no retries), so
+    /// the run backs off under seeded jitter and then opens the breaker
+    /// over a degraded rung; every summary field is compared, the
+    /// staleness readings as bits.
+    ///
+    /// Hand mutations, each of which fails this test: `absorb` drops
+    /// `staleness_peak`; the fleet seeds shard 0's loop with the fleet
+    /// seed instead of `shard_seed(seed, 0)`.
+    #[test]
+    fn one_shard_fleet_degenerates_to_single_supervisor() {
+        let mut sup = fleet_sup();
+        sup.staleness_threshold = 0.0;
+        (sup.backoff_base_epochs, sup.backoff_max_epochs) = (2, 2);
+        sup.degrade = DegradeOptions {
+            max_reprofiles: 0,
+            profile_mutator: Some(|p: &mut Profile| p.total_samples = 0),
+            ..sup.degrade
+        };
+        for seed in 0..3 {
+            let opts = FleetOptions {
+                shards: 1,
+                epochs: 16,
+                sup: sup.clone(),
+                seed,
+                ..FleetOptions::default()
+            };
+            let (mut mc, mut svc, orig, initial) = fleet_world_on(solo_core(), 1, false);
+            let rep = run_fleet(&mut mc, &mut svc, &orig, initial, &opts).unwrap();
+            assert_eq!(rep.violations, Vec::<String>::new());
+            let shard = &rep.shards[0];
+
+            let (mut mc, mut svc, orig, initial) = fleet_world_on(solo_core(), 1, false);
+            let solo = Solo {
+                original: &orig,
+                opts: &sup,
+                epochs: opts.epochs,
+                seed: shard_seed(seed, 0),
+            };
+            let mut journal = Journal::new();
+            let exit = solo.run(&mut mc.cores[0], &mut svc, initial, &mut journal, None);
+            let SoloExit::Completed(r) = exit else {
+                panic!("no faults armed, run cannot crash");
+            };
+            assert!(r.rebuilds >= 3 && r.breaker == BreakerState::Open, "{r:?}");
+
+            assert_eq!(shard.incident_hash(), incidents_hash(&r.incidents));
+            assert_eq!(shard.latencies, r.latencies);
+            let fleet = (
+                (shard.served, shard.shed_jobs, shard.job_faults),
+                (shard.swaps, shard.rebuilds, shard.rebuild_failures),
+                (shard.final_rung, shard.breaker, shard.scav_budget_final),
+                (shard.overruns, shard.quarantine_events, shard.readmissions),
+                (
+                    shard.staleness_peak.to_bits(),
+                    shard.staleness_last.to_bits(),
+                ),
+            );
+            let reference = (
+                (r.served, r.shed_jobs, r.job_faults),
+                (r.swaps, r.rebuilds, r.rebuild_failures),
+                (r.final_rung, r.breaker, r.scav_budget_final),
+                (r.overruns, r.quarantine_events, r.readmissions),
+                (r.staleness_peak.to_bits(), r.staleness_last.to_bits()),
+            );
+            assert_eq!(fleet, reference, "seed {seed}");
+            assert_eq!(
+                shard.journal.replay().records,
+                journal.replay().records,
+                "seed {seed}"
+            );
+        }
+    }
 
     #[test]
     fn steady_fleet_is_deterministic_and_clean() {

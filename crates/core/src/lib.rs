@@ -20,12 +20,15 @@
 //! * [`supervisor`] — the self-healing runtime loop: online staleness
 //!   detection, background re-profile + epoch-boundary hot swap, a
 //!   circuit breaker over the degradation ladder, and overload
-//!   shedding, all recorded in a replay-deterministic incident log.
+//!   shedding, all recorded in a replay-deterministic incident log;
+//!   plus crash [`recover`]y.
 //! * [`journal`] — the supervisor's write-ahead journal and artifact
 //!   store, with the crash semantics recovery must repair.
-//! * [`fleet`] — N shard supervisors on an N-core machine under one
-//!   fleet clock: routing, rolling deploys, correlated breakers, work
-//!   stealing, and the oracles that audit every run.
+//! * [`fleet`] — the only code that runs the supervised loop: N shard
+//!   supervisors on an N-core machine under one fleet clock (a single
+//!   supervisor is the one-shard fleet), with routing, rolling deploys,
+//!   correlated breakers, work stealing, and the oracles that audit
+//!   every run.
 //! * [`fleet_chaos`] — the chaos engine: seeded crash and fault
 //!   schedules over the fleet (a single supervisor is the one-shard
 //!   fleet), and the shrinker for a schedule that breaks an oracle.
@@ -92,9 +95,8 @@ pub use pipeline::{
 };
 pub use scheduler::{run_task_queue, SchedPolicy, SchedReport, Task};
 pub use supervisor::{
-    incidents_hash, incidents_json, mix64, recover, supervise, supervise_journaled, Action,
-    BreakerState, CrashPoint, DeployedBuild, Ev, Incident, Outcome, RecoverOptions, Recovery,
-    ResumeState, ServiceWorkload, SuperviseExit, SupervisorConfigError, SupervisorOptions,
-    SupervisorReport, Trigger,
+    incidents_hash, incidents_json, mix64, recover, Action, BreakerState, CrashPoint,
+    DeployedBuild, Ev, Incident, Outcome, RecoverOptions, Recovery, ResumeState,
+    SupervisorConfigError, SupervisorOptions, Trigger,
 };
 pub use whatif::{make_conditional, yield_census, YieldCensus};

@@ -37,16 +37,20 @@
 //!
 //! Every transition is recorded as an [`Incident`] — trigger, evidence
 //! metrics, action, outcome — and the whole log serializes to canonical
-//! JSON ([`SupervisorReport::incident_log_json`]) with an FNV-1a digest
-//! for byte-identity gating. The loop touches no wall clock and draws
+//! JSON ([`incidents_json`]) with an FNV-1a digest for byte-identity
+//! gating. The loop touches no wall clock and draws
 //! randomness only from a seeded [`SplitMix64`], so a replay with the
 //! same seed, fault plan, and drift schedule reproduces the log
 //! bit-for-bit.
+//!
+//! The loop runs per shard under [`run_fleet`](crate::fleet::run_fleet),
+//! always journaled; a single supervisor is the one-shard fleet.
 
 use crate::degrade::{
     pgo_pipeline_degrading, scavenger_only_build, DegradeOptions, DegradedBuild, Rung,
 };
 use crate::dualmode::{run_dual_mode, DualModeOptions};
+use crate::fleet::FleetWorkload;
 use crate::journal::{fnv1a, project, Journal, JournalRecord};
 use crate::metrics::percentile;
 use crate::pipeline::{lint_gate, verify_gate};
@@ -108,34 +112,11 @@ pub(crate) fn build_is_trusted(
     }
 }
 
-/// The service the supervisor runs: a stream of primary jobs, a
-/// scavenger pool to fill their stalls, and fresh contexts for
-/// re-profiling. All methods take `&mut self` so implementations can
-/// drive deterministic internal RNGs.
-pub trait ServiceWorkload {
-    /// Jobs arriving at the start of `epoch`.
-    fn arrivals(&mut self, epoch: u64) -> usize;
-    /// The primary context for global job number `job`.
-    fn primary_context(&mut self, job: u64) -> Context;
-    /// The scavenger-pool context for `slot` while serving `job` in
-    /// `epoch`.
-    fn scavenger_context(&mut self, epoch: u64, job: u64, slot: usize) -> Context;
-    /// Optional replacement program for the scavenger pool during
-    /// `epoch` (`None` = scavengers run the deployed build). The
-    /// overload scenarios inject runaway fillers here.
-    fn scavenger_program(&mut self, _epoch: u64) -> Option<Program> {
-        None
-    }
-    /// Fresh profiling contexts for rebuild attempt `attempt` (passed
-    /// straight to [`pgo_pipeline_degrading`]).
-    fn profiling_contexts(&mut self, attempt: u32) -> Vec<Context>;
-}
-
-/// Configuration for [`supervise`].
+/// Per-shard configuration of the supervised loop
+/// [`run_fleet`](crate::fleet::run_fleet) runs. Swaps happen only on
+/// epoch boundaries.
 #[derive(Clone, Debug)]
 pub struct SupervisorOptions {
-    /// Scheduler quanta to run. Swaps happen only on epoch boundaries.
-    pub epochs: u64,
     /// Jobs served per epoch (the service rate).
     pub service_per_epoch: usize,
     /// Admission-queue bound (supervised only): arrivals beyond this
@@ -183,8 +164,6 @@ pub struct SupervisorOptions {
     /// estimator bookkeeping, but no triggers, no swaps, no shedding,
     /// unbounded queue. The experiment's "unsupervised" arm.
     pub supervise: bool,
-    /// Seed for the backoff jitter (and nothing else).
-    pub seed: u64,
     /// Fault-injection hook: applied to every rebuilt [`Rung::FullPgo`]
     /// binary *before* the swap-time lint gate, so tests can exercise
     /// the gate rejecting a corrupted rebuild.
@@ -194,7 +173,6 @@ pub struct SupervisorOptions {
 impl Default for SupervisorOptions {
     fn default() -> Self {
         SupervisorOptions {
-            epochs: 16,
             service_per_epoch: 2,
             queue_bound: 8,
             scavengers: 4,
@@ -217,7 +195,6 @@ impl Default for SupervisorOptions {
                 ..DualModeOptions::default()
             },
             supervise: true,
-            seed: 0,
             build_mutator: None,
         }
     }
@@ -259,8 +236,8 @@ impl Trigger {
 }
 
 /// A degenerate [`SupervisorOptions`] configuration, rejected at
-/// [`supervise`]/[`recover`] entry instead of producing silently odd
-/// behavior mid-run.
+/// [`run_fleet`](crate::fleet::run_fleet)/[`recover`] entry instead of
+/// producing silently odd behavior mid-run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SupervisorConfigError {
     /// `max_rebuild_failures == 0`: the breaker would open on the first
@@ -526,10 +503,12 @@ pub enum BreakerState {
     Open,
 }
 
-/// Everything the supervised run did and measured.
+/// What one loop segment — from a fresh start or a resume to a crash or
+/// the end of the run — did and measured. The fleet folds every segment
+/// of a shard into its [`ShardSummary`](crate::fleet::ShardSummary).
 #[derive(Clone, Debug)]
-pub struct SupervisorReport {
-    /// The full incident log, in order.
+pub(crate) struct SupervisorReport {
+    /// The segment's incident log, in order.
     pub incidents: Vec<Incident>,
     /// `(epoch, primary latency in cycles)` per served job, in service
     /// order.
@@ -545,11 +524,11 @@ pub struct SupervisorReport {
     pub swaps: u64,
     /// Rebuild attempts (ladder invocations).
     pub rebuilds: u64,
-    /// Consecutive rebuild failures at end of run.
+    /// Consecutive rebuild failures at the end of the segment.
     pub rebuild_failures: u32,
-    /// Rung of the binary serving traffic when the run ended.
+    /// Rung of the binary serving traffic when the segment ended.
     pub final_rung: Rung,
-    /// Circuit-breaker state when the run ended.
+    /// Circuit-breaker state when the segment ended.
     pub breaker: BreakerState,
     /// Highest finite staleness estimate observed.
     pub staleness_peak: f64,
@@ -561,35 +540,19 @@ pub struct SupervisorReport {
     pub quarantine_events: u64,
     /// Watchdog probation re-admissions across all served jobs.
     pub readmissions: u64,
-    /// Scavenger-pool budget at end of run.
+    /// Scavenger-pool budget at the end of the segment.
     pub scav_budget_final: usize,
-    /// Epoch of the last deployment change, if any.
-    pub last_swap_epoch: Option<u64>,
 }
 
-impl SupervisorReport {
-    /// p99 primary latency over jobs served at `epoch` or later (0 when
-    /// none were).
-    pub fn p99_after(&self, epoch: u64) -> u64 {
-        let v: Vec<u64> = self
-            .latencies
-            .iter()
-            .filter(|(e, _)| *e >= epoch)
-            .map(|(_, l)| *l)
-            .collect();
-        percentile(&v, 0.99)
-    }
-
-    /// The incident log as canonical JSON text.
-    pub fn incident_log_json(&self) -> String {
-        incidents_json(&self.incidents)
-    }
-
-    /// FNV-1a digest of [`SupervisorReport::incident_log_json`] — a
-    /// compact byte-identity check for replay gating.
-    pub fn incident_log_hash(&self) -> u64 {
-        incidents_hash(&self.incidents)
-    }
+/// p99 primary latency over the jobs of `latencies` served at `epoch`
+/// or later (0 when none were).
+pub(crate) fn p99_after(latencies: &[(u64, u64)], epoch: u64) -> u64 {
+    let v: Vec<u64> = latencies
+        .iter()
+        .filter(|(e, _)| *e >= epoch)
+        .map(|(_, l)| *l)
+        .collect();
+    percentile(&v, 0.99)
 }
 
 /// Canonical JSON text of any incident sequence — also usable on a log
@@ -629,8 +592,7 @@ enum Rebuild {
         /// fresh scavenger-only build of the original).
         fallback: Option<Box<DeployedBuild>>,
     },
-    /// The crash channel fired between the lint and verify gates
-    /// (journaled mode only).
+    /// The crash channel fired between the lint and verify gates.
     Crashed,
 }
 
@@ -691,125 +653,21 @@ pub struct ResumeState {
     pub scav_budget: usize,
 }
 
-/// How a journaled supervision segment ended.
-#[derive(Clone, Debug)]
-pub enum SuperviseExit {
-    /// The loop served all its epochs and flushed the journal.
-    Completed(SupervisorReport),
-    /// An injected crash killed the process mid-loop. The report covers
-    /// the segment up to the crash (volatile — a real crash would lose
-    /// it; a simulated one may keep it for its oracles).
-    Crashed {
-        /// Which loop stage the crash landed in.
-        point: CrashPoint,
-        /// Epoch being served when it landed.
-        epoch: u64,
-        /// The segment's partial report.
-        report: SupervisorReport,
-    },
-}
-
-/// Runs the self-healing control loop for `opts.epochs` scheduler
-/// quanta, serving `workload` over `initial` and returning the full
-/// report. Infallible once the configuration is validated: job faults
-/// are isolated, rebuild failures feed the circuit breaker, and the
-/// terminal ladder rung (the original binary) always exists.
-pub fn supervise(
-    machine: &mut Machine,
-    workload: &mut dyn ServiceWorkload,
-    original: &Program,
-    initial: DeployedBuild,
-    opts: &SupervisorOptions,
-) -> Result<SupervisorReport, SupervisorConfigError> {
-    validate_options(opts)?;
-    match run_loop(machine, workload, original, initial, opts, None, None) {
-        SuperviseExit::Completed(r) => Ok(r),
-        SuperviseExit::Crashed { .. } => unreachable!("crash points are journaled-mode only"),
-    }
-}
-
-/// [`supervise`] with a durable [`Journal`]: every decision that must
-/// survive a restart is written ahead of the in-memory transition, and
-/// the fault injector's crash channel is consulted at every loop stage.
-/// Pass `resume` from [`recover`] to continue a crashed run.
-pub fn supervise_journaled(
-    machine: &mut Machine,
-    workload: &mut dyn ServiceWorkload,
-    original: &Program,
-    initial: DeployedBuild,
-    opts: &SupervisorOptions,
-    journal: &mut Journal,
-    resume: Option<ResumeState>,
-) -> Result<SuperviseExit, SupervisorConfigError> {
-    validate_options(opts)?;
-    Ok(run_loop(
-        machine,
-        workload,
-        original,
-        initial,
-        opts,
-        Some(journal),
-        resume,
-    ))
-}
-
-fn run_loop(
-    machine: &mut Machine,
-    workload: &mut dyn ServiceWorkload,
-    original: &Program,
-    initial: DeployedBuild,
-    opts: &SupervisorOptions,
-    mut journal: Option<&mut Journal>,
-    resume: Option<ResumeState>,
-) -> SuperviseExit {
-    let mut el = EpochLoop::new(initial, opts, resume);
-    // Fresh journaled runs persist the initial deployment before the
-    // first epoch: the artifact atomically, then the deploy record.
-    if journal.is_some() && resume.is_none() {
-        if let Err(point) = el.persist_initial(machine, &mut journal) {
-            let epoch = el.start_epoch();
-            return SuperviseExit::Crashed {
-                point,
-                epoch,
-                report: el.seal(),
-            };
-        }
-    }
-    for epoch in el.start_epoch()..opts.epochs {
-        if let Err(point) = el.step_epoch(machine, workload, original, &mut journal, epoch) {
-            return SuperviseExit::Crashed {
-                point,
-                epoch,
-                report: el.seal(),
-            };
-        }
-    }
-    // Clean shutdown: anything the partial-flush channel held back
-    // reaches the durable image, so a clean journal projects exactly the
-    // live final state (what the fleet's end-of-run journal audit checks).
-    if let Some(j) = journal {
-        j.flush();
-    }
-    SuperviseExit::Completed(el.seal())
-}
-
 /// Write-ahead append: consults the crash channel *inside* the append,
 /// so a firing crash leaves at most a torn prefix of this record.
 fn jappend(
     faults: &mut Option<FaultInjector>,
-    journal: &mut Option<&mut Journal>,
+    journal: &mut Journal,
     rec: JournalRecord,
 ) -> Result<(), CrashPoint> {
-    if let Some(j) = journal.as_deref_mut() {
-        if faults
-            .as_mut()
-            .is_some_and(|f| f.crash_point(CP_MID_APPEND))
-        {
-            j.crash_during_append(&rec, faults.as_mut());
-            return Err(CrashPoint::MidJournalAppend);
-        }
-        j.append(&rec, faults.as_mut());
+    if faults
+        .as_mut()
+        .is_some_and(|f| f.crash_point(CP_MID_APPEND))
+    {
+        journal.crash_during_append(&rec, faults.as_mut());
+        return Err(CrashPoint::MidJournalAppend);
     }
+    journal.append(&rec, faults.as_mut());
     Ok(())
 }
 
@@ -818,14 +676,12 @@ fn jappend(
 /// the journal cannot name a binary the store does not hold.
 fn journal_deploy(
     faults: &mut Option<FaultInjector>,
-    journal: &mut Option<&mut Journal>,
+    journal: &mut Journal,
     build: &DeployedBuild,
     epoch: u64,
 ) -> Result<(), CrashPoint> {
     let fingerprint = build.prog.fingerprint();
-    if let Some(j) = journal.as_deref_mut() {
-        j.store_build(fingerprint, build.clone());
-    }
+    journal.store_build(fingerprint, build.clone());
     jappend(
         faults,
         journal,
@@ -837,34 +693,33 @@ fn journal_deploy(
     )
 }
 
-/// Consults the crash channel at a non-append loop stage (journaled mode
-/// only) and, when it fires, applies crash semantics to the store.
+/// Consults the crash channel at a non-append loop stage and, when it
+/// fires, applies crash semantics to the store.
 fn crash_gate(
     machine: &mut Machine,
-    journal: &mut Option<&mut Journal>,
+    journal: &mut Journal,
     code: u64,
     point: CrashPoint,
 ) -> Result<(), CrashPoint> {
-    if journal.is_some() && machine.faults.as_mut().is_some_and(|f| f.crash_point(code)) {
-        if let Some(j) = journal.as_deref_mut() {
-            j.crash(machine.faults.as_mut());
-        }
+    if machine.faults.as_mut().is_some_and(|f| f.crash_point(code)) {
+        journal.crash(machine.faults.as_mut());
         return Err(point);
     }
     Ok(())
 }
 
-/// The supervisor's per-epoch state machine, factored out of
-/// [`supervise`] so the fleet layer can interleave N shard loops on N
-/// cores under one fleet clock. [`run_loop`] drives it for the
-/// single-shard entry points; the fleet supervisor steps one instance
-/// per shard and adds routing, rollouts and work-stealing on top.
+/// The supervisor's per-epoch state machine. The fleet steps one
+/// instance per shard on that shard's core under one fleet clock and
+/// adds routing, rollouts and work-stealing on top; admission is the
+/// fleet router's, so a loop serves the jobs it is granted.
 ///
 /// An `Err(CrashPoint)` from any stepping method means the injected
 /// crash channel fired: the process is dead, the journal has already
 /// been given its crash semantics, and the caller must stop stepping and
 /// go through [`recover`].
 pub(crate) struct EpochLoop {
+    /// The shard this loop serves: which workload streams it draws.
+    shard: usize,
     cur: DeployedBuild,
     estimator: OnlineStalenessEstimator,
     rng: SplitMix64,
@@ -874,7 +729,6 @@ pub(crate) struct EpochLoop {
     // Volatile loop state; durable pieces come back through `resume`.
     // The clean-probation streak is *always* fresh: recovery never
     // credits pre-crash clean epochs toward re-admission.
-    start_epoch: u64,
     next_job: u64,
     scav_budget: usize,
     clean_streak: u64,
@@ -884,14 +738,18 @@ pub(crate) struct EpochLoop {
     opts: SupervisorOptions,
     /// Extra scavenger slots donated by the fleet's work-stealing (idle
     /// capacity from drained/down shards). Volatile and never journaled:
-    /// a restart resets it, and the single-shard entry points leave it 0.
+    /// a restart resets it.
     scav_bonus: usize,
 }
 
 impl EpochLoop {
+    /// A loop for `shard` serving `initial`, drawing its backoff jitter
+    /// from `seed`; `resume` comes from [`recover`] after a crash.
     pub(crate) fn new(
+        shard: usize,
         initial: DeployedBuild,
         opts: &SupervisorOptions,
+        seed: u64,
         resume: Option<ResumeState>,
     ) -> Self {
         let scav_budget = resume.map_or(opts.scavengers, |r| r.scav_budget);
@@ -912,16 +770,15 @@ impl EpochLoop {
             quarantine_events: 0,
             readmissions: 0,
             scav_budget_final: scav_budget,
-            last_swap_epoch: None,
         };
         EpochLoop {
+            shard,
             cur: initial,
             estimator: OnlineStalenessEstimator::new(opts.estimator),
-            rng: SplitMix64::new(opts.seed ^ 0x5e1f_4ea1),
+            rng: SplitMix64::new(seed ^ 0x5e1f_4ea1),
             report,
             pending: VecDeque::new(),
             window: VecDeque::new(),
-            start_epoch: resume.map_or(0, |r| r.epoch),
             next_job: resume.map_or(0, |r| r.next_job),
             scav_budget,
             clean_streak: 0,
@@ -931,11 +788,6 @@ impl EpochLoop {
             opts: opts.clone(),
             scav_bonus: 0,
         }
-    }
-
-    /// First epoch this loop serves (0, or the resume point).
-    pub(crate) fn start_epoch(&self) -> u64 {
-        self.start_epoch
     }
 
     /// The build currently serving traffic.
@@ -975,13 +827,13 @@ impl EpochLoop {
         self.scav_bonus = bonus;
     }
 
-    /// Persists the initial deployment — fresh journaled runs only.
+    /// Persists the initial deployment at epoch 0 — fresh loops only.
     pub(crate) fn persist_initial(
         &mut self,
         machine: &mut Machine,
-        journal: &mut Option<&mut Journal>,
+        journal: &mut Journal,
     ) -> Result<(), CrashPoint> {
-        journal_deploy(&mut machine.faults, journal, &self.cur, self.start_epoch)
+        journal_deploy(&mut machine.faults, journal, &self.cur, 0)
     }
 
     /// The deploy transition, the only way a running loop changes the
@@ -1000,7 +852,7 @@ impl EpochLoop {
     fn deploy(
         &mut self,
         machine: &mut Machine,
-        journal: &mut Option<&mut Journal>,
+        journal: &mut Journal,
         build: DeployedBuild,
         breaker: BreakerState,
         failures: u32,
@@ -1036,7 +888,7 @@ impl EpochLoop {
     pub(crate) fn deploy_rollout(
         &mut self,
         machine: &mut Machine,
-        journal: &mut Option<&mut Journal>,
+        journal: &mut Journal,
         build: DeployedBuild,
         epoch: u64,
     ) -> Result<(), CrashPoint> {
@@ -1057,19 +909,20 @@ impl EpochLoop {
         self.report.breaker = self.breaker;
         self.report.rebuild_failures = self.failures;
         self.report.scav_budget_final = self.scav_budget;
-        self.report.last_swap_epoch = self.last_swap;
         self.report
     }
 
-    /// Serves one epoch: admission/shed → dual-mode batch with the
-    /// in-situ sampler armed → staleness diagnosis → rebuild / backoff /
-    /// breaker → SLO shedding and probation.
+    /// Serves one epoch: admission of the `admitted` jobs the router
+    /// granted, and shedding → dual-mode batch with the in-situ sampler
+    /// armed → staleness diagnosis → rebuild / backoff / breaker → SLO
+    /// shedding and probation.
     pub(crate) fn step_epoch(
         &mut self,
         machine: &mut Machine,
-        workload: &mut dyn ServiceWorkload,
+        workload: &mut dyn FleetWorkload,
+        admitted: usize,
         original: &Program,
-        journal: &mut Option<&mut Journal>,
+        journal: &mut Journal,
         epoch: u64,
     ) -> Result<(), CrashPoint> {
         jappend(
@@ -1083,7 +936,7 @@ impl EpochLoop {
         // --- Admission: arrivals enqueue; supervised runs shed the
         // backlog beyond the queue bound (newest first — they would wait
         // longest anyway).
-        for _ in 0..workload.arrivals(epoch) {
+        for _ in 0..admitted {
             self.pending.push_back(self.next_job);
             self.next_job += 1;
         }
@@ -1107,7 +960,8 @@ impl EpochLoop {
         // Both policies feed the estimator identically; only the
         // *actions* differ, so the experiment compares decisions, not
         // measurement quality.
-        let scav_override = workload.scavenger_program(epoch);
+        let shard = self.shard;
+        let scav_override = workload.scavenger_program(shard, epoch);
         let batch = self.pending.len().min(self.opts.service_per_epoch);
         let samplers_before = machine.samplers.len();
         let sampler = machine.add_sampler(PebsConfig {
@@ -1119,9 +973,9 @@ impl EpochLoop {
         let mut epoch_overruns: u64 = 0;
         for _ in 0..batch {
             let job = self.pending.pop_front().expect("batch <= pending");
-            let mut primary = workload.primary_context(job);
+            let mut primary = workload.primary_context(shard, job);
             let mut scavs: Vec<Context> = (0..self.scav_budget + self.scav_bonus)
-                .map(|slot| workload.scavenger_context(epoch, job, slot))
+                .map(|slot| workload.scavenger_context(shard, epoch, job, slot))
                 .collect();
             let scav_prog = scav_override.as_ref().unwrap_or(&self.cur.prog);
             match run_dual_mode(
@@ -1211,11 +1065,9 @@ impl EpochLoop {
             ];
             self.report.rebuilds += 1;
             crash_gate(machine, journal, CP_MID_REBUILD, CrashPoint::MidRebuild)?;
-            match attempt_rebuild(machine, workload, original, &self.opts, journal.is_some()) {
+            match attempt_rebuild(machine, workload, shard, original, &self.opts) {
                 Rebuild::Crashed => {
-                    if let Some(j) = journal.as_deref_mut() {
-                        j.crash(machine.faults.as_mut());
-                    }
+                    journal.crash(machine.faults.as_mut());
                     return Err(CrashPoint::BetweenGates);
                 }
                 Rebuild::Swapped(b) => {
@@ -1347,15 +1199,15 @@ impl EpochLoop {
 /// One rebuild attempt: ladder, fault hook, swap-time lint gate.
 fn attempt_rebuild(
     machine: &mut Machine,
-    workload: &mut dyn ServiceWorkload,
+    workload: &mut dyn FleetWorkload,
+    shard: usize,
     original: &Program,
     opts: &SupervisorOptions,
-    journaled: bool,
 ) -> Rebuild {
     let b = pgo_pipeline_degrading(
         machine,
         original,
-        |attempt| workload.profiling_contexts(attempt),
+        |attempt| workload.profiling_contexts(shard, attempt),
         &opts.degrade,
     );
     if b.rung != Rung::FullPgo {
@@ -1379,11 +1231,10 @@ fn attempt_rebuild(
             fallback: None,
         };
     }
-    if journaled
-        && machine
-            .faults
-            .as_mut()
-            .is_some_and(|f| f.crash_point(CP_BETWEEN_GATES))
+    if machine
+        .faults
+        .as_mut()
+        .is_some_and(|f| f.crash_point(CP_BETWEEN_GATES))
     {
         return Rebuild::Crashed;
     }
@@ -1526,8 +1377,7 @@ pub fn recover(
         // the fallback so the durable image never keeps pointing at a
         // build that failed re-validation. Recovery runs before serving,
         // so the append is synchronous (no fault injector).
-        journal_deploy(&mut None, &mut Some(journal), &build, resume.epoch)
-            .expect("no injector, no crash");
+        journal_deploy(&mut None, journal, &build, resume.epoch).expect("no injector, no crash");
     }
     let action = if degraded {
         Action::RecoveryDegraded { rung: build.rung }
@@ -1565,8 +1415,9 @@ pub fn recover(
 mod tests {
     use super::*;
     use crate::dualmode::WatchdogOptions;
-    use crate::journal::Journal;
-    use crate::testkit::{fast_degrade, runaway_prog, LOOKUPS};
+    use crate::fleet::{run_fleet, Arrival, FleetConfigError, FleetOptions};
+    use crate::journal::{Journal, StoredBuild};
+    use crate::testkit::{fast_degrade, runaway_prog, solo_core, Solo, SoloExit, LOOKUPS};
     use reach_sim::{AluOp, Cond, Inst, MachineConfig, ProgramBuilder, Reg};
     use reach_workloads::{build_zipf_kv, AddrAlloc, ZipfKvParams};
 
@@ -1580,7 +1431,7 @@ mod tests {
     /// Every job and every profiling attempt draws a *fresh* instance
     /// (disjoint table + request stream) so misses are compulsory and
     /// the sample stream is not silenced by cache residency from earlier
-    /// epochs.
+    /// epochs. One arrival per epoch, at shard 0.
     struct ZipfService {
         prog: Program,
         live: Vec<reach_workloads::InstanceSetup>,
@@ -1635,22 +1486,31 @@ mod tests {
         }
     }
 
-    impl ServiceWorkload for ZipfService {
-        fn arrivals(&mut self, _epoch: u64) -> usize {
-            1
+    impl FleetWorkload for ZipfService {
+        fn arrivals(&mut self, _epoch: u64) -> Vec<Arrival> {
+            vec![Arrival {
+                ingress: 0,
+                owner: 0,
+            }]
         }
-        fn primary_context(&mut self, _job: u64) -> Context {
+        fn primary_context(&mut self, _shard: usize, _job: u64) -> Context {
             self.next_live()
         }
-        fn scavenger_context(&mut self, _epoch: u64, _job: u64, _slot: usize) -> Context {
+        fn scavenger_context(
+            &mut self,
+            _shard: usize,
+            _epoch: u64,
+            _job: u64,
+            _slot: usize,
+        ) -> Context {
             self.next_live()
         }
-        fn scavenger_program(&mut self, epoch: u64) -> Option<Program> {
+        fn scavenger_program(&mut self, _shard: usize, epoch: u64) -> Option<Program> {
             let (prog, range) = self.runaway.as_ref()?;
             range.contains(&epoch).then(|| prog.clone())
         }
         /// Rebuilds profile what is *actually* arriving: live traffic.
-        fn profiling_contexts(&mut self, _attempt: u32) -> Vec<Context> {
+        fn profiling_contexts(&mut self, _shard: usize, _attempt: u32) -> Vec<Context> {
             let n = self.prof_live.len();
             (0..2)
                 .map(|_| {
@@ -1677,7 +1537,6 @@ mod tests {
 
     fn drift_opts() -> SupervisorOptions {
         SupervisorOptions {
-            epochs: 10,
             service_per_epoch: 1,
             scavengers: 2,
             insitu_period: 31,
@@ -1686,9 +1545,18 @@ mod tests {
                 min_samples: 8,
             },
             staleness_threshold: 0.6,
-            seed: 42,
             degrade: fast_degrade(),
             ..SupervisorOptions::default()
+        }
+    }
+
+    /// The reference loop over `orig` for `epochs`, backoff seed 42.
+    fn solo<'a>(orig: &'a Program, opts: &'a SupervisorOptions, epochs: u64) -> Solo<'a> {
+        Solo {
+            original: orig,
+            opts,
+            epochs,
+            seed: 42,
         }
     }
 
@@ -1699,15 +1567,23 @@ mod tests {
         let orig = svc.prog.clone();
         let init = initial_build(&mut m, &svc, &orig);
 
-        let r = supervise(&mut m, &mut svc, &orig, init, &drift_opts()).unwrap();
-        assert_eq!(r.swaps, 1, "{}", r.incident_log_json());
+        let opts = drift_opts();
+        let r = solo(&orig, &opts, 10).complete(&mut m, &mut svc, init);
+        assert_eq!(r.swaps, 1, "{}", incidents_json(&r.incidents));
         assert_eq!(r.final_rung, Rung::FullPgo);
         assert_eq!(r.breaker, BreakerState::Closed);
-        assert!(r.incidents.iter().any(|i| i.trigger == Trigger::Staleness
-            && i.action
-                == Action::Swap {
-                    rung: Rung::FullPgo
-                }));
+        let swap_epoch = r
+            .incidents
+            .iter()
+            .find(|i| {
+                i.trigger == Trigger::Staleness
+                    && i.action
+                        == Action::Swap {
+                            rung: Rung::FullPgo,
+                        }
+            })
+            .expect("a staleness-triggered swap")
+            .epoch;
         // The stale profile read as drifted; the rebuilt one matches
         // live traffic again.
         assert!(r.staleness_peak > 0.5, "{}", r.staleness_peak);
@@ -1715,7 +1591,6 @@ mod tests {
         assert_eq!(r.served, 10);
         assert!(m.samplers.is_empty(), "in-situ sampler left armed");
         // Recovery: post-swap jobs are faster than the stale-build ones.
-        let swap_epoch = r.last_swap_epoch.unwrap();
         // The swap lands at the end of `swap_epoch`, so that epoch's job
         // still ran on the stale build.
         let pre = r
@@ -1725,11 +1600,8 @@ mod tests {
             .map(|(_, l)| *l)
             .max()
             .unwrap();
-        assert!(
-            r.p99_after(swap_epoch + 1) < pre,
-            "post-swap p99 {} !< pre-swap max {pre}",
-            r.p99_after(swap_epoch + 1)
-        );
+        let post = p99_after(&r.latencies, swap_epoch + 1);
+        assert!(post < pre, "post-swap p99 {post} !< pre-swap max {pre}");
     }
 
     #[test]
@@ -1744,7 +1616,6 @@ mod tests {
             p.total_samples = 0;
         }
         let breaker_opens = SupervisorOptions {
-            epochs: 12,
             max_rebuild_failures: 2,
             degrade: DegradeOptions {
                 max_reprofiles: 0,
@@ -1753,10 +1624,10 @@ mod tests {
             },
             ..drift_opts()
         };
-        for (opts, rung, rollout) in [
-            (drift_opts(), Rung::FullPgo, false),
-            (breaker_opens, Rung::ScavengerOnly, false),
-            (drift_opts(), Rung::FullPgo, true),
+        for (opts, epochs, rung, rollout) in [
+            (drift_opts(), 10, Rung::FullPgo, false),
+            (breaker_opens, 12, Rung::ScavengerOnly, false),
+            (drift_opts(), 10, Rung::FullPgo, true),
         ] {
             let mut m = Machine::new(MachineConfig::default());
             let mut svc = ZipfService::new(&mut m, 0.0, 3.0);
@@ -1779,13 +1650,14 @@ mod tests {
 
             let r = if rollout {
                 // What the fleet does to a drained shard.
-                let mut el = EpochLoop::new(init.clone(), &opts, None);
-                el.deploy_rollout(&mut m, &mut None, init, 0).unwrap();
+                let mut el = EpochLoop::new(0, init.clone(), &opts, 42, None);
+                el.deploy_rollout(&mut m, &mut Journal::new(), init, 0)
+                    .unwrap();
                 el.seal()
             } else {
-                supervise(&mut m, &mut svc, &orig, init, &opts).unwrap()
+                solo(&orig, &opts, epochs).complete(&mut m, &mut svc, init)
             };
-            assert_eq!(r.swaps, 1, "{}", r.incident_log_json());
+            assert_eq!(r.swaps, 1, "{}", incidents_json(&r.incidents));
             assert_eq!(r.final_rung, rung);
             assert_eq!(
                 m.block_cache.stats.invalidations, r.swaps,
@@ -1813,15 +1685,15 @@ mod tests {
             supervise: false,
             ..drift_opts()
         };
-        let r = supervise(&mut m, &mut svc, &orig, init, &opts).unwrap();
-        assert_eq!(r.served, opts.epochs);
+        let epochs = 10;
+        let r = solo(&orig, &opts, epochs).complete(&mut m, &mut svc, init);
+        assert_eq!(r.served, epochs);
         let hits = m.block_cache.stats.hits - before.hits;
         assert!(hits > 0, "serving fell back to the reference tier");
         assert!(
             m.block_cache.cached_programs() <= cached + 1,
-            "{} programs cached after {} epochs of overrides",
+            "{} programs cached after {epochs} epochs of overrides",
             m.block_cache.cached_programs(),
-            opts.epochs
         );
     }
 
@@ -1836,7 +1708,7 @@ mod tests {
             supervise: false,
             ..drift_opts()
         };
-        let r = supervise(&mut m, &mut svc, &orig, init, &opts).unwrap();
+        let r = solo(&orig, &opts, 10).complete(&mut m, &mut svc, init);
         assert!(r.incidents.is_empty());
         assert_eq!(r.swaps, 0);
         assert_eq!(r.rebuilds, 0);
@@ -1857,7 +1729,6 @@ mod tests {
         let init = initial_build(&mut m, &svc, &orig);
 
         let opts = SupervisorOptions {
-            epochs: 12,
             max_rebuild_failures: 2,
             backoff_base_epochs: 1,
             backoff_max_epochs: 4,
@@ -1868,8 +1739,13 @@ mod tests {
             },
             ..drift_opts()
         };
-        let r = supervise(&mut m, &mut svc, &orig, init, &opts).unwrap();
-        assert_eq!(r.breaker, BreakerState::Open, "{}", r.incident_log_json());
+        let r = solo(&orig, &opts, 12).complete(&mut m, &mut svc, init);
+        assert_eq!(
+            r.breaker,
+            BreakerState::Open,
+            "{}",
+            incidents_json(&r.incidents)
+        );
         assert_eq!(r.final_rung, Rung::ScavengerOnly);
         assert_eq!(r.rebuilds, 2);
         assert!(r.incidents.iter().any(|i| matches!(
@@ -1902,13 +1778,12 @@ mod tests {
         let init = initial_build(&mut m, &svc, &orig);
 
         let opts = SupervisorOptions {
-            epochs: 12,
             max_rebuild_failures: 2,
             backoff_base_epochs: 1,
             build_mutator: Some(clobber_yield_saves),
             ..drift_opts()
         };
-        let r = supervise(&mut m, &mut svc, &orig, init, &opts).unwrap();
+        let r = solo(&orig, &opts, 12).complete(&mut m, &mut svc, init);
         // Every rebuild reaches FullPgo but the corrupted binary fails
         // the swap-time gate; the breaker ends up deploying a *fresh*
         // scavenger-only build of the original.
@@ -1918,7 +1793,7 @@ mod tests {
                 .any(|i| matches!(&i.outcome, Outcome::RebuildFailed { reason }
                     if reason.contains("lint"))),
             "{}",
-            r.incident_log_json()
+            incidents_json(&r.incidents)
         );
         assert_eq!(r.breaker, BreakerState::Open);
         assert_eq!(r.final_rung, Rung::ScavengerOnly);
@@ -1952,20 +1827,19 @@ mod tests {
         let init = initial_build(&mut m, &svc, &orig);
 
         let opts = SupervisorOptions {
-            epochs: 12,
             max_rebuild_failures: 2,
             backoff_base_epochs: 1,
             build_mutator: Some(skew_prefetched_load),
             ..drift_opts()
         };
-        let r = supervise(&mut m, &mut svc, &orig, init, &opts).unwrap();
+        let r = solo(&orig, &opts, 12).complete(&mut m, &mut svc, init);
         assert!(
             r.incidents
                 .iter()
                 .any(|i| matches!(&i.outcome, Outcome::RebuildFailed { reason }
                     if reason.contains("verify gate") && reason.contains("RL0008"))),
             "{}",
-            r.incident_log_json()
+            incidents_json(&r.incidents)
         );
         assert_eq!(r.breaker, BreakerState::Open);
         assert_eq!(r.final_rung, Rung::ScavengerOnly);
@@ -1974,7 +1848,6 @@ mod tests {
     #[test]
     fn overload_sheds_scavengers_then_restores_after_probation() {
         let overload_opts = || SupervisorOptions {
-            epochs: 16,
             service_per_epoch: 1,
             scavengers: 2,
             slo_p99_cycles: 800_000,
@@ -1994,57 +1867,44 @@ mod tests {
                 }),
                 ..DualModeOptions::default()
             },
-            seed: 7,
             ..SupervisorOptions::default()
         };
-        // Healthy match (profiled == live) so the only disturbance is
-        // the runaway scavenger program during the burst.
-        let mut m = Machine::new(MachineConfig::default());
-        let mut svc = ZipfService::new(&mut m, 0.0, 0.0);
-        svc.runaway = Some((runaway_prog(), 2..10));
-        let orig = svc.prog.clone();
-        let init = initial_build(&mut m, &svc, &orig);
+        let run = |opts: &SupervisorOptions| {
+            // Healthy match (profiled == live) so the only disturbance
+            // is the runaway scavenger program during the burst.
+            let mut m = Machine::new(MachineConfig::default());
+            let mut svc = ZipfService::new(&mut m, 0.0, 0.0);
+            svc.runaway = Some((runaway_prog(), 2..10));
+            let orig = svc.prog.clone();
+            let init = initial_build(&mut m, &svc, &orig);
+            let solo = Solo {
+                original: &orig,
+                opts,
+                epochs: 16,
+                seed: 7,
+            };
+            solo.complete(&mut m, &mut svc, init)
+        };
 
         let opts = overload_opts();
-        let r = supervise(&mut m, &mut svc, &orig, init, &opts).unwrap();
-        let sheds = r
-            .incidents
-            .iter()
-            .filter(|i| matches!(i.action, Action::ShedScavengers { .. }))
-            .count();
-        let restores = r
-            .incidents
-            .iter()
-            .filter(|i| matches!(i.action, Action::RestoreScavenger { .. }))
-            .count();
-        assert!(sheds >= 2, "{}", r.incident_log_json());
-        assert!(restores >= 1, "{}", r.incident_log_json());
+        let r = run(&opts);
+        let count =
+            |pred: fn(&Action) -> bool| r.incidents.iter().filter(|i| pred(&i.action)).count();
+        let sheds = count(|a| matches!(a, Action::ShedScavengers { .. }));
+        let restores = count(|a| matches!(a, Action::RestoreScavenger { .. }));
+        assert!(sheds >= 2, "{}", incidents_json(&r.incidents));
+        assert!(restores >= 1, "{}", incidents_json(&r.incidents));
         assert!(r.scav_budget_final >= 1, "{}", r.scav_budget_final);
         // After shedding bottoms out and the burst ends, the tail meets
         // the SLO again.
-        assert!(
-            r.p99_after(12) <= opts.slo_p99_cycles,
-            "tail p99 {} > SLO",
-            r.p99_after(12)
-        );
+        let tail = p99_after(&r.latencies, 12);
+        assert!(tail <= opts.slo_p99_cycles, "tail p99 {tail} > SLO");
 
         // The passive arm pays the runaway tax with no incidents.
-        let mut m2 = Machine::new(MachineConfig::default());
-        let mut svc2 = ZipfService::new(&mut m2, 0.0, 0.0);
-        svc2.runaway = Some((runaway_prog(), 2..10));
-        let orig2 = svc2.prog.clone();
-        let init2 = initial_build(&mut m2, &svc2, &orig2);
-        let base = supervise(
-            &mut m2,
-            &mut svc2,
-            &orig2,
-            init2,
-            &SupervisorOptions {
-                supervise: false,
-                ..overload_opts()
-            },
-        )
-        .unwrap();
+        let base = run(&SupervisorOptions {
+            supervise: false,
+            ..overload_opts()
+        });
         assert!(base.incidents.is_empty());
         assert_eq!(base.scav_budget_final, opts.scavengers);
         // Across the burst the supervised pool sheds the runaways (and
@@ -2068,20 +1928,33 @@ mod tests {
         );
     }
 
+    /// `run_fleet` and `recover` refuse a degenerate supervisor with the
+    /// same typed error.
     #[test]
     fn degenerate_configs_are_rejected_with_typed_errors() {
-        let mut m = Machine::new(MachineConfig::default());
-        let mut svc = ZipfService::new(&mut m, 0.0, 3.0);
+        let mut mc = solo_core();
+        let mut svc = ZipfService::new(&mut mc.cores[0], 0.0, 3.0);
         let orig = svc.prog.clone();
-        let init = initial_build(&mut m, &svc, &orig);
+        let init = initial_build(&mut mc.cores[0], &svc, &orig);
+        let fleet = |sup: SupervisorOptions| FleetOptions {
+            shards: 1,
+            epochs: 1,
+            sup,
+            ..FleetOptions::default()
+        };
         let mut check = |opts: SupervisorOptions, want: SupervisorConfigError| {
-            let got = supervise(&mut m, &mut svc, &orig, init.clone(), &opts)
+            let got = run_fleet(&mut mc, &mut svc, &orig, init.clone(), &fleet(opts.clone()))
                 .expect_err("degenerate config accepted");
-            assert_eq!(got, want);
-            // recover() applies the same validation.
+            assert_eq!(got, FleetConfigError::Supervisor(want));
             let mut j = Journal::new();
-            let got = recover(&mut j, &orig, &mut m, &opts, &RecoverOptions::default())
-                .expect_err("degenerate config accepted by recover");
+            let got = recover(
+                &mut j,
+                &orig,
+                &mut mc.cores[0],
+                &opts,
+                &RecoverOptions::default(),
+            )
+            .expect_err("degenerate config accepted by recover");
             assert_eq!(got, want);
         };
         check(
@@ -2122,10 +1995,9 @@ mod tests {
         let opts = SupervisorOptions {
             slo_p99_cycles: u64::MAX,
             slo_window: 0,
-            epochs: 1,
             ..drift_opts()
         };
-        supervise(&mut m, &mut svc, &orig, init.clone(), &opts).unwrap();
+        run_fleet(&mut mc, &mut svc, &orig, init, &fleet(opts)).unwrap();
     }
 
     #[test]
@@ -2139,17 +2011,8 @@ mod tests {
 
         let mut journal = Journal::new();
         m.faults = Some(FaultInjector::new(FaultPlan::none(1).with_crash_at(5)));
-        let exit = supervise_journaled(
-            &mut m,
-            &mut svc,
-            &orig,
-            init.clone(),
-            &opts,
-            &mut journal,
-            None,
-        )
-        .unwrap();
-        assert!(matches!(exit, SuperviseExit::Crashed { .. }));
+        let exit = solo(&orig, &opts, 10).run(&mut m, &mut svc, init, &mut journal, None);
+        assert!(matches!(exit, SoloExit::Crashed { .. }));
         m.faults = None;
 
         // Superblocks compiled before the restart: in the simulation the
@@ -2199,22 +2062,14 @@ mod tests {
         let orig = svc.prog.clone();
         let init = initial_build(&mut m, &svc, &orig);
         let opts = drift_opts();
+        let solo = solo(&orig, &opts, 10);
 
         let mut journal = Journal::new();
         // Crash at the 5th crash-point consultation (an epoch-advance
         // append, a few epochs in).
         m.faults = Some(FaultInjector::new(FaultPlan::none(1).with_crash_at(5)));
-        let exit = supervise_journaled(
-            &mut m,
-            &mut svc,
-            &orig,
-            init.clone(),
-            &opts,
-            &mut journal,
-            None,
-        )
-        .unwrap();
-        let SuperviseExit::Crashed { epoch, .. } = exit else {
+        let exit = solo.run(&mut m, &mut svc, init, &mut journal, None);
+        let SoloExit::Crashed { epoch, .. } = exit else {
             panic!("crash channel did not fire");
         };
 
@@ -2232,22 +2087,13 @@ mod tests {
         assert!(matches!(rec.incidents[0].action, Action::Recovered { .. }));
 
         m.faults = None;
-        let exit = supervise_journaled(
-            &mut m,
-            &mut svc,
-            &orig,
-            rec.build,
-            &opts,
-            &mut journal,
-            Some(rec.resume),
-        )
-        .unwrap();
-        let SuperviseExit::Completed(r) = exit else {
+        let exit = solo.run(&mut m, &mut svc, rec.build, &mut journal, Some(rec.resume));
+        let SoloExit::Completed(r) = exit else {
             panic!("resumed segment crashed without a fault plan");
         };
         // The journal's projection agrees with the live final state.
-        let st = crate::journal::project(&journal.replay().records);
-        assert_eq!(st.epoch, Some(opts.epochs - 1));
+        let st = project(&journal.replay().records);
+        assert_eq!(st.epoch, Some(solo.epochs - 1));
         let (fp, rung, _) = st.deploy.unwrap();
         assert_eq!(rung, r.final_rung);
         assert!(journal.get_build(fp).is_some());
@@ -2268,6 +2114,7 @@ mod tests {
             let orig = svc.prog.clone();
             let mut build = initial_build(&mut m, &svc, &orig);
             let opts = drift_opts();
+            let solo = solo(&orig, &opts, 10);
             let mut journal = Journal::new();
             let (mut resume, mut incidents, mut process) = (None, Vec::new(), 0u64);
             let live = loop {
@@ -2281,19 +2128,9 @@ mod tests {
                 };
                 m.faults = Some(FaultInjector::new(plan));
                 process += 1;
-                let exit = supervise_journaled(
-                    &mut m,
-                    &mut svc,
-                    &orig,
-                    build.clone(),
-                    &opts,
-                    &mut journal,
-                    resume,
-                )
-                .unwrap();
-                let report = match exit {
-                    SuperviseExit::Completed(r) => break r,
-                    SuperviseExit::Crashed { report, .. } => report,
+                let report = match solo.run(&mut m, &mut svc, build.clone(), &mut journal, resume) {
+                    SoloExit::Completed(r) => break r,
+                    SoloExit::Crashed { report, .. } => report,
                 };
                 incidents.extend(report.incidents);
                 m.faults = None;
@@ -2317,7 +2154,7 @@ mod tests {
             assert_eq!(recoveries, 2);
 
             let st = project(&journal.replay().records);
-            assert_eq!(st.epoch, Some(opts.epochs - 1));
+            assert_eq!(st.epoch, Some(solo.epochs - 1));
             let (fp, rung, _) = st.deploy.expect("a deploy is journaled");
             assert_eq!(rung, live.final_rung);
             let stored = journal.get_build(fp).expect("the artifact is stored");
@@ -2331,6 +2168,119 @@ mod tests {
         assert_eq!(run(), run());
     }
 
+    /// A shed scavenger pool must serve its probation *after* a restart —
+    /// recovery may not silently re-admit it, even when the pre-crash
+    /// journal recorded a clean streak one epoch short of restoration.
+    ///
+    /// The journal is hand-built to describe exactly that near-miss: budget
+    /// shed 2 → 1 with `clean_streak: 3` durable, `probation_epochs: 4`.
+    /// `recover` must resume with the shed budget (not the configured 2),
+    /// and the resumed loop must restart the streak from zero, so the
+    /// earliest legal `RestoreScavenger` lands at
+    /// `resume.epoch + probation_epochs - 1`.
+    ///
+    /// Hand mutation, which fails this test: `EpochLoop::new` ignores
+    /// `resume.scav_budget` (the resumed pool starts full and is never
+    /// restored).
+    #[test]
+    fn recovery_never_readmits_a_shed_scavenger_early() {
+        let mut m = Machine::new(MachineConfig::default());
+        let mut svc = ZipfService::new(&mut m, 0.0, 0.0);
+        let orig = svc.prog.clone();
+        let init = initial_build(&mut m, &svc, &orig);
+
+        let opts = SupervisorOptions {
+            probation_epochs: 4,
+            // Quiet run: the workload is healthy, so the resumed loop's
+            // only discretionary action is the probation restore under
+            // test.
+            staleness_threshold: 2.0,
+            ..drift_opts()
+        };
+
+        // The pre-crash history, written durably: deploy at epoch 0, a
+        // shed to budget 1 whose clean streak had reached 3 of the 4
+        // probation epochs, last epoch served 3.
+        let fp = init.prog.fingerprint();
+        let mut journal = Journal::new();
+        journal.store_build(
+            fp,
+            StoredBuild {
+                prog: init.prog.clone(),
+                origin: init.origin.clone(),
+                rung: init.rung,
+                profile: init.profile.clone(),
+            },
+        );
+        for rec in [
+            JournalRecord::Deploy {
+                epoch: 0,
+                rung: init.rung,
+                fingerprint: fp,
+            },
+            JournalRecord::EpochAdvance {
+                epoch: 0,
+                next_job: 0,
+            },
+            JournalRecord::ScavBudget {
+                epoch: 1,
+                budget: 1,
+                clean_streak: 3,
+            },
+            JournalRecord::EpochAdvance {
+                epoch: 3,
+                next_job: 3,
+            },
+        ] {
+            journal.append(&rec, None);
+        }
+
+        let rec = recover(
+            &mut journal,
+            &orig,
+            &mut m,
+            &opts,
+            &RecoverOptions::default(),
+        )
+        .expect("validated config");
+        assert!(!rec.degraded, "healthy artifact must re-validate");
+        assert_eq!(rec.resume.epoch, 4, "resume after last durable epoch");
+        assert_eq!(
+            rec.resume.scav_budget, 1,
+            "the shed budget survives the restart"
+        );
+
+        let solo = Solo {
+            original: &orig,
+            opts: &opts,
+            epochs: 12,
+            seed: 41,
+        };
+        let exit = solo.run(&mut m, &mut svc, rec.build, &mut journal, Some(rec.resume));
+        let SoloExit::Completed(rep) = exit else {
+            panic!("no faults armed, run cannot crash");
+        };
+        let restores: Vec<u64> = rep
+            .incidents
+            .iter()
+            .filter(|i| matches!(i.action, Action::RestoreScavenger { .. }))
+            .map(|i| i.epoch)
+            .collect();
+        assert!(
+            !restores.is_empty(),
+            "a healthy resumed run must eventually restore the pool"
+        );
+        let earliest_legal = rec.resume.epoch + opts.probation_epochs - 1;
+        for &e in &restores {
+            assert!(
+                e >= earliest_legal,
+                "pool restored at epoch {e}, before probation ends at {earliest_legal}: \
+                 the journaled clean streak leaked across the restart"
+            );
+        }
+        assert_eq!(rep.scav_budget_final, 2, "pool fully restored by the end");
+    }
+
     #[test]
     fn recovery_degrades_when_the_recovered_artifact_fails_the_gates() {
         let mut m = Machine::new(MachineConfig::default());
@@ -2342,14 +2292,13 @@ mod tests {
         let mut journal = Journal::new();
         use reach_sim::{FaultInjector, FaultPlan};
         m.faults = Some(FaultInjector::new(FaultPlan::none(1).with_crash_at(4)));
-        let exit =
-            supervise_journaled(&mut m, &mut svc, &orig, init, &opts, &mut journal, None).unwrap();
-        assert!(matches!(exit, SuperviseExit::Crashed { .. }));
+        let exit = solo(&orig, &opts, 10).run(&mut m, &mut svc, init, &mut journal, None);
+        assert!(matches!(exit, SoloExit::Crashed { .. }));
         m.faults = None;
 
         // Bit-rot the deployed artifact: recovery's gates must refuse it
         // and fall down the ladder.
-        let st = crate::journal::project(&journal.replay().records);
+        let st = project(&journal.replay().records);
         let (fp, _, _) = st.deploy.expect("initial deploy journaled");
         let mut rotted = journal.get_build(fp).expect("artifact stored").clone();
         for inst in &mut rotted.prog.insts {
@@ -2377,7 +2326,7 @@ mod tests {
         ));
         // A degraded recovery is durable: the journal now points at the
         // fallback, and that record survives its own replay.
-        let st2 = crate::journal::project(&journal.replay().records);
+        let st2 = project(&journal.replay().records);
         let (fp2, rung2, _) = st2.deploy.expect("fallback deploy journaled");
         assert_eq!(rung2, rec.build.rung);
         assert!(journal.get_build(fp2).is_some());
@@ -2402,7 +2351,6 @@ mod tests {
             let orig = svc.prog.clone();
             let init = initial_build(&mut m, &svc, &orig);
             let opts = SupervisorOptions {
-                epochs: 12,
                 max_rebuild_failures: 3,
                 degrade: DegradeOptions {
                     max_reprofiles: 0,
@@ -2411,12 +2359,11 @@ mod tests {
                 },
                 ..drift_opts()
             };
-            supervise(&mut m, &mut svc, &orig, init, &opts).unwrap()
+            solo(&orig, &opts, 12).complete(&mut m, &mut svc, init)
         };
         let a = run();
         let b = run();
-        assert_eq!(a.incident_log_json(), b.incident_log_json());
-        assert_eq!(a.incident_log_hash(), b.incident_log_hash());
+        assert_eq!(incidents_json(&a.incidents), incidents_json(&b.incidents));
         assert_eq!(a.latencies, b.latencies);
         assert_eq!(a.served, b.served);
         assert_eq!(a.breaker, b.breaker);

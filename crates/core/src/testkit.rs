@@ -1,14 +1,20 @@
 #![cfg(test)]
 //! Fixtures the supervisor, fleet and fleet-chaos unit tests share: the
 //! runaway scavenger, profiling periods sized to the test jobs, the
-//! per-shard supervisor template, and the key-sharded zipf-KV fleet.
+//! per-shard supervisor template, the key-sharded zipf-KV fleet, and
+//! the reference standalone loop.
 
 use crate::degrade::{pgo_pipeline_degrading, DegradeOptions, Rung};
 use crate::dualmode::{DualModeOptions, WatchdogOptions};
 use crate::fleet::{Arrival, FleetWorkload};
-use crate::supervisor::{DeployedBuild, SupervisorOptions};
+use crate::journal::Journal;
+use crate::supervisor::{
+    CrashPoint, DeployedBuild, EpochLoop, ResumeState, SupervisorOptions, SupervisorReport,
+};
 use reach_profile::{OnlineEstimatorOptions, Periods};
-use reach_sim::{AluOp, Cond, Context, MultiCore, MultiCoreConfig, Program, ProgramBuilder, Reg};
+use reach_sim::{
+    AluOp, Cond, Context, Machine, MultiCore, MultiCoreConfig, Program, ProgramBuilder, Reg,
+};
 use reach_workloads::{build_zipf_kv, AddrAlloc, InstanceSetup, ZipfKvParams};
 
 /// Lookups per zipf-KV job.
@@ -43,7 +49,6 @@ pub(crate) fn fast_degrade() -> DegradeOptions {
 /// armed: a runaway scavenger without one gets an unbounded slice.
 pub(crate) fn fleet_sup() -> SupervisorOptions {
     SupervisorOptions {
-        epochs: 12,
         service_per_epoch: 1,
         scavengers: 2,
         insitu_period: 31,
@@ -52,7 +57,6 @@ pub(crate) fn fleet_sup() -> SupervisorOptions {
             min_samples: 8,
         },
         staleness_threshold: 0.6,
-        seed: 42,
         degrade: fast_degrade(),
         dual: DualModeOptions {
             drain_scavengers: false,
@@ -140,7 +144,29 @@ pub(crate) fn fleet_world(
     per_epoch: usize,
     cross: bool,
 ) -> (MultiCore, ZipfFleet, Program, DeployedBuild) {
-    let mut mc = MultiCore::new(MultiCoreConfig::new(shards));
+    fleet_world_on(
+        MultiCore::new(MultiCoreConfig::new(shards)),
+        per_epoch,
+        cross,
+    )
+}
+
+/// One core whose shared-L3 and DRAM budgets no window can exceed, so
+/// the uncore model never perturbs a one-shard fleet.
+pub(crate) fn solo_core() -> MultiCore {
+    let mut cfg = MultiCoreConfig::new(1);
+    cfg.shared_l3_lines = u64::MAX;
+    cfg.dram_lines_per_kcycle = u64::MAX;
+    MultiCore::new(cfg)
+}
+
+/// [`fleet_world`] laid out on the cores of `mc`.
+pub(crate) fn fleet_world_on(
+    mut mc: MultiCore,
+    per_epoch: usize,
+    cross: bool,
+) -> (MultiCore, ZipfFleet, Program, DeployedBuild) {
+    let shards = mc.len();
     let mut per = Vec::new();
     let mut orig: Option<Program> = None;
     for m in &mut mc.cores {
@@ -184,4 +210,83 @@ pub(crate) fn fleet_world(
     );
     assert_eq!(built.rung, Rung::FullPgo, "{:?}", built.reasons);
     (mc, svc, orig, DeployedBuild::from(built))
+}
+
+/// How a [`Solo`] run ended.
+pub(crate) enum SoloExit {
+    /// Every epoch served, and the journal flushed.
+    Completed(SupervisorReport),
+    /// The crash channel fired while serving `epoch`. The report covers
+    /// the segment up to the crash.
+    Crashed {
+        point: CrashPoint,
+        epoch: u64,
+        report: SupervisorReport,
+    },
+}
+
+/// The reference standalone loop: one [`EpochLoop`] as shard 0 of one
+/// machine, journaled and resumable from `recover`. Every arrival is
+/// admitted, as the fleet router admits every arrival at a serving
+/// shard. The tests that crash and resume one loop drive it, and the
+/// one-shard fleet must serve exactly what it serves.
+pub(crate) struct Solo<'a> {
+    pub(crate) original: &'a Program,
+    pub(crate) opts: &'a SupervisorOptions,
+    pub(crate) epochs: u64,
+    /// The loop's backoff-jitter seed.
+    pub(crate) seed: u64,
+}
+
+impl Solo<'_> {
+    /// Serves `build` from the start, or from `resume`, to `epochs` or a
+    /// crash. A fresh run persists the initial deployment first.
+    pub(crate) fn run(
+        &self,
+        machine: &mut Machine,
+        workload: &mut dyn FleetWorkload,
+        build: DeployedBuild,
+        journal: &mut Journal,
+        resume: Option<ResumeState>,
+    ) -> SoloExit {
+        let mut el = EpochLoop::new(0, build, self.opts, self.seed, resume);
+        let start = resume.map_or(0, |r| r.epoch);
+        if resume.is_none() {
+            if let Err(point) = el.persist_initial(machine, journal) {
+                let report = el.seal();
+                return SoloExit::Crashed {
+                    point,
+                    epoch: start,
+                    report,
+                };
+            }
+        }
+        for epoch in start..self.epochs {
+            let admitted = workload.arrivals(epoch).len();
+            let stepped = el.step_epoch(machine, workload, admitted, self.original, journal, epoch);
+            if let Err(point) = stepped {
+                let report = el.seal();
+                return SoloExit::Crashed {
+                    point,
+                    epoch,
+                    report,
+                };
+            }
+        }
+        journal.flush();
+        SoloExit::Completed(el.seal())
+    }
+
+    /// A fresh run on a fresh journal that must not crash.
+    pub(crate) fn complete(
+        &self,
+        machine: &mut Machine,
+        workload: &mut dyn FleetWorkload,
+        build: DeployedBuild,
+    ) -> SupervisorReport {
+        match self.run(machine, workload, build, &mut Journal::new(), None) {
+            SoloExit::Completed(r) => r,
+            SoloExit::Crashed { point, .. } => panic!("crashed at {point} with no crash armed"),
+        }
+    }
 }

@@ -7,16 +7,18 @@
 //! per-channel streams — so the same seed + fault plan + drift schedule
 //! must reproduce the incident log byte-for-byte, along with every
 //! counter and both staleness readings (compared as bits). Mirrors
-//! `prop_faults.rs`, one layer up the stack.
+//! `prop_faults.rs`, one layer up the stack. A supervisor is the
+//! one-shard fleet: every scenario runs through `run_fleet` on one
+//! contention-free core, and must pass the fleet's oracles too.
 
 use proptest::prelude::*;
+use reach_bench::serving::solo_core;
 use reach_core::{
-    pgo_pipeline_degrading, recover, supervise, supervise_journaled, Action, DegradeOptions,
-    DeployedBuild, Journal, JournalRecord, RecoverOptions, ServiceWorkload, StoredBuild,
-    SuperviseExit, SupervisorOptions,
+    incidents_json, pgo_pipeline_degrading, run_fleet, Arrival, DegradeOptions, DeployedBuild,
+    FleetOptions, FleetWorkload, SupervisorOptions,
 };
 use reach_profile::{OnlineEstimatorOptions, Periods};
-use reach_sim::{Context, FaultInjector, FaultPlan, Machine, MachineConfig, Program};
+use reach_sim::{Context, FaultInjector, FaultPlan, Machine, Program};
 use reach_workloads::{build_zipf_kv, AddrAlloc, InstanceSetup, ZipfKvParams};
 
 /// What one scenario draw pins down: the drift schedule (initial-build
@@ -105,17 +107,26 @@ impl Service {
     }
 }
 
-impl ServiceWorkload for Service {
-    fn arrivals(&mut self, _epoch: u64) -> usize {
-        1
+impl FleetWorkload for Service {
+    fn arrivals(&mut self, _epoch: u64) -> Vec<Arrival> {
+        vec![Arrival {
+            ingress: 0,
+            owner: 0,
+        }]
     }
-    fn primary_context(&mut self, _job: u64) -> Context {
+    fn primary_context(&mut self, _shard: usize, _job: u64) -> Context {
         self.next_live()
     }
-    fn scavenger_context(&mut self, _epoch: u64, _job: u64, _slot: usize) -> Context {
+    fn scavenger_context(
+        &mut self,
+        _shard: usize,
+        _epoch: u64,
+        _job: u64,
+        _slot: usize,
+    ) -> Context {
         self.next_live()
     }
-    fn profiling_contexts(&mut self, _attempt: u32) -> Vec<Context> {
+    fn profiling_contexts(&mut self, _shard: usize, _attempt: u32) -> Vec<Context> {
         let n = self.prof_live.len();
         (0..2)
             .map(|_| {
@@ -148,6 +159,7 @@ struct Observation {
     quarantines: u64,
     readmissions: u64,
     scav_final: usize,
+    violations: Vec<String>,
 }
 
 fn observe(sc: Scenario, supervised: bool) -> Observation {
@@ -159,11 +171,12 @@ fn observe(sc: Scenario, supervised: bool) -> Observation {
         retired: 13,
     };
 
-    let mut m = Machine::new(MachineConfig::default());
-    let mut svc = Service::new(&mut m, sc.live_theta);
+    let mut mc = solo_core();
+    let m = &mut mc.cores[0];
+    let mut svc = Service::new(m, sc.live_theta);
     let orig = svc.prog.clone();
     let init: DeployedBuild =
-        pgo_pipeline_degrading(&mut m, &orig, |a| svc.stale_profiling_contexts(a), &degrade).into();
+        pgo_pipeline_degrading(m, &orig, |a| svc.stale_profiling_contexts(a), &degrade).into();
 
     // Faults arm after the initial build, like the selfheal experiment's
     // rebuild-fault arm: they hit the in-situ sampler and every rebuild.
@@ -174,8 +187,7 @@ fn observe(sc: Scenario, supervised: bool) -> Observation {
         m.faults = Some(FaultInjector::new(plan));
     }
 
-    let opts = SupervisorOptions {
-        epochs: sc.epochs,
+    let sup = SupervisorOptions {
         service_per_epoch: 1,
         scavengers: 2,
         insitu_period: 31,
@@ -187,15 +199,22 @@ fn observe(sc: Scenario, supervised: bool) -> Observation {
         max_rebuild_failures: 2,
         backoff_base_epochs: 1,
         backoff_max_epochs: 4,
-        seed: sc.seed,
         degrade,
         supervise: supervised,
         ..SupervisorOptions::default()
     };
-    let r = supervise(&mut m, &mut svc, &orig, init, &opts).expect("validated config");
+    let opts = FleetOptions {
+        shards: 1,
+        epochs: sc.epochs,
+        sup,
+        seed: sc.seed,
+        ..FleetOptions::default()
+    };
+    let rep = run_fleet(&mut mc, &mut svc, &orig, init, &opts).expect("validated config");
+    let r = &rep.shards[0];
     Observation {
-        incident_log: r.incident_log_json(),
-        incident_hash: r.incident_log_hash(),
+        incident_log: incidents_json(&r.incidents),
+        incident_hash: r.incident_hash(),
         latencies: r.latencies.clone(),
         served: r.served,
         shed_jobs: r.shed_jobs,
@@ -211,6 +230,7 @@ fn observe(sc: Scenario, supervised: bool) -> Observation {
         quarantines: r.quarantine_events,
         readmissions: r.readmissions,
         scav_final: r.scav_budget_final,
+        violations: rep.violations.clone(),
     }
 }
 
@@ -223,6 +243,7 @@ proptest! {
     #[test]
     fn identical_scenarios_replay_identically(sc in gen_scenario()) {
         let a = observe(sc, true);
+        prop_assert_eq!(&a.violations, &Vec::<String>::new());
         let b = observe(sc, true);
         prop_assert_eq!(a, b);
     }
@@ -237,147 +258,8 @@ proptest! {
         prop_assert_eq!(a.rebuilds, 0);
         prop_assert_eq!(a.shed_jobs, 0);
         prop_assert_eq!(a.scav_final, 2);
+        prop_assert_eq!(&a.violations, &Vec::<String>::new());
         let b = observe(sc, false);
         prop_assert_eq!(a, b);
     }
-}
-
-/// A shed scavenger pool must serve its probation *after* a restart —
-/// recovery may not silently re-admit it, even when the pre-crash
-/// journal recorded a clean streak one epoch short of restoration.
-///
-/// The journal is hand-built to describe exactly that near-miss: budget
-/// shed 2 → 1 with `clean_streak: 3` durable, `probation_epochs: 4`.
-/// `recover` must resume with the shed budget (not the configured 2),
-/// and the resumed loop must restart the streak from zero, so the
-/// earliest legal `RestoreScavenger` lands at
-/// `resume.epoch + probation_epochs - 1`.
-#[test]
-fn recovery_never_readmits_a_shed_scavenger_early() {
-    let mut degrade = DegradeOptions::default();
-    degrade.pipeline.collector.periods = Periods {
-        l2_miss: 13,
-        l3_miss: 13,
-        stall: 13,
-        retired: 13,
-    };
-
-    let mut m = Machine::new(MachineConfig::default());
-    let mut svc = Service::new(&mut m, 0.0);
-    let orig = svc.prog.clone();
-    let init: DeployedBuild =
-        pgo_pipeline_degrading(&mut m, &orig, |a| svc.stale_profiling_contexts(a), &degrade).into();
-
-    let opts = SupervisorOptions {
-        epochs: 12,
-        service_per_epoch: 1,
-        scavengers: 2,
-        probation_epochs: 4,
-        insitu_period: 31,
-        estimator: OnlineEstimatorOptions {
-            window: 2048,
-            min_samples: 8,
-        },
-        // Quiet run: the workload is healthy, so the resumed loop's only
-        // discretionary action is the probation restore under test.
-        staleness_threshold: 2.0,
-        seed: 41,
-        degrade,
-        ..SupervisorOptions::default()
-    };
-
-    // The pre-crash history, written durably: deploy at epoch 0, a shed
-    // to budget 1 whose clean streak had reached 3 of the 4 probation
-    // epochs, last epoch served 3.
-    let fp = init.prog.fingerprint();
-    let mut journal = Journal::new();
-    journal.store_build(
-        fp,
-        StoredBuild {
-            prog: init.prog.clone(),
-            origin: init.origin.clone(),
-            rung: init.rung,
-            profile: init.profile.clone(),
-        },
-    );
-    journal.append(
-        &JournalRecord::Deploy {
-            epoch: 0,
-            rung: init.rung,
-            fingerprint: fp,
-        },
-        None,
-    );
-    journal.append(
-        &JournalRecord::EpochAdvance {
-            epoch: 0,
-            next_job: 0,
-        },
-        None,
-    );
-    journal.append(
-        &JournalRecord::ScavBudget {
-            epoch: 1,
-            budget: 1,
-            clean_streak: 3,
-        },
-        None,
-    );
-    journal.append(
-        &JournalRecord::EpochAdvance {
-            epoch: 3,
-            next_job: 3,
-        },
-        None,
-    );
-
-    let rec = recover(
-        &mut journal,
-        &orig,
-        &mut m,
-        &opts,
-        &RecoverOptions::default(),
-    )
-    .expect("validated config");
-    assert!(!rec.degraded, "healthy artifact must re-validate");
-    assert_eq!(rec.resume.epoch, 4, "resume after last durable epoch");
-    assert_eq!(
-        rec.resume.scav_budget, 1,
-        "the shed budget survives the restart"
-    );
-
-    let exit = supervise_journaled(
-        &mut m,
-        &mut svc,
-        &orig,
-        rec.build,
-        &opts,
-        &mut journal,
-        Some(rec.resume),
-    )
-    .expect("validated config");
-    let rep = match exit {
-        SuperviseExit::Completed(rep) => rep,
-        SuperviseExit::Crashed { .. } => panic!("no faults armed, run cannot crash"),
-    };
-
-    let restores: Vec<u64> = rep
-        .incidents
-        .iter()
-        .filter(|i| matches!(i.action, Action::RestoreScavenger { .. }))
-        .map(|i| i.epoch)
-        .collect();
-    assert!(
-        !restores.is_empty(),
-        "a healthy resumed run must eventually restore the pool"
-    );
-    let earliest_legal = rec.resume.epoch + opts.probation_epochs - 1;
-    for &e in &restores {
-        assert!(
-            e >= earliest_legal,
-            "pool restored at epoch {e}, before probation ends at {earliest_legal}: \
-             the journaled clean streak leaked across the restart"
-        );
-    }
-    assert_eq!(rep.scav_budget_final, 2, "pool fully restored by the end");
 }
