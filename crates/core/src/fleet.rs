@@ -35,7 +35,8 @@
 //! one seeded [`SplitMix64`], shard seeds derive from the fleet seed,
 //! and the fleet event log serializes to canonical JSON with an FNV-1a
 //! digest, so a fleet replay is byte-identical — the property the chaos
-//! engine ([`crate::fleet_chaos`]) gates on.
+//! engine ([`crate::fleet_chaos`]) gates on — however many host threads
+//! serve the shards (see [`FleetWorkload`]).
 
 use crate::degrade::{pgo_pipeline_degrading, Rung};
 use crate::journal::{fnv1a, project, Journal, JournalRecord};
@@ -48,6 +49,8 @@ use crate::supervisor::{
 use reach_profile::Json;
 use reach_sim::{Context, Machine, MultiCore, Program, SplitMix64};
 use std::collections::VecDeque;
+use std::panic::resume_unwind;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// One request entering the fleet: where it landed and which shard owns
 /// its key.
@@ -63,7 +66,13 @@ pub struct Arrival {
 /// routing; the workload provides traffic, per-shard contexts for
 /// serving and re-profiling, and an optional scavenger override. Job
 /// numbers are per-shard admission sequence numbers.
-pub trait FleetWorkload {
+///
+/// The fleet serves its shards on several host threads at once, one
+/// callback at a time under a lock. So the callbacks that take a
+/// `shard` may be called for different shards in any interleaving, and
+/// an answer may depend only on its arguments and on that shard's own
+/// earlier calls. Keeping every stream per shard meets this.
+pub trait FleetWorkload: Send {
     /// Requests arriving fleet-wide at the start of `epoch`.
     fn arrivals(&mut self, epoch: u64) -> Vec<Arrival>;
     /// Primary context for `shard`'s job number `job`.
@@ -647,12 +656,62 @@ impl Shard {
     }
 }
 
+/// What stepping one live shard borrows: its index, loop, journal and
+/// core.
+type LiveShard<'a> = (usize, &'a mut EpochLoop, &'a mut Journal, &'a mut Machine);
+
+/// The workload as the serving threads share it: each callback holds
+/// the lock for its own duration. A callback that panicked leaves the
+/// lock poisoned, and the other threads carry on past it: `serve`
+/// re-raises the first panic in shard order after the join, so nothing
+/// computed after the poison is returned.
+struct Shared<'a, 'w>(&'a Mutex<&'w mut dyn FleetWorkload>);
+
+impl<'w> Shared<'_, 'w> {
+    fn lock(&self) -> MutexGuard<'_, &'w mut dyn FleetWorkload> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl FleetWorkload for Shared<'_, '_> {
+    fn arrivals(&mut self, epoch: u64) -> Vec<Arrival> {
+        self.lock().arrivals(epoch)
+    }
+    fn primary_context(&mut self, shard: usize, job: u64) -> Context {
+        self.lock().primary_context(shard, job)
+    }
+    fn scavenger_context(&mut self, shard: usize, epoch: u64, job: u64, slot: usize) -> Context {
+        self.lock().scavenger_context(shard, epoch, job, slot)
+    }
+    fn scavenger_program(&mut self, shard: usize, epoch: u64) -> Option<Program> {
+        self.lock().scavenger_program(shard, epoch)
+    }
+    fn profiling_contexts(&mut self, shard: usize, attempt: u32) -> Vec<Context> {
+        self.lock().profiling_contexts(shard, attempt)
+    }
+}
+
 /// Runs the sharded fleet for `opts.epochs` fleet epochs on
 /// `mc.cores[shard]` per shard, journaled throughout, and audits the
 /// fleet oracles inline. Crashes injected through a core's fault
 /// channel down that shard for the epoch; it recovers through
-/// [`recover`] at the top of the next one.
+/// [`recover`] at the top of the next one. Shards are served on up to
+/// as many host threads as the host offers; the report does not depend
+/// on how many.
 pub fn run_fleet(
+    mc: &mut MultiCore,
+    workload: &mut dyn FleetWorkload,
+    original: &Program,
+    initial: DeployedBuild,
+    opts: &FleetOptions,
+) -> Result<FleetReport, FleetConfigError> {
+    let host = std::thread::available_parallelism().map_or(1, usize::from);
+    run_fleet_on(host, mc, workload, original, initial, opts)
+}
+
+/// [`run_fleet`] serving on at most `workers` host threads.
+pub(crate) fn run_fleet_on(
+    workers: usize,
     mc: &mut MultiCore,
     workload: &mut dyn FleetWorkload,
     original: &Program,
@@ -668,7 +727,7 @@ pub fn run_fleet(
     if opts.breaker_k == 0 {
         return Err(FleetConfigError::ZeroBreakerK);
     }
-    let mut fleet = Fleet::new(mc, original, initial, opts)?;
+    let mut fleet = Fleet::new(mc, original, initial, opts, workers)?;
     for epoch in 0..opts.epochs {
         fleet.crashed_this_epoch = false;
         fleet.recover_down_shards(epoch)?;
@@ -709,6 +768,8 @@ struct Fleet<'a> {
     /// A shard went down this epoch, which exempts it from the capacity
     /// oracle.
     crashed_this_epoch: bool,
+    /// Host threads `serve` may use.
+    workers: usize,
 }
 
 impl<'a> Fleet<'a> {
@@ -717,6 +778,7 @@ impl<'a> Fleet<'a> {
         original: &'a Program,
         initial: DeployedBuild,
         opts: &'a FleetOptions,
+        workers: usize,
     ) -> Result<Self, FleetConfigError> {
         validate_options(&opts.sup)?;
         let shards = (0..opts.shards)
@@ -759,6 +821,7 @@ impl<'a> Fleet<'a> {
             poisoned_fp: None,
             poisoned_deploys: Vec::new(),
             crashed_this_epoch: false,
+            workers,
         };
         // Persist each shard's initial deployment before the first
         // epoch. A crash here is treated like any other.
@@ -1098,6 +1161,19 @@ impl<'a> Fleet<'a> {
     /// Serve: step every live shard's epoch loop on its core. A draining
     /// shard steps too — that is how its backlog drains — on the zero
     /// admissions and zero bonus `route` and `grant_steals` left it.
+    ///
+    /// A shard's step touches only its own loop, journal and core, and
+    /// the workload answers per shard, so the live shards are split into
+    /// up to `workers` contiguous runs stepped on scoped threads. The
+    /// first run, on this thread, is the longest: each spawned helper
+    /// takes `live / (workers + 1)` shards (at least one) off the back,
+    /// so with shards enough this thread's run is at least twice a
+    /// helper's. A helper starts late, on another core, which a shared
+    /// host slows independently of this one. With even runs every epoch
+    /// would end on the slower of the two cores; with this split it ends
+    /// on this thread's pace unless a helper runs at under half its
+    /// speed. Crashes are applied after the join, in shard order, so the
+    /// report is the one a serial loop writes.
     fn serve(
         &mut self,
         workload: &mut dyn FleetWorkload,
@@ -1105,22 +1181,45 @@ impl<'a> Fleet<'a> {
         admit: &[usize],
         bonus: &[u64],
     ) {
-        for s in 0..self.shards.len() {
-            let Some((el, journal)) = self.shards[s].live() else {
-                continue;
-            };
-            el.set_scav_bonus(bonus[s] as usize);
-            let stepped = el.step_epoch(
-                &mut self.mc.cores[s],
-                workload,
-                admit[s],
-                self.original,
-                journal,
-                epoch,
-            );
-            if let Err(point) = stepped {
-                self.crash_shard(s, epoch, point);
+        let original = self.original;
+        let mut live: Vec<LiveShard> = (self.shards.iter_mut().zip(&mut self.mc.cores))
+            .enumerate()
+            .filter_map(|(s, (sh, core))| sh.live().map(|(el, journal)| (s, el, journal, core)))
+            .collect();
+        let step = |workload: &mut dyn FleetWorkload, run: &mut [LiveShard]| {
+            let mut crashed = Vec::new();
+            for (s, el, journal, core) in run {
+                el.set_scav_bonus(bonus[*s] as usize);
+                let stepped = el.step_epoch(core, workload, admit[*s], original, journal, epoch);
+                if let Err(point) = stepped {
+                    crashed.push((*s, point));
+                }
             }
+            crashed
+        };
+        let workers = self.workers.min(live.len());
+        let crashed = if workers <= 1 {
+            step(workload, &mut live)
+        } else {
+            let shared = &Mutex::new(workload);
+            let run_len = (live.len() / (workers + 1)).max(1);
+            let own = live.len() - run_len * (workers - 1);
+            let (first, rest) = live.split_at_mut(own);
+            let runs = rest.chunks_mut(run_len);
+            std::thread::scope(|scope| {
+                let spawned: Vec<_> = runs
+                    .map(|run| scope.spawn(move || step(&mut Shared(shared), run)))
+                    .collect();
+                let mut crashed = step(&mut Shared(shared), first);
+                for handle in spawned {
+                    // A shard's panic reaches the caller as it was raised.
+                    crashed.extend(handle.join().unwrap_or_else(|p| resume_unwind(p)));
+                }
+                crashed
+            })
+        };
+        for (s, point) in crashed {
+            self.crash_shard(s, epoch, point);
         }
     }
 
@@ -1425,9 +1524,14 @@ fn build_rollout(
 mod tests {
     use super::*;
     use crate::degrade::DegradeOptions;
-    use crate::testkit::{fleet_sup, fleet_world, fleet_world_on, solo_core, Solo, SoloExit};
+    use crate::fleet_chaos::{FleetChaosOptions, FleetChaosSchedule, FleetChaosWorld};
+    use crate::supervisor::incidents_json;
+    use crate::testkit::{
+        fleet_sup, fleet_world, fleet_world_on, solo_core, Solo, SoloExit, ZipfFleet,
+    };
     use reach_profile::Profile;
     use reach_sim::{FaultInjector, FaultPlan, Inst};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// A one-shard fleet with neutralized uncore contention serves,
     /// journals, swaps and logs exactly what the reference standalone
@@ -1771,5 +1875,226 @@ mod tests {
             fleet_events_hash(&events),
             fleet_events_hash(&events.clone())
         );
+    }
+
+    /// One run of `schedule` on the 4-shard zipf fleet, served on
+    /// `workers` threads: the report, and each core's clock and counters.
+    fn run_on_workers(
+        schedule: &FleetChaosSchedule,
+        workers: usize,
+    ) -> (FleetReport, Vec<(u64, reach_sim::PerfCounters)>) {
+        let (mc, svc, original, initial) = fleet_world(4, 4, true);
+        let mut world = FleetChaosWorld {
+            mc,
+            workload: Box::new(svc),
+            original,
+            initial,
+        };
+        let mut opts = FleetChaosOptions::new(FleetOptions {
+            shards: 4,
+            epochs: 10,
+            sup: fleet_sup(),
+            seed: 7,
+            ..FleetOptions::default()
+        });
+        opts.rollout_template = RolloutOptions {
+            start_epoch: 2,
+            health_epochs: 1,
+            p99_factor: 100.0,
+            poison: None,
+        };
+        let fleet_opts = schedule.arm(&mut world, &opts);
+        let rep = run_fleet_on(
+            workers,
+            &mut world.mc,
+            world.workload.as_mut(),
+            &world.original,
+            world.initial,
+            &fleet_opts,
+        )
+        .unwrap();
+        let cores = (world.mc.cores.iter())
+            .map(|c| (c.now, c.counters.clone()))
+            .collect();
+        (rep, cores)
+    }
+
+    /// Every field of a shard summary, with its final journal as replayed
+    /// and projected. The journal's stored builds are left out: a
+    /// profile's maps print in no fixed order, and the records name each
+    /// deployed build by fingerprint.
+    fn shard_print(sh: &ShardSummary) -> impl PartialEq + std::fmt::Debug {
+        let replay = sh.journal.replay();
+        let staleness = (sh.staleness_peak.to_bits(), sh.staleness_last.to_bits());
+        (
+            (sh.served, sh.shed_jobs, sh.job_faults, sh.swaps),
+            (
+                sh.rebuilds,
+                sh.crashes,
+                sh.recoveries_degraded,
+                sh.rebuild_failures,
+            ),
+            (sh.overruns, sh.quarantine_events, sh.readmissions),
+            (sh.final_rung, sh.breaker, sh.scav_budget_final, staleness),
+            (sh.latencies.clone(), incidents_json(&sh.incidents)),
+            (project(&replay.records), replay.records, replay.valid_bytes),
+            (replay.torn_tail, sh.journal.stats),
+        )
+    }
+
+    /// The fleet steps its shards on scoped threads, and nothing a run
+    /// leaves depends on how many. A 4-shard fleet runs four schedules
+    /// at 1, 2 and 4 workers: steady; a clean rollout; a poisoned
+    /// rollout; and three shards crashing in one epoch, one of them over
+    /// a torn journal. Each run must end with the same fleet hash, the
+    /// same report (every shard summary and final journal included), the
+    /// same journal projections, and the same clock and counters on
+    /// every core. The 1-worker runs are pinned as well: the fleet hash
+    /// folded with every core's clock is what the fleet printed when it
+    /// stepped its shards one after another on one thread.
+    ///
+    /// Hand mutations tried, each of which fails this test:
+    /// 1. crashes applied in completion order (each run pushes its
+    ///    crashes to a shared list when it ends): at 2 workers the
+    ///    helper's one shard, 3, goes down and its run ends while this
+    ///    thread is still stepping shards 0 to 2, two of which go down;
+    /// 2. `set_scav_bonus` applied after the step: the clean rollout's
+    ///    pinned digest (a draining shard's slices arrive an epoch late;
+    ///    the fleet hash alone does not see it, the clocks do);
+    /// 3. the spawned runs' crashes applied before the first run's;
+    /// 4. the last run never spawned (`runs.take(workers - 2)`).
+    ///
+    /// Holding the lock for a whole run instead of per callback is
+    /// equivalent here: it serializes the runs, and only host time sees
+    /// it.
+    #[test]
+    fn fleet_runs_identically_on_any_worker_count() {
+        let quiet = FleetChaosSchedule::quiet(0x7EAD);
+        let schedules = [
+            ("steady", quiet.clone(), 0xe901_d5c6_68fb_b963),
+            (
+                "clean-rollout",
+                FleetChaosSchedule {
+                    rollout: true,
+                    ..quiet.clone()
+                },
+                0x36cf_8433_4838_edab,
+            ),
+            (
+                "poisoned-rollout",
+                FleetChaosSchedule {
+                    rollout: true,
+                    poisoned: true,
+                    ..quiet.clone()
+                },
+                0x4c0a_1753_a13e_393a,
+            ),
+            (
+                "crash-torn",
+                FleetChaosSchedule {
+                    plan: FaultPlan::none(0x7EAD).with_torn_write(0.8),
+                    // Consultation 6 is epoch 4's `EpochAdvance`; the
+                    // first is the initial persist.
+                    crashes: vec![(1, 6), (2, 6), (3, 6)],
+                    torn_shard: Some(1),
+                    ..quiet
+                },
+                0x4e6e_254f_a499_a4bb,
+            ),
+        ];
+        for (name, schedule, serial_digest) in &schedules {
+            let (one, one_cores) = run_on_workers(schedule, 1);
+            assert_eq!(one.violations, Vec::<String>::new(), "{name}");
+            let digest = (one_cores.iter()).fold(one.fleet_hash(), |h, (now, _)| mix64(h, *now));
+            assert_eq!(digest, *serial_digest, "{name}: serial digest");
+            let crash_epochs: Vec<u64> = (one.events.iter())
+                .filter_map(|e| match e {
+                    FleetEvent::ShardCrashed { epoch, .. } => Some(*epoch),
+                    _ => None,
+                })
+                .collect();
+            if schedule.crashes.is_empty() {
+                assert_eq!(crash_epochs, Vec::<u64>::new(), "{name}");
+            } else {
+                assert_eq!(crash_epochs, vec![4; 3], "{name}: {:?}", one.events);
+            }
+            assert_eq!(one.steals > 0, schedule.rollout, "{name}: {:?}", one.events);
+            // The fleet-level fields; the shards are compared one by one.
+            let fleet = |rep: &FleetReport| {
+                let mut rep = rep.clone();
+                rep.shards.clear();
+                format!("{rep:?}")
+            };
+            for workers in [2, 4] {
+                let (many, many_cores) = run_on_workers(schedule, workers);
+                let at = format!("{name} at {workers} workers");
+                assert_eq!(one.fleet_hash(), many.fleet_hash(), "{at}");
+                assert_eq!(fleet(&one), fleet(&many), "{at}");
+                for (s, (a, b)) in one.shards.iter().zip(&many.shards).enumerate() {
+                    assert_eq!(shard_print(a), shard_print(b), "{at}, shard {s}");
+                }
+                assert!(
+                    one_cores == many_cores,
+                    "{at}: core clocks or counters differ"
+                );
+            }
+        }
+    }
+
+    /// A zipf fleet that refuses shard 2 its first primary context.
+    struct PanicsOnShard2(ZipfFleet);
+
+    impl FleetWorkload for PanicsOnShard2 {
+        fn arrivals(&mut self, epoch: u64) -> Vec<Arrival> {
+            self.0.arrivals(epoch)
+        }
+        fn primary_context(&mut self, shard: usize, job: u64) -> Context {
+            assert_ne!(shard, 2, "shard 2 has no primary context for job {job}");
+            self.0.primary_context(shard, job)
+        }
+        fn scavenger_context(
+            &mut self,
+            shard: usize,
+            epoch: u64,
+            job: u64,
+            slot: usize,
+        ) -> Context {
+            self.0.scavenger_context(shard, epoch, job, slot)
+        }
+        fn profiling_contexts(&mut self, shard: usize, attempt: u32) -> Vec<Context> {
+            self.0.profiling_contexts(shard, attempt)
+        }
+    }
+
+    /// A panic inside a shard's step reaches the caller with its own
+    /// payload, whichever thread stepped the shard: the one-worker
+    /// loop's, and at 2 and 4 workers a spawned thread's. Joining with
+    /// `expect("worker panicked")` instead of `resume_unwind` fails it.
+    #[test]
+    #[should_panic(expected = "shard 2 has no primary context for job 0")]
+    fn a_shard_panic_keeps_its_payload_on_any_worker_count() {
+        let run = |workers| {
+            let (mut mc, svc, orig, initial) = fleet_world(4, 4, false);
+            let opts = FleetOptions {
+                shards: 4,
+                epochs: 1,
+                sup: fleet_sup(),
+                ..FleetOptions::default()
+            };
+            let mut svc = PanicsOnShard2(svc);
+            run_fleet_on(workers, &mut mc, &mut svc, &orig, initial, &opts)
+        };
+        // The checks' own messages must not match `expected`.
+        let payload = |workers| {
+            let payload = catch_unwind(AssertUnwindSafe(|| run(workers))).unwrap_err();
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default()
+        };
+        let one = payload(1);
+        assert!(one.contains("job 0"), "1 worker: another panic");
+        assert!(payload(2) == one, "2 workers: another payload");
+        let _ = run(4);
     }
 }

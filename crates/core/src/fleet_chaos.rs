@@ -166,6 +166,27 @@ impl FleetChaosSchedule {
         (!plan.is_none()).then_some(plan)
     }
 
+    /// Arms `world` for this schedule: every shard's injector. Returns
+    /// the fleet options with the schedule's rollout, poisoned or not.
+    pub(crate) fn arm(
+        &self,
+        world: &mut FleetChaosWorld,
+        opts: &FleetChaosOptions,
+    ) -> FleetOptions {
+        for s in 0..opts.fleet.shards {
+            world.mc.cores[s].faults = self.shard_plan(s).map(FaultInjector::new);
+        }
+        FleetOptions {
+            rollout: self.rollout.then(|| RolloutOptions {
+                poison: self
+                    .poisoned
+                    .then_some(poison_yield_saves as fn(&mut DeployedBuild)),
+                ..opts.rollout_template
+            }),
+            ..opts.fleet.clone()
+        }
+    }
+
     /// The armed faults, crashes first: what the shrinker removes.
     fn faults(&self) -> Vec<Fault> {
         let quiet = FleetChaosSchedule::quiet(self.plan.seed);
@@ -281,17 +302,7 @@ pub fn run_fleet_schedule(
         return Err(FleetChaosError::CrashShardOutOfRange);
     }
     let mut world = factory(schedule);
-    let mut fleet_opts = opts.fleet.clone();
-    fleet_opts.rollout = schedule.rollout.then(|| RolloutOptions {
-        poison: schedule
-            .poisoned
-            .then_some(poison_yield_saves as fn(&mut DeployedBuild)),
-        ..opts.rollout_template
-    });
-
-    for s in 0..opts.fleet.shards {
-        world.mc.cores[s].faults = schedule.shard_plan(s).map(FaultInjector::new);
-    }
+    let fleet_opts = schedule.arm(&mut world, opts);
 
     // Never serve an unverified build, from the first epoch on: trust in
     // the initial build is re-derived here, not believed.

@@ -19,8 +19,11 @@
 //! * ground-truth **performance counters** ([`counters`]) against which
 //!   sampled profiles are scored.
 //!
-//! Everything is single-threaded and deterministic: equal seeds and
-//! configurations reproduce results bit-for-bit.
+//! Each [`Machine`] is single-threaded and deterministic: equal seeds
+//! and configurations reproduce results bit-for-bit. The cores of a
+//! [`MultiCore`] share nothing between two contention windows, so a
+//! caller may step them on separate host threads (the serving fleet
+//! does) and get the same bits.
 //!
 //! # Examples
 //!

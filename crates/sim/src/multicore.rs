@@ -28,6 +28,11 @@
 //! and with contention disabled (or a single quiet core) latencies stay
 //! byte-identical to the single-core model. Penalties apply *between*
 //! epochs — in-flight fills keep their issued completion cycle.
+//!
+//! Between two [`MultiCore::apply_contention`] calls the cores share
+//! nothing, so they may run on separate host threads. The serving
+//! fleet does: it steps each epoch's shards host-parallel, one core
+//! per shard, and calls `apply_contention` after the join.
 
 use crate::config::MachineConfig;
 use crate::machine::Machine;
