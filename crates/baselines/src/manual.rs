@@ -16,7 +16,7 @@
 //! experiment F6 quantifies them.
 
 use reach_instrument::{insert_before, Insertion, PcMap, RewriteError};
-use reach_sim::isa::{Inst, Program, YieldKind};
+use reach_sim::{Inst, Program, YieldKind};
 
 /// Inserts `prefetch + manual yield` before each load in `pcs` (PCs of the
 /// input program).
@@ -65,8 +65,7 @@ fn plan(prog: &Program, pcs: &[usize], with_yield: bool) -> Result<Vec<Insertion
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reach_sim::isa::{AluOp, Cond, ProgramBuilder, Reg};
-    use reach_sim::{Context, Machine, MachineConfig};
+    use reach_sim::{AluOp, Cond, Context, Machine, MachineConfig, ProgramBuilder, Reg};
 
     fn chase_prog() -> Program {
         let mut b = ProgramBuilder::new("chase");

@@ -17,7 +17,5 @@
 //! violated.
 
 fn main() {
-    let all = reach_bench::experiments::all();
-    let refs: Vec<&dyn reach_bench::Experiment> = all.iter().map(|b| b.as_ref()).collect();
-    reach_bench::driver::suite_main(&refs);
+    reach_bench::suite_main();
 }

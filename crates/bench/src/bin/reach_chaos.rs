@@ -35,7 +35,7 @@
 //! violated (including under `--broken` — the violation is the point,
 //! but the exit code stays honest), 2 on usage errors.
 
-use reach_bench::serving::{chaos_factory, default_fleet_chaos_opts};
+use reach_bench::{chaos_factory, default_fleet_chaos_opts};
 use reach_core::{minimize, run_fleet_campaigns, run_fleet_schedule};
 
 const MINIMIZE_BUDGET: u64 = 128;

@@ -19,6 +19,7 @@
 //! the matrix keeps running.
 
 use crate::experiment::{cell_seed, Cell, Experiment};
+use crate::experiments::all_experiments;
 use crate::report::{BenchReport, CellResult, CellStatus, SCHEMA_VERSION};
 use crate::table::Table;
 use std::path::PathBuf;
@@ -53,7 +54,7 @@ impl DriverOptions {
     /// # Errors
     ///
     /// A human-readable message for an unknown flag or malformed value.
-    pub fn parse(args: impl Iterator<Item = String>) -> Result<DriverOptions, String> {
+    pub(crate) fn parse(args: impl Iterator<Item = String>) -> Result<DriverOptions, String> {
         let mut opts = DriverOptions::default();
         let mut args = args;
         while let Some(a) = args.next() {
@@ -186,7 +187,7 @@ pub fn run_suite(exps: &[&dyn Experiment], opts: &DriverOptions) -> Vec<BenchRep
 /// Renders a report as the human table: workload/config columns plus the
 /// union of metric keys in first-seen order; failed cells show their
 /// error.
-pub fn render_report(exp: &dyn Experiment, report: &BenchReport) -> String {
+pub(crate) fn render_report(exp: &dyn Experiment, report: &BenchReport) -> String {
     let mut keys: Vec<String> = Vec::new();
     for c in &report.cells {
         for (k, _) in c.metrics.iter() {
@@ -218,7 +219,7 @@ pub fn render_report(exp: &dyn Experiment, report: &BenchReport) -> String {
 
 /// Prints a report (table, notes, failures, violations) and returns
 /// whether it is clean.
-pub fn print_report(exp: &dyn Experiment, report: &BenchReport) -> bool {
+pub(crate) fn print_report(exp: &dyn Experiment, report: &BenchReport) -> bool {
     print!("{}", render_report(exp, report));
     if !exp.notes().is_empty() {
         println!("{}", exp.notes());
@@ -243,7 +244,7 @@ pub fn print_report(exp: &dyn Experiment, report: &BenchReport) -> bool {
 /// Runs experiments, prints tables, writes BENCH files; returns the
 /// process exit code (0 clean, 1 on any failed cell, violation or write
 /// error).
-pub fn run_and_emit(exps: &[&dyn Experiment], opts: &DriverOptions) -> i32 {
+pub(crate) fn run_and_emit(exps: &[&dyn Experiment], opts: &DriverOptions) -> i32 {
     let reports = run_suite(exps, opts);
     let mut clean = true;
     for (exp, report) in exps.iter().zip(&reports) {
@@ -277,7 +278,7 @@ pub fn run_and_emit(exps: &[&dyn Experiment], opts: &DriverOptions) -> i32 {
 
 /// `main` body for `exp_all`: parse CLI (honoring `--only`), run the
 /// registry in-process over one shared pool, emit everything.
-pub fn suite_main(all: &[&dyn Experiment]) -> ! {
+pub fn suite_main() -> ! {
     let opts = match DriverOptions::parse(std::env::args().skip(1)) {
         Ok(o) => o,
         Err(msg) => {
@@ -285,8 +286,10 @@ pub fn suite_main(all: &[&dyn Experiment]) -> ! {
             std::process::exit(2);
         }
     };
+    let registry = all_experiments();
+    let all: Vec<&dyn Experiment> = registry.iter().map(|b| b.as_ref()).collect();
     let selected: Vec<&dyn Experiment> = if opts.only.is_empty() {
-        all.to_vec()
+        all
     } else {
         let unknown: Vec<&String> = opts
             .only

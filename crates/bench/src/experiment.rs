@@ -33,11 +33,6 @@ impl Cell {
             config: config.into(),
         }
     }
-
-    /// The `workload/config` key used in logs and seed derivation.
-    pub fn key(&self) -> String {
-        format!("{}/{}", self.workload, self.config)
-    }
 }
 
 impl std::fmt::Display for Cell {
@@ -63,7 +58,7 @@ pub enum MetricValue {
 
 impl MetricValue {
     /// Numeric view (`UInt` widened to `f64`); `None` for strings.
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             MetricValue::UInt(n) => Some(*n as f64),
             MetricValue::Float(x) => Some(*x),
@@ -93,27 +88,27 @@ pub struct CellMetrics {
 
 impl CellMetrics {
     /// An empty metric map.
-    pub fn new() -> CellMetrics {
+    pub(crate) fn new() -> CellMetrics {
         CellMetrics::default()
     }
 
     /// Inserts (or replaces) an exact counter.
-    pub fn put_u64(&mut self, key: impl Into<String>, v: u64) -> &mut Self {
+    pub(crate) fn put_u64(&mut self, key: impl Into<String>, v: u64) -> &mut Self {
         self.put(key, MetricValue::UInt(v))
     }
 
     /// Inserts (or replaces) a float metric.
-    pub fn put_f64(&mut self, key: impl Into<String>, v: f64) -> &mut Self {
+    pub(crate) fn put_f64(&mut self, key: impl Into<String>, v: f64) -> &mut Self {
         self.put(key, MetricValue::Float(v))
     }
 
     /// Inserts (or replaces) a categorical metric.
-    pub fn put_str(&mut self, key: impl Into<String>, v: impl Into<String>) -> &mut Self {
+    pub(crate) fn put_str(&mut self, key: impl Into<String>, v: impl Into<String>) -> &mut Self {
         self.put(key, MetricValue::Str(v.into()))
     }
 
     /// Inserts (or replaces) any metric value.
-    pub fn put(&mut self, key: impl Into<String>, v: MetricValue) -> &mut Self {
+    pub(crate) fn put(&mut self, key: impl Into<String>, v: MetricValue) -> &mut Self {
         let key = key.into();
         if let Some(slot) = self.entries.iter_mut().find(|(k, _)| *k == key) {
             slot.1 = v;
@@ -129,23 +124,13 @@ impl CellMetrics {
     }
 
     /// Numeric shortcut for [`CellMetrics::get`].
-    pub fn get_f64(&self, key: &str) -> Option<f64> {
+    pub(crate) fn get_f64(&self, key: &str) -> Option<f64> {
         self.get(key).and_then(MetricValue::as_f64)
     }
 
     /// Iterates `(key, value)` in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &MetricValue)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, &MetricValue)> {
         self.entries.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Number of metrics recorded.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no metric has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -175,7 +160,7 @@ pub trait Experiment: Sync {
     fn cells(&self) -> Vec<Cell>;
 
     /// Measures one cell. `seed` is derived from the cell key (see
-    /// [`cell_seed`]) and is the only randomness a cell may consume;
+    /// `cell_seed`) and is the only randomness a cell may consume;
     /// experiments reproducing fixed paper tables may ignore it in favor
     /// of their hard-coded workload seeds. Panics are contained by the
     /// driver and recorded as a failed cell.
@@ -193,7 +178,7 @@ pub trait Experiment: Sync {
 /// Derives the deterministic per-cell seed from the experiment and cell
 /// keys: FNV-1a over `"<experiment>/<workload>/<config>"`, finalized
 /// with the SplitMix64 mixer so related keys land far apart.
-pub fn cell_seed(experiment: &str, cell: &Cell) -> u64 {
+pub(crate) fn cell_seed(experiment: &str, cell: &Cell) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in experiment
         .as_bytes()

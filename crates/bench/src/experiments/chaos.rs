@@ -123,7 +123,7 @@ fn stale_profile_mutator(p: &mut Profile) {
 }
 
 /// The crash-campaign experiment.
-pub struct Chaos;
+pub(super) struct Chaos;
 
 impl Experiment for Chaos {
     fn name(&self) -> &'static str {

@@ -28,7 +28,7 @@ fn params() -> ChaseParams {
 }
 
 /// The F10 scavenger-pool sweep.
-pub struct F10DualMode;
+pub(super) struct F10DualMode;
 
 impl Experiment for F10DualMode {
     fn name(&self) -> &'static str {

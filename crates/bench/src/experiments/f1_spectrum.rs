@@ -15,7 +15,7 @@
 //! *viable* (≫ sequential) at µs scale.
 
 use crate::experiment::{Cell, CellMetrics, Experiment};
-use crate::{fresh, interleave_checked, pgo_build};
+use crate::harness::{fresh, interleave_checked, pgo_build};
 use reach_baselines::run_sequential;
 use reach_core::{InterleaveOptions, PipelineOptions, SwitchMode};
 use reach_sim::{run_smt, MachineConfig};
@@ -57,7 +57,7 @@ fn params() -> MultiChaseParams {
 }
 
 /// The F1 mechanism-spectrum experiment.
-pub struct F1Spectrum;
+pub(super) struct F1Spectrum;
 
 impl Experiment for F1Spectrum {
     fn name(&self) -> &'static str {

@@ -17,7 +17,7 @@
 //!   apart, the profile can.
 
 use crate::experiment::{Cell, CellMetrics, Experiment};
-use crate::{fresh, interleave_checked, pgo_build};
+use crate::harness::{fresh, interleave_checked, pgo_build};
 use reach_baselines::instrument_manual;
 use reach_core::{InterleaveOptions, PipelineOptions};
 use reach_sim::{MachineConfig, Memory};
@@ -83,7 +83,7 @@ fn manual_pcs(name: &str) -> Vec<usize> {
 }
 
 /// The F6 manual-vs-PGO experiment.
-pub struct F6ManualVsPgo;
+pub(super) struct F6ManualVsPgo;
 
 impl Experiment for F6ManualVsPgo {
     fn name(&self) -> &'static str {

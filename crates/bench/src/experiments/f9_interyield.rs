@@ -42,7 +42,7 @@ fn params() -> ChaseParams {
 }
 
 /// The F9 inter-yield-interval experiment.
-pub struct F9InterYield;
+pub(super) struct F9InterYield;
 
 impl Experiment for F9InterYield {
     fn name(&self) -> &'static str {

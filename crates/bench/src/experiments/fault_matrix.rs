@@ -170,7 +170,7 @@ fn reason_code(r: &DegradeReason) -> &'static str {
 }
 
 /// The robustness fault-injection matrix.
-pub struct FaultMatrix;
+pub(super) struct FaultMatrix;
 
 impl Experiment for FaultMatrix {
     fn name(&self) -> &'static str {

@@ -4,34 +4,34 @@
 //! paper table/figure; [`all`] returns the full suite in EXPERIMENTS.md
 //! order and is what `exp_all` drives in-process.
 
-pub mod chaos;
-pub mod f10_dualmode;
-pub mod f1_spectrum;
-pub mod f6_manual_vs_pgo;
-pub mod f9_interyield;
-pub mod fault_matrix;
-pub mod multicore;
-pub mod selfheal;
-pub mod simperf;
-pub mod t11_sampling;
-pub mod t12_whatif;
-pub mod t13_scheduler;
-pub mod t14_hw_prefetcher;
-pub mod t15_profiling_methods;
-pub mod t16_sfi;
-pub mod t17_drift;
-pub mod t2_stall_fraction;
-pub mod t3_switch_cost;
-pub mod t4_concurrency;
-pub mod t5_latency;
-pub mod t7_policy;
-pub mod t8_ablation;
-pub mod verify;
+mod chaos;
+mod f10_dualmode;
+mod f1_spectrum;
+mod f6_manual_vs_pgo;
+mod f9_interyield;
+mod fault_matrix;
+mod multicore;
+mod selfheal;
+mod simperf;
+mod t11_sampling;
+mod t12_whatif;
+mod t13_scheduler;
+mod t14_hw_prefetcher;
+mod t15_profiling_methods;
+mod t16_sfi;
+mod t17_drift;
+mod t2_stall_fraction;
+mod t3_switch_cost;
+mod t4_concurrency;
+mod t5_latency;
+mod t7_policy;
+mod t8_ablation;
+mod verify;
 
 use crate::experiment::Experiment;
 
 /// Every experiment in the suite, EXPERIMENTS.md order.
-pub fn all() -> Vec<Box<dyn Experiment>> {
+pub fn all_experiments() -> Vec<Box<dyn Experiment>> {
     vec![
         Box::new(f1_spectrum::F1Spectrum),
         Box::new(t2_stall_fraction::T2StallFraction),
@@ -60,8 +60,8 @@ pub fn all() -> Vec<Box<dyn Experiment>> {
 }
 
 /// Looks an experiment up by its stable name.
-pub fn by_name(name: &str) -> Option<Box<dyn Experiment>> {
-    all().into_iter().find(|e| e.name() == name)
+pub fn experiment_by_name(name: &str) -> Option<Box<dyn Experiment>> {
+    all_experiments().into_iter().find(|e| e.name() == name)
 }
 
 #[cfg(test)]
@@ -71,10 +71,10 @@ mod tests {
 
     #[test]
     fn registry_names_are_unique_and_resolvable() {
-        let exps = all();
+        let exps = all_experiments();
         assert_eq!(exps.len(), 23);
         for e in &exps {
-            assert!(by_name(e.name()).is_some());
+            assert!(experiment_by_name(e.name()).is_some());
         }
         let mut names: Vec<&str> = exps.iter().map(|e| e.name()).collect();
         names.sort_unstable();
@@ -92,7 +92,7 @@ mod tests {
             ("simperf", "alu-dense", "seq"),
             ("verify", "chase", "pipeline"),
         ] {
-            let e = by_name(exp).unwrap();
+            let e = experiment_by_name(exp).unwrap();
             let cell = Cell::new(workload, config);
             assert!(e.cells().contains(&cell));
             let seed = cell_seed(exp, &cell);
@@ -102,10 +102,10 @@ mod tests {
 
     #[test]
     fn cell_keys_are_unique_within_each_experiment() {
-        for e in all() {
+        for e in all_experiments() {
             let cells = e.cells();
             assert!(!cells.is_empty(), "{}: empty matrix", e.name());
-            let mut keys: Vec<String> = cells.iter().map(|c| c.key()).collect();
+            let mut keys: Vec<String> = cells.iter().map(Cell::to_string).collect();
             keys.sort();
             keys.dedup();
             assert_eq!(keys.len(), cells.len(), "{}: duplicate cell key", e.name());

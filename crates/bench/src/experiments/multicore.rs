@@ -92,7 +92,7 @@ fn configs() -> Vec<Config> {
 }
 
 /// The sharded-fleet experiment.
-pub struct Multicore;
+pub(super) struct Multicore;
 
 impl Experiment for Multicore {
     fn name(&self) -> &'static str {

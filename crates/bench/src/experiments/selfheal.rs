@@ -76,7 +76,7 @@ struct Service {
 
 impl Service {
     fn new(m: &mut Machine, stale_theta: f64, live_theta: f64) -> Service {
-        let mut alloc = AddrAlloc::new(crate::LAYOUT_BASE);
+        let mut alloc = AddrAlloc::new(crate::harness::LAYOUT_BASE);
         let params = |theta: f64, seed: u64| ZipfKvParams {
             table_entries: 1 << 15,
             lookups: 1024,
@@ -227,7 +227,7 @@ fn mean_over(rep: &ShardSummary, range: std::ops::Range<u64>) -> u64 {
 }
 
 /// The self-healing supervisor experiment.
-pub struct SelfHeal;
+pub(super) struct SelfHeal;
 
 impl Experiment for SelfHeal {
     fn name(&self) -> &'static str {

@@ -39,10 +39,9 @@ use crate::experiment::{Cell, CellMetrics, Experiment};
 use crate::fresh;
 use reach_baselines::run_sequential;
 use reach_profile::CollectorConfig;
-use reach_sim::isa::{AluOp, Cond, ProgramBuilder, Reg};
 use reach_sim::{
-    CacheLevelConfig, Context, FaultInjector, FaultPlan, HwEvent, Machine, MachineConfig,
-    PebsConfig,
+    AluOp, CacheLevelConfig, Cond, Context, FaultInjector, FaultPlan, HwEvent, Machine,
+    MachineConfig, PebsConfig, ProgramBuilder, Reg,
 };
 use reach_workloads::{
     build_chase, build_scan, build_zipf_kv, ChaseParams, ScanParams, ZipfKvParams,
@@ -246,7 +245,7 @@ fn run_workload(name: &str, regime: &str, blocks: bool) -> Machine {
 }
 
 /// The engine-differential experiment.
-pub struct SimPerf;
+pub(super) struct SimPerf;
 
 impl Experiment for SimPerf {
     fn name(&self) -> &'static str {

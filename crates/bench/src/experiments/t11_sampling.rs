@@ -26,7 +26,7 @@ const CONFIGS: &[(&str, u64, u32, usize)] = &[
 ];
 
 /// The T11 sampling-fidelity experiment.
-pub struct T11Sampling;
+pub(super) struct T11Sampling;
 
 impl Experiment for T11Sampling {
     fn name(&self) -> &'static str {

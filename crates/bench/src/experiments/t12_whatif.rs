@@ -11,7 +11,7 @@
 //! the hit fraction rises.
 
 use crate::experiment::{Cell, CellMetrics, Experiment};
-use crate::{fresh, interleave_checked, pgo_build};
+use crate::harness::{fresh, interleave_checked, pgo_build};
 use reach_core::{make_conditional, InterleaveOptions, PipelineOptions};
 use reach_instrument::{Policy, PrimaryOptions};
 use reach_sim::MachineConfig;
@@ -23,7 +23,7 @@ const THETAS: &[&str] = &["0.0", "0.6", "0.9", "1.1"];
 const BINARIES: &[&str] = &["static", "probe-cond"];
 
 /// The T12 presence-probe what-if experiment.
-pub struct T12WhatIf;
+pub(super) struct T12WhatIf;
 
 impl Experiment for T12WhatIf {
     fn name(&self) -> &'static str {

@@ -32,7 +32,7 @@ fn params() -> ChaseParams {
 }
 
 /// The T13 task-queue scheduling experiment.
-pub struct T13Scheduler;
+pub(super) struct T13Scheduler;
 
 impl Experiment for T13Scheduler {
     fn name(&self) -> &'static str {

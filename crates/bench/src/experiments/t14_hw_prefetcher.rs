@@ -16,7 +16,7 @@
 //!   complement, not compete.
 
 use crate::experiment::{Cell, CellMetrics, Experiment};
-use crate::{fresh, interleave_checked, pgo_build};
+use crate::harness::{fresh, interleave_checked, pgo_build};
 use reach_baselines::run_sequential;
 use reach_core::{InterleaveOptions, PipelineOptions};
 use reach_sim::{MachineConfig, Memory};
@@ -57,7 +57,7 @@ fn build(name: &str, mem: &mut Memory, alloc: &mut AddrAlloc) -> BuiltWorkload {
 }
 
 /// The T14 hardware-prefetcher interaction experiment.
-pub struct T14HwPrefetcher;
+pub(super) struct T14HwPrefetcher;
 
 impl Experiment for T14HwPrefetcher {
     fn name(&self) -> &'static str {

@@ -67,7 +67,7 @@ fn build(name: &str, mem: &mut Memory, alloc: &mut AddrAlloc) -> BuiltWorkload {
 }
 
 /// The T15 profiling-method comparison.
-pub struct T15ProfilingMethods;
+pub(super) struct T15ProfilingMethods;
 
 impl Experiment for T15ProfilingMethods {
     fn name(&self) -> &'static str {

@@ -69,7 +69,7 @@ fn pgo(prog: &Program, cfg: &MachineConfig) -> Program {
 }
 
 /// The T16 SFI-overhead experiment.
-pub struct T16Sfi;
+pub(super) struct T16Sfi;
 
 impl Experiment for T16Sfi {
     fn name(&self) -> &'static str {

@@ -19,7 +19,7 @@
 //! [`remap_to_origin`]: reach_instrument::remap_to_origin
 
 use crate::experiment::{Cell, CellMetrics, Experiment};
-use crate::interleave_checked;
+use crate::harness::interleave_checked;
 use crate::report::{BenchReport, CellStatus};
 use reach_core::InterleaveOptions;
 use reach_instrument::{instrument_primary, remap_to_origin, smooth_profile, PrimaryOptions};
@@ -42,7 +42,7 @@ fn params(theta: f64) -> ZipfKvParams {
 
 fn setup(theta: f64) -> (Machine, BuiltWorkload) {
     let mut m = Machine::new(MachineConfig::default());
-    let mut alloc = AddrAlloc::new(crate::LAYOUT_BASE);
+    let mut alloc = AddrAlloc::new(crate::harness::LAYOUT_BASE);
     let w = build_zipf_kv(&mut m.mem, &mut alloc, params(theta), N + 1);
     (m, w)
 }
@@ -63,7 +63,7 @@ fn run(prog: &reach_sim::Program, theta: f64) -> f64 {
 }
 
 /// The T17 continuous-PGO drift experiment.
-pub struct T17Drift;
+pub(super) struct T17Drift;
 
 impl Experiment for T17Drift {
     fn name(&self) -> &'static str {

@@ -100,7 +100,7 @@ fn build(name: &str, mem: &mut Memory, alloc: &mut AddrAlloc) -> BuiltWorkload {
 }
 
 /// The T2 stall-fraction experiment.
-pub struct T2StallFraction;
+pub(super) struct T2StallFraction;
 
 impl Experiment for T2StallFraction {
     fn name(&self) -> &'static str {

@@ -13,11 +13,11 @@
 //! `examples/host_interleaving.rs` shows the mechanism on real hardware.
 
 use crate::experiment::{Cell, CellMetrics, Experiment};
-use crate::{cyc_ns, fresh, interleave_checked, pgo_build};
+use crate::harness::{fresh, interleave_checked, pgo_build};
+use crate::table::cyc_ns;
 use reach_core::{InterleaveOptions, PipelineOptions, SwitchMode};
 use reach_instrument::PrimaryOptions;
-use reach_sim::isa::NUM_REGS;
-use reach_sim::MachineConfig;
+use reach_sim::{MachineConfig, NUM_REGS};
 use reach_workloads::{build_chase, ChaseParams};
 
 const N: usize = 8;
@@ -58,7 +58,7 @@ fn measured_switch(cfg: &MachineConfig, use_liveness: bool, mode: SwitchMode) ->
 }
 
 /// The T3 switch-cost experiment.
-pub struct T3SwitchCost;
+pub(super) struct T3SwitchCost;
 
 impl Experiment for T3SwitchCost {
     fn name(&self) -> &'static str {

@@ -11,7 +11,7 @@
 //! coroutines keep scaling.
 
 use crate::experiment::{Cell, CellMetrics, Experiment};
-use crate::{fresh, interleave_checked, pgo_build};
+use crate::harness::{fresh, interleave_checked, pgo_build};
 use reach_core::{InterleaveOptions, PipelineOptions};
 use reach_sim::{run_smt, MachineConfig};
 use reach_workloads::{build_multi_chase, MultiChaseParams};
@@ -30,7 +30,7 @@ fn params() -> MultiChaseParams {
 }
 
 /// The T4 concurrency-sweep experiment.
-pub struct T4Concurrency;
+pub(super) struct T4Concurrency;
 
 impl Experiment for T4Concurrency {
     fn name(&self) -> &'static str {

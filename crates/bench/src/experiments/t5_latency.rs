@@ -64,7 +64,7 @@ fn fresh_setup(cfg: &MachineConfig) -> (Machine, BuiltWorkload, BuiltWorkload) {
         (q, b)
     }
     let mut m = Machine::new(cfg.clone());
-    let mut alloc = AddrAlloc::new(crate::LAYOUT_BASE);
+    let mut alloc = AddrAlloc::new(crate::harness::LAYOUT_BASE);
     let (q, b) = setup(&mut m.mem, &mut alloc);
     (m, q, b)
 }
@@ -76,7 +76,7 @@ fn contexts(q: &BuiltWorkload, b: &BuiltWorkload) -> Vec<Context> {
 }
 
 /// The T5 tail-latency experiment.
-pub struct T5Latency;
+pub(super) struct T5Latency;
 
 impl Experiment for T5Latency {
     fn name(&self) -> &'static str {

@@ -11,7 +11,7 @@
 //! quantitative gain/cost model can.
 
 use crate::experiment::{Cell, CellMetrics, Experiment};
-use crate::{fresh, interleave_checked, pgo_build};
+use crate::harness::{fresh, interleave_checked, pgo_build};
 use reach_core::{InterleaveOptions, PipelineOptions};
 use reach_instrument::{Policy, PrimaryOptions};
 use reach_sim::MachineConfig;
@@ -50,7 +50,7 @@ fn policy(config: &str) -> Policy {
 }
 
 /// The T7 insertion-policy sweep.
-pub struct T7Policy;
+pub(super) struct T7Policy;
 
 impl Experiment for T7Policy {
     fn name(&self) -> &'static str {

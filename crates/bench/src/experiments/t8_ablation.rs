@@ -8,7 +8,7 @@
 //! all four combinations.
 
 use crate::experiment::{Cell, CellMetrics, Experiment};
-use crate::{fresh, interleave_checked, pgo_build};
+use crate::harness::{fresh, interleave_checked, pgo_build};
 use reach_core::{InterleaveOptions, PipelineOptions};
 use reach_instrument::PrimaryOptions;
 use reach_sim::MachineConfig;
@@ -24,7 +24,7 @@ const COMBOS: &[(&str, bool, bool)] = &[
 ];
 
 /// The T8 optimization-ablation experiment.
-pub struct T8Ablation;
+pub(super) struct T8Ablation;
 
 impl Experiment for T8Ablation {
     fn name(&self) -> &'static str {

@@ -2,7 +2,7 @@
 //! mutation-kill rate across the standard workload suite.
 //!
 //! Each cell runs the full PGO pipeline on one workload and then drives
-//! the symbolic equivalence checker ([`reach_instrument::equiv`]) two
+//! the symbolic equivalence checker ([`reach_instrument::verify_rewrite`]) two
 //! ways:
 //!
 //! * **soundness / size** — the shipped binary must *prove out* against
@@ -26,8 +26,7 @@ use crate::harness::{fresh, pgo_build};
 use crate::workloads::{workload_builder, WORKLOAD_NAMES};
 use reach_core::PipelineOptions;
 use reach_instrument::{verify_rewrite, LintOptions};
-use reach_sim::isa::{Inst, Program, Reg};
-use reach_sim::MachineConfig;
+use reach_sim::{Inst, MachineConfig, Program, Reg};
 
 /// One seeded rewrite mutant: mutates the shipped binary and/or its
 /// origin map in place, returning `false` when the binary has no site
@@ -169,7 +168,7 @@ fn mutants() -> Vec<(&'static str, Mutant)> {
 }
 
 /// The translation-validation experiment.
-pub struct Verify;
+pub(super) struct Verify;
 
 impl Experiment for Verify {
     fn name(&self) -> &'static str {

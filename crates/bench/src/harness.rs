@@ -1,16 +1,15 @@
 //! Shared experiment plumbing: fresh deterministic machine+workload
-//! setups, the PGO convenience wrapper, and per-mechanism run rows.
+//! setups and the PGO convenience wrapper.
 
 use reach_core::{
-    pgo_pipeline, run_interleaved, CycleSummary, InstrumentedBinary, InterleaveOptions,
-    PipelineOptions,
+    pgo_pipeline, run_interleaved, InstrumentedBinary, InterleaveOptions, PipelineOptions,
 };
 use reach_sim::{Context, Machine, MachineConfig, Memory};
 use reach_workloads::{AddrAlloc, BuiltWorkload};
 
 /// Base address where workload layout begins; high enough to dodge the
 /// null page, low enough to stay readable in dumps.
-pub const LAYOUT_BASE: u64 = 0x10_0000;
+pub(crate) const LAYOUT_BASE: u64 = 0x10_0000;
 
 /// A boxed deterministic workload constructor, the currency experiment
 /// harnesses pass around when one binary covers several workload cases.
@@ -49,36 +48,6 @@ pub fn pgo_build(
     pgo_pipeline(&mut m, &w.prog, &mut prof, opts).expect("pipeline failed")
 }
 
-/// One mechanism's outcome on one workload configuration.
-#[derive(Clone, Debug)]
-pub struct RunRow {
-    /// Mechanism label.
-    pub name: String,
-    /// Wall-clock cycles of the measured phase.
-    pub cycles: u64,
-    /// Cycle accounting.
-    pub summary: CycleSummary,
-    /// Finished-context latencies.
-    pub latencies: Vec<u64>,
-}
-
-impl RunRow {
-    /// Builds a row from a machine after the measured phase.
-    pub fn from_machine(
-        name: impl Into<String>,
-        machine: &Machine,
-        cycles: u64,
-        latencies: Vec<u64>,
-    ) -> RunRow {
-        RunRow {
-            name: name.into(),
-            cycles,
-            summary: CycleSummary::from_counters(&machine.counters, &machine.cfg),
-            latencies,
-        }
-    }
-}
-
 /// Convenience: interleave `ids` instances of `w` over `prog` on
 /// `machine`; asserts all complete with correct checksums and returns
 /// the report.
@@ -86,7 +55,7 @@ impl RunRow {
 /// # Panics
 ///
 /// Panics on execution errors or checksum mismatches.
-pub fn interleave_checked(
+pub(crate) fn interleave_checked(
     machine: &mut Machine,
     prog: &reach_sim::Program,
     w: &BuiltWorkload,
@@ -108,7 +77,7 @@ pub fn interleave_checked(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reach_core::PipelineOptions;
+    use reach_core::CycleSummary;
     use reach_workloads::{build_chase, ChaseParams};
 
     fn params() -> ChaseParams {
@@ -143,7 +112,6 @@ mod tests {
         let (rep, _) =
             interleave_checked(&mut m, &built.prog, &w, 0..2, &InterleaveOptions::default());
         assert_eq!(rep.completed, 2);
-        let row = RunRow::from_machine("pgo", &m, rep.cycles, vec![]);
-        assert!(row.summary.efficiency > 0.0);
+        assert!(CycleSummary::from_counters(&m.counters, &m.cfg).efficiency > 0.0);
     }
 }

@@ -1,15 +1,15 @@
 //! # reach-bench — experiment harnesses
 //!
-//! One library module in [`experiments`] per experiment in DESIGN.md §5
-//! / EXPERIMENTS.md, each implementing
-//! the [`Experiment`] trait: a named matrix of deterministic
-//! (workload × config) cells. The shared [`driver`] fans cells out
+//! One library module per experiment in DESIGN.md §5 / EXPERIMENTS.md
+//! (the registry is [`all_experiments`]), each implementing the
+//! [`Experiment`] trait: a named matrix of deterministic
+//! (workload × config) cells. The shared driver ([`run_suite`]) fans cells out
 //! across a scoped thread pool (per-cell seeds derived from the cell
 //! key), renders the paper table, and writes one machine-readable
-//! `BENCH_<experiment>.json` per experiment (see [`report`]).
+//! `BENCH_<experiment>.json` per experiment (see [`BenchReport`]).
 //!
 //! `exp_all` runs the whole registry, or the experiments `--only`
-//! names, in-process via [`driver::suite_main`]. The committed
+//! names, in-process via [`suite_main`]. The committed
 //! `bench/baselines/` are its output, and the gate is to regenerate them
 //! and run `git diff`:
 //!
@@ -23,18 +23,22 @@
 //! `benchmark/run.sh run` at the repository root; the host-hardware side
 //! of the mechanism is shown, unquoted, by `examples/host_interleaving.rs`.
 
-pub mod driver;
-pub mod experiment;
-pub mod experiments;
-pub mod harness;
-pub mod report;
-pub mod serving;
-pub mod table;
-pub mod workloads;
+mod driver;
+mod experiment;
+mod experiments;
+mod harness;
+mod report;
+mod serving;
+mod table;
+mod workloads;
 
-pub use driver::{run_suite, DriverOptions};
-pub use experiment::{cell_seed, Cell, CellMetrics, Experiment, MetricValue};
-pub use harness::{fresh, interleave_checked, pgo_build, RunRow, WorkloadBuilder, LAYOUT_BASE};
+pub use driver::{run_suite, suite_main, DriverOptions};
+pub use experiment::{Cell, CellMetrics, Experiment, MetricValue};
+pub use experiments::{all_experiments, experiment_by_name};
+pub use harness::{fresh, pgo_build, WorkloadBuilder};
 pub use report::{BenchReport, CellResult, CellStatus, SCHEMA_VERSION};
-pub use table::{cyc_ns, f, pct, Table};
+pub use serving::{
+    chaos_factory, default_fleet_chaos_opts, default_fleet_opts, default_rollout, fleet_world,
+    solo_core, FleetService,
+};
 pub use workloads::{workload_builder, WORKLOAD_NAMES};

@@ -17,7 +17,7 @@
 //! ```
 //!
 //! Every line is written by the workspace's [`Json`] printer
-//! (`reach_profile::json`); NaN metrics are written as `null`.
+//! (`reach_profile::Json`); NaN metrics are written as `null`.
 
 use crate::experiment::{Cell, CellMetrics, MetricValue};
 use reach_profile::Json;
@@ -92,7 +92,7 @@ fn cell_to_json(c: &CellResult) -> Json {
 
 impl BenchReport {
     /// The canonical file name for this report.
-    pub fn filename(&self) -> String {
+    pub(crate) fn filename(&self) -> String {
         format!("BENCH_{}.json", self.experiment)
     }
 
@@ -128,7 +128,7 @@ impl BenchReport {
     /// # Errors
     ///
     /// I/O errors creating the directory or writing the file.
-    pub fn write_to_dir(&self, dir: &Path) -> std::io::Result<PathBuf> {
+    pub(crate) fn write_to_dir(&self, dir: &Path) -> std::io::Result<PathBuf> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(self.filename());
         std::fs::write(&path, self.to_text())?;
@@ -136,14 +136,14 @@ impl BenchReport {
     }
 
     /// Looks a cell up by (workload, config).
-    pub fn cell(&self, workload: &str, config: &str) -> Option<&CellResult> {
+    pub(crate) fn cell(&self, workload: &str, config: &str) -> Option<&CellResult> {
         self.cells
             .iter()
             .find(|c| c.cell.workload == workload && c.cell.config == config)
     }
 
     /// Mutable variant of [`BenchReport::cell`].
-    pub fn cell_mut(&mut self, workload: &str, config: &str) -> Option<&mut CellResult> {
+    pub(crate) fn cell_mut(&mut self, workload: &str, config: &str) -> Option<&mut CellResult> {
         self.cells
             .iter_mut()
             .find(|c| c.cell.workload == workload && c.cell.config == config)

@@ -24,10 +24,10 @@ use reach_workloads::{build_zipf_kv, AddrAlloc, InstanceSetup, ZipfKvParams};
 /// Fleet epochs per run: enough for a full rolling deploy (drain +
 /// health window per shard) across four shards, including the final
 /// Done transition.
-pub const FLEET_EPOCHS: u64 = 16;
+pub(crate) const FLEET_EPOCHS: u64 = 16;
 
 /// A cooperative-free infinite loop for the runaway-scavenger class.
-pub fn runaway_prog() -> Program {
+pub(crate) fn runaway_prog() -> Program {
     let mut b = ProgramBuilder::new("runaway");
     b.imm(Reg(1), 1);
     let top = b.label();
@@ -40,7 +40,7 @@ pub fn runaway_prog() -> Program {
 
 /// Profiling periods sized to the 1024-lookup jobs (the defaults would
 /// leave too few samples to pass profile validation).
-pub fn fast_degrade() -> DegradeOptions {
+pub(crate) fn fast_degrade() -> DegradeOptions {
     let mut d = DegradeOptions::default();
     d.pipeline.collector.periods = Periods {
         l2_miss: 13,
@@ -65,7 +65,7 @@ pub fn solo_core() -> MultiCore {
 /// armed — without it a runaway scavenger gets an unbounded slice and
 /// the run never terminates (containment is the supervisor's job; the
 /// per-job watchdog just bounds each slice).
-pub fn chaos_sup() -> SupervisorOptions {
+pub(crate) fn chaos_sup() -> SupervisorOptions {
     SupervisorOptions {
         service_per_epoch: 1,
         scavengers: 2,
@@ -104,7 +104,7 @@ struct ShardStreams {
 /// round-robin and ingresses at the owner's neighbor (all traffic
 /// exercises the forwarding path when `shards > 1`), and every job draws
 /// a fresh instance so misses stay compulsory. The runaway shard, if
-/// any, swaps its scavenger pool to [`runaway_prog`] in epochs 2..5.
+/// any, swaps its scavenger pool to `runaway_prog` in epochs 2..5.
 pub struct FleetService {
     per: Vec<ShardStreams>,
     shards: usize,
@@ -164,7 +164,7 @@ pub fn fleet_world(
     let mut stale = Vec::new();
     let mut orig: Option<Program> = None;
     for m in &mut mc.cores {
-        let mut alloc = AddrAlloc::new(crate::LAYOUT_BASE);
+        let mut alloc = AddrAlloc::new(crate::harness::LAYOUT_BASE);
         let params = |theta: f64, seed: u64| ZipfKvParams {
             table_entries: 1 << 15,
             lookups: 1024,
@@ -220,8 +220,8 @@ pub fn fleet_world(
     (mc, svc, orig, DeployedBuild::from(built))
 }
 
-/// The fleet configuration every world runs: [`chaos_sup`] per shard,
-/// [`FLEET_EPOCHS`] fleet epochs, work-stealing on.
+/// The fleet configuration every world runs: `chaos_sup` per shard,
+/// `FLEET_EPOCHS` fleet epochs, work-stealing on.
 pub fn default_fleet_opts(shards: usize, seed: u64) -> FleetOptions {
     FleetOptions {
         shards,

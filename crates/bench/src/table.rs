@@ -6,7 +6,7 @@
 
 /// A simple column-aligned table.
 #[derive(Clone, Debug)]
-pub struct Table {
+pub(crate) struct Table {
     title: String,
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
@@ -14,7 +14,7 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with a title and column headers.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Table {
+    pub(crate) fn new(title: impl Into<String>, headers: &[&str]) -> Table {
         Table {
             title: title.into(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
@@ -23,13 +23,13 @@ impl Table {
     }
 
     /// Appends a row; missing cells render empty, extra cells are kept.
-    pub fn row(&mut self, cells: Vec<String>) -> &mut Table {
+    pub(crate) fn row(&mut self, cells: Vec<String>) -> &mut Table {
         self.rows.push(cells);
         self
     }
 
     /// Renders the table.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let ncols = self
             .headers
             .len()
@@ -62,26 +62,10 @@ impl Table {
         }
         out
     }
-
-    /// Prints the table to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-        println!();
-    }
-}
-
-/// Formats a fraction as a percentage with one decimal.
-pub fn pct(x: f64) -> String {
-    format!("{:.1}%", x * 100.0)
-}
-
-/// Formats a float with `prec` decimals.
-pub fn f(x: f64, prec: usize) -> String {
-    format!("{x:.prec$}")
 }
 
 /// Formats a cycle count with its nanosecond equivalent.
-pub fn cyc_ns(cycles: u64, clock_ghz: f64) -> String {
+pub(crate) fn cyc_ns(cycles: u64, clock_ghz: f64) -> String {
     format!("{} ({:.1} ns)", cycles, cycles as f64 / clock_ghz)
 }
 
@@ -114,8 +98,6 @@ mod tests {
 
     #[test]
     fn formatters() {
-        assert_eq!(pct(0.1234), "12.3%");
-        assert_eq!(f(1.5, 2), "1.50");
         assert_eq!(cyc_ns(300, 3.0), "300 (100.0 ns)");
     }
 }

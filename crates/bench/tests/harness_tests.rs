@@ -2,10 +2,9 @@
 //! driver, the `exp_all` binary through its actual CLI surface, and the
 //! committed `bench/baselines/` against the registry that writes them.
 
-use reach_bench::experiments::{all, by_name};
 use reach_bench::{
-    run_suite, BenchReport, Cell, CellMetrics, CellStatus, DriverOptions, Experiment, MetricValue,
-    SCHEMA_VERSION,
+    all_experiments, experiment_by_name, run_suite, BenchReport, Cell, CellMetrics, CellStatus,
+    DriverOptions, Experiment, MetricValue, SCHEMA_VERSION,
 };
 use reach_profile::Json;
 use std::path::{Path, PathBuf};
@@ -59,7 +58,7 @@ fn fault_matrix_reports_explicit_rungs_and_na_ratios() {
     assert!(reach_core::ratio(0, 0).is_nan());
     assert_eq!(MetricValue::Float(reach_core::ratio(5, 0)).render(), "n/a");
 
-    let exp = by_name("fault_matrix").unwrap();
+    let exp = experiment_by_name("fault_matrix").unwrap();
     let chase = OneWorkload {
         exp: exp.as_ref(),
         workload: "chase",
@@ -99,14 +98,14 @@ fn baselines_hold_one_file_per_experiment_with_its_cells_in_order() {
         .map(|e| e.unwrap().file_name().into_string().unwrap())
         .collect();
     files.sort();
-    let mut expected: Vec<String> = all()
+    let mut expected: Vec<String> = all_experiments()
         .iter()
         .map(|e| format!("BENCH_{}.json", e.name()))
         .collect();
     expected.sort();
-    assert_eq!(files, expected, "bench/baselines/ vs experiments::all()");
+    assert_eq!(files, expected, "bench/baselines/ vs all_experiments()");
 
-    for e in all() {
+    for e in all_experiments() {
         let name = format!("BENCH_{}.json", e.name());
         let text = std::fs::read_to_string(dir.join(&name)).unwrap();
         let json = Json::parse(&text).unwrap_or_else(|err| panic!("{name}: {err}"));

@@ -241,7 +241,7 @@ pub fn pgo_pipeline_degrading(
 /// supervisor's circuit breaker, which deploys this build directly when
 /// consecutive full-PGO rebuilds keep failing.
 #[allow(clippy::type_complexity)]
-pub fn scavenger_only_build(
+pub(crate) fn scavenger_only_build(
     prog: &Program,
     mcfg: &MachineConfig,
     pipeline: &PipelineOptions,
@@ -282,8 +282,7 @@ fn uninstrumented_build(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reach_sim::isa::{Inst, Reg};
-    use reach_sim::{MachineConfig, YieldKind};
+    use reach_sim::{Inst, MachineConfig, Reg, YieldKind};
     use reach_workloads::{build_chase, AddrAlloc, ChaseParams};
 
     fn chase_params() -> ChaseParams {

@@ -389,8 +389,7 @@ pub fn run_dual_mode(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reach_sim::isa::{AluOp, Cond, Inst, ProgramBuilder, Reg};
-    use reach_sim::MachineConfig;
+    use reach_sim::{AluOp, Cond, Inst, MachineConfig, ProgramBuilder, Reg};
 
     /// Primary-instrumented chase program with scavenger yields after the
     /// compute (the shape the full pipeline produces).
@@ -755,7 +754,7 @@ mod tests {
     /// place (`age` 1: the oldest goes, every index moves down).
     #[test]
     fn a_full_block_cache_seats_both_programs_of_a_dual_mode_run() {
-        use reach_sim::blocks::MAX_CACHED_PROGRAMS;
+        use reach_sim::MAX_CACHED_PROGRAMS;
         let prog = dual_instrumented_chase(true);
         let scav = runaway_prog(500);
         let hops = 16u64;

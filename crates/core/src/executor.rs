@@ -189,7 +189,7 @@ pub fn run_interleaved(
                 // SAFETY of the model: only registers outside the save
                 // set are clobbered; a sound save set keeps semantics
                 // intact.
-                for r in 0..reach_sim::isa::NUM_REGS {
+                for r in 0..reach_sim::NUM_REGS {
                     if mask & (1 << r) != 0 {
                         lanes[i].ctx.regs[r] = POISON;
                     }
@@ -207,8 +207,7 @@ pub fn run_interleaved(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reach_sim::isa::{AluOp, Cond, Inst, ProgramBuilder, Reg};
-    use reach_sim::MachineConfig;
+    use reach_sim::{AluOp, Cond, Inst, MachineConfig, ProgramBuilder, Reg};
 
     /// Program: chase `r1` nodes from `r0`, checksum into r7, with a
     /// manual prefetch+yield before the load (pre-instrumented shape).

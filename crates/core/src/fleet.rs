@@ -371,12 +371,12 @@ impl FleetEvent {
 }
 
 /// Canonical JSON text of a fleet event sequence.
-pub fn fleet_events_json(events: &[FleetEvent]) -> String {
+pub(crate) fn fleet_events_json(events: &[FleetEvent]) -> String {
     Json::Array(events.iter().map(FleetEvent::to_json).collect()).to_string()
 }
 
 /// FNV-1a digest of [`fleet_events_json`].
-pub fn fleet_events_hash(events: &[FleetEvent]) -> u64 {
+pub(crate) fn fleet_events_hash(events: &[FleetEvent]) -> u64 {
     fnv1a(fleet_events_json(events).as_bytes())
 }
 

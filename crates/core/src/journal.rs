@@ -205,7 +205,7 @@ pub type StoredBuild = DeployedBuild;
 
 /// Counters for what the store did and lost.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct JournalStats {
+pub(crate) struct JournalStats {
     /// Records appended (durable or buffered).
     pub appends: u64,
     /// Appends held back in the volatile buffer by the partial-flush
@@ -305,7 +305,7 @@ pub fn project(records: &[JournalRecord]) -> JournalState {
 }
 
 /// The simulated durable store: journal byte image + write buffer +
-/// artifact store. Survives [`crate::supervisor`] restarts by living
+/// artifact store. Survives supervisor restarts by living
 /// outside them (a fleet shard owns it across its crash segments).
 #[derive(Clone, Debug, Default)]
 pub struct Journal {
@@ -316,18 +316,13 @@ pub struct Journal {
     buffered: Vec<Vec<u8>>,
     builds: Vec<(u64, StoredBuild)>,
     /// Counters for appends, deferrals, and crash losses.
-    pub stats: JournalStats,
+    pub(crate) stats: JournalStats,
 }
 
 impl Journal {
     /// An empty store.
     pub fn new() -> Self {
         Journal::default()
-    }
-
-    /// True when nothing has ever been durably written.
-    pub fn is_empty(&self) -> bool {
-        self.durable.is_empty() && self.buffered.is_empty()
     }
 
     /// Appends one record. Without faults the append is write-through;
@@ -357,7 +352,7 @@ impl Journal {
 
     /// A crash between appends: buffered records are lost, and the
     /// torn-write channel may cut the durable tail record mid-bytes.
-    pub fn crash(&mut self, faults: Option<&mut FaultInjector>) {
+    pub(crate) fn crash(&mut self, faults: Option<&mut FaultInjector>) {
         self.stats.records_lost_at_crash += self.buffered.len() as u64;
         self.buffered.clear();
         let tail = self.durable.len() - self.last_start;
@@ -370,7 +365,11 @@ impl Journal {
     /// A crash landing *inside* the append of `rec`: buffered records
     /// are lost and at most a torn prefix of `rec` reaches the durable
     /// image (nothing at all when the torn-write channel stays quiet).
-    pub fn crash_during_append(&mut self, rec: &JournalRecord, faults: Option<&mut FaultInjector>) {
+    pub(crate) fn crash_during_append(
+        &mut self,
+        rec: &JournalRecord,
+        faults: Option<&mut FaultInjector>,
+    ) {
         self.stats.appends += 1;
         self.stats.records_lost_at_crash += 1 + self.buffered.len() as u64;
         self.buffered.clear();
@@ -418,7 +417,7 @@ impl Journal {
 
     /// WAL repair on restart: truncates the durable image to its valid
     /// prefix, discards the volatile buffer, and returns the replay.
-    pub fn repair(&mut self) -> Replay {
+    pub(crate) fn repair(&mut self) -> Replay {
         let rep = self.replay();
         self.stats.repair_truncated_bytes += (self.durable.len() - rep.valid_bytes) as u64;
         self.durable.truncate(rep.valid_bytes);
@@ -446,7 +445,7 @@ impl Journal {
     }
 
     /// Looks an artifact up by fingerprint.
-    pub fn get_build(&self, fingerprint: u64) -> Option<&StoredBuild> {
+    pub(crate) fn get_build(&self, fingerprint: u64) -> Option<&StoredBuild> {
         self.builds
             .iter()
             .find(|(fp, _)| *fp == fingerprint)

@@ -2,39 +2,40 @@
 //!
 //! The paper's mechanism assembled from the substrate crates:
 //!
-//! * [`pipeline`] — the three-step PGO flow: profile the original
+//! * [`pgo_pipeline`] — the three-step PGO flow: profile the original
 //!   coroutine code under sampling, apply primary `prefetch+yield`
 //!   instrumentation guided by the profile, then the scavenger pass that
 //!   bounds inter-yield intervals.
-//! * [`executor`] — the symmetric interleaving executor (coroutine or
+//! * [`run_interleaved`] — the symmetric interleaving executor (coroutine or
 //!   OS-thread switch costs), with optional register poisoning that
 //!   *proves* liveness-derived save sets sound at run time.
-//! * [`dualmode`] — asymmetric concurrency: a latency-sensitive primary
+//! * [`run_dual_mode`] — asymmetric concurrency: a latency-sensitive primary
 //!   coroutine whose misses are filled by scavenger-mode coroutines,
 //!   scaled on demand.
-//! * [`scheduler`] — §4.2 integration with a µs-task scheduler (FIFO vs
+//! * [`run_task_queue`] — §4.2 integration with a µs-task scheduler (FIFO vs
 //!   ready-queue side-car vs event-aware).
-//! * [`degrade`] — the graceful-degradation ladder: an infallible
+//! * [`pgo_pipeline_degrading`] — the graceful-degradation ladder: an infallible
 //!   pipeline front end that retries profiling and steps down
 //!   full-PGO → scavenger-only → uninstrumented, recording why.
-//! * [`supervisor`] — the self-healing runtime loop: online staleness
+//! * [`SupervisorOptions`] — the self-healing runtime loop: online staleness
 //!   detection, background re-profile + epoch-boundary hot swap, a
 //!   circuit breaker over the degradation ladder, and overload
 //!   shedding, all recorded in a replay-deterministic incident log;
 //!   plus crash [`recover`]y.
-//! * [`journal`] — the supervisor's write-ahead journal and artifact
+//! * [`Journal`] — the supervisor's write-ahead journal and artifact
 //!   store, with the crash semantics recovery must repair.
-//! * [`fleet`] — the only code that runs the supervised loop: N shard
+//! * [`run_fleet`] — the only code that runs the supervised loop: N shard
 //!   supervisors on an N-core machine under one fleet clock (a single
 //!   supervisor is the one-shard fleet), with routing, rolling deploys,
 //!   correlated breakers, work stealing, and the oracles that audit
 //!   every run.
-//! * [`fleet_chaos`] — the chaos engine: seeded crash and fault
+//! * [`run_fleet_schedule`] — the chaos engine: seeded crash and fault
 //!   schedules over the fleet (a single supervisor is the one-shard
 //!   fleet), and the shrinker for a schedule that breaks an oracle.
-//! * [`whatif`] — §4.1 hardware what-if: presence-probe-conditional
+//! * [`make_conditional`] — §4.1 hardware what-if: presence-probe-conditional
 //!   yields.
-//! * [`metrics`] — percentiles and cycle-accounting summaries.
+//! * [`percentiles`] and [`CycleSummary`] — percentiles and
+//!   cycle-accounting summaries.
 //!
 //! # Examples
 //!
@@ -61,28 +62,27 @@
 //! w.instances[0].assert_checksum(&ctxs[0]);
 //! ```
 
-pub mod degrade;
-pub mod dualmode;
-pub mod executor;
-pub mod fleet;
-pub mod fleet_chaos;
-pub mod journal;
-pub mod metrics;
-pub mod pipeline;
-pub mod scheduler;
-pub mod supervisor;
+mod degrade;
+mod dualmode;
+mod executor;
+mod fleet;
+mod fleet_chaos;
+mod journal;
+mod metrics;
+mod pipeline;
+mod scheduler;
+mod supervisor;
 mod testkit;
-pub mod whatif;
+mod whatif;
 
-pub use degrade::{
-    pgo_pipeline_degrading, scavenger_only_build, DegradeOptions, DegradeReason, DegradedBuild,
-    Rung,
+pub use degrade::{pgo_pipeline_degrading, DegradeOptions, DegradeReason, DegradedBuild, Rung};
+pub use dualmode::{
+    run_dual_mode, DualModeOptions, DualModeReport, WatchdogOptions, DEFAULT_UNWATCHED_SLICE_STEPS,
 };
-pub use dualmode::{run_dual_mode, DualModeOptions, DualModeReport, WatchdogOptions};
 pub use executor::{run_interleaved, InterleaveOptions, InterleaveReport, SwitchMode, POISON};
 pub use fleet::{
-    fleet_events_hash, fleet_events_json, run_fleet, shard_seed, Arrival, FleetConfigError,
-    FleetEvent, FleetOptions, FleetReport, FleetWorkload, RolloutOptions, ShardSummary,
+    run_fleet, shard_seed, Arrival, FleetConfigError, FleetEvent, FleetOptions, FleetReport,
+    FleetWorkload, RolloutOptions, ShardSummary,
 };
 pub use fleet_chaos::{
     minimize, random_fleet_schedule, run_fleet_campaigns, run_fleet_schedule, FleetCampaignReport,
@@ -90,13 +90,10 @@ pub use fleet_chaos::{
 };
 pub use journal::{project, Journal, JournalRecord, JournalState, Replay, StoredBuild};
 pub use metrics::{percentile, percentiles, ratio, CycleSummary};
-pub use pipeline::{
-    lint_gate, pgo_pipeline, verify_gate, InstrumentedBinary, PipelineError, PipelineOptions,
-};
+pub use pipeline::{pgo_pipeline, InstrumentedBinary, PipelineError, PipelineOptions};
 pub use scheduler::{run_task_queue, SchedPolicy, SchedReport, Task};
 pub use supervisor::{
-    incidents_hash, incidents_json, mix64, recover, Action, BreakerState, CrashPoint,
-    DeployedBuild, Ev, Incident, Outcome, RecoverOptions, Recovery, ResumeState,
-    SupervisorConfigError, SupervisorOptions, Trigger,
+    incidents_json, mix64, recover, Action, BreakerState, CrashPoint, DeployedBuild, Ev, Incident,
+    Outcome, RecoverOptions, Recovery, SupervisorConfigError, SupervisorOptions, Trigger,
 };
 pub use whatif::{make_conditional, yield_census, YieldCensus};

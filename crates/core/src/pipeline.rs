@@ -37,7 +37,7 @@ pub struct PipelineOptions {
     /// findings abort the pipeline ([`PipelineError::Lint`]); warnings
     /// ride along in [`InstrumentedBinary::lint_report`].
     pub lint: LintOptions,
-    /// Run the symbolic equivalence checker ([`reach_instrument::equiv`])
+    /// Run the symbolic equivalence checker ([`reach_instrument::verify_rewrite_map`])
     /// on every rewriting pass and on the composed end-to-end pc map,
     /// refusing unprovable rewrites ([`PipelineError::Verify`]). On by
     /// default — opt out only for experiments that deliberately ship
@@ -48,7 +48,7 @@ pub struct PipelineOptions {
     /// instrumentation. `None` (the default) skips the check — opt in
     /// when profiles cross a trust boundary (serialized, cached, or
     /// collected by another process). The degradation ladder
-    /// ([`crate::degrade`]) turns these refusals into re-profiles and
+    /// ([`crate::pgo_pipeline_degrading`]) turns these refusals into re-profiles and
     /// rung descents instead of hard failures.
     pub validation: Option<ProfileValidationOptions>,
 }
@@ -164,7 +164,7 @@ pub struct InstrumentedBinary {
 /// The `reach-lint` shipping gate: lints `prog` and refuses it
 /// ([`PipelineError::Lint`]) if any deny-level finding fires. Returns
 /// the (warn-only) report otherwise.
-pub fn lint_gate(
+pub(crate) fn lint_gate(
     prog: &Program,
     origin: &[Option<usize>],
     opts: &LintOptions,
@@ -182,7 +182,7 @@ pub fn lint_gate(
 /// yields/prefetches) under the rewrite's origin map, refusing
 /// ([`PipelineError::Verify`]) when any obligation cannot be
 /// discharged. Returns the (clean) proof report otherwise.
-pub fn verify_gate(
+pub(crate) fn verify_gate(
     original: &Program,
     rewritten: &Program,
     origin: &[Option<usize>],
@@ -324,8 +324,7 @@ pub(crate) fn instrument_with_profile(
 mod tests {
     use super::*;
     use crate::executor::{run_interleaved, InterleaveOptions};
-    use reach_sim::isa::Inst;
-    use reach_sim::{MachineConfig, YieldKind};
+    use reach_sim::{Inst, MachineConfig, YieldKind};
     use reach_workloads::{build_chase, AddrAlloc, ChaseParams};
 
     fn chase_params() -> ChaseParams {
@@ -383,7 +382,7 @@ mod tests {
     #[test]
     fn lint_gate_refuses_deny_level_binaries() {
         use reach_instrument::{Level, Lint};
-        use reach_sim::isa::{ProgramBuilder, Reg};
+        use reach_sim::{ProgramBuilder, Reg};
 
         // A binary whose yield saves nothing while r2/r3 are live: the
         // RL0001 deny must turn into a pipeline refusal.
@@ -441,7 +440,7 @@ mod tests {
         // A profile collected against a *different* binary is refused
         // before it can steer instrumentation.
         let other = {
-            let mut b = reach_sim::isa::ProgramBuilder::new("other");
+            let mut b = reach_sim::ProgramBuilder::new("other");
             b.halt();
             b.finish().unwrap()
         };

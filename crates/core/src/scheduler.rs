@@ -250,8 +250,7 @@ pub fn run_task_queue(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reach_sim::isa::{AluOp, Cond, Inst, ProgramBuilder, Reg};
-    use reach_sim::MachineConfig;
+    use reach_sim::{AluOp, Cond, Inst, MachineConfig, ProgramBuilder, Reg};
 
     /// A µs-scale task: chase 12 nodes with prefetch+primary-yield
     /// instrumentation and scavenger yields after the compute.

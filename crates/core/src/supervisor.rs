@@ -464,7 +464,7 @@ pub struct Incident {
 impl Incident {
     /// Canonical JSON form (field order fixed, floats shortest
     /// round-trip) — the unit of the replay-determinism contract.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let ev = self
             .evidence
             .iter()
@@ -563,7 +563,7 @@ pub fn incidents_json(incidents: &[Incident]) -> String {
 }
 
 /// FNV-1a digest of [`incidents_json`].
-pub fn incidents_hash(incidents: &[Incident]) -> u64 {
+pub(crate) fn incidents_hash(incidents: &[Incident]) -> u64 {
     fnv1a(incidents_json(incidents).as_bytes())
 }
 
@@ -613,7 +613,7 @@ pub enum CrashPoint {
 
 impl CrashPoint {
     /// Stable label, used in repro output.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             CrashPoint::MidJournalAppend => "mid-journal-append",
             CrashPoint::MidRebuild => "mid-rebuild",
@@ -637,7 +637,7 @@ const CP_MID_SWAP: u64 = 4;
 /// The durable state [`recover`] hands back for the restarted loop to
 /// resume from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ResumeState {
+pub(crate) struct ResumeState {
     /// First epoch the restarted loop serves.
     pub epoch: u64,
     /// Next global job number to admit.
@@ -1302,7 +1302,7 @@ pub struct Recovery {
     /// The build to serve with (re-validated, or the ladder fallback).
     pub build: DeployedBuild,
     /// The durable state to resume the loop from.
-    pub resume: ResumeState,
+    pub(crate) resume: ResumeState,
     /// Recovery decisions, as incidents — concatenate with the segment
     /// reports' logs so the replay-determinism hash spans restarts.
     pub incidents: Vec<Incident>,

@@ -11,7 +11,7 @@
 //! [`YieldKind::IfAbsent`] gated on the preceding prefetch's observed
 //! level — the simulator's stand-in for the probe instruction.
 
-use reach_sim::isa::{Inst, Program, YieldKind};
+use reach_sim::{Inst, Program, YieldKind};
 
 /// Rewrites primary yields into presence-probe-conditional yields.
 ///
@@ -60,17 +60,10 @@ pub struct YieldCensus {
     pub if_absent: usize,
 }
 
-impl YieldCensus {
-    /// Total yield instructions.
-    pub fn total(&self) -> usize {
-        self.primary + self.scavenger + self.manual + self.if_absent
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reach_sim::isa::ProgramBuilder;
+    use reach_sim::ProgramBuilder;
 
     fn prog_with_yields() -> Program {
         let mut b = ProgramBuilder::new("y");
@@ -111,6 +104,6 @@ mod tests {
     fn census_counts() {
         let c = yield_census(&prog_with_yields());
         assert_eq!(c.primary, 1);
-        assert_eq!(c.total(), 3);
+        assert_eq!(c.primary + c.scavenger + c.manual + c.if_absent, 3);
     }
 }

@@ -14,7 +14,7 @@ use reach_sim::SplitMix64;
 /// One chase node: cache-line sized so each hop is a distinct line.
 #[repr(align(64))]
 #[derive(Clone, Copy, Debug)]
-pub struct Node {
+pub(crate) struct Node {
     /// Index of the next node.
     pub next: u32,
     /// Payload folded into checksums.
@@ -60,21 +60,6 @@ impl Arena {
         Arena { nodes }
     }
 
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Returns `true` if the arena has no nodes (never after `build`).
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Footprint in bytes.
-    pub fn bytes(&self) -> usize {
-        self.nodes.len() * std::mem::size_of::<Node>()
-    }
-
     /// Sequential walk: `hops` dependent loads from node `start`.
     /// Returns the payload checksum.
     pub fn walk_sequential(&self, start: u32, hops: usize) -> u64 {
@@ -106,24 +91,6 @@ impl Arena {
         let mut ex = GroupExecutor::new(walkers);
         ex.run_to_completion();
         ex.into_inner().into_iter().map(|w| w.sum).sum()
-    }
-
-    /// The successor of node `i` (for externally-driven walks).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn next_of(&self, i: u32) -> u32 {
-        self.nodes[i as usize].next
-    }
-
-    /// The payload of node `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn payload_of(&self, i: u32) -> u64 {
-        self.nodes[i as usize].payload
     }
 
     /// Evenly spread starting nodes for `group` walkers.

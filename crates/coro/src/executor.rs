@@ -24,11 +24,6 @@ impl<C: Coro> GroupExecutor<C> {
         }
     }
 
-    /// Number of still-running coroutines.
-    pub fn remaining(&self) -> usize {
-        self.remaining
-    }
-
     /// Runs every coroutine to completion, round-robin; returns the total
     /// number of resumes performed.
     pub fn run_to_completion(&mut self) -> u64 {
@@ -94,9 +89,9 @@ mod tests {
                 log: vec![],
             },
         ]);
-        assert_eq!(ex.remaining(), 2);
+        assert_eq!(ex.remaining, 2);
         ex.run_to_completion();
-        assert_eq!(ex.remaining(), 0);
+        assert_eq!(ex.remaining, 0);
         let inner = ex.into_inner();
         assert_eq!(inner[0].log, vec![0, 0, 0]);
         assert_eq!(inner[1].log, vec![1]);

@@ -11,7 +11,7 @@
 //!   exactly as CoroBase interleaves index lookups;
 //! * [`prefetch_read`] — a safe wrapper over the architecture's software
 //!   prefetch instruction; and
-//! * two memory-bound drivers ([`chase`], [`probe`]) with both sequential
+//! * two memory-bound drivers ([`Arena`], [`Table`]) with both sequential
 //!   and interleaved implementations, so `examples/host_interleaving.rs`
 //!   can show real miss-hiding end to end (its timings are illustrative;
 //!   quoted host-time numbers come from `benchmark/run.sh run` only).
@@ -34,19 +34,19 @@
 //! let resumes = ex.run_to_completion();
 //! // 2+1 and 5+1 resumes (the final resume observes completion).
 //! assert_eq!(resumes, 9);
+//! // The finished coroutines come back in order, results and all.
+//! assert!(ex.into_inner().iter().all(|c| c.n == 0));
 //! ```
 
-pub mod asymmetric;
-pub mod chase;
-pub mod executor;
-pub mod future_adapter;
-pub mod prefetch;
-pub mod probe;
+mod chase;
+mod executor;
+mod prefetch;
+mod probe;
 
-pub use asymmetric::{run_asymmetric, AsymmetricReport};
+pub use chase::Arena;
 pub use executor::GroupExecutor;
-pub use future_adapter::{yield_now, FutureCoro};
 pub use prefetch::prefetch_read;
+pub use probe::{make_keys, Table};
 
 /// Result of resuming a coroutine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

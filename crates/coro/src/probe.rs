@@ -69,7 +69,7 @@ impl Table {
 
     /// Sequential lookup.
     #[inline]
-    pub fn get(&self, key: u64) -> Option<u64> {
+    pub(crate) fn get(&self, key: u64) -> Option<u64> {
         let mut s = self.slot_of(key);
         loop {
             match self.slots[s] {

@@ -1,11 +1,12 @@
 //! Concrete dataflow analyses built on the [`crate::dataflow`] engine.
 //!
 //! Each analysis here is a [`DataflowProblem`] instance plus a thin
-//! result wrapper with domain-specific accessors. They power the
-//! `reach-lint` checks in [`crate::lint`]:
+//! result wrapper with domain-specific accessors. All but the first
+//! power the `reach-lint` checks in [`crate::lint`]:
 //!
-//! * [`ReachingDefs`] — classic forward may-analysis: which definition
-//!   sites can supply a register's value at a point.
+//! * [`ReachingDefsProblem`] — classic forward may-analysis: which definition
+//!   sites can supply a register's value at a point. No lint reads it; it
+//!   is kept as the dataflow engine's forward may-problem under test.
 //! * [`AvailablePrefetches`] — forward **must**-analysis: which
 //!   `(address register, offset)` cache lines are already in flight on
 //!   *every* path to a point. A prefetch of an available line is
@@ -24,7 +25,7 @@ use crate::cfg::Cfg;
 use crate::dataflow::{self, DataflowProblem, Direction, Solution};
 use crate::liveness::RegSet;
 use crate::sfi::R_SFI_MASK;
-use reach_sim::isa::{AluOp, Inst, Program};
+use reach_sim::{AluOp, Inst, Program};
 use std::collections::BTreeSet;
 
 // ---------------------------------------------------------------------------
@@ -33,11 +34,11 @@ use std::collections::BTreeSet;
 
 /// Sentinel definition site: "the value the register held at program
 /// entry" (runtime-seeded arguments, the SFI mask, ...).
-pub const ENTRY_DEF: usize = usize::MAX;
+pub(crate) const ENTRY_DEF: usize = usize::MAX;
 
 /// Fact: the set of `(register, definition pc)` pairs that may reach a
 /// point. `ENTRY_DEF` marks the runtime-provided initial value.
-pub type DefSet = BTreeSet<(u8, usize)>;
+pub(crate) type DefSet = BTreeSet<(u8, usize)>;
 
 /// Reaching definitions as a forward may-problem on the powerset lattice
 /// of `(reg, def-site)` pairs.
@@ -56,7 +57,7 @@ impl DataflowProblem for ReachingDefsProblem {
 
     fn boundary(&self, _last: Option<&Inst>) -> DefSet {
         // Every register starts with its runtime-seeded entry value.
-        (0..reach_sim::isa::NUM_REGS as u8)
+        (0..reach_sim::NUM_REGS as u8)
             .map(|r| (r, ENTRY_DEF))
             .collect()
     }
@@ -74,48 +75,23 @@ impl DataflowProblem for ReachingDefsProblem {
     }
 }
 
-/// Solved reaching definitions.
-pub struct ReachingDefs {
-    sol: Solution<DefSet>,
-}
-
-impl ReachingDefs {
-    /// Runs the analysis.
-    pub fn compute(prog: &Program, cfg: &Cfg) -> ReachingDefs {
-        ReachingDefs {
-            sol: dataflow::solve(&ReachingDefsProblem, prog, cfg),
-        }
-    }
-
-    /// Definition sites of `reg` that may reach the point before `pc`
-    /// ([`ENTRY_DEF`] = the runtime-seeded entry value).
-    pub fn defs_before(&self, pc: usize, reg: u8) -> Vec<usize> {
-        self.sol
-            .before(pc)
-            .iter()
-            .filter(|&&(r, _)| r == reg)
-            .map(|&(_, d)| d)
-            .collect()
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Available prefetches (forward must)
 // ---------------------------------------------------------------------------
 
 /// A cache line identified by its address register and constant offset.
-pub type Line = (u8, i64);
+pub(crate) type Line = (u8, i64);
 
 /// Must-facts use `Option`: `None` is ⊥ ("unvisited — no path
 /// constraints yet") and joins as the identity; `Some(set)` intersects.
-pub type MustLines = Option<BTreeSet<Line>>;
+pub(crate) type MustLines = Option<BTreeSet<Line>>;
 
 /// Available prefetches: `(addr, offset)` lines requested (by prefetch
 /// or load) on **every** path to a point, with the address register
 /// unmodified since. Yields kill everything — the line may be evicted
 /// while another coroutine runs, so re-prefetching after a yield is
 /// legitimate, never redundant.
-pub struct AvailablePrefetchesProblem;
+pub(crate) struct AvailablePrefetchesProblem;
 
 fn kill_reg(set: &mut BTreeSet<Line>, reg: u8) {
     set.retain(|&(r, _)| r != reg);
@@ -166,13 +142,13 @@ impl DataflowProblem for AvailablePrefetchesProblem {
 }
 
 /// Solved available-prefetch analysis.
-pub struct AvailablePrefetches {
+pub(crate) struct AvailablePrefetches {
     sol: Solution<MustLines>,
 }
 
 impl AvailablePrefetches {
     /// Runs the analysis.
-    pub fn compute(prog: &Program, cfg: &Cfg) -> AvailablePrefetches {
+    pub(crate) fn compute(prog: &Program, cfg: &Cfg) -> AvailablePrefetches {
         AvailablePrefetches {
             sol: dataflow::solve(&AvailablePrefetchesProblem, prog, cfg),
         }
@@ -180,7 +156,7 @@ impl AvailablePrefetches {
 
     /// Is `line` already in flight on every path reaching the point
     /// before `pc`? (`false` for unreachable code.)
-    pub fn available_before(&self, pc: usize, line: Line) -> bool {
+    pub(crate) fn available_before(&self, pc: usize, line: Line) -> bool {
         self.sol
             .before(pc)
             .as_ref()
@@ -196,7 +172,7 @@ impl AvailablePrefetches {
 /// onward, before the address register is redefined. The consumer test
 /// for prefetches — a prefetch whose line nobody anticipates can never
 /// hide a miss.
-pub struct AnticipatedLoadsProblem;
+pub(crate) struct AnticipatedLoadsProblem;
 
 impl DataflowProblem for AnticipatedLoadsProblem {
     type Fact = BTreeSet<Line>;
@@ -233,13 +209,13 @@ impl DataflowProblem for AnticipatedLoadsProblem {
 }
 
 /// Solved anticipated-loads analysis.
-pub struct AnticipatedLoads {
+pub(crate) struct AnticipatedLoads {
     sol: Solution<BTreeSet<Line>>,
 }
 
 impl AnticipatedLoads {
     /// Runs the analysis.
-    pub fn compute(prog: &Program, cfg: &Cfg) -> AnticipatedLoads {
+    pub(crate) fn compute(prog: &Program, cfg: &Cfg) -> AnticipatedLoads {
         AnticipatedLoads {
             sol: dataflow::solve(&AnticipatedLoadsProblem, prog, cfg),
         }
@@ -247,7 +223,7 @@ impl AnticipatedLoads {
 
     /// Is `line` loaded on some path starting after `pc`, before its
     /// address register is redefined?
-    pub fn anticipated_after(&self, pc: usize, line: Line) -> bool {
+    pub(crate) fn anticipated_after(&self, pc: usize, line: Line) -> bool {
         self.sol.after(pc).contains(&line)
     }
 }
@@ -276,7 +252,7 @@ impl AnticipatedLoads {
 /// that [`crate::sfi::instrument_sfi`] emits, but also accepts hand-
 /// written or optimized guard sequences — and rejects any access whose
 /// address cannot be proven in-domain on every path.
-pub struct SfiMaskedProblem;
+pub(crate) struct SfiMaskedProblem;
 
 impl DataflowProblem for SfiMaskedProblem {
     type Fact = Option<RegSet>;
@@ -304,7 +280,7 @@ impl DataflowProblem for SfiMaskedProblem {
 
     fn transfer(&self, _pc: usize, inst: &Inst, fact: &mut Option<RegSet>) {
         let Some(masked) = fact.as_mut() else { return };
-        let bit = |r: reach_sim::isa::Reg| 1u32 << r.index();
+        let bit = |r: reach_sim::Reg| 1u32 << r.index();
         match inst {
             Inst::Alu {
                 op: AluOp::And,
@@ -349,13 +325,13 @@ impl DataflowProblem for SfiMaskedProblem {
 }
 
 /// Solved SFI maskedness analysis.
-pub struct SfiMasked {
+pub(crate) struct SfiMasked {
     sol: Solution<Option<RegSet>>,
 }
 
 impl SfiMasked {
     /// Runs the analysis.
-    pub fn compute(prog: &Program, cfg: &Cfg) -> SfiMasked {
+    pub(crate) fn compute(prog: &Program, cfg: &Cfg) -> SfiMasked {
         SfiMasked {
             sol: dataflow::solve(&SfiMaskedProblem, prog, cfg),
         }
@@ -364,7 +340,7 @@ impl SfiMasked {
     /// Is `reg` provably masked on every path reaching the point before
     /// `pc`? Unreachable code vacuously passes (`None` fact — no path
     /// can execute the access).
-    pub fn masked_before(&self, pc: usize, reg: u8) -> bool {
+    pub(crate) fn masked_before(&self, pc: usize, reg: u8) -> bool {
         match self.sol.before(pc) {
             None => true,
             Some(set) => set & (1 << reg) != 0,
@@ -376,7 +352,7 @@ impl SfiMasked {
 mod tests {
     use super::*;
     use crate::sfi::{instrument_sfi, R_SFI_ADDR};
-    use reach_sim::isa::{Cond, ProgramBuilder, Reg};
+    use reach_sim::{Cond, ProgramBuilder, Reg};
 
     fn cfg_of(p: &Program) -> Cfg {
         Cfg::build(p)
@@ -393,15 +369,19 @@ mod tests {
         b.store(Reg(0), Reg(1), 0); // pc 3
         b.halt();
         let p = b.finish().unwrap();
-        let rd = ReachingDefs::compute(&p, &cfg_of(&p));
+        let sol = dataflow::solve(&ReachingDefsProblem, &p, &cfg_of(&p));
+        let defs_before = |pc: usize, reg: u8| -> Vec<usize> {
+            let defs = sol.before(pc).iter().filter(|&&(r, _)| r == reg);
+            defs.map(|&(_, d)| d).collect()
+        };
         // At the store both defs of r0 may reach.
-        let mut defs = rd.defs_before(3, 0);
+        let mut defs = defs_before(3, 0);
         defs.sort_unstable();
         assert_eq!(defs, vec![0, 2]);
         // r1 is only ever entry-defined.
-        assert_eq!(rd.defs_before(3, 1), vec![ENTRY_DEF]);
+        assert_eq!(defs_before(3, 1), vec![ENTRY_DEF]);
         // Before pc 2, only the pc-0 def of r0 reaches.
-        assert_eq!(rd.defs_before(2, 0), vec![0]);
+        assert_eq!(defs_before(2, 0), vec![0]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! conservatively for intra-procedural analyses: a call's successors are
 //! both the callee entry and the return point, and `ret` is an exit edge.
 
-use reach_sim::isa::{Cond, Inst, Program};
+use reach_sim::{Cond, Inst, Program};
 use std::collections::BTreeSet;
 
 /// A basic block: the instructions `[start, end)` of the program.
@@ -22,19 +22,6 @@ pub struct BasicBlock {
     pub succs: Vec<usize>,
     /// Predecessor block ids.
     pub preds: Vec<usize>,
-}
-
-impl BasicBlock {
-    /// Number of instructions in the block.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// Returns `true` for a (degenerate) empty block; never produced by
-    /// [`Cfg::build`].
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
 }
 
 /// The control-flow graph of one program.
@@ -148,7 +135,7 @@ impl Cfg {
     /// # Panics
     ///
     /// Panics if `pc` is out of range.
-    pub fn block_of_pc(&self, pc: usize) -> usize {
+    pub(crate) fn block_of_pc(&self, pc: usize) -> usize {
         self.block_of[pc]
     }
 
@@ -189,7 +176,7 @@ impl Cfg {
 
     /// The set of back edges `(from, to)` (edges to a block currently on
     /// the DFS stack) — loop detection for the scavenger worst-case pass.
-    pub fn back_edges(&self) -> Vec<(usize, usize)> {
+    pub(crate) fn back_edges(&self) -> Vec<(usize, usize)> {
         #[derive(Clone, Copy, PartialEq)]
         enum State {
             New,
@@ -224,7 +211,7 @@ impl Cfg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reach_sim::isa::{AluOp, ProgramBuilder, Reg};
+    use reach_sim::{AluOp, ProgramBuilder, Reg};
 
     fn loop_program() -> Program {
         // 0: imm r0, 3

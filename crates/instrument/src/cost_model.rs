@@ -20,8 +20,7 @@
 //!   upper bound on coverage and overhead).
 
 use reach_profile::Profile;
-use reach_sim::isa::{Inst, Program};
-use reach_sim::MachineConfig;
+use reach_sim::{Inst, MachineConfig, Program};
 
 /// Returns a copy of `profile` with basic-block-smoothed execution
 /// estimates for `prog` (the program the profile was collected on).
@@ -102,7 +101,7 @@ pub struct SiteDecision {
 /// `live_count_at` supplies the number of registers a switch at each PC
 /// would save (from liveness analysis); pass `|_| 32` when liveness is
 /// disabled.
-pub fn select_sites(
+pub(crate) fn select_sites(
     prog: &Program,
     profile: &Profile,
     mcfg: &MachineConfig,
@@ -175,7 +174,7 @@ pub fn select_sites(
 mod tests {
     use super::*;
     use reach_profile::Periods;
-    use reach_sim::isa::{ProgramBuilder, Reg};
+    use reach_sim::{ProgramBuilder, Reg};
 
     #[test]
     fn remap_folds_samples_onto_original_pcs() {

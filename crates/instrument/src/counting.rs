@@ -16,8 +16,7 @@
 //! Experiment T15 measures its overhead against the sampling collector's.
 
 use crate::rewrite::{insert_before, Insertion, PcMap, RewriteError};
-use reach_sim::isa::{AluOp, Inst, Program, Reg};
-use reach_sim::{Machine, MemError};
+use reach_sim::{AluOp, Inst, Machine, MemError, Program, Reg};
 
 /// Registers reserved for the counting harness; instrumented programs
 /// must not use them (our workload and test generators stay below r24).
@@ -102,8 +101,7 @@ pub fn instrument_counting(prog: &Program) -> Result<CountingInstrumented, Rewri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reach_sim::isa::{Cond, ProgramBuilder};
-    use reach_sim::{Context, MachineConfig};
+    use reach_sim::{Cond, Context, MachineConfig, ProgramBuilder};
 
     /// A loop doing 5 iterations of two loads.
     fn two_load_loop() -> Program {

@@ -37,7 +37,7 @@
 //! consume.
 
 use crate::cfg::Cfg;
-use reach_sim::isa::{Inst, Program};
+use reach_sim::{Inst, Program};
 use std::collections::VecDeque;
 
 /// Propagation direction of a dataflow problem.
@@ -52,7 +52,7 @@ pub enum Direction {
 
 /// Number of joins at a loop head before the engine applies
 /// [`DataflowProblem::widen`].
-pub const WIDEN_AFTER: usize = 8;
+pub(crate) const WIDEN_AFTER: usize = 8;
 
 /// A dataflow analysis: a join-semilattice of facts plus a monotone
 /// transfer function over instructions.
@@ -299,7 +299,7 @@ pub fn solve<P: DataflowProblem>(problem: &P, prog: &Program, cfg: &Cfg) -> Solu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reach_sim::isa::{AluOp, Cond, ProgramBuilder, Reg};
+    use reach_sim::{AluOp, Cond, ProgramBuilder, Reg};
 
     /// A toy forward problem: "constant-ish" PC count — each fact counts
     /// instructions seen on the longest path, capped (finite lattice).
@@ -329,7 +329,7 @@ mod tests {
         }
     }
 
-    fn loop_prog() -> reach_sim::isa::Program {
+    fn loop_prog() -> reach_sim::Program {
         let mut b = ProgramBuilder::new("l");
         b.imm(Reg(0), 3).imm(Reg(1), 1);
         let top = b.label();

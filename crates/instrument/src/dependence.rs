@@ -10,7 +10,7 @@
 //! transfers in between end a group conservatively: our micro-IR cannot
 //! prove a store does not feed a later load through memory.
 
-use reach_sim::isa::Inst;
+use reach_sim::Inst;
 
 /// Returns `true` if the load at relative index `j` of `window` could be
 /// hoisted to the start of the window: no instruction in `window[..j]`
@@ -18,7 +18,7 @@ use reach_sim::isa::Inst;
 /// call/ret, branch or yield.
 ///
 /// `window[0]` is the group's first (anchor) instruction.
-pub fn hoistable_to_start(window: &[Inst], j: usize) -> bool {
+pub(crate) fn hoistable_to_start(window: &[Inst], j: usize) -> bool {
     let Some(Inst::Load { addr, .. }) = window.get(j) else {
         return false;
     };
@@ -46,7 +46,7 @@ pub fn hoistable_to_start(window: &[Inst], j: usize) -> bool {
 /// ascending order. Each returned group is a run of selected loads whose
 /// later members are all [`hoistable_to_start`] relative to the group's
 /// anchor. Groups preserve order and cover `selected` exactly.
-pub fn coalesce_groups(insts: &[Inst], selected: &[usize]) -> Vec<Vec<usize>> {
+pub(crate) fn coalesce_groups(insts: &[Inst], selected: &[usize]) -> Vec<Vec<usize>> {
     let mut groups: Vec<Vec<usize>> = Vec::new();
     let mut i = 0;
     while i < selected.len() {
@@ -73,8 +73,7 @@ pub fn coalesce_groups(insts: &[Inst], selected: &[usize]) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reach_sim::isa::AluOp;
-    use reach_sim::isa::Reg;
+    use reach_sim::{AluOp, Reg};
 
     fn load(dst: u8, addr: u8) -> Inst {
         Inst::Load {

@@ -16,8 +16,7 @@
 //! (correctly) fail the reach-lint gate, which is the point of pairing
 //! the static gate with runtime containment.
 
-use reach_sim::rng::SplitMix64;
-use reach_sim::{AluOp, Inst, Program, Reg, YieldKind};
+use reach_sim::{AluOp, Inst, Program, Reg, SplitMix64, YieldKind};
 
 /// Which yields [`elide_yields`] removes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -90,8 +89,7 @@ pub fn elide_yields(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reach_sim::isa::ProgramBuilder;
-    use reach_sim::{Context, Exit, Machine, MachineConfig, Mode};
+    use reach_sim::{Context, Exit, Machine, MachineConfig, Mode, ProgramBuilder};
 
     fn scav_prog() -> Program {
         let mut b = ProgramBuilder::new("s");

@@ -47,7 +47,7 @@ use crate::liveness::{regset_to_string, RegSet, ALL_REGS};
 use crate::rewrite::PcMap;
 use crate::sfi::{R_SFI_ADDR, R_SFI_MASK};
 use crate::symexec::{entry_state, sym_exec_range, BlockRun, MemEvent, MemKind, SymExit, TermPool};
-use reach_sim::isa::{Inst, Program, Reg, NUM_REGS};
+use reach_sim::{Inst, Program, Reg, NUM_REGS};
 use std::fmt;
 
 /// The outcome of verifying one rewrite.
@@ -691,8 +691,7 @@ mod tests {
     use crate::scavenger::{instrument_scavenger, ScavengerOptions};
     use crate::sfi::instrument_sfi;
     use reach_profile::{Periods, Profile};
-    use reach_sim::isa::{AluOp, Cond, ProgramBuilder, YieldKind};
-    use reach_sim::MachineConfig;
+    use reach_sim::{AluOp, Cond, MachineConfig, ProgramBuilder, YieldKind};
 
     /// chase-like loop: 0: load r4,[r0]; 1: mov r0,r4; 2: sub r1; 3: bnez; 4: halt.
     fn chase_prog() -> Program {

@@ -4,29 +4,33 @@
 //! (micro-IR) level like BOLT-class rewriters so it "can be applied to any
 //! application or implementation":
 //!
-//! 1. [`cfg`](mod@cfg) — disassembly: CFG construction over the flat instruction
+//! 1. [`Cfg`] — disassembly: CFG construction over the flat instruction
 //!    stream (leaders, blocks, edges, back edges, RPO).
-//! 2. [`liveness`] — backward register-liveness dataflow; yields save only
+//! 2. [`Liveness`] — backward register-liveness dataflow; yields save only
 //!    live registers, shrinking switch cost.
-//! 3. [`dependence`] — independence of adjacent loads, enabling *yield
-//!    coalescing* (several prefetches amortize one switch).
-//! 4. [`cost_model`] — the quantitative gain/cost model plus the insertion
-//!    policies (threshold, top-K, cost-model, all).
-//! 5. [`primary`] — insert `prefetch + yield` at likely-miss loads.
-//! 6. [`scavenger`] — insert *conditional* yields so the inter-yield
-//!    interval along every path stays below a target (LBR/profile-
-//!    calibrated common case, static worst-case bound).
-//! 7. [`rewrite`] — the relocation engine that keeps branch targets
-//!    correct across insertions and maps PCs between program versions.
-//! 8. [`dataflow`] — the generic worklist engine (forward/backward,
+//! 3. Dependence analysis — independence of adjacent loads, enabling
+//!    *yield coalescing* (several prefetches amortize one switch).
+//! 4. [`smooth_profile`] and [`Policy`] — the quantitative gain/cost
+//!    model plus the insertion policies (threshold, top-K, cost-model,
+//!    all).
+//! 5. [`instrument_primary`] — insert `prefetch + yield` at likely-miss
+//!    loads.
+//! 6. [`instrument_scavenger`] — insert *conditional* yields so the
+//!    inter-yield interval along every path stays below a target
+//!    (profile-priced loads, fixed cycles for everything else, and a
+//!    static worst-case bound).
+//! 7. [`insert_before`] and [`PcMap`] — the relocation engine that keeps
+//!    branch targets correct across insertions and maps PCs between
+//!    program versions.
+//! 8. [`solve`] — the generic worklist engine (forward/backward,
 //!    join-semilattice, widening) every analysis above instantiates.
-//! 9. [`analyses`] — reaching definitions, available prefetches,
-//!    anticipated loads, SFI maskedness.
-//! 10. [`lint`] — `reach-lint`, the static verifier: stable-coded,
+//! 9. Analyses — reaching definitions ([`ReachingDefsProblem`]),
+//!    available prefetches, anticipated loads, SFI maskedness.
+//! 10. [`lint_program`] — `reach-lint`, the static verifier: stable-coded,
 //!     PC-anchored diagnostics (RL0001–RL0010) over the analyses, used
 //!     as a defense-in-depth shipping gate next to translation
 //!     validation.
-//! 11. [`symexec`] + [`equiv`] — translation validation: a symbolic
+//! 11. [`verify_rewrite`] — translation validation: a symbolic
 //!     evaluator over a small term algebra and a CFG bisimulation
 //!     checker that *proves* each rewrite observationally equivalent to
 //!     its input modulo inserted yields/prefetches, discharging
@@ -38,41 +42,36 @@
 //! integration and property tests, including register-poisoning runs that
 //! verify liveness soundness).
 
-pub mod analyses;
-pub mod cfg;
-pub mod cost_model;
-pub mod counting;
-pub mod dataflow;
-pub mod dependence;
-pub mod elide;
-pub mod equiv;
-pub mod lint;
-pub mod liveness;
-pub mod loops;
-pub mod primary;
-pub mod rewrite;
-pub mod scavenger;
-pub mod sfi;
-pub mod symexec;
-pub mod validate;
+mod analyses;
+mod cfg;
+mod cost_model;
+mod counting;
+mod dataflow;
+mod dependence;
+mod elide;
+mod equiv;
+mod lint;
+mod liveness;
+mod loops;
+mod primary;
+mod rewrite;
+mod scavenger;
+mod sfi;
+mod symexec;
+mod validate;
 
-pub use analyses::{
-    AnticipatedLoads, AnticipatedLoadsProblem, AvailablePrefetches, AvailablePrefetchesProblem,
-    ReachingDefs, ReachingDefsProblem, SfiMasked, SfiMaskedProblem, ENTRY_DEF,
-};
+pub use analyses::ReachingDefsProblem;
 pub use cfg::{BasicBlock, Cfg};
-pub use cost_model::{remap_to_origin, select_sites, smooth_profile, Policy, SiteDecision};
+pub use cost_model::{remap_to_origin, smooth_profile, Policy, SiteDecision};
 pub use counting::{instrument_counting, CountingInstrumented, R_COUNTER_BASE};
 pub use dataflow::{solve, DataflowProblem, Direction, Solution};
-pub use dependence::{coalesce_groups, hoistable_to_start};
 pub use elide::{elide_yields, ElideMode, ElideReport};
 pub use equiv::{verify_rewrite, verify_rewrite_map, VerifyReport};
 pub use lint::{lint_program, Diagnostic, Level, Lint, LintOptions, LintReport};
-pub use liveness::{regset_to_string, Liveness, LivenessProblem, RegSet, ALL_REGS};
+pub use liveness::{Liveness, LivenessProblem, RegSet, ALL_REGS};
 pub use loops::{natural_loops, Dominators, NaturalLoop};
 pub use primary::{instrument_primary, PrimaryOptions, PrimaryReport};
 pub use rewrite::{insert_before, Insertion, PcMap, RewriteError};
 pub use scavenger::{instrument_scavenger, ScavReport, ScavengerOptions};
 pub use sfi::{instrument_sfi, SfiReport, R_SFI_ADDR, R_SFI_MASK};
-pub use symexec::{sym_exec_range, BlockRun, MemEvent, MemKind, SymExit, Term, TermId, TermPool};
 pub use validate::{validate_rewrite, ValidationError};

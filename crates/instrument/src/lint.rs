@@ -30,7 +30,7 @@ use crate::cfg::Cfg;
 use crate::liveness::{regset_to_string, Liveness};
 use crate::loops::natural_loops;
 use crate::sfi::R_SFI_MASK;
-use reach_sim::isa::{Inst, Program};
+use reach_sim::{Inst, Program};
 use std::collections::BTreeSet;
 
 /// The lint catalog. Codes are stable: tests and tooling match on them.
@@ -54,7 +54,7 @@ pub enum Lint {
     /// instrumentation.
     BranchIntoInstrumentation,
     /// RL0008: translation validation cannot prove the rewrite
-    /// observationally equivalent to its input (see [`crate::equiv`]).
+    /// observationally equivalent to its input (see [`crate::verify_rewrite`]).
     PassEquivalenceViolation,
     /// RL0009: a yield's save mask cannot be proven sufficient — an
     /// unsaved register can flow from the yield to a use.
@@ -210,7 +210,7 @@ pub struct LintOptions {
 
 impl LintOptions {
     /// The effective level for `lint` after overrides.
-    pub fn level(&self, lint: Lint) -> Level {
+    pub(crate) fn level(&self, lint: Lint) -> Level {
         self.levels
             .iter()
             .rev()
@@ -475,7 +475,7 @@ pub fn lint_program(
 mod tests {
     use super::*;
     use crate::sfi::instrument_sfi;
-    use reach_sim::isa::{AluOp, Cond, ProgramBuilder, Reg, YieldKind};
+    use reach_sim::{AluOp, Cond, ProgramBuilder, Reg, YieldKind};
 
     fn lint(prog: &Program) -> LintReport {
         lint_program(prog, None, &LintOptions::default())

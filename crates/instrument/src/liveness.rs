@@ -22,7 +22,7 @@
 
 use crate::cfg::Cfg;
 use crate::dataflow::{self, DataflowProblem, Direction};
-use reach_sim::isa::{Inst, Program, Reg, NUM_REGS};
+use reach_sim::{Inst, Program, Reg, NUM_REGS};
 
 /// A register set as a bitmask (bit *i* = register *i*).
 pub type RegSet = u32;
@@ -113,7 +113,7 @@ impl Liveness {
 }
 
 /// Formats a register set for debugging ("{r0,r3,r7}").
-pub fn regset_to_string(set: RegSet) -> String {
+pub(crate) fn regset_to_string(set: RegSet) -> String {
     let regs: Vec<String> = (0..NUM_REGS)
         .filter(|&i| set & (1 << i) != 0)
         .map(|i| format!("r{i}"))

@@ -143,7 +143,7 @@ pub fn natural_loops(cfg: &Cfg) -> Vec<NaturalLoop> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reach_sim::isa::{AluOp, Cond, Program, ProgramBuilder, Reg};
+    use reach_sim::{AluOp, Cond, Program, ProgramBuilder, Reg};
 
     fn simple_loop() -> Program {
         // 0..2 preamble | 2..4 body (self loop) | 4 exit

@@ -15,8 +15,7 @@ use crate::dependence::coalesce_groups;
 use crate::liveness::Liveness;
 use crate::rewrite::{insert_before, Insertion, PcMap, RewriteError};
 use reach_profile::Profile;
-use reach_sim::isa::{Inst, Program, YieldKind, NUM_REGS};
-use reach_sim::MachineConfig;
+use reach_sim::{Inst, MachineConfig, Program, YieldKind, NUM_REGS};
 
 /// Options for the primary pass.
 #[derive(Clone, Copy, Debug)]
@@ -154,8 +153,7 @@ pub fn instrument_primary(
 mod tests {
     use super::*;
     use reach_profile::Periods;
-    use reach_sim::isa::{AluOp, Cond, ProgramBuilder, Reg};
-    use reach_sim::{Context, Machine, MachineConfig};
+    use reach_sim::{AluOp, Cond, Context, Machine, MachineConfig, ProgramBuilder, Reg};
 
     /// chase-like loop: 0: load r4,[r0]; 1: mov r0,r4; 2: sub r1; 3: bnez.
     fn chase_prog() -> Program {

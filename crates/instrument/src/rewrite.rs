@@ -7,7 +7,7 @@
 //! returns both the new program and the PC maps needed to carry
 //! profile data (which refers to *original* PCs) across rewriting passes.
 
-use reach_sim::isa::{Inst, Program};
+use reach_sim::{Inst, Program};
 
 /// A batch entry: place `insts` immediately before the original
 /// instruction at `at_pc`.
@@ -31,7 +31,8 @@ pub struct PcMap {
 
 impl PcMap {
     /// Identity map for an untouched program of length `n`.
-    pub fn identity(n: usize) -> PcMap {
+    #[cfg(test)]
+    pub(crate) fn identity(n: usize) -> PcMap {
         PcMap {
             new_of: (0..n).collect(),
             origin: (0..n).map(Some).collect(),
@@ -164,8 +165,7 @@ pub fn insert_before(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reach_sim::isa::{AluOp, Cond, ProgramBuilder, Reg, YieldKind};
-    use reach_sim::{Context, Machine, MachineConfig};
+    use reach_sim::{AluOp, Cond, Context, Machine, MachineConfig, ProgramBuilder, Reg, YieldKind};
 
     fn loop_prog() -> Program {
         // 0: imm r0,3  1: imm r1,1  2: sub r0,r0,r1  3: br.nez r0,@2

@@ -7,10 +7,11 @@
 //! user-supplied target (e.g. 300 cycles = 100 ns — "bounded but
 //! sufficient to hide L2/L3 cache misses").
 //!
-//! Per the paper, placement is profile-assisted: common-case instruction
-//! costs come from the profile (miss likelihoods tell us which loads
-//! actually stall; LBR-derived CPI calibrates everything else), and a
-//! worst-case *static* dataflow over the CFG bounds all paths, loops
+//! Per the paper, placement is profile-assisted: common-case load costs
+//! come from the profile (miss likelihood times stall per miss; every
+//! other instruction costs its fixed cycles — the LBR latencies the
+//! profile also carries are not consulted), and a worst-case *static*
+//! dataflow over the CFG bounds all paths, loops
 //! included. The dataflow propagates the maximum possible
 //! cycles-since-last-yield into each block (max over predecessors),
 //! planning an insertion wherever the accumulator would cross the target;
@@ -21,8 +22,7 @@ use crate::cfg::Cfg;
 use crate::liveness::Liveness;
 use crate::rewrite::{insert_before, Insertion, PcMap, RewriteError};
 use reach_profile::Profile;
-use reach_sim::isa::{Inst, Program, YieldKind};
-use reach_sim::MachineConfig;
+use reach_sim::{Inst, MachineConfig, Program, YieldKind};
 
 /// Options for the scavenger pass.
 #[derive(Clone, Copy, Debug)]
@@ -319,7 +319,7 @@ pub fn instrument_scavenger(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reach_sim::isa::{AluOp, Cond, ProgramBuilder, Reg};
+    use reach_sim::{AluOp, Cond, ProgramBuilder, Reg};
 
     /// A loop whose body burns ~`work` cycles with no yield.
     fn busy_loop(work: u32) -> Program {

@@ -17,7 +17,7 @@
 //! that is.
 
 use crate::rewrite::{insert_before, Insertion, PcMap, RewriteError};
-use reach_sim::isa::{AluOp, Inst, Program, Reg};
+use reach_sim::{AluOp, Inst, Program, Reg};
 
 /// Register holding the domain mask; seeded by the runtime before entry.
 pub const R_SFI_MASK: Reg = Reg(26);
@@ -85,8 +85,7 @@ pub fn instrument_sfi(prog: &Program) -> Result<(Program, SfiReport), RewriteErr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reach_sim::isa::{Cond, ProgramBuilder};
-    use reach_sim::{Context, Machine, MachineConfig};
+    use reach_sim::{Cond, Context, Machine, MachineConfig, ProgramBuilder};
 
     fn chase_prog() -> Program {
         let mut b = ProgramBuilder::new("chase");

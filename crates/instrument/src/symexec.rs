@@ -19,17 +19,17 @@
 //! [`crate::elide`] replaces a yield with an architectural no-op;
 //! `x + 0 = x` folds zero load offsets so SFI mask stripping composes).
 
-use reach_sim::isa::{AluOp, Cond, Inst, Program, YieldKind, NUM_REGS};
+use reach_sim::{AluOp, Cond, Inst, Program, NUM_REGS};
 use std::collections::HashMap;
 use std::ops::Range;
 
 /// Index of a hash-consed term in its [`TermPool`]. Equal ids ⇔ equal
 /// terms.
-pub type TermId = u32;
+pub(crate) type TermId = u32;
 
 /// A node in the term algebra.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Term {
+pub(crate) enum Term {
     /// The value register `reg` held at the cut point, on paths where
     /// both programs provably agree on it.
     Entry {
@@ -71,35 +71,30 @@ pub enum Term {
 /// A hash-consing arena of [`Term`]s: structurally equal terms intern to
 /// the same [`TermId`], so term equality is id equality.
 #[derive(Clone, Debug, Default)]
-pub struct TermPool {
+pub(crate) struct TermPool {
     terms: Vec<Term>,
     index: HashMap<Term, TermId>,
 }
 
 impl TermPool {
     /// An empty pool.
-    pub fn new() -> TermPool {
+    pub(crate) fn new() -> TermPool {
         TermPool::default()
     }
 
     /// Number of distinct terms interned.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.terms.len()
     }
 
-    /// `true` when nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
-    }
-
     /// The node behind `id`.
-    pub fn get(&self, id: TermId) -> Term {
+    pub(crate) fn get(&self, id: TermId) -> Term {
         self.terms[id as usize]
     }
 
     /// Interns `t`, returning the existing id for structurally equal
     /// terms.
-    pub fn intern(&mut self, t: Term) -> TermId {
+    pub(crate) fn intern(&mut self, t: Term) -> TermId {
         if let Some(&id) = self.index.get(&t) {
             return id;
         }
@@ -110,14 +105,14 @@ impl TermPool {
     }
 
     /// Interns a constant.
-    pub fn constant(&mut self, v: u64) -> TermId {
+    pub(crate) fn constant(&mut self, v: u64) -> TermId {
         self.intern(Term::Const(v))
     }
 
     /// Interns an ALU node, constant-folding through [`AluOp::eval`] and
     /// applying the identities the pipeline's rewrites rely on
     /// (`or/and x,x = x`; `x op 0 = x` for add/sub/or/xor/shifts).
-    pub fn alu(&mut self, op: AluOp, a: TermId, b: TermId) -> TermId {
+    pub(crate) fn alu(&mut self, op: AluOp, a: TermId, b: TermId) -> TermId {
         if let (Term::Const(x), Term::Const(y)) = (self.get(a), self.get(b)) {
             return self.constant(op.eval(x, y));
         }
@@ -136,7 +131,7 @@ impl TermPool {
     /// The effective-address term `base + offset` (folded when the
     /// offset is zero, so address normalization composes with SFI mask
     /// stripping).
-    pub fn eff_addr(&mut self, base: TermId, offset: i64) -> TermId {
+    pub(crate) fn eff_addr(&mut self, base: TermId, offset: i64) -> TermId {
         if offset == 0 {
             return base;
         }
@@ -146,7 +141,7 @@ impl TermPool {
 
     /// If `t` is `and(x, mask)`, returns `x` — the raw address under an
     /// SFI mask application. `None` otherwise.
-    pub fn strip_mask(&self, t: TermId, mask: TermId) -> Option<TermId> {
+    pub(crate) fn strip_mask(&self, t: TermId, mask: TermId) -> Option<TermId> {
         match self.get(t) {
             Term::Alu {
                 op: AluOp::And,
@@ -160,7 +155,7 @@ impl TermPool {
 
 /// The kind of a symbolic memory event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MemKind {
+pub(crate) enum MemKind {
     /// A load (its value entered the register file as a [`Term::Read`]).
     Load,
     /// A store (`value` carries the stored term).
@@ -172,7 +167,7 @@ pub enum MemKind {
 
 /// One memory access the block performed, in program order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MemEvent {
+pub(crate) struct MemEvent {
     /// PC of the access in the evaluated program.
     pub pc: usize,
     /// Load, store or prefetch.
@@ -187,23 +182,9 @@ pub struct MemEvent {
     pub masked: bool,
 }
 
-/// One yield the block passed, in program order. Yields are
-/// architectural no-ops to the evaluator (the executor saves and
-/// restores the context around them); they are recorded so the checker
-/// can discharge their save-mask obligations separately.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SymYield {
-    /// PC of the yield.
-    pub pc: usize,
-    /// Yield kind.
-    pub kind: YieldKind,
-    /// Declared save mask.
-    pub save_regs: Option<u32>,
-}
-
 /// How the evaluated range ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SymExit {
+pub(crate) enum SymExit {
     /// Ran off the end of the range without a terminator (falls through
     /// to the next block).
     Fallthrough,
@@ -231,13 +212,11 @@ pub enum SymExit {
 
 /// The result of symbolically executing one block.
 #[derive(Clone, Debug)]
-pub struct BlockRun {
+pub(crate) struct BlockRun {
     /// Final register terms.
     pub regs: [TermId; NUM_REGS],
     /// Memory events in program order.
     pub mem: Vec<MemEvent>,
-    /// Yields passed, in program order.
-    pub yields: Vec<SymYield>,
     /// How the range ended.
     pub exit: SymExit,
     /// PC of the terminator (or one past the last executed instruction
@@ -255,7 +234,7 @@ pub struct BlockRun {
 /// same terms as the original's raw reads, turning "equivalent modulo
 /// sandboxing" into plain term equality while keeping the maskedness
 /// obligation checkable.
-pub fn sym_exec_range(
+pub(crate) fn sym_exec_range(
     prog: &Program,
     range: Range<usize>,
     entry: &[TermId; NUM_REGS],
@@ -264,7 +243,6 @@ pub fn sym_exec_range(
 ) -> BlockRun {
     let mut regs = *entry;
     let mut mem: Vec<MemEvent> = Vec::new();
-    let mut yields: Vec<SymYield> = Vec::new();
     let mut version = 0u32;
 
     let access = |pool: &mut TermPool, base: TermId, offset: i64| -> (TermId, bool) {
@@ -320,13 +298,10 @@ pub fn sym_exec_range(
                     masked,
                 });
             }
-            Inst::Yield { kind, save_regs } => {
-                yields.push(SymYield {
-                    pc,
-                    kind: *kind,
-                    save_regs: *save_regs,
-                });
-            }
+            // Architectural no-ops to the evaluator: the executor saves
+            // and restores the context around them, and the checker
+            // discharges their save-mask obligations on its own.
+            Inst::Yield { .. } => {}
             Inst::Branch { cond, src, target } => {
                 let src = if *cond == Cond::Always {
                     None
@@ -336,7 +311,6 @@ pub fn sym_exec_range(
                 return BlockRun {
                     regs,
                     mem,
-                    yields,
                     exit: SymExit::Branch {
                         cond: *cond,
                         src,
@@ -349,7 +323,6 @@ pub fn sym_exec_range(
                 return BlockRun {
                     regs,
                     mem,
-                    yields,
                     exit: SymExit::Call { target: *target },
                     exit_pc: pc,
                 };
@@ -358,7 +331,6 @@ pub fn sym_exec_range(
                 return BlockRun {
                     regs,
                     mem,
-                    yields,
                     exit: SymExit::Ret,
                     exit_pc: pc,
                 };
@@ -367,7 +339,6 @@ pub fn sym_exec_range(
                 return BlockRun {
                     regs,
                     mem,
-                    yields,
                     exit: SymExit::Halt,
                     exit_pc: pc,
                 };
@@ -377,7 +348,6 @@ pub fn sym_exec_range(
     BlockRun {
         regs,
         mem,
-        yields,
         exit: SymExit::Fallthrough,
         exit_pc: range.end,
     }
@@ -387,7 +357,7 @@ pub fn sym_exec_range(
 /// `equal` (a bitmask) get the side-agnostic [`Term::Entry`]; the rest
 /// get [`Term::Diverged`] for `side`, so unproven registers can never
 /// accidentally compare equal downstream.
-pub fn entry_state(pool: &mut TermPool, equal: u32, side: u8) -> [TermId; NUM_REGS] {
+pub(crate) fn entry_state(pool: &mut TermPool, equal: u32, side: u8) -> [TermId; NUM_REGS] {
     std::array::from_fn(|r| {
         if equal & (1 << r) != 0 {
             pool.intern(Term::Entry { reg: r as u8 })
@@ -400,7 +370,7 @@ pub fn entry_state(pool: &mut TermPool, equal: u32, side: u8) -> [TermId; NUM_RE
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reach_sim::isa::{ProgramBuilder, Reg};
+    use reach_sim::{ProgramBuilder, Reg, YieldKind};
 
     #[test]
     fn constant_folding_matches_machine_semantics() {
@@ -465,7 +435,7 @@ mod tests {
     }
 
     #[test]
-    fn yields_are_recorded_but_change_nothing() {
+    fn yields_change_nothing() {
         let mut b = ProgramBuilder::new("y");
         b.imm(Reg(1), 5);
         b.push(Inst::Yield {
@@ -477,8 +447,6 @@ mod tests {
         let mut pool = TermPool::new();
         let entry = entry_state(&mut pool, u32::MAX, 0);
         let run = sym_exec_range(&prog, 0..prog.len(), &entry, &mut pool, None);
-        assert_eq!(run.yields.len(), 1);
-        assert_eq!(run.yields[0].save_regs, Some(0b10));
         assert_eq!(pool.get(run.regs[1]), Term::Const(5));
     }
 

@@ -18,7 +18,7 @@
 //!    the original program observes.
 
 use crate::sfi::{R_SFI_ADDR, R_SFI_MASK};
-use reach_sim::isa::{AluOp, Inst, Program};
+use reach_sim::{AluOp, Inst, Program};
 
 /// A validation failure.
 #[derive(Clone, Debug, PartialEq)]
@@ -237,8 +237,7 @@ mod tests {
     use crate::scavenger::{instrument_scavenger, ScavengerOptions};
     use crate::sfi::instrument_sfi;
     use reach_profile::{Periods, Profile};
-    use reach_sim::isa::{Cond, ProgramBuilder, Reg};
-    use reach_sim::MachineConfig;
+    use reach_sim::{Cond, MachineConfig, ProgramBuilder, Reg};
 
     fn chase_prog() -> Program {
         let mut b = ProgramBuilder::new("chase");

@@ -22,17 +22,6 @@ pub struct Accuracy {
     pub likelihood_mae: f64,
 }
 
-impl Accuracy {
-    /// Harmonic mean of precision and recall.
-    pub fn f1(&self) -> f64 {
-        if self.precision + self.recall == 0.0 {
-            0.0
-        } else {
-            2.0 * self.precision * self.recall / (self.precision + self.recall)
-        }
-    }
-}
-
 /// Scores `profile` against ground-truth `counters` at a miss-likelihood
 /// `threshold` (the same threshold an instrumentation policy would use).
 pub fn score(profile: &Profile, counters: &PerfCounters, threshold: f64) -> Accuracy {
@@ -120,7 +109,6 @@ mod tests {
         let a = score(&perfect_profile(), &truth(), 0.5);
         assert_eq!(a.precision, 1.0);
         assert_eq!(a.recall, 1.0);
-        assert_eq!(a.f1(), 1.0);
         assert!(a.likelihood_mae < 1e-9);
     }
 
@@ -131,7 +119,6 @@ mod tests {
         let a = score(&p, &truth(), 0.5);
         assert_eq!(a.precision, 0.5);
         assert_eq!(a.recall, 1.0);
-        assert!(a.f1() < 1.0);
         assert!(a.likelihood_mae > 0.1);
     }
 
@@ -142,7 +129,6 @@ mod tests {
         let a = score(&p, &truth(), 0.5);
         assert_eq!(a.precision, 1.0, "empty prediction is vacuously precise");
         assert_eq!(a.recall, 0.0);
-        assert_eq!(a.f1(), 0.0);
     }
 
     #[test]

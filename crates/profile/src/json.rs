@@ -47,7 +47,7 @@ impl JsonError {
     }
 
     /// A shape/type error (wrong variant, missing key).
-    pub fn shape(msg: impl Into<String>) -> JsonError {
+    pub(crate) fn shape(msg: impl Into<String>) -> JsonError {
         JsonError {
             msg: msg.into(),
             at: None,
@@ -120,7 +120,7 @@ impl Json {
     /// Parses JSON text.
     ///
     /// Never panics on malformed, truncated or adversarial input: every
-    /// failure — including nesting deeper than [`MAX_DEPTH`], which
+    /// failure — including nesting deeper than `MAX_DEPTH` (128), which
     /// would otherwise overflow the parser's recursion — is a typed
     /// [`JsonError`].
     pub fn parse(s: &str) -> Result<Json, JsonError> {
@@ -150,7 +150,7 @@ impl Json {
     }
 
     /// This value as a `usize`.
-    pub fn as_usize(&self) -> Result<usize, JsonError> {
+    pub(crate) fn as_usize(&self) -> Result<usize, JsonError> {
         usize::try_from(self.as_u64()?).map_err(|_| JsonError::shape("integer out of usize range"))
     }
 
@@ -195,7 +195,7 @@ impl Json {
 /// Serializes a `HashMap<usize, u64>` as a PC-sorted array of
 /// `[pc, count]` pairs (JSON objects cannot key on integers without
 /// stringifying, and sorting keeps output deterministic).
-pub fn pc_map_to_json(map: &HashMap<usize, u64>) -> Json {
+pub(crate) fn pc_map_to_json(map: &HashMap<usize, u64>) -> Json {
     let mut pairs: Vec<(usize, u64)> = map.iter().map(|(&k, &v)| (k, v)).collect();
     pairs.sort_unstable();
     Json::Array(
@@ -207,7 +207,7 @@ pub fn pc_map_to_json(map: &HashMap<usize, u64>) -> Json {
 }
 
 /// Inverse of [`pc_map_to_json`].
-pub fn pc_map_from_json(v: &Json) -> Result<HashMap<usize, u64>, JsonError> {
+pub(crate) fn pc_map_from_json(v: &Json) -> Result<HashMap<usize, u64>, JsonError> {
     let mut map = HashMap::new();
     for pair in v.as_array()? {
         let pair = pair.as_array()?;
@@ -241,7 +241,7 @@ fn write_string(s: &str, out: &mut String) {
 /// is recursive-descent; without this bound a hostile input of a few
 /// thousand `[` bytes overflows the stack (an abort, not a `Result`).
 /// Real profiles nest 4 levels deep.
-pub const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
     bytes: &'a [u8],

@@ -10,7 +10,7 @@
 //! * taken-edge frequencies, from which hot paths are reconstructed.
 
 use crate::json::{Json, JsonError};
-use reach_sim::lbr::{straight_runs, BranchRecord};
+use reach_sim::{straight_runs, BranchRecord};
 use std::collections::HashMap;
 
 /// Accumulated timing for one straight-line run (`start..=end`).
@@ -20,17 +20,6 @@ pub struct RunTiming {
     pub count: u64,
     /// Total observed cycles.
     pub total_cycles: u64,
-}
-
-impl RunTiming {
-    /// Mean observed latency in cycles.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_cycles as f64 / self.count as f64
-        }
-    }
 }
 
 /// Aggregates LBR snapshots into block latencies and edge frequencies.
@@ -48,13 +37,8 @@ pub struct BlockLatencyEstimator {
 }
 
 impl BlockLatencyEstimator {
-    /// Creates an empty estimator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Folds one LBR snapshot (oldest-first records) into the estimator.
-    pub fn add_snapshot(&mut self, records: &[BranchRecord]) {
+    pub(crate) fn add_snapshot(&mut self, records: &[BranchRecord]) {
         self.snapshots += 1;
         for r in records {
             *self.edges.entry((r.from, r.to)).or_insert(0) += 1;
@@ -66,62 +50,10 @@ impl BlockLatencyEstimator {
         }
     }
 
-    /// Mean latency of the straight run `start..=end`, if observed.
-    pub fn run_latency(&self, start: usize, end: usize) -> Option<f64> {
-        self.runs.get(&(start, end)).map(RunTiming::mean)
-    }
-
-    /// Mean observed cycles-per-instruction over all runs, weighted by
-    /// observation count. Returns `None` with no data.
-    ///
-    /// The fallback rate the scavenger pass uses for code with no direct
-    /// observation.
-    pub fn mean_cpi(&self) -> Option<f64> {
-        let (mut cycles, mut insts) = (0u64, 0u64);
-        for (&(start, end), t) in &self.runs {
-            if end >= start {
-                cycles += t.total_cycles;
-                insts += (end - start + 1) as u64 * t.count;
-            }
-        }
-        if insts == 0 {
-            None
-        } else {
-            Some(cycles as f64 / insts as f64)
-        }
-    }
-
-    /// The most frequently taken successor of the branch at `pc`, if any.
-    pub fn hot_successor(&self, pc: usize) -> Option<usize> {
-        self.edges
-            .iter()
-            .filter(|(&(from, _), _)| from == pc)
-            .max_by_key(|(&(_, to), &n)| (n, std::cmp::Reverse(to)))
-            .map(|(&(_, to), _)| to)
-    }
-
-    /// Total times the taken edge `(from, to)` was observed.
-    pub fn edge_count(&self, from: usize, to: usize) -> u64 {
-        self.edges.get(&(from, to)).copied().unwrap_or(0)
-    }
-
-    /// Merges another estimator into this one.
-    pub fn merge(&mut self, other: &BlockLatencyEstimator) {
-        for (&k, t) in &other.runs {
-            let e = self.runs.entry(k).or_default();
-            e.count += t.count;
-            e.total_cycles += t.total_cycles;
-        }
-        for (&k, &n) in &other.edges {
-            *self.edges.entry(k).or_insert(0) += n;
-        }
-        self.snapshots += other.snapshots;
-    }
-
     /// Serializes into a [`Json`] value (see [`Profile::to_json`]).
     ///
     /// [`Profile::to_json`]: crate::Profile::to_json
-    pub fn to_json_value(&self) -> Json {
+    pub(crate) fn to_json_value(&self) -> Json {
         let mut runs: Vec<((usize, usize), RunTiming)> =
             self.runs.iter().map(|(&k, &t)| (k, t)).collect();
         runs.sort_unstable_by_key(|(k, _)| *k);
@@ -164,7 +96,7 @@ impl BlockLatencyEstimator {
     }
 
     /// Inverse of [`BlockLatencyEstimator::to_json_value`].
-    pub fn from_json_value(v: &Json) -> Result<BlockLatencyEstimator, JsonError> {
+    pub(crate) fn from_json_value(v: &Json) -> Result<BlockLatencyEstimator, JsonError> {
         let mut runs = HashMap::new();
         for row in v.get("runs")?.as_array()? {
             let row = row.as_array()?;
@@ -205,64 +137,36 @@ mod tests {
 
     #[test]
     fn snapshot_builds_runs_and_edges() {
-        let mut e = BlockLatencyEstimator::new();
+        let mut e = BlockLatencyEstimator::default();
         e.add_snapshot(&[rec(5, 10, 100), rec(14, 2, 130), rec(8, 5, 160)]);
-        assert_eq!(e.run_latency(10, 14), Some(30.0));
-        assert_eq!(e.run_latency(2, 8), Some(30.0));
-        assert_eq!(e.edge_count(5, 10), 1);
-        assert_eq!(e.edge_count(14, 2), 1);
+        let once = |total_cycles| RunTiming {
+            count: 1,
+            total_cycles,
+        };
+        assert_eq!(e.runs[&(10, 14)], once(30));
+        assert_eq!(e.runs[&(2, 8)], once(30));
+        assert_eq!(e.edges[&(5, 10)], 1);
+        assert_eq!(e.edges[&(14, 2)], 1);
         assert_eq!(e.snapshots, 1);
     }
 
     #[test]
     fn latencies_average_over_observations() {
-        let mut e = BlockLatencyEstimator::new();
+        let mut e = BlockLatencyEstimator::default();
         e.add_snapshot(&[rec(5, 10, 100), rec(14, 2, 120)]);
         e.add_snapshot(&[rec(5, 10, 500), rec(14, 2, 540)]);
-        assert_eq!(e.run_latency(10, 14), Some(30.0));
-    }
-
-    #[test]
-    fn hot_successor_picks_majority_target() {
-        let mut e = BlockLatencyEstimator::new();
-        for _ in 0..3 {
-            e.add_snapshot(&[rec(7, 20, 1)]);
-        }
-        e.add_snapshot(&[rec(7, 30, 1)]);
-        assert_eq!(e.hot_successor(7), Some(20));
-        assert_eq!(e.hot_successor(99), None);
-    }
-
-    #[test]
-    fn mean_cpi_weights_by_count() {
-        let mut e = BlockLatencyEstimator::new();
-        // Run 10..=14 (5 instructions) took 30 cycles: CPI 6.
-        e.add_snapshot(&[rec(5, 10, 100), rec(14, 2, 130)]);
-        assert_eq!(e.mean_cpi(), Some(6.0));
-        assert_eq!(BlockLatencyEstimator::new().mean_cpi(), None);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = BlockLatencyEstimator::new();
-        a.add_snapshot(&[rec(5, 10, 100), rec(14, 2, 130)]);
-        let mut b = BlockLatencyEstimator::new();
-        b.add_snapshot(&[rec(5, 10, 0), rec(14, 2, 40)]);
-        a.merge(&b);
-        assert_eq!(a.run_latency(10, 14), Some(35.0));
-        assert_eq!(a.edge_count(5, 10), 2);
+        let t = e.runs[&(10, 14)];
+        assert_eq!((t.count, t.total_cycles), (2, 60));
     }
 
     #[test]
     fn serde_round_trip() {
-        let mut e = BlockLatencyEstimator::new();
+        let mut e = BlockLatencyEstimator::default();
         e.add_snapshot(&[rec(5, 10, 100), rec(14, 2, 130)]);
         let json = e.to_json_value().to_string();
         let back = BlockLatencyEstimator::from_json_value(&Json::parse(&json).unwrap()).unwrap();
         assert_eq!(back.runs, e.runs);
         assert_eq!(back.edges, e.edges);
         assert_eq!(back.snapshots, 1);
-        assert_eq!(back.run_latency(10, 14), Some(30.0));
-        assert_eq!(back.edge_count(5, 10), 1);
     }
 }

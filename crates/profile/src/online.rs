@@ -116,14 +116,9 @@ impl OnlineStalenessEstimator {
         self.total
     }
 
-    /// Lifetime samples observed.
-    pub fn observed(&self) -> u64 {
-        self.observed
-    }
-
     /// Whether enough samples are retained for
     /// [`OnlineStalenessEstimator::staleness_vs`] to return a number.
-    pub fn warmed_up(&self) -> bool {
+    pub(crate) fn warmed_up(&self) -> bool {
         self.total >= self.opts.min_samples
     }
 
@@ -136,7 +131,7 @@ impl OnlineStalenessEstimator {
 
     /// The window as a throwaway [`Profile`] (only `l2_miss_samples` is
     /// populated), so existing profile machinery can consume it.
-    pub fn as_profile(&self, deployed: &Profile) -> Profile {
+    pub(crate) fn as_profile(&self, deployed: &Profile) -> Profile {
         let mut p = Profile::new("online-window", deployed.periods);
         p.l2_miss_samples = self.counts.clone();
         p.total_samples = self.total;
@@ -226,7 +221,7 @@ mod tests {
         let d = e.staleness_vs(&dep);
         assert!(d > 0.8, "drift swamped by stale window: {d}");
         assert!(e.retained() <= 128 * 2);
-        assert_eq!(e.observed(), 128 + 1024);
+        assert_eq!(e.observed, 128 + 1024);
     }
 
     #[test]
@@ -239,7 +234,7 @@ mod tests {
         assert_eq!(e.retained(), 0);
         assert!(e.staleness_vs(&profile_at(&[(5, 1)])).is_nan());
         // Lifetime counter survives reset.
-        assert_eq!(e.observed(), 100);
+        assert_eq!(e.observed, 100);
     }
 
     #[test]

@@ -78,13 +78,8 @@ impl Profile {
     }
 
     /// Estimated number of L2-miss loads at `pc` (samples × period).
-    pub fn est_l2_misses(&self, pc: usize) -> f64 {
+    pub(crate) fn est_l2_misses(&self, pc: usize) -> f64 {
         self.l2_miss_samples.get(&pc).copied().unwrap_or(0) as f64 * self.periods.l2_miss as f64
-    }
-
-    /// Estimated number of L3-miss (DRAM) loads at `pc`.
-    pub fn est_l3_misses(&self, pc: usize) -> f64 {
-        self.l3_miss_samples.get(&pc).copied().unwrap_or(0) as f64 * self.periods.l3_miss as f64
     }
 
     /// Estimated executions of the instruction at `pc`.
@@ -131,7 +126,7 @@ impl Profile {
     }
 
     /// Estimated stalled cycles attributed to `pc`.
-    pub fn est_stall_cycles(&self, pc: usize) -> f64 {
+    pub(crate) fn est_stall_cycles(&self, pc: usize) -> f64 {
         self.stall_samples.get(&pc).copied().unwrap_or(0) as f64 * self.periods.stall as f64
     }
 
@@ -165,7 +160,7 @@ impl Profile {
 
     /// PCs whose estimated miss likelihood is at least `threshold`,
     /// sorted.
-    pub fn miss_pcs(&self, threshold: f64) -> Vec<usize> {
+    pub(crate) fn miss_pcs(&self, threshold: f64) -> Vec<usize> {
         let mut v: Vec<usize> = self
             .l2_miss_samples
             .keys()
@@ -173,18 +168,6 @@ impl Profile {
             .filter(|&pc| self.miss_likelihood(pc) >= threshold)
             .collect();
         v.sort_unstable();
-        v
-    }
-
-    /// The PCs with stall samples, ranked by estimated stall cycles
-    /// (descending) — "where the cycles go".
-    pub fn stall_ranking(&self) -> Vec<(usize, f64)> {
-        let mut v: Vec<(usize, f64)> = self
-            .stall_samples
-            .keys()
-            .map(|&pc| (pc, self.est_stall_cycles(pc)))
-            .collect();
-        v.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         v
     }
 
@@ -221,35 +204,6 @@ impl Profile {
                 (a - b).abs()
             })
             .sum::<f64>()
-    }
-
-    /// Merges another profile (same program, same periods) into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the periods differ — mixing scales silently would corrupt
-    /// every estimate.
-    pub fn merge(&mut self, other: &Profile) {
-        assert_eq!(
-            self.periods, other.periods,
-            "cannot merge profiles with different sampling periods"
-        );
-        for (&pc, &n) in &other.l2_miss_samples {
-            *self.l2_miss_samples.entry(pc).or_insert(0) += n;
-        }
-        for (&pc, &n) in &other.l3_miss_samples {
-            *self.l3_miss_samples.entry(pc).or_insert(0) += n;
-        }
-        for (&pc, &n) in &other.stall_samples {
-            *self.stall_samples.entry(pc).or_insert(0) += n;
-        }
-        for (&pc, &n) in &other.retired_samples {
-            *self.retired_samples.entry(pc).or_insert(0) += n;
-        }
-        self.blocks.merge(&other.blocks);
-        self.total_samples += other.total_samples;
-        // Any previous smoothing is stale now.
-        self.smoothed_execs.clear();
     }
 
     /// Serializes to JSON (profile persistence between the profiling and
@@ -393,7 +347,6 @@ mod tests {
     fn estimates_scale_by_period() {
         let p = sample_profile();
         assert_eq!(p.est_l2_misses(5), 80.0);
-        assert_eq!(p.est_l3_misses(5), 60.0);
         assert_eq!(p.est_executions(5), 100.0);
         assert_eq!(p.est_stall_cycles(5), 21600.0);
         assert_eq!(p.est_l2_misses(42), 0.0);
@@ -426,33 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn stall_ranking_descends() {
-        let mut p = sample_profile();
-        p.stall_samples.insert(9, 10);
-        let r = p.stall_ranking();
-        assert_eq!(r[0].0, 5);
-        assert_eq!(r[1].0, 9);
-        assert!(r[0].1 > r[1].1);
-    }
-
-    #[test]
-    fn merge_accumulates_samples() {
-        let mut a = sample_profile();
-        let b = sample_profile();
-        a.merge(&b);
-        assert_eq!(a.l2_miss_samples[&5], 16);
-        assert_eq!(a.total_samples, 472);
-    }
-
-    #[test]
-    #[should_panic(expected = "different sampling periods")]
-    fn merge_rejects_mismatched_periods() {
-        let mut a = sample_profile();
-        let b = Profile::new("t", Periods::default());
-        a.merge(&b);
-    }
-
-    #[test]
     fn block_smoothing_pools_samples_across_the_block() {
         let mut p = Profile::new(
             "t",
@@ -474,16 +400,6 @@ mod tests {
         // Smoothing changes likelihood denominators accordingly.
         p.l2_miss_samples.insert(0, 18);
         assert!((p.miss_likelihood(0) - 0.9).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_invalidates_smoothing() {
-        let mut a = sample_profile();
-        a.set_block_smoothing(std::iter::once(5..6));
-        assert!(!a.smoothed_execs.is_empty());
-        let b = sample_profile();
-        a.merge(&b);
-        assert!(a.smoothed_execs.is_empty());
     }
 
     #[test]

@@ -150,7 +150,7 @@ pub fn validate_profile(
 mod tests {
     use super::*;
     use crate::profile::Periods;
-    use reach_sim::isa::{ProgramBuilder, Reg};
+    use reach_sim::{ProgramBuilder, Reg};
 
     fn prog() -> Program {
         let mut b = ProgramBuilder::new("v");

@@ -546,7 +546,7 @@ impl BlockCache {
     /// Drops every cached block. Required on any code-map change: a
     /// supervisor hot swap, re-instrumentation, or in-place mutation of
     /// a program that has already executed.
-    pub fn invalidate(&mut self) {
+    pub(crate) fn invalidate(&mut self) {
         self.progs.clear();
         self.stats.invalidations += 1;
     }

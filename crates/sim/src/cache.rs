@@ -372,7 +372,7 @@ impl Hierarchy {
     /// # Panics
     ///
     /// Panics if the configuration is invalid (see
-    /// [`MachineConfig::assert_valid`]).
+    /// `MachineConfig::assert_valid`).
     pub fn new(cfg: &MachineConfig) -> Self {
         cfg.assert_valid();
         let line = cfg.line_bytes;
@@ -412,7 +412,7 @@ impl Hierarchy {
     /// The line address (tag+index, i.e. byte address >> line bits) for a
     /// byte address.
     #[inline]
-    pub fn line_of(&self, addr: u64) -> u64 {
+    pub(crate) fn line_of(&self, addr: u64) -> u64 {
         addr >> self.line_shift
     }
 

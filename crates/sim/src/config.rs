@@ -25,7 +25,7 @@ impl CacheLevelConfig {
     /// Panics if the geometry is inconsistent (an associativity outside
     /// `1..=16`, a non-divisible capacity or a non-power-of-two set
     /// count), which indicates a configuration bug.
-    pub fn sets(&self, line_bytes: usize) -> usize {
+    pub(crate) fn sets(&self, line_bytes: usize) -> usize {
         assert!(
             (1..=16).contains(&self.ways),
             "associativity {} of a {}-byte cache with {}-byte lines not in 1..=16",
@@ -162,12 +162,6 @@ impl MachineConfig {
         cycles as f64 / self.clock_ghz
     }
 
-    /// Converts nanoseconds to (rounded) cycles under this clock.
-    #[inline]
-    pub fn ns_to_cycles(&self, ns: f64) -> u64 {
-        (ns * self.clock_ghz).round() as u64
-    }
-
     /// Cost in cycles of a coroutine switch that saves `nregs` registers.
     ///
     /// The first [`MachineConfig::coro_switch_free_regs`] registers are
@@ -181,19 +175,6 @@ impl MachineConfig {
         self.coro_switch_base + extra * self.coro_switch_per_reg
     }
 
-    /// The fill latency (cycles) of a demand access served by the given
-    /// level, measured from issue. Level 0 = L1, 1 = L2, 2 = L3,
-    /// 3 = memory.
-    #[inline]
-    pub fn latency_of_level(&self, level: usize) -> u64 {
-        match level {
-            0 => self.l1.hit_latency,
-            1 => self.l2.hit_latency,
-            2 => self.l3.hit_latency,
-            _ => self.mem_latency,
-        }
-    }
-
     /// Validates internal consistency; panics on a malformed
     /// configuration. Called by `Machine::new`.
     ///
@@ -202,7 +183,7 @@ impl MachineConfig {
     /// Panics if the line size is not a power of two above 1, any cache
     /// geometry is inconsistent, or latencies are not monotonically
     /// increasing with level.
-    pub fn assert_valid(&self) {
+    pub(crate) fn assert_valid(&self) {
         // More than one byte, so that no line address is `u64::MAX`, which
         // the cache model keeps for a free way.
         assert!(
@@ -301,20 +282,5 @@ mod tests {
         assert_eq!(c.coro_switch_cost(4), c.coro_switch_base);
         assert_eq!(c.coro_switch_cost(8), c.coro_switch_base + 4);
         assert!(c.coro_switch_cost(32) > c.coro_switch_cost(8));
-    }
-
-    #[test]
-    fn ns_cycle_round_trip() {
-        let c = MachineConfig::default();
-        assert_eq!(c.ns_to_cycles(100.0), 300);
-        assert_eq!(c.ns_to_cycles(9.0), 27);
-    }
-
-    #[test]
-    fn latency_of_level_monotone() {
-        let c = MachineConfig::default();
-        let l: Vec<u64> = (0..4).map(|i| c.latency_of_level(i)).collect();
-        assert!(l.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(l[3], c.mem_latency);
     }
 }

@@ -28,7 +28,7 @@ pub enum Status {
 
 /// A load that stalled in switch-on-stall mode and completes on resume.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PendingLoad {
+pub(crate) struct PendingLoad {
     /// Destination register to write.
     pub dst: crate::isa::Reg,
     /// The loaded value.
@@ -79,14 +79,14 @@ pub struct Context {
     /// consulted by `Yield.IfAbsent` (§4.1 what-if).
     pub last_prefetch_level: Option<Level>,
     /// A stalled load awaiting completion (switch-on-stall execution only).
-    pub pending_load: Option<PendingLoad>,
+    pub(crate) pending_load: Option<PendingLoad>,
     /// Per-context statistics.
     pub stats: ContextStats,
 }
 
 /// Maximum shadow-stack depth; exceeding it faults the context (guards
 /// against runaway recursion in generated programs).
-pub const MAX_CALL_DEPTH: usize = 1024;
+pub(crate) const MAX_CALL_DEPTH: usize = 1024;
 
 impl Context {
     /// Creates a fresh runnable context with zeroed registers, starting at

@@ -48,8 +48,8 @@ impl PcStats {
 /// hottest path: every retired load records here, and PCs are small
 /// dense integers, so a `Vec` turns the per-load hash-probe into an
 /// indexed store. The table is sized up front from the program length
-/// ([`PerPcTable::grow_to`], called by the machine when a run starts)
-/// and lazily grown by [`PerPcTable::entry`] as a backstop, so one
+/// (`PerPcTable::grow_to`, called by the machine when a run starts)
+/// and lazily grown by `PerPcTable::entry` as a backstop, so one
 /// `PerfCounters` can span several programs of different sizes.
 ///
 /// A PC "has stats" iff a load retired there (`loads > 0`) — exactly
@@ -73,7 +73,7 @@ impl PerPcTable {
     /// Ensures the table covers PCs `0..n` without reallocation during
     /// the run. Never shrinks.
     #[inline]
-    pub fn grow_to(&mut self, n: usize) {
+    pub(crate) fn grow_to(&mut self, n: usize) {
         if self.stats.len() < n {
             self.stats.resize(n, PcStats::default());
         }
@@ -81,7 +81,7 @@ impl PerPcTable {
 
     /// Mutable stats slot for `pc`, growing the table if needed.
     #[inline]
-    pub fn entry(&mut self, pc: usize) -> &mut PcStats {
+    pub(crate) fn entry(&mut self, pc: usize) -> &mut PcStats {
         if pc >= self.stats.len() {
             self.stats.resize(pc + 1, PcStats::default());
         }
@@ -98,16 +98,6 @@ impl PerPcTable {
     /// PCs where a load retired, mirroring the old map's key set.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &PcStats)> {
         self.stats.iter().enumerate().filter(|&(_, s)| s.loads > 0)
-    }
-
-    /// Number of PCs with recorded loads.
-    pub fn len(&self) -> usize {
-        self.iter().count()
-    }
-
-    /// True when no load has been recorded anywhere.
-    pub fn is_empty(&self) -> bool {
-        self.iter().next().is_none()
     }
 }
 
@@ -238,33 +228,6 @@ impl PerfCounters {
             .map(|(pc, _)| pc)
             .collect()
     }
-
-    /// Merges another counter set into this one (used when aggregating
-    /// multi-context runs).
-    pub fn merge(&mut self, other: &PerfCounters) {
-        self.instructions += other.instructions;
-        self.loads += other.loads;
-        self.stores += other.stores;
-        self.prefetches += other.prefetches;
-        self.branches += other.branches;
-        self.yields_fired += other.yields_fired;
-        self.yields_suppressed += other.yields_suppressed;
-        self.busy_cycles += other.busy_cycles;
-        self.stall_cycles += other.stall_cycles;
-        self.switch_cycles += other.switch_cycles;
-        self.check_cycles += other.check_cycles;
-        self.sampling_cycles += other.sampling_cycles;
-        self.idle_cycles += other.idle_cycles;
-        self.per_pc.grow_to(other.per_pc.stats.len());
-        for (pc, s) in other.per_pc.iter() {
-            let e = self.per_pc.entry(pc);
-            e.loads += s.loads;
-            e.stall_cycles += s.stall_cycles;
-            for i in 0..4 {
-                e.served_by[i] += s.served_by[i];
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -351,25 +314,7 @@ mod tests {
         assert!(c.per_pc.get(6).is_none(), "grown but unrecorded");
         assert!(c.per_pc.get(4000).is_none(), "out of range");
         assert_eq!(c.per_pc[&4000], ZERO_STATS, "absent PCs read as zero");
-        assert_eq!(c.per_pc.len(), 1);
-        assert!(!c.per_pc.is_empty());
         let pcs: Vec<usize> = c.per_pc.iter().map(|(pc, _)| pc).collect();
         assert_eq!(pcs, vec![5]);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = PerfCounters::new();
-        a.busy_cycles = 10;
-        a.record_load(3, Level::Mem, 5);
-        let mut b = PerfCounters::new();
-        b.busy_cycles = 20;
-        b.record_load(3, Level::L1, 0);
-        b.record_load(4, Level::L3, 2);
-        a.merge(&b);
-        assert_eq!(a.busy_cycles, 30);
-        assert_eq!(a.per_pc[&3].loads, 2);
-        assert_eq!(a.per_pc[&4].loads, 1);
-        assert_eq!(a.loads, 3);
     }
 }

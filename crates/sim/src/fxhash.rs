@@ -30,7 +30,7 @@ fn mix(hash: u64, word: u64) -> u64 {
 
 /// A fast, deterministic, non-cryptographic hasher.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct FxHasher {
+pub(crate) struct FxHasher {
     hash: u64,
 }
 
@@ -78,10 +78,10 @@ impl Hasher for FxHasher {
 }
 
 /// `BuildHasher` for [`FxHasher`]; zero-sized, `Default`-constructed.
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` keyed by the fast deterministic hasher.
-pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
+pub(crate) type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
 #[cfg(test)]
 mod tests {

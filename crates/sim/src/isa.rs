@@ -107,7 +107,7 @@ impl AluOp {
 
     /// The operation's declaration-order index (inverse of [`AluOp::ALL`]).
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self as usize
     }
 
@@ -148,7 +148,7 @@ impl Cond {
     /// Evaluates the condition given the register value (ignored for
     /// [`Cond::Always`]).
     #[inline]
-    pub fn eval(self, v: u64) -> bool {
+    pub(crate) fn eval(self, v: u64) -> bool {
         match self {
             Cond::Always => true,
             Cond::Eqz => v == 0,
@@ -274,16 +274,6 @@ pub enum Inst {
 }
 
 impl Inst {
-    /// Returns `true` for instructions that may transfer control (i.e. end
-    /// a basic block).
-    #[inline]
-    pub fn is_terminator(&self) -> bool {
-        matches!(
-            self,
-            Inst::Branch { .. } | Inst::Call { .. } | Inst::Ret | Inst::Halt
-        )
-    }
-
     /// Returns the destination register written by this instruction, if
     /// any.
     #[inline]
@@ -323,7 +313,7 @@ impl Inst {
 
     /// Returns `true` if this is a memory load.
     #[inline]
-    pub fn is_load(&self) -> bool {
+    pub(crate) fn is_load(&self) -> bool {
         matches!(self, Inst::Load { .. })
     }
 }
@@ -479,7 +469,7 @@ impl Program {
     /// # Examples
     ///
     /// ```
-    /// use reach_sim::isa::{Inst, Program};
+    /// use reach_sim::{Inst, Program};
     /// let mut p = Program::new("t");
     /// p.insts.push(Inst::Halt);
     /// assert!(p.validate().is_ok());
@@ -541,16 +531,6 @@ impl Program {
             .collect()
     }
 
-    /// Returns the PCs of all yield instructions, in program order.
-    pub fn yield_pcs(&self) -> Vec<usize> {
-        self.insts
-            .iter()
-            .enumerate()
-            .filter(|(_, i)| i.is_yield())
-            .map(|(pc, _)| pc)
-            .collect()
-    }
-
     /// Renders the program as human-readable assembly, one instruction per
     /// line, prefixed with the PC.
     pub fn disasm(&self) -> String {
@@ -569,7 +549,7 @@ impl Program {
 /// # Examples
 ///
 /// ```
-/// use reach_sim::isa::{AluOp, Cond, ProgramBuilder, Reg};
+/// use reach_sim::{AluOp, Cond, ProgramBuilder, Reg};
 ///
 /// let mut b = ProgramBuilder::new("count");
 /// let r0 = Reg(0);
@@ -627,11 +607,6 @@ impl ProgramBuilder {
             label
         );
         self.labels[label.0] = Some(self.insts.len());
-    }
-
-    /// Current PC (index of the next instruction).
-    pub fn here(&self) -> usize {
-        self.insts.len()
     }
 
     /// Pushes a raw instruction.
@@ -918,7 +893,6 @@ mod tests {
         b.halt();
         let p = b.finish().unwrap();
         assert_eq!(p.load_pcs(), vec![1, 3]);
-        assert_eq!(p.yield_pcs(), vec![2]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! LBR can extract" [34, 35].
 
 /// Capacity of the hardware ring (Intel LBR depth on modern cores).
-pub const LBR_DEPTH: usize = 32;
+pub(crate) const LBR_DEPTH: usize = 32;
 
 /// One taken-branch record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,7 +53,7 @@ impl Default for Lbr {
 
 impl Lbr {
     /// Creates an empty ring.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Lbr {
             ring: [None; LBR_DEPTH],
             head: 0,
@@ -64,7 +64,7 @@ impl Lbr {
 
     /// Records a taken branch.
     #[inline]
-    pub fn record(&mut self, from: usize, to: usize, cycle: u64) {
+    pub(crate) fn record(&mut self, from: usize, to: usize, cycle: u64) {
         self.ring[self.head] = Some(BranchRecord { from, to, cycle });
         self.head = (self.head + 1) % LBR_DEPTH;
         self.len = (self.len + 1).min(LBR_DEPTH);
@@ -89,16 +89,6 @@ impl Lbr {
         self.ring = [None; LBR_DEPTH];
         self.head = 0;
         self.len = 0;
-    }
-
-    /// Number of records currently buffered.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` if no branches have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 }
 
@@ -130,7 +120,7 @@ mod tests {
     #[test]
     fn empty_ring() {
         let l = Lbr::new();
-        assert!(l.is_empty());
+        assert_eq!(l.len, 0);
         assert!(l.snapshot().is_empty());
     }
 
@@ -198,7 +188,7 @@ mod tests {
         let mut l = Lbr::new();
         l.record(1, 2, 3);
         l.clear();
-        assert!(l.is_empty());
+        assert!(l.snapshot().is_empty());
         assert_eq!(l.recorded, 1, "lifetime count survives clear");
     }
 }

@@ -5,18 +5,18 @@
 //! everything the paper's mechanism observes and manipulates but which a
 //! portable library cannot touch on real hardware:
 //!
-//! * a compact register-machine **micro-IR** ([`isa`]) standing in for the
+//! * a compact register-machine **micro-IR** ([`Program`], [`Inst`]) standing in for the
 //!   post-linked binary the paper instruments;
-//! * an in-order core with an OoO-lite overlap window ([`machine`]),
+//! * an in-order core with an OoO-lite overlap window ([`Machine`]),
 //!   modelling "hardware hides sub-10 ns events";
 //! * a three-level set-associative **cache hierarchy** with MSHR-tracked
-//!   in-flight fills ([`cache`]) — the source of the 10–100 ns events;
-//! * **PEBS-style precise sampling** ([`pebs`]) and **LBR-style branch
-//!   records** ([`lbr`]) — the event-visibility mechanisms of §2;
-//! * execution **contexts** ([`context`]) switched by external executors at
+//!   in-flight fills ([`Hierarchy`]) — the source of the 10–100 ns events;
+//! * **PEBS-style precise sampling** ([`PebsSampler`]) and **LBR-style
+//!   branch records** ([`Lbr`]) — the event-visibility mechanisms of §2;
+//! * execution **contexts** ([`Context`]) switched by external executors at
 //!   coroutine/SMT/thread cost, and the switch-on-stall **SMT model**
-//!   ([`smt`]);
-//! * ground-truth **performance counters** ([`counters`]) against which
+//!   ([`run_smt`]);
+//! * ground-truth **performance counters** ([`PerfCounters`]) against which
 //!   sampled profiles are scored.
 //!
 //! Each [`Machine`] is single-threaded and deterministic: equal seeds
@@ -28,7 +28,7 @@
 //! # Examples
 //!
 //! ```
-//! use reach_sim::isa::{ProgramBuilder, Reg};
+//! use reach_sim::{ProgramBuilder, Reg};
 //! use reach_sim::{Context, Machine, MachineConfig};
 //!
 //! // A two-instruction program: load one cold cache line, halt.
@@ -47,23 +47,22 @@
 //! assert_eq!(m.counters.stall_cycles, 270);
 //! ```
 
-pub mod blocks;
-pub mod cache;
-pub mod config;
-pub mod context;
-pub mod counters;
-pub mod faults;
-pub mod fxhash;
-pub mod isa;
-pub mod lbr;
-pub mod machine;
-pub mod mem;
-pub mod multicore;
-pub mod pebs;
-pub mod rng;
-pub mod shrink;
-pub mod smt;
-pub mod trace;
+mod blocks;
+mod cache;
+mod config;
+mod context;
+mod counters;
+mod faults;
+mod fxhash;
+mod isa;
+mod lbr;
+mod machine;
+mod mem;
+mod multicore;
+mod pebs;
+mod rng;
+mod shrink;
+mod smt;
 
 /// Host-side cache prefetch hint: asks the host CPU to start fetching the
 /// cache line containing `p`.
@@ -87,20 +86,20 @@ pub(crate) fn host_prefetch<T>(p: &T) {
     let _ = p;
 }
 
-pub use blocks::{BlockCache, BlockCacheStats, Lane, Next, Stopped};
+pub use blocks::{BlockCache, BlockCacheStats, Lane, Next, Stopped, MAX_CACHED_PROGRAMS};
 pub use cache::{Access, AccessKind, CacheStats, Hierarchy, Level};
 pub use config::{CacheLevelConfig, MachineConfig};
 pub use context::{Context, ContextStats, Mode, Status};
 pub use counters::{PcStats, PerPcTable, PerfCounters};
 pub use faults::{FaultInjector, FaultLog, FaultPlan};
-pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
-pub use isa::{AluOp, Cond, Inst, Program, ProgramBuilder, ProgramError, Reg, YieldKind};
-pub use lbr::{BranchRecord, Lbr, StraightRun};
+pub use isa::{
+    AluOp, Cond, Inst, Label, Program, ProgramBuilder, ProgramError, Reg, YieldKind, NUM_REGS,
+};
+pub use lbr::{straight_runs, BranchRecord, Lbr, StraightRun};
 pub use machine::{ExecError, Exit, Machine, SwitchKind};
-pub use mem::{MemError, Memory};
+pub use mem::{MemError, Memory, PAGE_BYTES};
 pub use multicore::{MultiCore, MultiCoreConfig, UncoreStatus};
 pub use pebs::{HwEvent, PebsConfig, PebsSampler, Sample};
 pub use rng::{SplitMix64, Zipf};
 pub use shrink::ddmin;
 pub use smt::{run_smt, SmtReport};
-pub use trace::{Trace, TraceEntry};

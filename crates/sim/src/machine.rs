@@ -21,7 +21,6 @@ use crate::isa::{Inst, Program, YieldKind, NUM_REGS};
 use crate::lbr::Lbr;
 use crate::mem::{MemError, Memory};
 use crate::pebs::{HwEvent, PebsConfig, PebsSampler, Sample};
-use crate::trace::Trace;
 
 /// Why [`Machine::run`] returned control to the executor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -135,15 +134,12 @@ pub struct Machine {
     /// Switch-on-stall execution: loads that would stall return
     /// [`Exit::Stalled`] instead of blocking (used by the SMT model).
     pub switch_on_stall: bool,
-    /// Optional execution trace (off by default; set to
-    /// `Some(Trace::new(n))` to record the last `n` steps).
-    pub trace: Option<Trace>,
     /// Optional deterministic fault injector (off by default; install
     /// `Some(FaultInjector::new(plan))` to corrupt the observation and
     /// execution channels the plan arms).
     pub faults: Option<FaultInjector>,
     /// Cached superblocks for the pre-decoded dispatch tier (see
-    /// [`crate::blocks`]). Keyed by program identity; must be invalidated
+    /// [`BlockCache`]). Keyed by program identity; must be invalidated
     /// via [`Machine::invalidate_blocks`] on any code-map change.
     pub block_cache: BlockCache,
     /// Whether [`Machine::run`] may use the superblock engine (default).
@@ -170,7 +166,6 @@ impl Machine {
             lbr: Lbr::new(),
             lbr_enabled: false,
             switch_on_stall: false,
-            trace: None,
             faults: None,
             block_cache: BlockCache::default(),
             blocks_enabled: true,
@@ -317,9 +312,6 @@ impl Machine {
 
         let pc = ctx.pc;
         let inst = prog.insts.get(pc).ok_or(ExecError::BadPc { pc })?;
-        if let Some(t) = &mut self.trace {
-            t.record(self.now, ctx.id, pc);
-        }
 
         match *inst {
             Inst::Imm { dst, val } => {
@@ -511,20 +503,18 @@ impl Machine {
     }
 
     /// True when [`Machine::run_lanes`] must stay on the reference loop.
-    /// Read from what is armed right now — `samplers`, `faults` and
-    /// `trace` are public fields, mutated directly between runs.
+    /// Read from what is armed right now — `samplers` and `faults` are
+    /// public fields, mutated directly between runs.
     ///
-    /// * A [`Trace`] records every instruction.
-    /// * A PEBS drop or PC-corruption channel draws from its random
-    ///   stream once per event occurrence reaching a non-empty sampler
-    ///   set — once per retired instruction — so its schedule is only
-    ///   reproducible instruction by instruction.
+    /// A PEBS drop or PC-corruption channel draws from its random stream
+    /// once per event occurrence reaching a non-empty sampler set — once
+    /// per retired instruction — so its schedule is only reproducible
+    /// instruction by instruction.
     ///
     /// Everything else the block engine observes exactly: samplers on any
     /// event, extra skid, LBR drops, prefetch corruption, traps.
     fn needs_reference_tier(&self) -> bool {
         !self.blocks_enabled
-            || self.trace.is_some()
             || (!self.samplers.is_empty()
                 && self
                     .faults
@@ -545,19 +535,19 @@ impl Machine {
     /// every decision and all bookkeeping: roles, switch costs, budgets,
     /// fault isolation, reports. It is handed the machine to charge
     /// switch costs and read the clock and counters. It must leave
-    /// `samplers`, `faults`, `trace`, `block_cache` and `blocks_enabled`
+    /// `samplers`, `faults`, `block_cache` and `blocks_enabled`
     /// alone, and must not run anything on the machine itself: the engine
     /// holds the block cache and credits retirements to the samplers and
     /// the fault injector lazily, across swaps, settling them only when
     /// the policy returns.
     ///
     /// Cycle-exact regardless of route. Dispatch is two-tiered and
-    /// decided once per call: the superblock engine ([`crate::blocks`]),
+    /// decided once per call: the superblock engine ([`BlockCache`]),
     /// monomorphised for a machine with nothing armed and for one with
     /// samplers or a fault injector, where a swap is a few loads and
     /// stores inside the dispatch loop — or, when
-    /// [`Machine::blocks_enabled`] is off, a trace is attached, or a
-    /// PEBS drop/corrupt channel is armed together with samplers, the
+    /// [`Machine::blocks_enabled`] is off or a PEBS drop/corrupt
+    /// channel is armed together with samplers, the
     /// same policy driven over [`Machine::step`]. Both produce identical
     /// counters, registers, clock, events, samples and fault logs
     /// (enforced by differential proptests against `step`).
@@ -643,11 +633,6 @@ impl Machine {
             lane[0].budget = max_steps - used;
             Next::Run(0)
         })
-    }
-
-    /// Convenience for reports: total cycles in nanoseconds.
-    pub fn elapsed_ns(&self) -> f64 {
-        self.cfg.cycles_to_ns(self.now)
     }
 }
 
@@ -1197,13 +1182,6 @@ mod tests {
     }
 
     #[test]
-    fn elapsed_ns_tracks_clock() {
-        let mut m = machine();
-        m.advance_idle(600);
-        assert!((m.elapsed_ns() - 200.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn injected_trap_faults_the_running_context() {
         use crate::faults::{FaultInjector, FaultPlan};
         let mut b = ProgramBuilder::new("trap");
@@ -1323,11 +1301,6 @@ mod tests {
             m.faults.as_mut().unwrap().plan.pebs_pc_corrupt = 0.5;
             l2_sampler(m);
         }));
-    }
-
-    #[test]
-    fn trace_runs_on_step() {
-        assert!(!runs_on_blocks(|m| m.trace = Some(Trace::new(8))));
     }
 
     #[test]

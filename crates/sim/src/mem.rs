@@ -89,7 +89,7 @@ impl std::error::Error for MemError {}
 
 impl Memory {
     /// Creates an empty memory.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Memory::default()
     }
 
@@ -180,7 +180,7 @@ impl Memory {
     /// the [`Memory::read_hot`] that ends the same load never probes the
     /// index again.
     #[inline]
-    pub fn host_prefetch(&mut self, addr: u64) {
+    pub(crate) fn host_prefetch(&mut self, addr: u64) {
         let word = ((addr % PAGE_BYTES) / 8) as usize;
         if let Some(slot) = self.translate(addr / PAGE_BYTES) {
             crate::host_prefetch(&self.slabs[slot as usize][word]);
@@ -203,7 +203,7 @@ impl Memory {
     /// [`Memory::resolve_mut`]); the interpreter's store paths use this
     /// so a run of same-page stores pays the page index probe once.
     #[inline]
-    pub fn write_hot(&mut self, addr: u64, val: u64) -> Result<(), MemError> {
+    pub(crate) fn write_hot(&mut self, addr: u64, val: u64) -> Result<(), MemError> {
         if !addr.is_multiple_of(8) {
             return Err(MemError::Unaligned { addr });
         }

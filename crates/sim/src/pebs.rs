@@ -165,16 +165,6 @@ impl PebsSampler {
     pub fn buffered(&self) -> usize {
         self.buffer.len()
     }
-
-    /// The effective sampling rate observed so far (`emitted /
-    /// occurrences`), for overhead reporting.
-    pub fn effective_rate(&self) -> f64 {
-        if self.occurrences == 0 {
-            0.0
-        } else {
-            self.emitted as f64 / self.occurrences as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -200,7 +190,6 @@ mod tests {
         assert_eq!(taken, 10);
         assert_eq!(s.emitted, 10);
         assert_eq!(s.occurrences, 100);
-        assert!((s.effective_rate() - 0.1).abs() < 1e-12);
     }
 
     #[test]
@@ -270,6 +259,5 @@ mod tests {
         let mut s = sampler(1);
         assert_eq!(s.observe(1, None, 0, 0), 0);
         assert_eq!(s.occurrences, 0);
-        assert_eq!(s.effective_rate(), 0.0);
     }
 }

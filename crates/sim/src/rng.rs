@@ -135,11 +135,6 @@ impl Zipf {
         let rank = (self.n as f64 * v) as u64;
         rank.min(self.n - 1)
     }
-
-    /// Number of items in the domain.
-    pub fn domain(&self) -> u64 {
-        self.n
-    }
 }
 
 #[cfg(test)]
@@ -244,6 +239,5 @@ mod tests {
         for _ in 0..5000 {
             assert!(z.sample(&mut rng) < 37);
         }
-        assert_eq!(z.domain(), 37);
     }
 }

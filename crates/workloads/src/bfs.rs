@@ -16,8 +16,7 @@
 //! any traversal deviation visible.
 
 use crate::common::{AddrAlloc, BuiltWorkload, InstanceSetup, CHECKSUM_REG};
-use reach_sim::isa::{AluOp, Cond, ProgramBuilder, Reg};
-use reach_sim::{Memory, SplitMix64};
+use reach_sim::{AluOp, Cond, Memory, ProgramBuilder, Reg, SplitMix64};
 
 /// Parameters for the BFS workload.
 #[derive(Clone, Copy, Debug)]

@@ -9,8 +9,7 @@
 //! (B-trees, ARTs) present.
 
 use crate::common::{AddrAlloc, BuiltWorkload, InstanceSetup, CHECKSUM_REG};
-use reach_sim::isa::{AluOp, Cond, ProgramBuilder, Reg};
-use reach_sim::{Memory, SplitMix64};
+use reach_sim::{AluOp, Cond, Memory, ProgramBuilder, Reg, SplitMix64};
 
 /// Parameters for the BST workload.
 #[derive(Clone, Copy, Debug)]

@@ -1,9 +1,7 @@
 //! Shared workload infrastructure: the built-workload contract, the
 //! address-space allocator, and register conventions.
 
-use reach_sim::isa::{Program, Reg};
-use reach_sim::mem::PAGE_BYTES;
-use reach_sim::{Context, Machine, Memory};
+use reach_sim::{Context, Machine, Program, Reg, PAGE_BYTES};
 
 /// Register that holds a workload's final checksum at `halt`.
 ///
@@ -111,7 +109,7 @@ impl AddrAlloc {
     }
 
     /// Allocates `bytes`, returned page-aligned.
-    pub fn alloc(&mut self, bytes: u64) -> u64 {
+    pub(crate) fn alloc(&mut self, bytes: u64) -> u64 {
         let at = self.next;
         self.next += bytes.next_multiple_of(PAGE_BYTES);
         at
@@ -119,7 +117,7 @@ impl AddrAlloc {
 
     /// Allocates `bytes` and additionally skips a guard page, spreading
     /// regions across cache sets.
-    pub fn alloc_spread(&mut self, bytes: u64) -> u64 {
+    pub(crate) fn alloc_spread(&mut self, bytes: u64) -> u64 {
         let at = self.alloc(bytes);
         self.next += PAGE_BYTES;
         at
@@ -129,12 +127,6 @@ impl AddrAlloc {
     pub fn watermark(&self) -> u64 {
         self.next
     }
-}
-
-/// Writes `words` into simulated memory starting at `base` (8-byte
-/// stride).
-pub fn write_words(mem: &mut Memory, base: u64, words: &[u64]) {
-    mem.write_slice(base, words);
 }
 
 #[cfg(test)]

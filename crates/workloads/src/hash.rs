@@ -9,8 +9,7 @@
 //! probe is a miss.
 
 use crate::common::{AddrAlloc, BuiltWorkload, InstanceSetup, CHECKSUM_REG};
-use reach_sim::isa::{AluOp, Cond, ProgramBuilder, Reg};
-use reach_sim::{Memory, SplitMix64};
+use reach_sim::{AluOp, Cond, Memory, ProgramBuilder, Reg, SplitMix64};
 
 /// Fibonacci multiplicative-hash constant.
 const HASH_MULT: u64 = 0x9E37_79B9_7F4A_7C15;

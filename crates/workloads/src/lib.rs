@@ -12,28 +12,28 @@
 //! * *predicts the final checksum*, so any executor or instrumentation
 //!   pass can be checked for semantic preservation.
 //!
-//! | module | pattern | role |
+//! | generator | pattern | role |
 //! |---|---|---|
-//! | [`bfs`] | CSR-graph breadth-first search | analytics motif |
-//! | [`bst`] | pointer BST lookups | branchy dependent walks |
-//! | [`chase`] | dependent pointer chase | killer-nanoseconds kernel |
-//! | [`hash`] | open-addressing probes | CoroBase/index-join pattern |
-//! | [`search`] | branchless binary search | mixed-depth miss profile |
-//! | [`scan`] | streaming sum | spatial locality control |
-//! | [`multi_chase`] | independent lockstep chains | coalescing stressor |
-//! | [`zipf_kv`] | skewed KV lookups | intermediate miss likelihood |
-//! | [`tiered`] | multi-site tiered regions | per-site policy stressor |
+//! | [`build_bfs`] | CSR-graph breadth-first search | analytics motif |
+//! | [`build_bst`] | pointer BST lookups | branchy dependent walks |
+//! | [`build_chase`] | dependent pointer chase | killer-nanoseconds kernel |
+//! | [`build_hash`] | open-addressing probes | CoroBase/index-join pattern |
+//! | [`build_search`] | branchless binary search | mixed-depth miss profile |
+//! | [`build_scan`] | streaming sum | spatial locality control |
+//! | [`build_multi_chase`] | independent lockstep chains | coalescing stressor |
+//! | [`build_zipf_kv`] | skewed KV lookups | intermediate miss likelihood |
+//! | [`build_tiered`] | multi-site tiered regions | per-site policy stressor |
 
-pub mod bfs;
-pub mod bst;
-pub mod chase;
-pub mod common;
-pub mod hash;
-pub mod multi_chase;
-pub mod scan;
-pub mod search;
-pub mod tiered;
-pub mod zipf_kv;
+mod bfs;
+mod bst;
+mod chase;
+mod common;
+mod hash;
+mod multi_chase;
+mod scan;
+mod search;
+mod tiered;
+mod zipf_kv;
 
 pub use bfs::{build as build_bfs, BfsParams, VISITED_LOAD_PC};
 pub use bst::{build as build_bst, BstParams, NODE_KEY_LOAD_PC};
@@ -41,7 +41,7 @@ pub use chase::{build as build_chase, ChaseParams};
 pub use common::{AddrAlloc, BuiltWorkload, InstanceSetup, CHECKSUM_REG};
 pub use hash::{build as build_hash, HashParams, PROBE_LOAD_PC};
 pub use multi_chase::{build as build_multi_chase, chain_load_pc, MultiChaseParams};
-pub use scan::{build as build_scan, ScanParams, SCAN_LOAD_PC};
-pub use search::{build as build_search, SearchParams, BISECT_LOAD_PC};
-pub use tiered::{build as build_tiered, site_load_pc, TieredParams, MAX_SITES};
-pub use zipf_kv::{build as build_zipf_kv, ZipfKvParams, VALUE_LOAD_PC};
+pub use scan::{build as build_scan, ScanParams};
+pub use search::{build as build_search, SearchParams};
+pub use tiered::{build as build_tiered, site_load_pc, TieredParams};
+pub use zipf_kv::{build as build_zipf_kv, ZipfKvParams};

@@ -7,8 +7,7 @@
 //! (A database analogue: a batched index join advancing `k` cursors.)
 
 use crate::common::{AddrAlloc, BuiltWorkload, InstanceSetup, CHECKSUM_REG};
-use reach_sim::isa::{AluOp, Cond, ProgramBuilder, Reg};
-use reach_sim::{Memory, SplitMix64};
+use reach_sim::{AluOp, Cond, Memory, ProgramBuilder, Reg, SplitMix64};
 
 /// Parameters for the multi-chain chase.
 #[derive(Clone, Copy, Debug)]

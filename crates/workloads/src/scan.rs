@@ -8,8 +8,7 @@
 //! for a *hot* array no yields are worth inserting at all.
 
 use crate::common::{AddrAlloc, BuiltWorkload, InstanceSetup, CHECKSUM_REG};
-use reach_sim::isa::{AluOp, Cond, ProgramBuilder, Reg};
-use reach_sim::{Memory, SplitMix64};
+use reach_sim::{AluOp, Cond, Memory, ProgramBuilder, Reg, SplitMix64};
 
 /// Parameters for the streaming scan.
 #[derive(Clone, Copy, Debug)]
@@ -98,13 +97,13 @@ pub fn build(
     BuiltWorkload { prog, instances }
 }
 
-/// PC of the streaming load.
-pub const SCAN_LOAD_PC: usize = 2;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use reach_sim::{Machine, MachineConfig};
+
+    /// PC of the streaming load.
+    const SCAN_LOAD_PC: usize = 2;
 
     #[test]
     fn solo_run_matches_checksum() {

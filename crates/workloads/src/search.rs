@@ -10,8 +10,7 @@
 //! strategies.
 
 use crate::common::{AddrAlloc, BuiltWorkload, InstanceSetup, CHECKSUM_REG};
-use reach_sim::isa::{AluOp, Cond, ProgramBuilder, Reg};
-use reach_sim::{Memory, SplitMix64};
+use reach_sim::{AluOp, Cond, Memory, ProgramBuilder, Reg, SplitMix64};
 
 /// Parameters for the binary-search workload.
 #[derive(Clone, Copy, Debug)]
@@ -155,13 +154,13 @@ pub fn build(
     BuiltWorkload { prog, instances }
 }
 
-/// PC of the bisection load, exported for experiment assertions.
-pub const BISECT_LOAD_PC: usize = 6;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use reach_sim::{Machine, MachineConfig};
+
+    /// PC of the bisection load.
+    const BISECT_LOAD_PC: usize = 6;
 
     #[test]
     fn solo_run_matches_checksum() {

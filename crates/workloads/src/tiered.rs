@@ -13,8 +13,7 @@
 //! experiments (T7, T11).
 
 use crate::common::{AddrAlloc, BuiltWorkload, InstanceSetup, CHECKSUM_REG};
-use reach_sim::isa::{AluOp, Cond, ProgramBuilder, Reg};
-use reach_sim::{Memory, SplitMix64};
+use reach_sim::{AluOp, Cond, Memory, ProgramBuilder, Reg, SplitMix64};
 
 /// LCG multiplier/increment used *inside* the generated program (and
 /// replicated by the generator to predict checksums).
@@ -22,13 +21,13 @@ const LCG_A: u64 = 6364136223846793005;
 const LCG_C: u64 = 1442695040888963407;
 
 /// Maximum number of sites (bounded by the register budget).
-pub const MAX_SITES: usize = 4;
+pub(crate) const MAX_SITES: usize = 4;
 
 /// Parameters for the tiered workload.
 #[derive(Clone, Debug)]
 pub struct TieredParams {
-    /// Words per site region; each must be a power of two. Length ≤
-    /// [`MAX_SITES`].
+    /// Words per site region; each must be a power of two. Length ≤ 4
+    /// (`MAX_SITES`).
     pub site_words: Vec<u64>,
     /// Loop iterations (each touches every site once).
     pub iters: u64,
@@ -77,7 +76,7 @@ pub fn site_load_pc(site: usize) -> usize {
 ///
 /// # Panics
 ///
-/// Panics if no sites are given, more than [`MAX_SITES`], or any site size
+/// Panics if no sites are given, more than `MAX_SITES` (4), or any site size
 /// is not a power of two.
 pub fn build(
     mem: &mut Memory,

@@ -9,8 +9,7 @@
 //! §4.1 presence-probe what-if shines.
 
 use crate::common::{AddrAlloc, BuiltWorkload, InstanceSetup, CHECKSUM_REG};
-use reach_sim::isa::{AluOp, Cond, ProgramBuilder, Reg};
-use reach_sim::{Memory, SplitMix64, Zipf};
+use reach_sim::{AluOp, Cond, Memory, ProgramBuilder, Reg, SplitMix64, Zipf};
 
 /// Parameters for the Zipf KV workload.
 #[derive(Clone, Copy, Debug)]
@@ -126,13 +125,13 @@ pub fn build(
     BuiltWorkload { prog, instances }
 }
 
-/// PC of the skewed value load.
-pub const VALUE_LOAD_PC: usize = 3;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use reach_sim::{Machine, MachineConfig};
+
+    /// PC of the skewed value load.
+    const VALUE_LOAD_PC: usize = 3;
 
     #[test]
     fn solo_run_matches_checksum() {

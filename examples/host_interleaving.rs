@@ -18,8 +18,7 @@
 //!   (compare against the group=1 dependent-style baseline to see what
 //!   the interleaving itself buys).
 
-use reach_coro::chase::Arena;
-use reach_coro::probe::{make_keys, Table};
+use reach_coro::{make_keys, Arena, Table};
 use std::time::Instant;
 
 #[allow(clippy::disallowed_methods)] // illustration only: single-shot, uncalibrated, never quoted

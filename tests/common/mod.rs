@@ -15,8 +15,7 @@
 //!   final-memory comparison catches any corruption.
 
 use proptest::prelude::*;
-use reach_sim::isa::{AluOp, Cond, Inst, Program, Reg};
-use reach_sim::{Context, Machine, MachineConfig};
+use reach_sim::{AluOp, Cond, Context, Inst, Machine, MachineConfig, Program, Reg};
 
 /// Base address of the scratch region.
 pub const BASE: u64 = 0x40_0000;

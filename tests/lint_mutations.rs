@@ -12,8 +12,7 @@ use reach_core::PipelineOptions;
 use reach_instrument::{
     instrument_sfi, lint_program, verify_rewrite, Cfg, Level, LintOptions, Liveness, R_SFI_ADDR,
 };
-use reach_sim::isa::{Inst, Program, Reg};
-use reach_sim::MachineConfig;
+use reach_sim::{Inst, MachineConfig, Program, Reg};
 
 fn instrumented(name: &str) -> (Program, Vec<Option<usize>>) {
     let cfg = MachineConfig::default();
@@ -86,9 +85,9 @@ fn unmasked_store_in_sfi_binary_fires_exactly_rl0005() {
     b.bind(top);
     b.load(Reg(3), Reg(0), 0);
     b.store(Reg(3), Reg(0), 8);
-    b.alu(reach_sim::isa::AluOp::Add, Reg(0), Reg(0), Reg(1), 1);
-    b.alu(reach_sim::isa::AluOp::Sub, Reg(2), Reg(2), Reg(1), 1);
-    b.branch(reach_sim::isa::Cond::Nez, Reg(2), top);
+    b.alu(reach_sim::AluOp::Add, Reg(0), Reg(0), Reg(1), 1);
+    b.alu(reach_sim::AluOp::Sub, Reg(2), Reg(2), Reg(1), 1);
+    b.branch(reach_sim::Cond::Nez, Reg(2), top);
     b.halt();
     let w_prog = b.finish().unwrap();
     let (mut prog, rep) = instrument_sfi(&w_prog).unwrap();

@@ -24,8 +24,7 @@ use reach_instrument::{
     solve, Cfg, DataflowProblem, Direction, Liveness, LivenessProblem, ReachingDefsProblem, RegSet,
     ALL_REGS,
 };
-use reach_sim::isa::{Inst, Program};
-use reach_sim::MachineConfig;
+use reach_sim::{Inst, MachineConfig, Program};
 
 /// The original hand-rolled backward worklist, kept as the differential
 /// oracle: `live_in` per pc, `live' = (live \ def) ∪ uses`, `ret` makes
@@ -210,7 +209,7 @@ proptest! {
 /// tests, kept beside the reference so each one still checks both).
 mod examples {
     use super::*;
-    use reach_sim::isa::{AluOp, Cond, ProgramBuilder, Reg};
+    use reach_sim::{AluOp, Cond, ProgramBuilder, Reg};
 
     fn analyze(prog: &Program) -> Liveness {
         assert_engine_matches_reference(prog, &prog.name);

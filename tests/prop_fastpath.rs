@@ -11,10 +11,10 @@
 //! records — and, when observed, the same sample streams, sampler
 //! counters and fault log.
 //!
-//! The reference executor here is the same `Machine` with a passive
-//! execution trace attached: tracing pins `run` to the `step` loop but
-//! records without perturbing any simulated state, so any divergence is
-//! a block-engine bug.
+//! The reference executor here is the same `Machine` with
+//! `blocks_enabled` off, which pins `run` to the `step` loop without
+//! touching any simulated state, so any divergence is a block-engine
+//! bug.
 //!
 //! The block engine additionally caches decoded blocks across runs, so
 //! a dedicated property drives it with `Machine::invalidate_blocks`
@@ -25,16 +25,15 @@ mod common;
 
 use common::{gen_program, machine_for, GenProgram, POOL, RB, REGION_WORDS};
 use proptest::prelude::*;
-use reach_sim::isa::{AluOp, Cond, ProgramBuilder, Reg};
 use reach_sim::{
-    Context, ExecError, Exit, FaultInjector, FaultLog, FaultPlan, HwEvent, Machine, PebsConfig,
-    Program, Sample, Trace,
+    AluOp, Cond, Context, ExecError, Exit, FaultInjector, FaultLog, FaultPlan, HwEvent, Machine,
+    PebsConfig, Program, ProgramBuilder, Reg, Sample,
 };
 
 /// Which dispatch tier a differential run pins `Machine::run` to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Engine {
-    /// The `step` loop (passive trace attached).
+    /// The `step` loop (block engine off).
     Reference,
     /// Superblock engine (the default).
     Blocks,
@@ -184,8 +183,8 @@ fn observe(
     }
 }
 
-/// `machine_for(g)` with `arming` applied; `stepped` attaches the passive
-/// trace that pins the machine to the `step` tier.
+/// `machine_for(g)` with `arming` applied; `stepped` turns the block
+/// engine off, which pins the machine to the `step` tier.
 fn armed_machine(g: &GenProgram, arming: &Arming, stepped: bool) -> (Machine, Context) {
     let (mut m, ctx) = machine_for(g);
     for &cfg in &arming.samplers {
@@ -193,7 +192,7 @@ fn armed_machine(g: &GenProgram, arming: &Arming, stepped: bool) -> (Machine, Co
     }
     m.faults = arming.faults.map(FaultInjector::new);
     if stepped {
-        m.trace = Some(Trace::new(1 << 12));
+        m.blocks_enabled = false;
     }
     (m, ctx)
 }
@@ -240,7 +239,7 @@ fn call_prog() -> Program {
     b.prefetch(RB, 64);
     b.load(r_v, RB, 0);
     b.push(reach_sim::Inst::Yield {
-        kind: reach_sim::isa::YieldKind::Manual,
+        kind: reach_sim::YieldKind::Manual,
         save_regs: None,
     });
     b.store(r_v, RB, 8);
@@ -341,7 +340,7 @@ proptest! {
 // everything observable:
 //
 // * `Lanes`: the library's executor on the superblock engine;
-// * `Stepped`: the same executor with a passive trace attached, which
+// * `Stepped`: the same executor with the block engine off, which
 //   pins `run_lanes` to its reference tier — the same policy driven over
 //   `Machine::step`;
 // * `ByHand`: the hand-rolled loops the executors were before they
@@ -398,8 +397,7 @@ use reach_core::{
     run_dual_mode, run_interleaved, run_task_queue, DualModeOptions, DualModeReport,
     InterleaveOptions, InterleaveReport, SchedPolicy, SwitchMode, Task, WatchdogOptions, POISON,
 };
-use reach_sim::isa::NUM_REGS;
-use reach_sim::{Inst, Mode, Status, SwitchKind, YieldKind};
+use reach_sim::{Inst, Mode, Status, SwitchKind, YieldKind, NUM_REGS};
 
 /// How a multi-context scenario is executed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -674,7 +672,7 @@ fn dual_mode_by_hand(
     let mut quarantines = vec![0u32; n];
     let mut release_at: Vec<Option<u64>> = vec![None; n];
     let mut next_scav = 0usize;
-    let unwatched = reach_core::dualmode::DEFAULT_UNWATCHED_SLICE_STEPS.min(opts.max_steps_per_ctx);
+    let unwatched = reach_core::DEFAULT_UNWATCHED_SLICE_STEPS.min(opts.max_steps_per_ctx);
     let slice_budget = match &opts.watchdog {
         Some(w) => w.slice_steps.min(opts.max_steps_per_ctx),
         None => unwatched,

@@ -17,7 +17,7 @@
 //! seam and the reference standalone loop.
 
 use proptest::prelude::*;
-use reach_bench::serving::{default_fleet_opts, default_rollout, fleet_world};
+use reach_bench::{default_fleet_opts, default_rollout, fleet_world};
 use reach_core::run_fleet;
 
 /// Per-shard determinism fingerprint: served, swaps, job faults, the

@@ -5,8 +5,9 @@ mod common;
 
 use common::{gen_program, run_and_observe};
 use proptest::prelude::*;
-use reach_sim::pebs::{HwEvent, PebsConfig, PebsSampler};
-use reach_sim::{AccessKind, Hierarchy, Level, MachineConfig, SplitMix64, Zipf};
+use reach_sim::{
+    AccessKind, Hierarchy, HwEvent, Level, MachineConfig, PebsConfig, PebsSampler, SplitMix64, Zipf,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]

@@ -12,7 +12,7 @@
 //! contention-free core, and must pass the fleet's oracles too.
 
 use proptest::prelude::*;
-use reach_bench::serving::solo_core;
+use reach_bench::solo_core;
 use reach_core::{
     incidents_json, pgo_pipeline_degrading, run_fleet, Arrival, DegradeOptions, DeployedBuild,
     FleetOptions, FleetWorkload, SupervisorOptions,

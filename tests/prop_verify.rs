@@ -26,8 +26,7 @@ use reach_instrument::{
     elide_yields, instrument_primary, instrument_scavenger, smooth_profile, verify_rewrite,
     verify_rewrite_map, ElideMode, LintOptions, PcMap, Policy, PrimaryOptions, ScavengerOptions,
 };
-use reach_sim::isa::{Inst, Program};
-use reach_sim::MachineConfig;
+use reach_sim::{Inst, MachineConfig, Program};
 
 /// Primary + scavenger with the most aggressive settings, returning
 /// every intermediate needed to verify each stage independently.
