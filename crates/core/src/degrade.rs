@@ -252,9 +252,7 @@ pub(crate) fn scavenger_only_build(
             .map_err(PipelineError::from)
             .and_then(|(scav_prog, report)| {
                 validate_rewrite(prog, &scav_prog, &report.pc_map.origin, false)?;
-                if pipeline.verify {
-                    verify_gate(prog, &scav_prog, &report.pc_map.origin, &pipeline.lint)?;
-                }
+                verify_gate(prog, &scav_prog, &report.pc_map.origin, &pipeline.lint)?;
                 let lint = lint_gate(&scav_prog, &report.pc_map.origin, &pipeline.lint)?;
                 Ok((scav_prog, report.pc_map.origin, lint))
             }),

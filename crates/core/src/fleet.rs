@@ -11,10 +11,11 @@
 //! * **Key-sharded routing with bounded forwarding** — every request
 //!   has an owner shard; requests that land elsewhere (or arrive while
 //!   the owner is draining or down) wait in a bounded forwarding queue
-//!   with per-request timeout and deterministic-jitter retry backoff,
-//!   and are shed on overflow. No request is ever silently re-homed: a
-//!   key's data lives on its owner, so serving it elsewhere would be a
-//!   wrong answer, not a slow one.
+//!   with per-request timeout and deterministic-jitter retry backoff
+//!   (1 epoch doubling to at most 4, plus a jitter of 0 or 1), and are
+//!   shed on overflow. No request is ever silently re-homed: a key's
+//!   data lives on its owner, so serving it elsewhere would be a wrong
+//!   answer, not a slow one.
 //! * **Rolling re-instrumentation deploys** — one shard at a time:
 //!   drain (stop admissions, serve the backlog down), build + gate the
 //!   new instrumented binary, deploy, then watch a health window before
@@ -22,10 +23,9 @@
 //!   max-unavailable=1 gate: a drain only begins while every shard is
 //!   serving, and any crash cancels an in-progress drain.
 //! * **Fleet-level correlated-failure detection** — per-shard breakers
-//!   already contain local rebuild storms; when ≥ `breaker_k` breakers
-//!   open within `breaker_window` epochs, that is no longer a local
-//!   problem. The fleet freezes any rollout and pins the last-known-good
-//!   build fleet-wide.
+//!   already contain local rebuild storms; when 2 breakers open within
+//!   8 epochs, that is no longer a local problem. The fleet freezes any
+//!   rollout and pins the last-known-good build fleet-wide.
 //! * **Work-stealing of scavenger slices** — a draining or crashed
 //!   shard's scavenger budget is idle capacity; it is granted
 //!   round-robin to the serving shards as a volatile (never journaled)
@@ -116,7 +116,11 @@ impl Default for RolloutOptions {
     }
 }
 
-/// Configuration for [`run_fleet`].
+/// Configuration for [`run_fleet`]. Two rules are fixed: a forwarded
+/// request retries after 1 epoch, doubling per attempt to at most 4, plus
+/// a jitter of 0 or 1; and 2 breaker opens within 8 epochs freeze the
+/// rollout and pin the last-known-good build fleet-wide. Idle scavenger
+/// slices are always granted to the serving shards.
 #[derive(Clone, Debug)]
 pub struct FleetOptions {
     /// Shard count; must equal the [`MultiCore`]'s core count.
@@ -130,24 +134,27 @@ pub struct FleetOptions {
     pub forward_bound: usize,
     /// Epochs a queued request may wait before it is shed as timed out.
     pub forward_timeout_epochs: u64,
-    /// Base retry backoff (epochs); doubles per attempt, plus jitter.
-    pub forward_backoff_base: u64,
-    /// Retry backoff cap (epochs), before jitter.
-    pub forward_backoff_max: u64,
     /// Rolling re-instrumentation deploy; `None` = steady state.
     pub rollout: Option<RolloutOptions>,
-    /// Correlated-failure threshold: this many breaker-opens within
-    /// `breaker_window` freezes the rollout and pins the LKG build.
-    pub breaker_k: usize,
-    /// Sliding window (epochs) for correlated breaker detection.
-    pub breaker_window: u64,
-    /// Grant drained/down shards' scavenger slices to serving shards.
-    pub steal: bool,
     /// Fleet seed: router jitter and per-shard seed derivation.
     pub seed: u64,
     /// Crash-recovery options for every shard.
     pub recover: RecoverOptions,
 }
+
+/// Base retry backoff of a forwarded request (epochs); doubles per
+/// attempt, plus a jitter draw below `FORWARD_BACKOFF_BASE + 1`.
+const FORWARD_BACKOFF_BASE: u64 = 1;
+
+/// Retry backoff cap (epochs), before jitter.
+const FORWARD_BACKOFF_MAX: u64 = 4;
+
+/// Correlated-failure threshold: this many breaker opens within
+/// [`BREAKER_WINDOW`] epochs freeze the rollout and pin the LKG build.
+const BREAKER_K: usize = 2;
+
+/// Sliding window (epochs) for correlated breaker detection.
+const BREAKER_WINDOW: u64 = 8;
 
 impl Default for FleetOptions {
     fn default() -> Self {
@@ -157,12 +164,7 @@ impl Default for FleetOptions {
             sup: SupervisorOptions::default(),
             forward_bound: 16,
             forward_timeout_epochs: 4,
-            forward_backoff_base: 1,
-            forward_backoff_max: 4,
             rollout: None,
-            breaker_k: 2,
-            breaker_window: 8,
-            steal: true,
             seed: 0,
             recover: RecoverOptions { revalidate: true },
         }
@@ -178,8 +180,6 @@ pub enum FleetConfigError {
     ZeroShards,
     /// `shards` does not match the machine's core count.
     ShardCoreMismatch,
-    /// `breaker_k == 0`: the fleet would freeze before the first epoch.
-    ZeroBreakerK,
 }
 
 impl From<SupervisorConfigError> for FleetConfigError {
@@ -196,7 +196,6 @@ impl std::fmt::Display for FleetConfigError {
             FleetConfigError::ShardCoreMismatch => {
                 write!(f, "shards must equal the MultiCore core count")
             }
-            FleetConfigError::ZeroBreakerK => write!(f, "breaker_k must be >= 1"),
         }
     }
 }
@@ -273,7 +272,7 @@ pub enum FleetEvent {
         /// True when recovery fell down the ladder.
         degraded: bool,
     },
-    /// ≥ `breaker_k` per-shard breakers opened within the window.
+    /// 2 or more per-shard breakers opened within 8 epochs.
     CorrelatedBreakers {
         /// Fleet epoch.
         epoch: u64,
@@ -724,9 +723,6 @@ pub(crate) fn run_fleet_on(
     if opts.shards != mc.len() {
         return Err(FleetConfigError::ShardCoreMismatch);
     }
-    if opts.breaker_k == 0 {
-        return Err(FleetConfigError::ZeroBreakerK);
-    }
     let mut fleet = Fleet::new(mc, original, initial, opts, workers)?;
     for epoch in 0..opts.epochs {
         fleet.crashed_this_epoch = false;
@@ -1082,11 +1078,10 @@ impl<'a> Fleet<'a> {
             }
             self.rep.retries += 1;
             let shift = q.attempts.min(31);
-            let delay = opts
-                .forward_backoff_base
+            let delay = FORWARD_BACKOFF_BASE
                 .saturating_mul(1u64 << shift)
-                .min(opts.forward_backoff_max);
-            let jitter = self.rng.next_below(opts.forward_backoff_base + 1);
+                .min(FORWARD_BACKOFF_MAX);
+            let jitter = self.rng.next_below(FORWARD_BACKOFF_BASE + 1);
             q.next_try = epoch + 1 + delay + jitter;
             q.attempts += 1;
             still_queued.push_back(q);
@@ -1124,7 +1119,7 @@ impl<'a> Fleet<'a> {
         let serving = self.shards.iter().filter(|sh| sh.is_serving()).count();
         let donors = opts.shards - serving;
         let mut bonus_of = vec![0u64; opts.shards];
-        if opts.steal && donors > 0 && serving > 0 {
+        if donors > 0 && serving > 0 {
             // Each donor gives away what it actually has: a draining
             // shard's live (possibly shed) budget, a dead shard's
             // configured pool. Slices split evenly over the serving
@@ -1311,7 +1306,6 @@ impl<'a> Fleet<'a> {
 
     /// Correlated breaker detection over the live shards.
     fn correlate_breakers(&mut self, epoch: u64) {
-        let opts = self.opts;
         for (s, sh) in self.shards.iter().enumerate() {
             let open = sh.el().is_some_and(|el| el.breaker() == BreakerState::Open);
             if open && !self.prev_breakers[s] {
@@ -1320,9 +1314,9 @@ impl<'a> Fleet<'a> {
             self.prev_breakers[s] = open;
         }
         self.breaker_opens
-            .retain(|&e| epoch.saturating_sub(e) < opts.breaker_window);
+            .retain(|&e| epoch.saturating_sub(e) < BREAKER_WINDOW);
         let opens = self.breaker_opens.len();
-        if opens < opts.breaker_k || self.frozen_by_breakers {
+        if opens < BREAKER_K || self.frozen_by_breakers {
             return;
         }
         self.frozen_by_breakers = true;
@@ -1333,10 +1327,7 @@ impl<'a> Fleet<'a> {
         if !matches!(self.phase, RolloutPhase::Done) {
             self.freeze(
                 epoch,
-                format!(
-                    "{opens} breakers opened within {} epochs",
-                    opts.breaker_window
-                ),
+                format!("{opens} breakers opened within {BREAKER_WINDOW} epochs"),
             );
         }
         // Pin every serving shard to the last-known-good build:
@@ -1840,14 +1831,6 @@ mod tests {
         assert_eq!(
             run_fleet(&mut mc, &mut svc, &orig, initial.clone(), &opts).unwrap_err(),
             FleetConfigError::ShardCoreMismatch
-        );
-        let opts = FleetOptions {
-            breaker_k: 0,
-            ..base.clone()
-        };
-        assert_eq!(
-            run_fleet(&mut mc, &mut svc, &orig, initial.clone(), &opts).unwrap_err(),
-            FleetConfigError::ZeroBreakerK
         );
         let mut sup = fleet_sup();
         sup.max_rebuild_failures = 0;

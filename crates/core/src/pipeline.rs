@@ -37,12 +37,6 @@ pub struct PipelineOptions {
     /// findings abort the pipeline ([`PipelineError::Lint`]); warnings
     /// ride along in [`InstrumentedBinary::lint_report`].
     pub lint: LintOptions,
-    /// Run the symbolic equivalence checker ([`reach_instrument::verify_rewrite_map`])
-    /// on every rewriting pass and on the composed end-to-end pc map,
-    /// refusing unprovable rewrites ([`PipelineError::Verify`]). On by
-    /// default — opt out only for experiments that deliberately ship
-    /// corrupted builds.
-    pub verify: bool,
     /// Profile admission control: provenance (binary fingerprint) and
     /// sample-coverage checks on the smoothed profile before it steers
     /// instrumentation. `None` (the default) skips the check — opt in
@@ -60,7 +54,6 @@ impl Default for PipelineOptions {
             primary: PrimaryOptions::default(),
             scavenger: Some(ScavengerOptions::default()),
             lint: LintOptions::default(),
-            verify: true,
             validation: None,
         }
     }
@@ -274,12 +267,10 @@ pub(crate) fn instrument_with_profile(
     PipelineError,
 > {
     // Step (ii a): primary instrumentation, translation-validated
-    // syntactically and (unless opted out) proven equivalent.
+    // syntactically and proven equivalent.
     let (primary_prog, primary_report) = instrument_primary(prog, profile, mcfg, &opts.primary)?;
     validate_rewrite(prog, &primary_prog, &primary_report.pc_map.origin, false)?;
-    if opts.verify {
-        verify_map_gate(prog, &primary_prog, &primary_report.pc_map, &opts.lint)?;
-    }
+    verify_map_gate(prog, &primary_prog, &primary_report.pc_map, &opts.lint)?;
 
     // Step (ii b): scavenger instrumentation, carrying profile PCs across
     // the first rewrite via the origin map.
@@ -289,13 +280,11 @@ pub(crate) fn instrument_with_profile(
             let (scav_prog, scav_report) =
                 instrument_scavenger(&primary_prog, Some((profile, &origin1)), mcfg, sopts)?;
             validate_rewrite(&primary_prog, &scav_prog, &scav_report.pc_map.origin, false)?;
-            if opts.verify {
-                // Each pass proves out on its own, and the composed
-                // end-to-end map must tell a consistent story too.
-                verify_map_gate(&primary_prog, &scav_prog, &scav_report.pc_map, &opts.lint)?;
-                let composed_map = primary_report.pc_map.then(&scav_report.pc_map);
-                verify_map_gate(prog, &scav_prog, &composed_map, &opts.lint)?;
-            }
+            // Each pass proves out on its own, and the composed
+            // end-to-end map must tell a consistent story too.
+            verify_map_gate(&primary_prog, &scav_prog, &scav_report.pc_map, &opts.lint)?;
+            let composed_map = primary_report.pc_map.then(&scav_report.pc_map);
+            verify_map_gate(prog, &scav_prog, &composed_map, &opts.lint)?;
             let composed: Vec<Option<usize>> = scav_report
                 .pc_map
                 .origin

@@ -15,8 +15,7 @@
 //!   primary-latency SLO guard over a sliding window, and the watchdog's
 //!   scavenger-overrun count.
 //! * **Diagnose** — per-epoch trigger evaluation: staleness distance
-//!   over threshold, SLO p99 violated, overrun trend tripped, admission
-//!   queue overflowing.
+//!   over threshold, SLO p99 violated, admission queue overflowing.
 //! * **Repair** — re-profile + re-instrument through the existing
 //!   degradation ladder, then **hot-swap between epochs**: jobs already
 //!   served this epoch finished on the old build, the next epoch's
@@ -31,9 +30,9 @@
 //!   can still reach ([`Rung::ScavengerOnly`] or
 //!   [`Rung::Uninstrumented`]) and gives up on full PGO for the rest of
 //!   the run. Overload is contained separately: a bounded admission
-//!   queue sheds excess arrivals, SLO violations halve the scavenger
-//!   pool (down to a floor), and a clean probation streak restores it
-//!   one scavenger at a time.
+//!   queue (8 jobs) sheds excess arrivals, SLO violations halve the
+//!   scavenger pool (down to zero), and a clean probation streak
+//!   restores it one scavenger at a time.
 //!
 //! Every transition is recorded as an [`Incident`] — trigger, evidence
 //! metrics, action, outcome — and the whole log serializes to canonical
@@ -88,11 +87,11 @@ impl From<DegradedBuild> for DeployedBuild {
 
 /// The trust gate: may `build` serve as an instrumentation of
 /// `original`? An uninstrumented build must *be* the original; anything
-/// else must pass the lint gate and (when enabled) the
-/// symbolic-equivalence gate. Every door but the rebuild path asks this
-/// one function (`attempt_rebuild` runs the two gates itself: a crash
-/// point sits between them and its incident names the gate that
-/// refused), and it derives the answer from the bytes alone — which is
+/// else must pass the lint gate and the symbolic-equivalence gate.
+/// Every door but the rebuild path asks this one function
+/// (`attempt_rebuild` runs the two gates itself: a crash point sits
+/// between them and its incident names the gate that refused), and it
+/// derives the answer from the bytes alone — which is
 /// why the fleet can call it after every recovery, and the chaos engine
 /// on every initial build, without believing anything recovery or a
 /// swap concluded.
@@ -106,8 +105,7 @@ pub(crate) fn build_is_trusted(
         Rung::Uninstrumented => build.prog.fingerprint() == original.fingerprint(),
         Rung::FullPgo | Rung::ScavengerOnly => {
             lint_gate(&build.prog, &build.origin, &pipeline.lint).is_ok()
-                && (!pipeline.verify
-                    || verify_gate(original, &build.prog, &build.origin, &pipeline.lint).is_ok())
+                && verify_gate(original, &build.prog, &build.origin, &pipeline.lint).is_ok()
         }
     }
 }
@@ -119,15 +117,11 @@ pub(crate) fn build_is_trusted(
 pub struct SupervisorOptions {
     /// Jobs served per epoch (the service rate).
     pub service_per_epoch: usize,
-    /// Admission-queue bound (supervised only): arrivals beyond this
-    /// backlog are shed and recorded. Unsupervised runs queue unboundedly.
-    pub queue_bound: usize,
     /// Scavenger-pool size per job (the healthy budget).
     pub scavengers: usize,
-    /// Shedding floor: SLO shedding never reduces the pool below this.
-    pub min_scavengers: usize,
     /// Primary-latency SLO: p99 over the sliding window above this trips
-    /// the shedder. `u64::MAX` disables the guard.
+    /// the shedder, which halves the scavenger pool (down to zero).
+    /// `u64::MAX` disables the guard.
     pub slo_p99_cycles: u64,
     /// Sliding-window length (jobs) for the SLO p99; the guard stays
     /// quiet until the window is full.
@@ -139,9 +133,6 @@ pub struct SupervisorOptions {
     pub estimator: OnlineEstimatorOptions,
     /// Sampling period of the permanently-armed in-situ L2-miss sampler.
     pub insitu_period: u64,
-    /// Watchdog overruns in a single epoch at which a rebuild triggers
-    /// (the overrun-trend guard). `u64::MAX` disables it.
-    pub overrun_trip: u64,
     /// Clean epochs (no SLO violation, no overruns) required before one
     /// shed scavenger is restored to the pool.
     pub probation_epochs: u64,
@@ -153,16 +144,15 @@ pub struct SupervisorOptions {
     /// Consecutive rebuild failures at which the circuit breaker opens
     /// and the supervisor deploys the best degraded rung instead.
     pub max_rebuild_failures: u32,
-    /// Epochs after a swap during which rebuild triggers are suppressed
-    /// (the estimator needs time to re-warm against the new reference).
-    pub cooldown_epochs: u64,
     /// Rebuild-engine configuration (ladder, validation, fault hooks).
     pub degrade: DegradeOptions,
     /// Dual-mode execution options for serving jobs.
     pub dual: DualModeOptions,
     /// `false` = passive baseline: same serving loop and the same
     /// estimator bookkeeping, but no triggers, no swaps, no shedding,
-    /// unbounded queue. The experiment's "unsupervised" arm.
+    /// unbounded queue. The experiment's "unsupervised" arm. Supervised
+    /// runs shed the backlog beyond 8 jobs and suppress rebuild triggers
+    /// for 2 epochs after a swap.
     pub supervise: bool,
     /// Fault-injection hook: applied to every rebuilt [`Rung::FullPgo`]
     /// binary *before* the swap-time lint gate, so tests can exercise
@@ -170,24 +160,28 @@ pub struct SupervisorOptions {
     pub build_mutator: Option<fn(&mut Program)>,
 }
 
+/// Admission-queue bound of a supervised run: arrivals beyond this
+/// backlog are shed and recorded.
+const QUEUE_BOUND: usize = 8;
+
+/// Epochs after a swap during which rebuild triggers are suppressed (the
+/// estimator needs time to re-warm against the new reference).
+const COOLDOWN_EPOCHS: u64 = 2;
+
 impl Default for SupervisorOptions {
     fn default() -> Self {
         SupervisorOptions {
             service_per_epoch: 2,
-            queue_bound: 8,
             scavengers: 4,
-            min_scavengers: 0,
             slo_p99_cycles: u64::MAX,
             slo_window: 8,
             staleness_threshold: 0.5,
             estimator: OnlineEstimatorOptions::default(),
             insitu_period: 127,
-            overrun_trip: u64::MAX,
             probation_epochs: 2,
             backoff_base_epochs: 1,
             backoff_max_epochs: 8,
             max_rebuild_failures: 3,
-            cooldown_epochs: 2,
             degrade: DegradeOptions::default(),
             dual: DualModeOptions {
                 drain_scavengers: false,
@@ -207,8 +201,6 @@ pub enum Trigger {
     Staleness,
     /// Sliding-window primary p99 exceeded the SLO.
     SloViolation,
-    /// Watchdog overruns in one epoch crossed the trip level.
-    OverrunTrend,
     /// Admission backlog exceeded the queue bound.
     QueueOverflow,
     /// A clean probation streak completed.
@@ -226,7 +218,6 @@ impl Trigger {
         match self {
             Trigger::Staleness => "staleness",
             Trigger::SloViolation => "slo-violation",
-            Trigger::OverrunTrend => "overrun-trend",
             Trigger::QueueOverflow => "queue-overflow",
             Trigger::ProbationElapsed => "probation-elapsed",
             Trigger::CrashRecovery => "crash-recovery",
@@ -249,9 +240,6 @@ pub enum SupervisorConfigError {
     /// `estimator.window == 0`: a zero-width staleness window can never
     /// retain a sample, so the estimator would be permanently blind.
     ZeroEstimatorWindow,
-    /// `min_scavengers > scavengers`: the shedding floor exceeds the
-    /// pool, so the first shed would *grow* the pool.
-    MinScavengersAbovePool,
 }
 
 impl std::fmt::Display for SupervisorConfigError {
@@ -265,9 +253,6 @@ impl std::fmt::Display for SupervisorConfigError {
             }
             SupervisorConfigError::ZeroEstimatorWindow => {
                 write!(f, "estimator.window must be >= 1")
-            }
-            SupervisorConfigError::MinScavengersAbovePool => {
-                write!(f, "min_scavengers must not exceed scavengers")
             }
         }
     }
@@ -285,9 +270,6 @@ pub(crate) fn validate_options(opts: &SupervisorOptions) -> Result<(), Superviso
     }
     if opts.estimator.window == 0 {
         return Err(SupervisorConfigError::ZeroEstimatorWindow);
-    }
-    if opts.min_scavengers > opts.scavengers {
-        return Err(SupervisorConfigError::MinScavengersAbovePool);
     }
     Ok(())
 }
@@ -940,16 +922,16 @@ impl EpochLoop {
             self.pending.push_back(self.next_job);
             self.next_job += 1;
         }
-        if self.opts.supervise && self.pending.len() > self.opts.queue_bound {
-            let dropped = (self.pending.len() - self.opts.queue_bound) as u64;
-            self.pending.truncate(self.opts.queue_bound);
+        if self.opts.supervise && self.pending.len() > QUEUE_BOUND {
+            let dropped = (self.pending.len() - QUEUE_BOUND) as u64;
+            self.pending.truncate(QUEUE_BOUND);
             self.report.shed_jobs += dropped;
             self.report.incidents.push(Incident {
                 epoch,
                 trigger: Trigger::QueueOverflow,
                 evidence: vec![
-                    ("queue_len", Ev::U(self.opts.queue_bound as u64 + dropped)),
-                    ("queue_bound", Ev::U(self.opts.queue_bound as u64)),
+                    ("queue_len", Ev::U(QUEUE_BOUND as u64 + dropped)),
+                    ("queue_bound", Ev::U(QUEUE_BOUND as u64)),
                 ],
                 action: Action::ShedAdmissions { dropped },
                 outcome: Outcome::Contained,
@@ -1041,23 +1023,17 @@ impl EpochLoop {
         };
         let slo_violated = window_p99.is_some_and(|p| p > self.opts.slo_p99_cycles);
 
-        // Rebuild triggers (staleness first: repairing the build beats
-        // shedding capacity when both fire).
+        // The rebuild trigger goes first: repairing the build beats
+        // shedding capacity when both fire.
         let stale_trip = staleness.is_finite() && staleness >= self.opts.staleness_threshold;
-        let overrun_trip = epoch_overruns >= self.opts.overrun_trip;
         let rebuild_allowed = match self.breaker {
             BreakerState::Open => false,
             BreakerState::Backoff { until_epoch } => epoch >= until_epoch,
             BreakerState::Closed => true,
         } && self
             .last_swap
-            .is_none_or(|s| epoch.saturating_sub(s) >= self.opts.cooldown_epochs);
-        if rebuild_allowed && (stale_trip || overrun_trip) {
-            let trigger = if stale_trip {
-                Trigger::Staleness
-            } else {
-                Trigger::OverrunTrend
-            };
+            .is_none_or(|s| epoch.saturating_sub(s) >= COOLDOWN_EPOCHS);
+        if rebuild_allowed && stale_trip {
             let evidence = vec![
                 ("staleness", Ev::F(staleness)),
                 ("epoch_overruns", Ev::U(epoch_overruns)),
@@ -1074,7 +1050,7 @@ impl EpochLoop {
                     let rung = b.rung;
                     let incident = Incident {
                         epoch,
-                        trigger,
+                        trigger: Trigger::Staleness,
                         evidence,
                         action: Action::Swap { rung },
                         outcome: Outcome::Deployed { rung },
@@ -1092,7 +1068,7 @@ impl EpochLoop {
                         let rung = fb.rung;
                         let incident = Incident {
                             epoch,
-                            trigger,
+                            trigger: Trigger::Staleness,
                             evidence,
                             action: Action::BreakerOpen { rung },
                             outcome: Outcome::Deployed { rung },
@@ -1122,7 +1098,7 @@ impl EpochLoop {
                         )?;
                         self.report.incidents.push(Incident {
                             epoch,
-                            trigger,
+                            trigger: Trigger::Staleness,
                             evidence,
                             action: Action::Backoff {
                                 failures: self.failures,
@@ -1133,11 +1109,11 @@ impl EpochLoop {
                     }
                 }
             }
-        } else if slo_violated && self.scav_budget > self.opts.min_scavengers {
-            // Overload containment: halve the scavenger pool toward the
-            // floor. Evidence is the window p99 that tripped.
+        } else if slo_violated && self.scav_budget > 0 {
+            // Overload containment: halve the scavenger pool. Evidence is
+            // the window p99 that tripped.
             let from = self.scav_budget;
-            let to = (self.scav_budget / 2).max(self.opts.min_scavengers);
+            let to = self.scav_budget / 2;
             self.scav_budget = to;
             self.clean_streak = 0;
             self.window.clear();
@@ -1240,18 +1216,16 @@ fn attempt_rebuild(
     }
     // Beyond the lint gate: prove the deployed image equivalent to the
     // original it claims to instrument before the epoch-boundary swap.
-    if opts.degrade.pipeline.verify {
-        if let Err(e) = verify_gate(
-            original,
-            &deployed.prog,
-            &deployed.origin,
-            &opts.degrade.pipeline.lint,
-        ) {
-            return Rebuild::Failed {
-                reason: format!("swap-time verify gate: {e}"),
-                fallback: None,
-            };
-        }
+    if let Err(e) = verify_gate(
+        original,
+        &deployed.prog,
+        &deployed.origin,
+        &opts.degrade.pipeline.lint,
+    ) {
+        return Rebuild::Failed {
+            reason: format!("swap-time verify gate: {e}"),
+            fallback: None,
+        };
     }
     Rebuild::Swapped(Box::new(deployed))
 }
@@ -1832,6 +1806,12 @@ mod tests {
             build_mutator: Some(skew_prefetched_load),
             ..drift_opts()
         };
+        // The trust gate that recovery and rollouts ask refuses the same
+        // skew, although the lint gate alone passes it.
+        let mut skewed = init.clone();
+        skew_prefetched_load(&mut skewed.prog);
+        assert!(lint_gate(&skewed.prog, &skewed.origin, &opts.degrade.pipeline.lint).is_ok());
+        assert!(!build_is_trusted(&orig, &skewed, &opts));
         let r = solo(&orig, &opts, 12).complete(&mut m, &mut svc, init);
         assert!(
             r.incidents
@@ -1981,14 +1961,6 @@ mod tests {
                 ..drift_opts()
             },
             SupervisorConfigError::ZeroEstimatorWindow,
-        );
-        check(
-            SupervisorOptions {
-                scavengers: 1,
-                min_scavengers: 2,
-                ..drift_opts()
-            },
-            SupervisorConfigError::MinScavengersAbovePool,
         );
         // A disarmed SLO guard tolerates the zero-width window (it is
         // never consulted).

@@ -4,7 +4,7 @@
 //! loads, L3-miss loads, stalled cycles, retired instructions), enables the
 //! LBR, runs the *original* (uninstrumented) workload "in production", and
 //! aggregates the drained samples into a [`Profile`]. Buffers are drained
-//! at a configurable chunk size, modelling the OS periodically reading the
+//! every 4096 instructions, modelling the OS periodically reading the
 //! PEBS buffer; the LBR is snapshotted at the same cadence (as PEBS
 //! attaches LBR state to its samples).
 
@@ -20,8 +20,6 @@ pub struct CollectorConfig {
     pub skid: u32,
     /// Per-counter buffer capacity.
     pub buffer_capacity: usize,
-    /// Instructions executed between buffer drains / LBR snapshots.
-    pub chunk_steps: u64,
     /// Overall per-instance step budget.
     pub max_steps: u64,
 }
@@ -32,7 +30,6 @@ impl Default for CollectorConfig {
             periods: Periods::default(),
             skid: 0,
             buffer_capacity: 4096,
-            chunk_steps: 4096,
             max_steps: 100_000_000,
         }
     }
@@ -125,6 +122,8 @@ pub fn collect(
         }
     };
 
+    // Instructions executed between buffer drains / LBR snapshots.
+    const CHUNK_STEPS: u64 = 4096;
     for ctx in contexts.iter_mut() {
         let start = ctx.stats.instructions;
         loop {
@@ -132,7 +131,7 @@ pub fn collect(
             if used >= cfg.max_steps {
                 break;
             }
-            let budget = cfg.chunk_steps.min(cfg.max_steps - used);
+            let budget = CHUNK_STEPS.min(cfg.max_steps - used);
             let exit = machine.run_to_completion(prog, ctx, budget)?;
             drain(machine, &mut profile);
             if exit == Exit::Done {

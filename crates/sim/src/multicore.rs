@@ -37,14 +37,13 @@
 use crate::config::MachineConfig;
 use crate::machine::Machine;
 
-/// Configuration of the shared uncore (L3 + memory controller).
+/// Configuration of the shared uncore (L3 + memory controller). Every
+/// core is a [`MachineConfig::default`] machine: private L1/L2, and an L3
+/// section that describes the shared L3 every core sees.
 #[derive(Clone, Debug)]
 pub struct MultiCoreConfig {
     /// Number of cores.
     pub cores: usize,
-    /// Per-core baseline configuration (private L1/L2; its L3 section
-    /// describes the shared L3 every core sees).
-    pub core: MachineConfig,
     /// Shared L3 capacity in lines. The per-core [`MachineConfig::l3`]
     /// geometry is the *same* shared cache seen from each core; this is
     /// its capacity for the occupancy model.
@@ -52,13 +51,16 @@ pub struct MultiCoreConfig {
     /// Aggregate DRAM bandwidth budget: demand lines the memory
     /// controller sustains per 1000 cycles without queueing.
     pub dram_lines_per_kcycle: u64,
-    /// Extra L3 hit cycles per 100% footprint overcommit.
-    pub l3_penalty_step: u64,
-    /// Extra memory cycles per 100% bandwidth overdemand.
-    pub dram_penalty_step: u64,
-    /// Upper bound on either penalty, in cycles.
-    pub max_penalty: u64,
 }
+
+/// Extra L3 hit cycles per 100% footprint overcommit.
+const L3_PENALTY_STEP: u64 = 12;
+
+/// Extra memory cycles per 100% bandwidth overdemand.
+const DRAM_PENALTY_STEP: u64 = 60;
+
+/// Upper bound on either penalty, in cycles.
+const MAX_PENALTY: u64 = 400;
 
 impl MultiCoreConfig {
     /// A contemporary `cores`-way server around the default core: the
@@ -66,17 +68,12 @@ impl MultiCoreConfig {
     /// one streaming core can just about saturate (so N cores contend).
     pub fn new(cores: usize) -> Self {
         let core = MachineConfig::default();
-        let shared_l3_lines = (core.l3.size_bytes / core.line_bytes) as u64;
         MultiCoreConfig {
             cores,
-            core,
-            shared_l3_lines,
+            shared_l3_lines: (core.l3.size_bytes / core.line_bytes) as u64,
             // ~21 GB/s at 3 GHz and 64-byte lines: one line per ~9
             // cycles sustained.
             dram_lines_per_kcycle: 110,
-            l3_penalty_step: 12,
-            dram_penalty_step: 60,
-            max_penalty: 400,
         }
     }
 }
@@ -132,7 +129,7 @@ impl MultiCore {
     pub fn new(cfg: MultiCoreConfig) -> Self {
         assert!(cfg.cores > 0, "a fleet needs at least one core");
         let cores: Vec<Machine> = (0..cfg.cores)
-            .map(|_| Machine::new(cfg.core.clone()))
+            .map(|_| Machine::new(MachineConfig::default()))
             .collect();
         let snapshots = vec![CoreSnapshot::default(); cfg.cores];
         MultiCore {
@@ -191,13 +188,11 @@ impl MultiCore {
         let demand_rate = mem_lines * 1000 / elapsed;
         let demand_pct = demand_rate * 100 / self.cfg.dram_lines_per_kcycle.max(1);
 
-        let l3_extra = (occupancy_pct.saturating_sub(100) * self.cfg.l3_penalty_step / 100)
-            .min(self.cfg.max_penalty);
-        let mem_extra = (demand_pct.saturating_sub(100) * self.cfg.dram_penalty_step / 100)
-            .min(self.cfg.max_penalty);
+        let l3_extra = (occupancy_pct.saturating_sub(100) * L3_PENALTY_STEP / 100).min(MAX_PENALTY);
+        let mem_extra = (demand_pct.saturating_sub(100) * DRAM_PENALTY_STEP / 100).min(MAX_PENALTY);
 
         for core in &mut self.cores {
-            let mut cfg = self.cfg.core.clone();
+            let mut cfg = MachineConfig::default();
             cfg.l3.hit_latency += l3_extra;
             cfg.mem_latency += mem_extra;
             core.hier.set_latencies(&cfg);
