@@ -113,6 +113,11 @@ impl From<MemError> for ExecError {
 }
 
 /// The simulated core plus its memory system, clock, counters and PMU.
+///
+/// Cloning a machine copies everything except simulated memory's
+/// contents: the clone shares every [`Memory`] frame with the original
+/// for one reference count each, and a frame is copied only when one of
+/// the two first stores into it.
 #[derive(Clone, Debug)]
 pub struct Machine {
     /// Machine configuration (latencies, costs, geometry).
