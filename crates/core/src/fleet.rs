@@ -403,7 +403,11 @@ pub struct ShardSummary {
     pub incidents: Vec<Incident>,
     /// Rung serving traffic at fleet end.
     pub final_rung: Rung,
-    /// Breaker state at fleet end.
+    /// Breaker state at fleet end. This and the next two fields come
+    /// from the loop's journaled control state: a shard that ended down
+    /// reports what it had appended before the crash, never a decision
+    /// whose own append the crash interrupted (the crash may still lose
+    /// a buffered record or tear the durable tail).
     pub breaker: BreakerState,
     /// Consecutive rebuild failures at fleet end.
     pub rebuild_failures: u32,
@@ -898,10 +902,6 @@ impl<'a> Fleet<'a> {
                 sh.summary.recoveries_degraded += 1;
             }
             sh.summary.incidents.extend(rec.incidents);
-            let mut resume = rec.resume;
-            // The fleet clock kept running while the shard was down;
-            // resume at the fleet epoch (journal epochs stay monotone).
-            resume.epoch = epoch;
             // Fleet oracle: recovery never hands back an unverified
             // build. `recover` runs this same gate, so only a recovery
             // that skips re-validation gets here (e.g. resurrecting a
@@ -923,7 +923,7 @@ impl<'a> Fleet<'a> {
                     rec.build,
                     &self.opts.sup,
                     seed,
-                    Some(resume),
+                    Some(rec.state),
                 )),
                 draining: false,
             };
@@ -1307,7 +1307,9 @@ impl<'a> Fleet<'a> {
     /// Correlated breaker detection over the live shards.
     fn correlate_breakers(&mut self, epoch: u64) {
         for (s, sh) in self.shards.iter().enumerate() {
-            let open = sh.el().is_some_and(|el| el.breaker() == BreakerState::Open);
+            let open = sh
+                .el()
+                .is_some_and(|el| el.state().breaker == BreakerState::Open);
             if open && !self.prev_breakers[s] {
                 self.breaker_opens.push(epoch);
             }
@@ -1370,22 +1372,12 @@ impl<'a> Fleet<'a> {
             else {
                 continue;
             };
-            let (live_fp, next_job) = (el.deployed().prog.fingerprint(), el.next_job());
-            let live = el.seal();
             // Clean shutdown: anything the partial-flush channel held
             // back reaches the durable image, so a clean journal projects
-            // exactly the live final state the audit compares against.
+            // exactly the live state the audit compares against.
             sh.journal.flush();
-            audit_journal(
-                s,
-                &sh.journal,
-                live_fp,
-                next_job,
-                &live,
-                self.opts.sup.scavengers,
-                &mut self.rep.violations,
-            );
-            sh.summary.absorb(live);
+            audit_journal(s, &sh.journal, &el, &mut self.rep.violations);
+            sh.summary.absorb(el.seal());
         }
 
         // Fleet oracle: a poisoned rollout build never reaches a second
@@ -1408,22 +1400,13 @@ impl<'a> Fleet<'a> {
 }
 
 /// Fleet oracle, on the replay of shard `s`'s journal after the clean
-/// flush: the journal is a faithful record of the shard's live state
-/// (`live_fp`, `next_job` and the sealed report) — jointly, of the live
-/// fleet. Epoch advances strictly increase; no torn tail survives the
-/// flush; the last deploy names the live build, and its stored artifact
-/// is the one its fingerprint names; breaker, failure count and
-/// scavenger budget equal live; the job cursor is not ahead of live; and
-/// an open breaker never sits over full PGO, live or journaled.
-fn audit_journal(
-    s: usize,
-    journal: &Journal,
-    live_fp: u64,
-    next_job: u64,
-    live: &SupervisorReport,
-    scavengers: usize,
-    violations: &mut Vec<String>,
-) {
+/// flush: the journal is a faithful record of the shard's live loop `el`
+/// — jointly, of the live fleet. Epoch advances strictly increase; no
+/// torn tail survives the flush; the journal projects to the loop's
+/// control state; that state's deploy names the live build, and its
+/// stored artifact is the one its fingerprint names; and an open breaker
+/// never sits over full PGO, live or journaled.
+fn audit_journal(s: usize, journal: &Journal, el: &EpochLoop, violations: &mut Vec<String>) {
     let mut flag = |oracle: &str, what: String| {
         violations.push(format!("oracle/{oracle}: shard {s} {what}"));
     };
@@ -1444,25 +1427,15 @@ fn audit_journal(
             "journal torn after the clean flush".into(),
         );
     }
-    let st = project(&replay.records);
-    let budget = st
-        .scav_budget
-        .map_or(scavengers, |b| (b as usize).min(scavengers));
-    let journaled = (
-        st.deploy.map(|(fp, rung, _)| (fp, rung)),
-        st.breaker,
-        st.failures,
-        budget,
-    );
-    let now = (
-        Some((live_fp, live.final_rung)),
-        live.breaker,
-        live.rebuild_failures,
-        live.scav_budget_final,
-    );
-    if journaled != now {
-        let what =
-            format!("journal (deploy, breaker, failures, budget) {journaled:?} != live {now:?}");
+    let (st, live) = (project(&replay.records), el.state());
+    if st != *live {
+        let what = format!("journal {st:?} != live {live:?}");
+        flag("journal-projection", what);
+    }
+    let cur = el.deployed();
+    let serving = Some((cur.prog.fingerprint(), cur.rung));
+    if live.deploy.map(|(fp, rung, _)| (fp, rung)) != serving {
+        let what = format!("state deploys {:?}, live serves {serving:?}", live.deploy);
         flag("journal-projection", what);
     }
     let stored = |fp| {
@@ -1474,12 +1447,8 @@ fn audit_journal(
         let what = "journal deploys an artifact the store lacks or holds as another build";
         flag("journal-projection", what.into());
     }
-    if st.next_job > next_job {
-        let what = format!("journal next_job {} ahead of live {next_job}", st.next_job);
-        flag("journal-projection", what);
-    }
     let open_over_pgo = |breaker, rung| breaker == BreakerState::Open && rung == Rung::FullPgo;
-    if open_over_pgo(live.breaker, live.final_rung)
+    if open_over_pgo(live.breaker, cur.rung)
         || st
             .deploy
             .is_some_and(|(_, rung, _)| open_over_pgo(st.breaker, rung))
@@ -1516,7 +1485,7 @@ mod tests {
     use super::*;
     use crate::degrade::DegradeOptions;
     use crate::fleet_chaos::{FleetChaosOptions, FleetChaosSchedule, FleetChaosWorld};
-    use crate::supervisor::incidents_json;
+    use crate::supervisor::{incidents_json, Action};
     use crate::testkit::{
         fleet_sup, fleet_world, fleet_world_on, solo_core, Solo, SoloExit, ZipfFleet,
     };
@@ -1567,7 +1536,7 @@ mod tests {
             };
             let mut journal = Journal::new();
             let exit = solo.run(&mut mc.cores[0], &mut svc, initial, &mut journal, None);
-            let SoloExit::Completed(r) = exit else {
+            let SoloExit::Completed(r, _) = exit else {
                 panic!("no faults armed, run cannot crash");
             };
             assert!(r.rebuilds >= 3 && r.breaker == BreakerState::Open, "{r:?}");
@@ -1598,6 +1567,60 @@ mod tests {
                 "seed {seed}"
             );
         }
+    }
+
+    /// A shard that crashes inside the backoff `Breaker` append of the
+    /// final epoch ends the run down, and its summary reports the breaker
+    /// and failure count its journal holds: the last journaled decision,
+    /// not the backoff the crash interrupted.
+    ///
+    /// Hand mutation, which fails this test: `write_ahead` applies the
+    /// record before it appends it.
+    #[test]
+    fn a_shard_down_at_fleet_end_reports_its_journaled_state() {
+        let mut sup = fleet_sup();
+        sup.staleness_threshold = 0.0;
+        sup.max_rebuild_failures = u32::MAX;
+        sup.degrade = DegradeOptions {
+            max_reprofiles: 0,
+            profile_mutator: Some(|p: &mut Profile| p.total_samples = 0),
+            ..sup.degrade
+        };
+        let run = |epochs, crash_at: Option<u64>| {
+            let (mut mc, mut svc, orig, initial) = fleet_world_on(solo_core(), 1, false);
+            let plan = FaultPlan::none(1);
+            let plan = crash_at.map_or(plan, |n| plan.with_crash_at(n));
+            mc.cores[0].faults = Some(FaultInjector::new(plan));
+            let opts = FleetOptions {
+                shards: 1,
+                epochs,
+                sup: sup.clone(),
+                ..FleetOptions::default()
+            };
+            let rep = run_fleet(&mut mc, &mut svc, &orig, initial, &opts).unwrap();
+            let consults = mc.cores[0]
+                .faults
+                .as_ref()
+                .map(FaultInjector::crash_points_seen);
+            (rep, consults.expect("no recovery ran"))
+        };
+        // The shortest run whose final epoch backs off. Its backoff
+        // append is the last crash-point consultation of the run.
+        let (epochs, clean, consults) = (2..16)
+            .find_map(|epochs| {
+                let (rep, consults) = run(epochs, None);
+                let last = rep.shards[0].incidents.last()?;
+                let backs_off = matches!(last.action, Action::Backoff { .. });
+                (backs_off && last.epoch == epochs - 1).then_some((epochs, rep, consults))
+            })
+            .expect("a run whose final epoch backs off");
+        let (crashed, _) = run(epochs, Some(consults));
+        assert_eq!((crashed.crashes, crashed.recoveries), (1, 0));
+        let sh = &crashed.shards[0];
+        let st = project(&sh.journal.replay().records);
+        assert_eq!((sh.breaker, sh.rebuild_failures), (st.breaker, st.failures));
+        // The interrupted backoff would have counted one more failure.
+        assert_eq!(sh.rebuild_failures + 1, clean.shards[0].rebuild_failures);
     }
 
     #[test]

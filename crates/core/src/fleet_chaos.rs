@@ -527,7 +527,12 @@ mod tests {
     //     `rebuild_storms_survive_a_crash`,
     //     `first_deploying_shard_survives_a_crash_at_every_consultation`;
     //  3. the SLO shed path drops its `ScavBudget` record —
-    //     `runaway_shard_is_survived`;
+    //     `overload_sheds_scavengers_then_restores_after_probation` and
+    //     `the_live_state_is_the_journals_state_at_every_epoch_boundary`
+    //     (the live budget is the journaled one, so it never moves
+    //     either, and the audit behind `runaway_shard_is_survived` sees
+    //     nothing); setting the budget without the record fails both
+    //     that oracle and `runaway_shard_is_survived`;
     //  4. `step_epoch` writes its `EpochAdvance` twice — every fleet run;
     //  5. `recover` replays the journal without repairing it (a torn
     //     tail survives) — `crashed_shard_recovers_and_oracles_hold`;
@@ -540,8 +545,9 @@ mod tests {
     //  9. a shard's sealed segments fold newest-first (served epochs go
     //     backwards) — `crashed_shard_recovers_and_oracles_hold` and the
     //     crash sweeps;
-    // 10. `project` forgets that a full-PGO deploy closes the breaker —
-    //     `rebuild_storms_survive_a_crash`;
+    // 10. `apply` forgets that a full-PGO deploy closes the breaker —
+    //     `rebuild_storms_survive_a_crash` (the live loop applies the
+    //     same records, so the state oracle does not see it);
     // 11. the initial-build check removed —
     //     `poison_is_caught_by_the_gates_and_an_untrusted_start_is_a_violation`;
     // 12. the untrusted-recovery check removed (the re-pin kept) —

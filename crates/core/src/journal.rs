@@ -31,8 +31,10 @@
 //! [`Journal::repair`] then truncates the image back to the last valid
 //! record boundary, exactly like WAL repair on restart. [`project`]
 //! folds a replayed record sequence into the [`JournalState`] the
-//! supervisor resumes from — and, at a clean shutdown, the same fold is
-//! what the fleet's end-of-run audit compares against live state.
+//! supervisor resumes from. Its step is [`apply`], the one transition of
+//! that state: the live loop holds a `JournalState` too and changes it
+//! only by appending a record and then applying it, so at a clean
+//! shutdown the fleet's end-of-run audit compares two values of one type.
 
 use crate::degrade::Rung;
 use crate::supervisor::{BreakerState, DeployedBuild};
@@ -74,7 +76,8 @@ pub enum JournalRecord {
         epoch: u64,
         /// New pool budget.
         budget: u64,
-        /// Clean-probation streak at that instant.
+        /// Clean-probation streak at that instant. Recorded, never
+        /// applied: recovery restarts the streak at zero.
         clean_streak: u64,
     },
 }
@@ -231,10 +234,10 @@ pub struct Replay {
     pub torn_tail: bool,
 }
 
-/// The supervisor state a replayed journal projects to — what recovery
-/// resumes from, and what the fleet's audit compares against live state
-/// at a clean shutdown.
-#[derive(Clone, Debug, PartialEq)]
+/// The supervisor's durable control state: what a replayed journal
+/// projects to, what recovery resumes from, and what the live loop holds
+/// — each changed only by `apply`ing the records that describe it.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct JournalState {
     /// Last journaled epoch advance, if any.
     pub epoch: Option<u64>,
@@ -249,57 +252,54 @@ pub struct JournalState {
     /// Scavenger budget as of the last journaled change (`None` = never
     /// changed from the configured pool size).
     pub scav_budget: Option<u64>,
-    /// Clean-probation streak at that change.
-    pub clean_streak: u64,
+}
+
+impl JournalState {
+    /// First epoch a loop resumed from this state serves.
+    pub(crate) fn resume_epoch(&self) -> u64 {
+        self.epoch.map_or(0, |e| e + 1)
+    }
+}
+
+/// The one transition of the control state: what `rec` does to `st`.
+/// The live loop applies each record right after appending it, and
+/// [`project`] folds a replay with it, so the two cannot disagree.
+pub(crate) fn apply(st: &mut JournalState, rec: &JournalRecord) {
+    match *rec {
+        JournalRecord::EpochAdvance { epoch, next_job } => {
+            st.epoch = Some(epoch);
+            st.next_job = next_job;
+        }
+        JournalRecord::Deploy {
+            epoch,
+            rung,
+            fingerprint,
+        } => {
+            st.deploy = Some((fingerprint, rung, epoch));
+            // Every deploy that ships full PGO closes the breaker (a
+            // rebuild past both gates, a rollout, an LKG pin), but its
+            // `Breaker` record follows the swap and a crash can lose it;
+            // the deploy alone already decides.
+            if rung == Rung::FullPgo {
+                st.breaker = BreakerState::Closed;
+                st.failures = 0;
+            }
+        }
+        JournalRecord::Breaker {
+            state, failures, ..
+        } => {
+            st.breaker = state;
+            st.failures = failures;
+        }
+        JournalRecord::ScavBudget { budget, .. } => st.scav_budget = Some(budget),
+    }
 }
 
 /// Folds a replayed record sequence into the state it describes.
 pub fn project(records: &[JournalRecord]) -> JournalState {
-    let mut st = JournalState {
-        epoch: None,
-        next_job: 0,
-        deploy: None,
-        breaker: BreakerState::Closed,
-        failures: 0,
-        scav_budget: None,
-        clean_streak: 0,
-    };
+    let mut st = JournalState::default();
     for r in records {
-        match *r {
-            JournalRecord::EpochAdvance { epoch, next_job } => {
-                st.epoch = Some(epoch);
-                st.next_job = next_job;
-            }
-            JournalRecord::Deploy {
-                epoch,
-                rung,
-                fingerprint,
-            } => {
-                st.deploy = Some((fingerprint, rung, epoch));
-                // Every deploy that ships full PGO closes the breaker (a
-                // rebuild past both gates, a rollout, an LKG pin), but
-                // its `Breaker` record follows the swap and a crash can
-                // lose it; the deploy alone already decides.
-                if rung == Rung::FullPgo {
-                    st.breaker = BreakerState::Closed;
-                    st.failures = 0;
-                }
-            }
-            JournalRecord::Breaker {
-                state, failures, ..
-            } => {
-                st.breaker = state;
-                st.failures = failures;
-            }
-            JournalRecord::ScavBudget {
-                budget,
-                clean_streak,
-                ..
-            } => {
-                st.scav_budget = Some(budget);
-                st.clean_streak = clean_streak;
-            }
-        }
+        apply(&mut st, r);
     }
     st
 }
@@ -442,6 +442,14 @@ impl Journal {
         } else {
             self.builds.push((fingerprint, build));
         }
+    }
+
+    /// The appends still held in the volatile buffer, in order.
+    #[cfg(test)]
+    pub(crate) fn buffered_records(&self) -> Vec<JournalRecord> {
+        (self.buffered.iter())
+            .map(|b| JournalRecord::decode(&b[2..b.len() - 8]).expect("an encoded record"))
+            .collect()
     }
 
     /// Looks an artifact up by fingerprint.

@@ -50,7 +50,7 @@ use crate::degrade::{
 };
 use crate::dualmode::{run_dual_mode, DualModeOptions};
 use crate::fleet::FleetWorkload;
-use crate::journal::{fnv1a, project, Journal, JournalRecord};
+use crate::journal::{apply, fnv1a, project, Journal, JournalRecord, JournalState};
 use crate::metrics::percentile;
 use crate::pipeline::{lint_gate, verify_gate};
 use reach_profile::{Json, OnlineEstimatorOptions, OnlineStalenessEstimator, Profile};
@@ -472,9 +472,10 @@ impl Incident {
 }
 
 /// Circuit-breaker state at the end of the run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BreakerState {
     /// Rebuilds allowed.
+    #[default]
     Closed,
     /// Rebuilds suppressed until the stated epoch (half-open after).
     Backoff {
@@ -616,30 +617,14 @@ const CP_MID_REBUILD: u64 = 2;
 const CP_BETWEEN_GATES: u64 = 3;
 const CP_MID_SWAP: u64 = 4;
 
-/// The durable state [`recover`] hands back for the restarted loop to
-/// resume from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct ResumeState {
-    /// First epoch the restarted loop serves.
-    pub epoch: u64,
-    /// Next global job number to admit.
-    pub next_job: u64,
-    /// Breaker state as of the last durable transition.
-    pub breaker: BreakerState,
-    /// Consecutive rebuild failures at that transition.
-    pub failures: u32,
-    /// Scavenger budget as of the last durable change. The clean
-    /// probation streak deliberately restarts at zero: a shed pool must
-    /// serve its probation *after* the restart, never be silently
-    /// re-admitted by recovery.
-    pub scav_budget: usize,
-}
-
-/// Write-ahead append: consults the crash channel *inside* the append,
-/// so a firing crash leaves at most a torn prefix of this record.
-fn jappend(
+/// The write-ahead step of the control state: appends `rec`, then
+/// [`apply`]s it to `state`, so `state` is always what the journal holds.
+/// The crash channel is consulted *inside* the append: a firing crash
+/// leaves at most a torn prefix of the record and `state` untouched.
+fn write_ahead(
     faults: &mut Option<FaultInjector>,
     journal: &mut Journal,
+    state: &mut JournalState,
     rec: JournalRecord,
 ) -> Result<(), CrashPoint> {
     if faults
@@ -650,6 +635,7 @@ fn jappend(
         return Err(CrashPoint::MidJournalAppend);
     }
     journal.append(&rec, faults.as_mut());
+    apply(state, &rec);
     Ok(())
 }
 
@@ -659,20 +645,18 @@ fn jappend(
 fn journal_deploy(
     faults: &mut Option<FaultInjector>,
     journal: &mut Journal,
+    state: &mut JournalState,
     build: &DeployedBuild,
     epoch: u64,
 ) -> Result<(), CrashPoint> {
     let fingerprint = build.prog.fingerprint();
     journal.store_build(fingerprint, build.clone());
-    jappend(
-        faults,
-        journal,
-        JournalRecord::Deploy {
-            epoch,
-            rung: build.rung,
-            fingerprint,
-        },
-    )
+    let rec = JournalRecord::Deploy {
+        epoch,
+        rung: build.rung,
+        fingerprint,
+    };
+    write_ahead(faults, journal, state, rec)
 }
 
 /// Consults the crash channel at a non-append loop stage and, when it
@@ -708,14 +692,16 @@ pub(crate) struct EpochLoop {
     report: SupervisorReport,
     pending: VecDeque<u64>,
     window: VecDeque<u64>,
-    // Volatile loop state; durable pieces come back through `resume`.
-    // The clean-probation streak is *always* fresh: recovery never
-    // credits pre-crash clean epochs toward re-admission.
+    /// The durable control state — deploy, breaker, failure count,
+    /// scavenger budget, last epoch advance — changed only through
+    /// `write_ahead`: append, then `apply`.
+    state: JournalState,
+    // Volatile loop state. The admission cursor starts at the state's
+    // `next_job` and runs ahead of it inside an epoch. The
+    // clean-probation streak is *always* fresh: recovery never credits
+    // pre-crash clean epochs toward re-admission.
     next_job: u64,
-    scav_budget: usize,
     clean_streak: u64,
-    failures: u32,
-    breaker: BreakerState,
     last_swap: Option<u64>,
     opts: SupervisorOptions,
     /// Extra scavenger slots donated by the fleet's work-stealing (idle
@@ -726,15 +712,16 @@ pub(crate) struct EpochLoop {
 
 impl EpochLoop {
     /// A loop for `shard` serving `initial`, drawing its backoff jitter
-    /// from `seed`; `resume` comes from [`recover`] after a crash.
+    /// from `seed`; `state` is [`recover`]'s after a crash, `None` for a
+    /// fresh loop.
     pub(crate) fn new(
         shard: usize,
         initial: DeployedBuild,
         opts: &SupervisorOptions,
         seed: u64,
-        resume: Option<ResumeState>,
+        state: Option<JournalState>,
     ) -> Self {
-        let scav_budget = resume.map_or(opts.scavengers, |r| r.scav_budget);
+        let state = state.unwrap_or_default();
         let report = SupervisorReport {
             incidents: Vec::new(),
             latencies: Vec::new(),
@@ -751,7 +738,7 @@ impl EpochLoop {
             overruns: 0,
             quarantine_events: 0,
             readmissions: 0,
-            scav_budget_final: scav_budget,
+            scav_budget_final: 0,
         };
         EpochLoop {
             shard,
@@ -761,11 +748,9 @@ impl EpochLoop {
             report,
             pending: VecDeque::new(),
             window: VecDeque::new(),
-            next_job: resume.map_or(0, |r| r.next_job),
-            scav_budget,
+            next_job: state.next_job,
+            state,
             clean_streak: 0,
-            failures: resume.map_or(0, |r| r.failures),
-            breaker: resume.map_or(BreakerState::Closed, |r| r.breaker),
             last_swap: None,
             opts: opts.clone(),
             scav_bonus: 0,
@@ -777,9 +762,9 @@ impl EpochLoop {
         &self.cur
     }
 
-    /// Current circuit-breaker state.
-    pub(crate) fn breaker(&self) -> BreakerState {
-        self.breaker
+    /// The durable control state, as the journal holds it.
+    pub(crate) fn state(&self) -> &JournalState {
+        &self.state
     }
 
     /// Jobs admitted but not yet served.
@@ -787,14 +772,9 @@ impl EpochLoop {
         self.pending.len()
     }
 
-    /// Next global job number this loop would admit.
-    pub(crate) fn next_job(&self) -> u64 {
-        self.next_job
-    }
-
     /// Current (possibly shed) scavenger budget, excluding any bonus.
     pub(crate) fn scav_budget(&self) -> usize {
-        self.scav_budget
+        (self.state.scav_budget).map_or(self.opts.scavengers, |b| b as usize)
     }
 
     /// The in-flight report (counters are live; the sealed fields —
@@ -809,13 +789,23 @@ impl EpochLoop {
         self.scav_bonus = bonus;
     }
 
+    /// Appends `rec` and applies it to the loop's state.
+    fn record(
+        &mut self,
+        machine: &mut Machine,
+        journal: &mut Journal,
+        rec: JournalRecord,
+    ) -> Result<(), CrashPoint> {
+        write_ahead(&mut machine.faults, journal, &mut self.state, rec)
+    }
+
     /// Persists the initial deployment at epoch 0 — fresh loops only.
     pub(crate) fn persist_initial(
         &mut self,
         machine: &mut Machine,
         journal: &mut Journal,
     ) -> Result<(), CrashPoint> {
-        journal_deploy(&mut machine.faults, journal, &self.cur, 0)
+        journal_deploy(&mut machine.faults, journal, &mut self.state, &self.cur, 0)
     }
 
     /// The deploy transition, the only way a running loop changes the
@@ -830,7 +820,7 @@ impl EpochLoop {
     /// logged. Crash instants are numbered by consultation, so the order
     /// is part of the replay contract. A crash between the two records
     /// leaves the old breaker durable under the new build, which is why
-    /// [`project`] reads a full-PGO `Deploy` as closing the breaker.
+    /// [`apply`] reads a full-PGO `Deploy` as closing the breaker.
     fn deploy(
         &mut self,
         machine: &mut Machine,
@@ -841,21 +831,16 @@ impl EpochLoop {
         incident: Incident,
     ) -> Result<(), CrashPoint> {
         let epoch = incident.epoch;
-        journal_deploy(&mut machine.faults, journal, &build, epoch)?;
+        journal_deploy(&mut machine.faults, journal, &mut self.state, &build, epoch)?;
         crash_gate(machine, journal, CP_MID_SWAP, CrashPoint::MidSwap)?;
         self.cur = build;
         machine.invalidate_blocks();
-        self.failures = failures;
-        self.breaker = breaker;
-        jappend(
-            &mut machine.faults,
-            journal,
-            JournalRecord::Breaker {
-                epoch,
-                state: breaker,
-                failures,
-            },
-        )?;
+        let rec = JournalRecord::Breaker {
+            epoch,
+            state: breaker,
+            failures,
+        };
+        self.record(machine, journal, rec)?;
         self.last_swap = Some(epoch);
         self.report.swaps += 1;
         self.estimator.reset();
@@ -885,12 +870,15 @@ impl EpochLoop {
         self.deploy(machine, journal, build, BreakerState::Closed, 0, incident)
     }
 
-    /// Seals the final-state fields into the report and returns it.
+    /// Seals the final-state fields into the report and returns it. The
+    /// breaker, failure count and budget are the journaled state's, so a
+    /// segment that crashed seals what its journal holds, not a decision
+    /// whose record the crash cut.
     pub(crate) fn seal(mut self) -> SupervisorReport {
         self.report.final_rung = self.cur.rung;
-        self.report.breaker = self.breaker;
-        self.report.rebuild_failures = self.failures;
-        self.report.scav_budget_final = self.scav_budget;
+        self.report.breaker = self.state.breaker;
+        self.report.rebuild_failures = self.state.failures;
+        self.report.scav_budget_final = self.scav_budget();
         self.report
     }
 
@@ -907,14 +895,11 @@ impl EpochLoop {
         journal: &mut Journal,
         epoch: u64,
     ) -> Result<(), CrashPoint> {
-        jappend(
-            &mut machine.faults,
-            journal,
-            JournalRecord::EpochAdvance {
-                epoch,
-                next_job: self.next_job,
-            },
-        )?;
+        let rec = JournalRecord::EpochAdvance {
+            epoch,
+            next_job: self.next_job,
+        };
+        self.record(machine, journal, rec)?;
         // --- Admission: arrivals enqueue; supervised runs shed the
         // backlog beyond the queue bound (newest first — they would wait
         // longest anyway).
@@ -956,7 +941,7 @@ impl EpochLoop {
         for _ in 0..batch {
             let job = self.pending.pop_front().expect("batch <= pending");
             let mut primary = workload.primary_context(shard, job);
-            let mut scavs: Vec<Context> = (0..self.scav_budget + self.scav_bonus)
+            let mut scavs: Vec<Context> = (0..self.scav_budget() + self.scav_bonus)
                 .map(|slot| workload.scavenger_context(shard, epoch, job, slot))
                 .collect();
             let scav_prog = scav_override.as_ref().unwrap_or(&self.cur.prog);
@@ -1022,11 +1007,12 @@ impl EpochLoop {
             None
         };
         let slo_violated = window_p99.is_some_and(|p| p > self.opts.slo_p99_cycles);
+        let budget = self.scav_budget();
 
         // The rebuild trigger goes first: repairing the build beats
         // shedding capacity when both fire.
         let stale_trip = staleness.is_finite() && staleness >= self.opts.staleness_threshold;
-        let rebuild_allowed = match self.breaker {
+        let rebuild_allowed = match self.state.breaker {
             BreakerState::Open => false,
             BreakerState::Backoff { until_epoch } => epoch >= until_epoch,
             BreakerState::Closed => true,
@@ -1060,8 +1046,8 @@ impl EpochLoop {
                     self.deploy(machine, journal, *b, BreakerState::Closed, 0, incident)?;
                 }
                 Rebuild::Failed { reason, fallback } => {
-                    self.failures += 1;
-                    if self.failures >= self.opts.max_rebuild_failures {
+                    let failures = self.state.failures + 1;
+                    if failures >= self.opts.max_rebuild_failures {
                         let fb = fallback
                             .map(|b| *b)
                             .unwrap_or_else(|| fallback_build(original, machine, &self.opts));
@@ -1075,10 +1061,9 @@ impl EpochLoop {
                         };
                         // The breaker opens over the degraded build and
                         // the failure count stands.
-                        let failures = self.failures;
                         self.deploy(machine, journal, fb, BreakerState::Open, failures, incident)?;
                     } else {
-                        let shift = (self.failures - 1).min(31);
+                        let shift = (failures - 1).min(31);
                         let delay = self
                             .opts
                             .backoff_base_epochs
@@ -1086,22 +1071,19 @@ impl EpochLoop {
                             .min(self.opts.backoff_max_epochs);
                         let jitter = self.rng.next_below(self.opts.backoff_base_epochs + 1);
                         let until_epoch = epoch + 1 + delay + jitter;
-                        self.breaker = BreakerState::Backoff { until_epoch };
-                        jappend(
-                            &mut machine.faults,
-                            journal,
-                            JournalRecord::Breaker {
-                                epoch,
-                                state: self.breaker,
-                                failures: self.failures,
-                            },
-                        )?;
+                        let state = BreakerState::Backoff { until_epoch };
+                        let rec = JournalRecord::Breaker {
+                            epoch,
+                            state,
+                            failures,
+                        };
+                        self.record(machine, journal, rec)?;
                         self.report.incidents.push(Incident {
                             epoch,
                             trigger: Trigger::Staleness,
                             evidence,
                             action: Action::Backoff {
-                                failures: self.failures,
+                                failures,
                                 until_epoch,
                             },
                             outcome: Outcome::RebuildFailed { reason },
@@ -1109,23 +1091,18 @@ impl EpochLoop {
                     }
                 }
             }
-        } else if slo_violated && self.scav_budget > 0 {
+        } else if slo_violated && budget > 0 {
             // Overload containment: halve the scavenger pool. Evidence is
             // the window p99 that tripped.
-            let from = self.scav_budget;
-            let to = self.scav_budget / 2;
-            self.scav_budget = to;
+            let (from, to) = (budget, budget / 2);
             self.clean_streak = 0;
             self.window.clear();
-            jappend(
-                &mut machine.faults,
-                journal,
-                JournalRecord::ScavBudget {
-                    epoch,
-                    budget: self.scav_budget as u64,
-                    clean_streak: self.clean_streak,
-                },
-            )?;
+            let rec = JournalRecord::ScavBudget {
+                epoch,
+                budget: to as u64,
+                clean_streak: 0,
+            };
+            self.record(machine, journal, rec)?;
             self.report.incidents.push(Incident {
                 epoch,
                 trigger: Trigger::SloViolation,
@@ -1137,21 +1114,18 @@ impl EpochLoop {
                 action: Action::ShedScavengers { from, to },
                 outcome: Outcome::Contained,
             });
-        } else if self.scav_budget < self.opts.scavengers && !slo_violated && epoch_overruns == 0 {
+        } else if budget < self.opts.scavengers && !slo_violated && epoch_overruns == 0 {
             // Probation: a clean streak earns one scavenger back.
             self.clean_streak += 1;
             if self.clean_streak >= self.opts.probation_epochs {
-                self.scav_budget += 1;
+                let to = budget + 1;
                 self.clean_streak = 0;
-                jappend(
-                    &mut machine.faults,
-                    journal,
-                    JournalRecord::ScavBudget {
-                        epoch,
-                        budget: self.scav_budget as u64,
-                        clean_streak: self.clean_streak,
-                    },
-                )?;
+                let rec = JournalRecord::ScavBudget {
+                    epoch,
+                    budget: to as u64,
+                    clean_streak: 0,
+                };
+                self.record(machine, journal, rec)?;
                 self.report.incidents.push(Incident {
                     epoch,
                     trigger: Trigger::ProbationElapsed,
@@ -1159,9 +1133,7 @@ impl EpochLoop {
                         ("clean_epochs", Ev::U(self.opts.probation_epochs)),
                         ("window_p99", Ev::U(window_p99.unwrap_or(0))),
                     ],
-                    action: Action::RestoreScavenger {
-                        to: self.scav_budget,
-                    },
+                    action: Action::RestoreScavenger { to },
                     outcome: Outcome::Contained,
                 });
             }
@@ -1275,8 +1247,10 @@ impl Default for RecoverOptions {
 pub struct Recovery {
     /// The build to serve with (re-validated, or the ladder fallback).
     pub build: DeployedBuild,
-    /// The durable state to resume the loop from.
-    pub(crate) resume: ResumeState,
+    /// The control state to resume the loop from: the projection of the
+    /// repaired journal, a degraded recovery's fallback `Deploy` applied.
+    /// Its first epoch is [`JournalState::resume_epoch`].
+    pub(crate) state: JournalState,
     /// Recovery decisions, as incidents — concatenate with the segment
     /// reports' logs so the replay-determinism hash spans restarts.
     pub incidents: Vec<Incident>,
@@ -1311,16 +1285,11 @@ pub fn recover(
     // the one deploy site the hot-swap paths don't cover.
     machine.invalidate_blocks();
     let rep = journal.repair();
-    let st = project(&rep.records);
-    let resume = ResumeState {
-        epoch: st.epoch.map_or(0, |e| e + 1),
-        next_job: st.next_job,
-        breaker: st.breaker,
-        failures: st.failures,
-        scav_budget: st
-            .scav_budget
-            .map_or(opts.scavengers, |b| (b as usize).min(opts.scavengers)),
-    };
+    let mut state = project(&rep.records);
+    // The journal is outside input: a budget above the configured pool
+    // is clamped to it.
+    state.scav_budget = (state.scav_budget).map(|b| b.min(opts.scavengers as u64));
+    let epoch = state.resume_epoch();
     let replayed = rep.records.len() as u64;
     let truncated = rep.torn_tail;
 
@@ -1330,7 +1299,7 @@ pub fn recover(
     // falls down the ladder.
     let mut gate_failed = false;
     let mut recovered = None;
-    if let Some((fp, rung, _epoch)) = st.deploy {
+    if let Some((fp, rung, _epoch)) = state.deploy {
         if let Some(build) = journal.get_build(fp) {
             if !ropts.revalidate
                 || (build.rung == rung
@@ -1351,7 +1320,8 @@ pub fn recover(
         // the fallback so the durable image never keeps pointing at a
         // build that failed re-validation. Recovery runs before serving,
         // so the append is synchronous (no fault injector).
-        journal_deploy(&mut None, journal, &build, resume.epoch).expect("no injector, no crash");
+        journal_deploy(&mut None, journal, &mut state, &build, epoch)
+            .expect("no injector, no crash");
     }
     let action = if degraded {
         Action::RecoveryDegraded { rung: build.rung }
@@ -1363,21 +1333,21 @@ pub fn recover(
         }
     };
     let incidents = vec![Incident {
-        epoch: resume.epoch,
+        epoch,
         trigger: Trigger::CrashRecovery,
         evidence: vec![
             ("replayed", Ev::U(replayed)),
             ("truncated", Ev::U(u64::from(truncated))),
             ("artifact_found", Ev::U(u64::from(!degraded || gate_failed))),
             ("gate_failed", Ev::U(u64::from(gate_failed))),
-            ("failures", Ev::U(u64::from(resume.failures))),
+            ("failures", Ev::U(u64::from(state.failures))),
         ],
         action,
         outcome: Outcome::Deployed { rung: build.rung },
     }];
     Ok(Recovery {
         build,
-        resume,
+        state,
         incidents,
         replayed,
         truncated,
@@ -1390,7 +1360,7 @@ mod tests {
     use super::*;
     use crate::dualmode::WatchdogOptions;
     use crate::fleet::{run_fleet, Arrival, FleetConfigError, FleetOptions};
-    use crate::journal::{Journal, StoredBuild};
+    use crate::journal::{Journal, JournalState, StoredBuild};
     use crate::testkit::{fast_degrade, runaway_prog, solo_core, Solo, SoloExit, LOOKUPS};
     use reach_sim::{AluOp, Cond, Inst, MachineConfig, ProgramBuilder, Reg};
     use reach_workloads::{build_zipf_kv, AddrAlloc, ZipfKvParams};
@@ -1825,9 +1795,10 @@ mod tests {
         assert_eq!(r.final_rung, Rung::ScavengerOnly);
     }
 
-    #[test]
-    fn overload_sheds_scavengers_then_restores_after_probation() {
-        let overload_opts = || SupervisorOptions {
+    /// The overload arm: an SLO guard tight enough for a runaway
+    /// scavenger burst to trip it, and no staleness trigger.
+    fn overload_opts() -> SupervisorOptions {
+        SupervisorOptions {
             service_per_epoch: 1,
             scavengers: 2,
             slo_p99_cycles: 800_000,
@@ -1848,7 +1819,11 @@ mod tests {
                 ..DualModeOptions::default()
             },
             ..SupervisorOptions::default()
-        };
+        }
+    }
+
+    #[test]
+    fn overload_sheds_scavengers_then_restores_after_probation() {
         let run = |opts: &SupervisorOptions| {
             // Healthy match (profiled == live) so the only disturbance
             // is the runaway scavenger program during the burst.
@@ -2055,21 +2030,22 @@ mod tests {
         .unwrap();
         assert!(!rec.degraded, "{:?}", rec.incidents);
         assert_eq!(rec.build.rung, Rung::FullPgo);
-        assert!(rec.resume.epoch <= epoch + 1);
+        assert!(rec.state.resume_epoch() <= epoch + 1);
         assert!(matches!(rec.incidents[0].action, Action::Recovered { .. }));
 
         m.faults = None;
-        let exit = solo.run(&mut m, &mut svc, rec.build, &mut journal, Some(rec.resume));
-        let SoloExit::Completed(r) = exit else {
+        let exit = solo.run(&mut m, &mut svc, rec.build, &mut journal, Some(rec.state));
+        let SoloExit::Completed(r, live) = exit else {
             panic!("resumed segment crashed without a fault plan");
         };
-        // The journal's projection agrees with the live final state.
+        // The journal projects the live final state, which ends the run
+        // deploying the build it serves.
         let st = project(&journal.replay().records);
+        assert_eq!(st, live);
         assert_eq!(st.epoch, Some(solo.epochs - 1));
         let (fp, rung, _) = st.deploy.unwrap();
         assert_eq!(rung, r.final_rung);
         assert!(journal.get_build(fp).is_some());
-        assert_eq!(st.breaker, r.breaker);
     }
 
     /// A recovered loop that crashes again recovers again: two
@@ -2088,7 +2064,7 @@ mod tests {
             let opts = drift_opts();
             let solo = solo(&orig, &opts, 10);
             let mut journal = Journal::new();
-            let (mut resume, mut incidents, mut process) = (None, Vec::new(), 0u64);
+            let (mut state, mut incidents, mut process) = (None, Vec::new(), 0u64);
             let live = loop {
                 // The first two processes crash at their 4th crash-point
                 // consultation; the third runs clean.
@@ -2100,8 +2076,8 @@ mod tests {
                 };
                 m.faults = Some(FaultInjector::new(plan));
                 process += 1;
-                let report = match solo.run(&mut m, &mut svc, build.clone(), &mut journal, resume) {
-                    SoloExit::Completed(r) => break r,
+                let report = match solo.run(&mut m, &mut svc, build.clone(), &mut journal, state) {
+                    SoloExit::Completed(r, live) => break (r, live),
                     SoloExit::Crashed { report, .. } => report,
                 };
                 incidents.extend(report.incidents);
@@ -2115,8 +2091,9 @@ mod tests {
                 )
                 .unwrap();
                 incidents.extend(rec.incidents);
-                (build, resume) = (rec.build, Some(rec.resume));
+                (build, state) = (rec.build, Some(rec.state));
             };
+            let (live, live_state) = live;
             assert_eq!(process, 3, "both crashes must fire");
             incidents.extend(live.incidents.iter().cloned());
             let recoveries = incidents
@@ -2126,18 +2103,162 @@ mod tests {
             assert_eq!(recoveries, 2);
 
             let st = project(&journal.replay().records);
+            assert_eq!(st, live_state);
             assert_eq!(st.epoch, Some(solo.epochs - 1));
             let (fp, rung, _) = st.deploy.expect("a deploy is journaled");
             assert_eq!(rung, live.final_rung);
             let stored = journal.get_build(fp).expect("the artifact is stored");
             assert_eq!(stored.prog.fingerprint(), fp);
-            assert_eq!(st.breaker, live.breaker);
-            assert_eq!(st.failures, live.rebuild_failures);
-            let budget = st.scav_budget.map_or(opts.scavengers, |b| b as usize);
-            assert_eq!(budget, live.scav_budget_final);
             incidents_hash(&incidents)
         };
         assert_eq!(run(), run());
+    }
+
+    /// Oracle: the loop's control state is the journal's state at every
+    /// epoch boundary. Three worlds — drift (a stale profile rebuilt and
+    /// swapped in), overload (a runaway burst shed, then restored on
+    /// probation) and rebuild faults (wiped profiles: a backoff, then the
+    /// breaker opening) — run epoch by epoch under seeded fault plans
+    /// with partial flushes, torn writes and a crash in each of the first
+    /// two processes. After every step that did not crash, the loop's
+    /// `state` equals `project` of the journal's durable records followed
+    /// by its buffered ones; a crash that destroyed no applied record (no
+    /// buffered append lost, no durable tail torn) leaves the loop's state
+    /// equal to the projection of what survived; and recovery hands back
+    /// the projection of the repaired journal. Across the cases every
+    /// record kind is appended, and the breaker both backs off and opens.
+    ///
+    /// Hand mutations, each failing the test named:
+    ///  1. the SLO shed path sets `state.scav_budget` without a record —
+    ///     this test and `fleet_chaos::tests::runaway_shard_is_survived`;
+    ///  2. `project` folds `Breaker` records with a rule of its own that
+    ///     leaves `failures` alone — this test, the journal and fleet
+    ///     tests that project a backoff, and
+    ///     `fleet_chaos::tests::rebuild_storms_survive_a_crash`;
+    ///  3. `write_ahead` applies before it appends — this test (a crash
+    ///     inside an append) and
+    ///     `fleet::tests::a_shard_down_at_fleet_end_reports_its_journaled_state`;
+    ///  4. the resumed loop seeds its streak from the last `ScavBudget`
+    ///     record's `clean_streak` —
+    ///     `recovery_never_readmits_a_shed_scavenger_early`;
+    ///  5. `apply` forgets that a full-PGO deploy closes the breaker (the
+    ///     bug the one-engine chaos work found) —
+    ///     `fleet_chaos::tests::rebuild_storms_survive_a_crash`. This test
+    ///     does not see it: live state and projection share the rule.
+    #[test]
+    fn the_live_state_is_the_journals_state_at_every_epoch_boundary() {
+        use reach_sim::{FaultInjector, FaultPlan};
+        const EPOCHS: u64 = 12;
+        fn wipe(p: &mut Profile) {
+            p.total_samples = 0;
+        }
+        // Record kinds appended (by tag order), a backoff seen, an open
+        // breaker seen.
+        let (mut kinds, mut backoff, mut open) = ([false; 4], false, false);
+        let mut rng = SplitMix64::new(0x57A7E);
+        for case in 0..6 {
+            let mut m = Machine::new(MachineConfig::default());
+            let (mut svc, opts) = match case % 3 {
+                0 => (ZipfService::new(&mut m, 0.0, 3.0), drift_opts()),
+                1 => {
+                    let mut svc = ZipfService::new(&mut m, 0.0, 0.0);
+                    svc.runaway = Some((runaway_prog(), 2..10));
+                    (svc, overload_opts())
+                }
+                _ => {
+                    let opts = SupervisorOptions {
+                        max_rebuild_failures: 2,
+                        degrade: DegradeOptions {
+                            max_reprofiles: 0,
+                            profile_mutator: Some(wipe),
+                            ..fast_degrade()
+                        },
+                        ..drift_opts()
+                    };
+                    (ZipfService::new(&mut m, 0.0, 3.0), opts)
+                }
+            };
+            let orig = svc.prog.clone();
+            let mut build = initial_build(&mut m, &svc, &orig);
+            let mut journal = Journal::new();
+            let (mut state, mut process) = (None::<JournalState>, 0);
+            loop {
+                let mut plan = FaultPlan::none(rng.next_u64())
+                    .with_partial_flush(0.3 * rng.next_below(3) as f64)
+                    .with_torn_write(0.5 * rng.next_below(3) as f64);
+                if process < 2 {
+                    plan = plan.with_crash_at(1 + rng.next_below(12));
+                }
+                m.faults = Some(FaultInjector::new(plan));
+                process += 1;
+                let start = state.as_ref().map_or(0, JournalState::resume_epoch);
+                // `None` persists the initial deployment of a fresh loop.
+                let mut at = state.is_some().then_some(start);
+                let mut el = EpochLoop::new(0, build.clone(), &opts, 42, state.take());
+                let crashed = loop {
+                    let before = journal.stats;
+                    let stepped = match at {
+                        None => el.persist_initial(&mut m, &mut journal),
+                        Some(EPOCHS) => break None,
+                        Some(epoch) => {
+                            let admitted = svc.arrivals(epoch).len();
+                            el.step_epoch(&mut m, &mut svc, admitted, &orig, &mut journal, epoch)
+                        }
+                    };
+                    if let Err(point) = stepped {
+                        break Some((point, before));
+                    }
+                    let mut records = journal.replay().records;
+                    records.extend(journal.buffered_records());
+                    assert_eq!(el.state(), &project(&records), "case {case} at {at:?}");
+                    for r in &records {
+                        let k = match r {
+                            JournalRecord::EpochAdvance { .. } => 0,
+                            JournalRecord::Deploy { .. } => 1,
+                            JournalRecord::Breaker { .. } => 2,
+                            JournalRecord::ScavBudget { .. } => 3,
+                        };
+                        kinds[k] = true;
+                    }
+                    backoff |= matches!(el.state().breaker, BreakerState::Backoff { .. });
+                    open |= el.state().breaker == BreakerState::Open;
+                    at = Some(at.map_or(start, |e| e + 1));
+                };
+                let Some((point, before)) = crashed else {
+                    break;
+                };
+                let lost = journal.stats.records_lost_at_crash - before.records_lost_at_crash;
+                let torn = journal.stats.torn_at_crash - before.torn_at_crash;
+                let intact = match point {
+                    CrashPoint::MidJournalAppend => lost == 1,
+                    _ => lost == 0 && torn == 0,
+                };
+                if intact {
+                    let survived = project(&journal.replay().records);
+                    assert_eq!(
+                        el.state(),
+                        &survived,
+                        "case {case}: crash {point} at {at:?}"
+                    );
+                }
+                m.faults = None;
+                let rec = recover(
+                    &mut journal,
+                    &orig,
+                    &mut m,
+                    &opts,
+                    &RecoverOptions::default(),
+                )
+                .unwrap();
+                assert_eq!(rec.state, project(&journal.replay().records), "case {case}");
+                (build, state) = (rec.build, Some(rec.state));
+            }
+        }
+        assert_eq!(kinds, [true; 4], "not every record kind was appended");
+        assert!(
+            backoff && open,
+            "backoff seen: {backoff}, breaker open seen: {open}"
+        );
     }
 
     /// A shed scavenger pool must serve its probation *after* a restart —
@@ -2149,11 +2270,12 @@ mod tests {
     /// `recover` must resume with the shed budget (not the configured 2),
     /// and the resumed loop must restart the streak from zero, so the
     /// earliest legal `RestoreScavenger` lands at
-    /// `resume.epoch + probation_epochs - 1`.
+    /// `resume_epoch() + probation_epochs - 1`.
     ///
-    /// Hand mutation, which fails this test: `EpochLoop::new` ignores
-    /// `resume.scav_budget` (the resumed pool starts full and is never
-    /// restored).
+    /// Hand mutations, each failing this test: `EpochLoop::new` ignores
+    /// the recovered `scav_budget` (the resumed pool starts full and is
+    /// never restored); the resumed loop seeds its streak from the last
+    /// `ScavBudget` record's `clean_streak`.
     #[test]
     fn recovery_never_readmits_a_shed_scavenger_early() {
         let mut m = Machine::new(MachineConfig::default());
@@ -2216,9 +2338,11 @@ mod tests {
         )
         .expect("validated config");
         assert!(!rec.degraded, "healthy artifact must re-validate");
-        assert_eq!(rec.resume.epoch, 4, "resume after last durable epoch");
+        let resume_epoch = rec.state.resume_epoch();
+        assert_eq!(resume_epoch, 4, "resume after last durable epoch");
         assert_eq!(
-            rec.resume.scav_budget, 1,
+            rec.state.scav_budget,
+            Some(1),
             "the shed budget survives the restart"
         );
 
@@ -2228,8 +2352,8 @@ mod tests {
             epochs: 12,
             seed: 41,
         };
-        let exit = solo.run(&mut m, &mut svc, rec.build, &mut journal, Some(rec.resume));
-        let SoloExit::Completed(rep) = exit else {
+        let exit = solo.run(&mut m, &mut svc, rec.build, &mut journal, Some(rec.state));
+        let SoloExit::Completed(rep, _) = exit else {
             panic!("no faults armed, run cannot crash");
         };
         let restores: Vec<u64> = rep
@@ -2242,7 +2366,7 @@ mod tests {
             !restores.is_empty(),
             "a healthy resumed run must eventually restore the pool"
         );
-        let earliest_legal = rec.resume.epoch + opts.probation_epochs - 1;
+        let earliest_legal = resume_epoch + opts.probation_epochs - 1;
         for &e in &restores {
             assert!(
                 e >= earliest_legal,

@@ -7,9 +7,9 @@
 use crate::degrade::{pgo_pipeline_degrading, DegradeOptions, Rung};
 use crate::dualmode::{DualModeOptions, WatchdogOptions};
 use crate::fleet::{Arrival, FleetWorkload};
-use crate::journal::Journal;
+use crate::journal::{Journal, JournalState};
 use crate::supervisor::{
-    CrashPoint, DeployedBuild, EpochLoop, ResumeState, SupervisorOptions, SupervisorReport,
+    CrashPoint, DeployedBuild, EpochLoop, SupervisorOptions, SupervisorReport,
 };
 use reach_profile::{OnlineEstimatorOptions, Periods};
 use reach_sim::{
@@ -214,8 +214,9 @@ pub(crate) fn fleet_world_on(
 
 /// How a [`Solo`] run ended.
 pub(crate) enum SoloExit {
-    /// Every epoch served, and the journal flushed.
-    Completed(SupervisorReport),
+    /// Every epoch served, and the journal flushed: the sealed report and
+    /// the loop's final control state.
+    Completed(SupervisorReport, JournalState),
     /// The crash channel fired while serving `epoch`. The report covers
     /// the segment up to the crash.
     Crashed {
@@ -239,19 +240,21 @@ pub(crate) struct Solo<'a> {
 }
 
 impl Solo<'_> {
-    /// Serves `build` from the start, or from `resume`, to `epochs` or a
-    /// crash. A fresh run persists the initial deployment first.
+    /// Serves `build` from the start, or from a recovered `state`, to
+    /// `epochs` or a crash. A fresh run persists the initial deployment
+    /// first.
     pub(crate) fn run(
         &self,
         machine: &mut Machine,
         workload: &mut dyn FleetWorkload,
         build: DeployedBuild,
         journal: &mut Journal,
-        resume: Option<ResumeState>,
+        state: Option<JournalState>,
     ) -> SoloExit {
-        let mut el = EpochLoop::new(0, build, self.opts, self.seed, resume);
-        let start = resume.map_or(0, |r| r.epoch);
-        if resume.is_none() {
+        let start = state.as_ref().map_or(0, JournalState::resume_epoch);
+        let fresh = state.is_none();
+        let mut el = EpochLoop::new(0, build, self.opts, self.seed, state);
+        if fresh {
             if let Err(point) = el.persist_initial(machine, journal) {
                 let report = el.seal();
                 return SoloExit::Crashed {
@@ -274,7 +277,8 @@ impl Solo<'_> {
             }
         }
         journal.flush();
-        SoloExit::Completed(el.seal())
+        let state = el.state().clone();
+        SoloExit::Completed(el.seal(), state)
     }
 
     /// A fresh run on a fresh journal that must not crash.
@@ -285,7 +289,7 @@ impl Solo<'_> {
         build: DeployedBuild,
     ) -> SupervisorReport {
         match self.run(machine, workload, build, &mut Journal::new(), None) {
-            SoloExit::Completed(r) => r,
+            SoloExit::Completed(r, _) => r,
             SoloExit::Crashed { point, .. } => panic!("crashed at {point} with no crash armed"),
         }
     }

@@ -47,10 +47,13 @@ impl Default for ScavengerOptions {
 pub struct ScavReport {
     /// Conditional yields inserted.
     pub yields_inserted: usize,
-    /// Static worst-case inter-yield interval before the pass
-    /// (`None` = unbounded: some cycle contains no yield).
+    /// Longest inter-yield path before the pass, in *expected* cycles:
+    /// each load is charged its expected cost, not its worst, so a run
+    /// can exceed it and it is not a worst-case bound (`None` =
+    /// unbounded: some cycle contains no yield).
     pub max_interval_before: Option<u64>,
-    /// Static worst-case interval after the pass.
+    /// Longest inter-yield path after the pass, in expected cycles (see
+    /// `max_interval_before`).
     pub max_interval_after: Option<u64>,
     /// PC map from the input program to the instrumented one.
     pub pc_map: PcMap,
