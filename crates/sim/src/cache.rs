@@ -13,9 +13,10 @@
 //!
 //! [`Hierarchy::access`] runs once per simulated load, so neither the
 //! common L1 hit nor a miss that walks all three levels down and installs
-//! at all three on the way back may cost a scan. None of it is
-//! simulated-visible (`tests/prop_cache.rs` holds the hierarchy to a
-//! reference model written with stamps, scans and a hash map):
+//! at all three on the way back may cost a scan, and no set is matched
+//! twice for one line. None of it is simulated-visible
+//! (`tests/prop_cache.rs` holds the hierarchy to a reference model
+//! written with stamps, scans and a hash map):
 //!
 //! * the MSHRs are a flat vector beside a completion watermark, so
 //!   draining costs one compare until a fill has actually completed;
@@ -23,8 +24,14 @@
 //!   packed recency queue, so presence is a word-wide byte match, a free
 //!   way and the LRU victim are read off a word, and no operation visits
 //!   the ways (see `CacheLevel`);
-//! * L1 first compares the address in its set's most recently used way,
-//!   where most loads hit and a hit changes nothing;
+//! * the inlined part of `access` answers an L1 hit on the line in its
+//!   set's most recently used way — where most loads hit, and a hit
+//!   changes nothing — whenever no fill is due and the streamer is off;
+//!   all else is an out-of-line call;
+//! * a fill remembers the level its lookup found the line at, and when it
+//!   drains (or a store write-allocates) the levels nearer the core,
+//!   which that lookup missed, take the line without being matched again
+//!   (`Hierarchy::install_from`);
 //! * the host-prefetch hints for the L2/L3 sets are issued only once L1
 //!   has missed.
 
@@ -243,27 +250,34 @@ impl CacheLevel {
     /// Returns the evicted line address, if any.
     ///
     /// Refresh if present (e.g. re-install after an inner-level miss),
-    /// else the lowest free way, else the least recently used one.
+    /// else [`CacheLevel::insert`].
     fn install(&mut self, line_addr: u64) -> Option<u64> {
         let set = self.set_of(line_addr);
-        let mut evicted = None;
-        let way = match self.find(set, line_addr) {
-            Some(way) => way,
-            None => {
-                let head = set * self.stride;
-                let free = (1..self.stride).find_map(|word| {
-                    let free = self.heads[head + word] & BYTE_HI;
-                    (free != 0).then(|| 8 * (word - 1) + free.trailing_zeros() as usize / 8)
-                });
-                let lru = (self.heads[head] & 0xf) as usize;
-                let way = free.filter(|&way| way < self.ways).unwrap_or(lru);
-                let slot = &mut self.addrs[set * self.ways + way];
-                evicted = (*slot != EMPTY).then_some(*slot);
-                *slot = line_addr;
-                self.set_ctrl(set, way, self.hash(line_addr));
-                way
+        match self.find(set, line_addr) {
+            Some(way) => {
+                self.touch(set, way);
+                None
             }
-        };
+            None => self.insert(set, line_addr),
+        }
+    }
+
+    /// Installs `line_addr`, which must be absent from `set`, without
+    /// matching the set for it: into the lowest free way, else the least
+    /// recently used one. Returns the evicted line address, if any.
+    fn insert(&mut self, set: usize, line_addr: u64) -> Option<u64> {
+        debug_assert!(self.find(set, line_addr).is_none(), "{line_addr} present");
+        let head = set * self.stride;
+        let free = (1..self.stride).find_map(|word| {
+            let free = self.heads[head + word] & BYTE_HI;
+            (free != 0).then(|| 8 * (word - 1) + free.trailing_zeros() as usize / 8)
+        });
+        let lru = (self.heads[head] & 0xf) as usize;
+        let way = free.filter(|&way| way < self.ways).unwrap_or(lru);
+        let slot = &mut self.addrs[set * self.ways + way];
+        let evicted = (*slot != EMPTY).then_some(*slot);
+        *slot = line_addr;
+        self.set_ctrl(set, way, self.hash(line_addr));
         self.touch(set, way);
         debug_assert!(self.set_is_sound(set), "set {set} after an install");
         evicted
@@ -462,16 +476,33 @@ impl Hierarchy {
             });
             // Nothing in flight and `now` is `u64::MAX` itself.
             let Some(i) = earliest else { return };
-            let line = self.mshr.swap_remove(i).line;
-            self.install_all(line);
+            let Fill { line, origin, .. } = self.mshr.swap_remove(i);
+            self.install_from(line, origin);
             self.next_ready = self.earliest_ready();
         }
     }
 
-    fn install_all(&mut self, line: u64) {
-        self.l3.install(line);
-        self.l2.install(line);
-        self.l1.install(line);
+    /// Installs `line` at every level, having just been found at `origin`
+    /// by a store, or by the lookup that started its now drained fill.
+    ///
+    /// The levels nearer the core than `origin` missed that lookup, and
+    /// nothing has installed the line since: a store or a prefetch to a
+    /// line in flight merges with its fill, the streamer skips it, and
+    /// a line has one fill at a time. So those levels insert without
+    /// matching the set; `origin` and the levels beyond it, which the
+    /// line may or may not still occupy, install as usual.
+    fn install_from(&mut self, line: u64, origin: Level) {
+        for (level, cache) in [
+            (Level::L3, &mut self.l3),
+            (Level::L2, &mut self.l2),
+            (Level::L1, &mut self.l1),
+        ] {
+            if level < origin {
+                cache.insert(cache.set_of(line), line);
+            } else {
+                cache.install(line);
+            }
+        }
     }
 
     /// Performs an access of `kind` to byte address `addr` at cycle `now`.
@@ -480,8 +511,38 @@ impl Hierarchy {
     /// when the value is available; the caller charges the stall. Stores
     /// and prefetches return immediately-usable results (the caller charges
     /// only their issue cost).
+    ///
+    /// Inline, it answers the common L1 hit itself: when no fill is due
+    /// (so nothing drains), the streamer is off (so nothing trains) and
+    /// the line sits in its L1 set's most recently used way (so a lookup
+    /// would change nothing). Such a line has no fill in flight — a fill
+    /// starts only for a line its lookup missed in L1, and it is absent
+    /// there until the fill drains — so the slow path would return the
+    /// same L1 hit. Everything else takes the slow path.
+    #[inline]
     pub fn access(&mut self, addr: u64, now: u64, kind: AccessKind) -> Access {
         let line = self.line_of(addr);
+        if self.next_ready > now && self.hw_degree == 0 && self.l1.is_mru(line) {
+            match kind {
+                AccessKind::DemandLoad => self.stats.demand_hits[Level::L1.index()] += 1,
+                AccessKind::Store => {}
+                AccessKind::Prefetch => {
+                    self.stats.prefetches += 1;
+                    self.stats.prefetch_useless += 1;
+                }
+            }
+            return Access {
+                level: Level::L1,
+                ready: now + self.latencies[Level::L1.index()],
+                merged_with_fill: false,
+            };
+        }
+        self.access_slow(line, now, kind)
+    }
+
+    /// [`Hierarchy::access`] in full: drain, train, merge, walk.
+    #[inline(never)]
+    fn access_slow(&mut self, line: u64, now: u64, kind: AccessKind) -> Access {
         self.drain_fills(now);
 
         if kind == AccessKind::DemandLoad {
@@ -547,7 +608,7 @@ impl Hierarchy {
                 // never blocks, and we install immediately (the fill's
                 // timing is hidden behind the store buffer).
                 if level != Level::L1 {
-                    self.install_all(line);
+                    self.install_from(line, level);
                 }
             }
             AccessKind::Prefetch => {
@@ -845,6 +906,103 @@ mod tests {
         h.access(0x3000, 1300, AccessKind::Store);
         assert_eq!(h.probe(0x2000, 1300), Level::L1);
         assert_eq!(h.probe(0x1000, 1300), Level::Mem);
+    }
+
+    const KINDS: [AccessKind; 3] = [
+        AccessKind::DemandLoad,
+        AccessKind::Store,
+        AccessKind::Prefetch,
+    ];
+
+    /// How many ways of its set at `l` hold `line`.
+    fn copies(l: &CacheLevel, line: u64) -> usize {
+        let set = l.set_of(line);
+        let addrs = &l.addrs[set * l.ways..][..l.ways];
+        addrs.iter().filter(|&&a| a == line).count()
+    }
+
+    #[test]
+    fn a_line_in_flight_is_installed_nowhere_until_its_fill_drains() {
+        // One line per origin: cold (memory), in L3 only, in L2 only.
+        let (mem, l3, l2) = (0x10_0000u64, 0x20_0000u64, 0x30_0000u64);
+        let mut h = hierarchy();
+        let line = |addr| addr >> 6;
+        h.l3.install(line(l3));
+        h.l2.install(line(l2));
+        for (addr, origin) in [(mem, Level::Mem), (l3, Level::L3), (l2, Level::L2)] {
+            let a = h.access(addr, 1000, AccessKind::DemandLoad);
+            assert_eq!((a.level, a.merged_with_fill), (origin, false));
+        }
+        let ready = 1000 + h.latencies[Level::L2.index()];
+        // A store, a software prefetch and a demand load to each line in
+        // flight merge with its fill and install it at no level: only the
+        // drain does, and then once per level.
+        for now in [1001, ready - 1] {
+            for addr in [mem, l3, l2] {
+                for kind in KINDS {
+                    assert!(h.access(addr, now, kind).merged_with_fill, "{kind:?} {now}");
+                }
+            }
+            let held = |l: &CacheLevel| [mem, l3, l2].map(|addr| copies(l, line(addr)));
+            assert_eq!(held(&h.l1), [0, 0, 0], "L1 at {now}");
+            assert_eq!(held(&h.l2), [0, 0, 1], "L2 at {now}");
+            assert_eq!(held(&h.l3), [0, 1, 0], "L3 at {now}");
+        }
+        h.access(
+            0x4000_0000,
+            1000 + h.latencies[Level::Mem.index()],
+            AccessKind::Store,
+        );
+        assert_eq!(h.inflight_fills(), 0);
+        for addr in [mem, l3, l2] {
+            for l in [&h.l1, &h.l2, &h.l3] {
+                assert_eq!(copies(l, line(addr)), 1, "{addr:#x} after the drain");
+            }
+        }
+    }
+
+    /// Everything an access can change, for comparing two hierarchies.
+    fn state(h: &Hierarchy) -> impl PartialEq + std::fmt::Debug {
+        let levels = [&h.l1, &h.l2, &h.l3].map(|l| (l.addrs.clone(), l.heads.clone()));
+        let mshr: Vec<_> = h.mshr.iter().map(|f| (f.line, f.ready, f.origin)).collect();
+        (levels, mshr, h.next_ready, h.stats)
+    }
+
+    #[test]
+    fn the_inline_hit_is_the_slow_paths_answer() {
+        // `x` and `y` share an L1 set; `x` sits in its MRU way while `y`'s
+        // fill is in flight. The inline check may answer only before the
+        // fill is due (at `ready - 1`, not at `ready`, where the drain
+        // makes `y` the MRU line) and only with the streamer off.
+        let (x, y) = (0x1000u64, 0x1000 + 64 * 64);
+        for degree in [0, 2] {
+            let cfg = MachineConfig {
+                hw_prefetch_degree: degree,
+                ..MachineConfig::default()
+            };
+            let mut h = Hierarchy::new(&cfg);
+            h.access(x, 0, AccessKind::DemandLoad);
+            h.access(x, 1000, AccessKind::DemandLoad);
+            h.access(y, 2000, AccessKind::Prefetch);
+            // The lines a streamer would fetch next are not resident, so
+            // a demand load of `x` trains it.
+            h.invalidate(x + 64);
+            h.invalidate(x + 128);
+            let ready = h.next_ready;
+            assert!(h.l1.is_mru(h.line_of(x)) && ready == 2000 + cfg.mem_latency);
+            for now in [ready - 1, ready] {
+                for kind in KINDS {
+                    let (mut inline, mut slow) = (h.clone(), h.clone());
+                    let a = inline.access(x, now, kind);
+                    let b = slow.access_slow(slow.line_of(x), now, kind);
+                    let at = if now < ready { "ready - 1" } else { "ready" };
+                    let what = format!("{kind:?} at {at}, degree {degree}");
+                    assert_eq!(a, b, "{what}");
+                    assert_eq!(a.level, Level::L1, "{what}");
+                    assert_eq!(state(&inline), state(&slow), "{what}");
+                }
+            }
+        }
     }
 
     /// The ways of `set`'s recency queue, least recently used first.

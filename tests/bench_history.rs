@@ -2,7 +2,8 @@
 //! JSON object per PR, `{pr, commit, parent, claim?, <workload>: {<metric>:
 //! [parent_median, change_median], ..., pairs}, ...}`, appended by the PR
 //! it describes — which therefore cannot know its own hash and writes
-//! `"commit": null`; the next PR to touch the file fills it in.
+//! `"commit": null`; the next PR to touch the file fills it in. So only
+//! the newest row may carry a null commit.
 //!
 //! A workload cell carries `ops_per_s` and may carry any other end-to-end
 //! metric `BENCHMARK.json` names. It may also carry `"spread": {<metric>:
@@ -31,12 +32,11 @@ fn benchmark_names(spec: &Json, key: &str) -> Vec<String> {
     names.unwrap_or_else(|e| panic!("BENCHMARK.json, {key}: {e}"))
 }
 
-#[test]
-fn every_row_parses_and_pr_numbers_increase() {
-    let spec = Json::parse(&committed("BENCHMARK.json")).expect("BENCHMARK.json parses");
-    let metrics = benchmark_names(&spec, "end_to_end");
-    let text = committed("bench/history.jsonl");
+/// Checks every row of `text`, a history, against the end-to-end
+/// `metrics`, panicking at the first fault.
+fn check_history(text: &str, metrics: &[String]) {
     let mut last_pr = 0;
+    let rows = text.lines().count();
     for (n, line) in text.lines().enumerate() {
         let n = n + 1;
         let row = Json::parse(line).unwrap_or_else(|e| panic!("line {n}: {e}"));
@@ -49,7 +49,13 @@ fn every_row_parses_and_pr_numbers_increase() {
                     assert!(*pr > last_pr, "line {n}: pr {pr} after {last_pr}");
                     last_pr = *pr;
                 }
-                ("commit", Json::Str(_) | Json::Null) | ("parent", Json::Str(_)) => {}
+                ("commit", Json::Null) => {
+                    assert!(
+                        n == rows,
+                        "line {n}: commit is null, but it is not the newest row"
+                    );
+                }
+                ("commit", Json::Str(_)) | ("parent", Json::Str(_)) => {}
                 ("claim", claim) => {
                     let field = |f| claim.get(f).and_then(Json::as_str);
                     let (workload, metric) = (field("workload"), field("metric"));
@@ -102,5 +108,26 @@ fn every_row_parses_and_pr_numbers_increase() {
         }
     }
     assert!(last_pr > 0, "no rows");
+}
+
+#[test]
+fn every_row_parses_and_pr_numbers_increase() {
+    let spec = Json::parse(&committed("BENCHMARK.json")).expect("BENCHMARK.json parses");
+    let text = committed("bench/history.jsonl");
+    check_history(&text, &benchmark_names(&spec, "end_to_end"));
     println!("{}", text.lines().last().expect("no rows"));
+}
+
+#[test]
+fn a_null_commit_before_the_newest_row_fails() {
+    let spec = Json::parse(&committed("BENCHMARK.json")).expect("BENCHMARK.json parses");
+    let metrics = benchmark_names(&spec, "end_to_end");
+    let text = committed("bench/history.jsonl");
+    let row_34 = r#""pr":34,"commit":"1624ea0264718c1830a1514630f3331a98521488""#;
+    assert!(text.contains(row_34), "row 34 is committed");
+    let nulled = text.replace(row_34, r#""pr":34,"commit":null"#);
+    let check = std::panic::catch_unwind(|| check_history(&nulled, &metrics));
+    let fault = check.expect_err("a null commit in row 34 passes the history check");
+    let message = fault.downcast_ref::<String>().map_or("", String::as_str);
+    assert!(message.contains("not the newest row"), "{message}");
 }
