@@ -206,7 +206,6 @@ impl Experiment for FaultMatrix {
             slice_steps: 500,
             overrun_cycles: 1_200,
             max_overruns: 3,
-            ..WatchdogOptions::default()
         };
 
         // Uninstrumented solo latency: the floor LoseOpt classes degrade
@@ -231,7 +230,6 @@ impl Experiment for FaultMatrix {
                 // prefetches that cost more than no PGO at all.
                 validation: Some(ProfileValidationOptions {
                     min_load_coverage: 0.5,
-                    ..ProfileValidationOptions::default()
                 }),
                 ..PipelineOptions::default()
             },

@@ -168,8 +168,6 @@ fn base_opts() -> SupervisorOptions {
         },
         staleness_threshold: 0.6,
         max_rebuild_failures: 2,
-        backoff_base_epochs: 1,
-        backoff_max_epochs: 8,
         probation_epochs: 4,
         degrade: fast_degrade(),
         ..SupervisorOptions::default()
@@ -193,7 +191,6 @@ fn scenario_opts(scenario: &str) -> SupervisorOptions {
                     // Containment is the supervisor's job here, not the
                     // per-job watchdog's.
                     max_overruns: u32::MAX,
-                    ..WatchdogOptions::default()
                 }),
                 ..DualModeOptions::default()
             };
@@ -345,7 +342,6 @@ impl Experiment for SelfHeal {
             .put_f64("staleness_last", r.staleness_last)
             .put_u64("overruns", r.overruns)
             .put_u64("quarantines", r.quarantine_events)
-            .put_u64("readmissions", r.readmissions)
             .put_u64("scav_final", r.scav_budget_final as u64)
             .put_u64("incident_hash", r.incident_hash());
         out

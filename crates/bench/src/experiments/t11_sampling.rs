@@ -74,7 +74,6 @@ impl Experiment for T11Sampling {
             },
             skid,
             buffer_capacity: buffer,
-            ..CollectorConfig::default()
         };
         let (mut profile, cost) = collect(&mut m, &w.prog, &mut ctxs, &ccfg).unwrap();
         // Score with block smoothing, exactly as the instrumenter will

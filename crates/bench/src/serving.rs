@@ -83,7 +83,6 @@ pub(crate) fn chaos_sup() -> SupervisorOptions {
                 slice_steps: 2_000,
                 overrun_cycles: 500,
                 max_overruns: u32::MAX,
-                ..WatchdogOptions::default()
             }),
             ..DualModeOptions::default()
         },

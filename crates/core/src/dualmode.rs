@@ -39,24 +39,10 @@ pub struct WatchdogOptions {
     /// the scavenger that ran it.
     pub overrun_cycles: u64,
     /// Overruns after which a scavenger is quarantined: excluded from
-    /// serving fills and recorded in [`DualModeReport::quarantined`].
-    /// Without probation (below) the exclusion lasts the rest of the
-    /// run; the post-primary drain, where latency is no longer at stake,
-    /// still completes it either way.
+    /// serving fills for the rest of the run and recorded in
+    /// [`DualModeReport::quarantined`]. The post-primary drain, where
+    /// latency is no longer at stake, still completes it.
     pub max_overruns: u32,
-    /// Probation window: a quarantined scavenger is re-admitted to the
-    /// fill rotation after this many cycles, with a fresh overrun
-    /// allowance. The window doubles deterministically on every repeat
-    /// quarantine (exponential backoff), so a transiently-faulty
-    /// scavenger gets back to work while a repeat offender spends most
-    /// of the run excluded. `None` (the default) keeps the pre-probation
-    /// behaviour: quarantine is permanent.
-    pub probation_cycles: Option<u64>,
-    /// Quarantine events after which probation stops and the exclusion
-    /// becomes permanent — a persistently-faulty scavenger must not get
-    /// unbounded chances to tax the primary. Irrelevant when
-    /// `probation_cycles` is `None`.
-    pub max_quarantines: u32,
 }
 
 /// Per-slice instruction budget for scavengers when **no** watchdog is
@@ -74,18 +60,18 @@ impl Default for WatchdogOptions {
             slice_steps: 50_000,
             overrun_cycles: 1_200,
             max_overruns: 3,
-            probation_cycles: None,
-            max_quarantines: 3,
         }
     }
 }
 
+/// Cycles of scavenger work that suffice to hide a primary miss (the
+/// default DRAM latency). A fill keeps chaining scavengers until it has
+/// run this long.
+const HIDE_TARGET: u64 = 300;
+
 /// Options for a dual-mode run.
 #[derive(Clone, Copy, Debug)]
 pub struct DualModeOptions {
-    /// Cycles of scavenger work that suffice to hide a primary miss
-    /// (defaults to the DRAM latency).
-    pub hide_target: u64,
     /// Per-context instruction budget.
     pub max_steps_per_ctx: u64,
     /// After the primary completes, run remaining scavengers to
@@ -103,7 +89,6 @@ pub struct DualModeOptions {
 impl Default for DualModeOptions {
     fn default() -> Self {
         DualModeOptions {
-            hide_target: 300,
             max_steps_per_ctx: u64::MAX,
             drain_scavengers: true,
             watchdog: None,
@@ -138,14 +123,9 @@ pub struct DualModeReport {
     /// Scavenger slices the watchdog counted as overruns.
     pub overruns: u64,
     /// Context ids of scavengers quarantined by the watchdog (repeat
-    /// overrun offenders, excluded from serving further fills). With
-    /// probation enabled an id appears once per quarantine *event*, so
-    /// repeat offenders show up multiple times.
+    /// overrun offenders, excluded from serving fills for the rest of
+    /// the run), each once, in quarantine order.
     pub quarantined: Vec<usize>,
-    /// Scavengers re-admitted to the fill rotation after serving out a
-    /// probation window (0 unless [`WatchdogOptions::probation_cycles`]
-    /// is set).
-    pub readmitted: u64,
     /// Contexts retired by trap isolation: `(context id, error)` in
     /// fault order. Empty unless [`DualModeOptions::isolate_faults`].
     pub context_faults: Vec<(usize, ExecError)>,
@@ -169,10 +149,6 @@ struct Scav {
     overruns: u32,
     /// Excluded from fills for the rest of the run.
     quarantined: bool,
-    /// Probation: how many times it has been quarantined, and (when on
-    /// probation) the cycle at which it may serve fills again.
-    quarantines: u32,
-    release_at: Option<u64>,
 }
 
 /// Runs `primary` over `primary_prog` co-scheduled with `scavengers` over
@@ -252,28 +228,16 @@ pub fn run_dual_mode(
                     let (s, ctx) = (&mut pool[lane - 1], &mut *lanes[lane].ctx);
                     let elapsed = m.now - fill_start;
                     // Watchdog overrun accounting, per slice: repeat
-                    // offenders are quarantined — retired from
-                    // scheduling for the rest of the run, or for a
-                    // deterministic, per-offense-doubling probation
-                    // window when one is configured and chances remain.
-                    let mut quarantine_now = false;
+                    // offenders are quarantined, retired from fills for
+                    // the rest of the run.
                     if let Some(w) = opts.watchdog.as_ref().filter(|w| {
                         m.now - slice_start > w.overrun_cycles || exit == Exit::StepLimit
                     }) {
                         s.overruns += 1;
                         report.overruns += 1;
                         if s.overruns >= w.max_overruns {
-                            s.quarantines += 1;
+                            s.quarantined = true;
                             report.quarantined.push(ctx.id);
-                            quarantine_now = true;
-                            match w.probation_cycles {
-                                Some(p) if s.quarantines <= w.max_quarantines => {
-                                    let shift = (s.quarantines - 1).min(31);
-                                    let window = p.saturating_mul(1u64 << shift);
-                                    s.release_at = Some(m.now.saturating_add(window));
-                                }
-                                _ => s.quarantined = true,
-                            }
                         }
                     }
                     match exit {
@@ -281,7 +245,7 @@ pub fn run_dual_mode(
                         // miss yet is followed by another.
                         Exit::Done => {
                             report.scavengers_completed += 1;
-                            elapsed < opts.hide_target
+                            elapsed < HIDE_TARGET
                         }
                         // Watchdog preemption, not a fault: the scavenger
                         // stays runnable (unless just quarantined) but
@@ -300,8 +264,8 @@ pub fn run_dual_mode(
                             // consume more cycles. A scavenger-phase
                             // yield means it ran long enough.
                             let chain = matches!(kind, YieldKind::Primary | YieldKind::IfAbsent)
-                                && elapsed < opts.hide_target
-                                && !quarantine_now;
+                                && elapsed < HIDE_TARGET
+                                && !s.quarantined;
                             if chain {
                                 next_scav = if lane == n { 0 } else { lane };
                             }
@@ -322,30 +286,18 @@ pub fn run_dual_mode(
             };
             if fill_goes_on {
                 // The next runnable, non-quarantined scavenger: round
-                // robin from the cursor, wrapping once. A scavenger on
-                // probation counts as quarantined until its release
-                // cycle arrives.
-                let now = m.now;
-                let pick = crate::executor::round_robin(next_scav, n).find(|&i| {
-                    lanes[i + 1].ctx.status == Status::Runnable
-                        && !pool[i].quarantined
-                        && pool[i].release_at.is_none_or(|t| now >= t)
-                });
+                // robin from the cursor, wrapping once.
+                let pick = crate::executor::round_robin(next_scav, n)
+                    .find(|&i| lanes[i + 1].ctx.status == Status::Runnable && !pool[i].quarantined);
                 if let Some(i) = pick {
                     next_scav = i;
                     let s = &mut pool[i];
-                    if s.release_at.take().is_some() {
-                        // Probation served: back in the rotation with a
-                        // fresh overrun allowance.
-                        s.overruns = 0;
-                        report.readmitted += 1;
-                    }
                     if !s.used {
                         s.used = true;
                         report.scavengers_used += 1;
                     }
                     scavs_this_fill += 1;
-                    slice_start = now;
+                    slice_start = m.now;
                     lanes[i + 1].budget = slice_budget;
                     return Next::Run(i + 1);
                 }
@@ -592,6 +544,11 @@ mod tests {
         b.finish().unwrap()
     }
 
+    /// Hand mutations, each of which fails this test: a quarantined
+    /// offender is re-admitted after a fixed 5 000-cycle window (whether
+    /// each repeat quarantine is recorded or only the first; the second
+    /// shows only in the starved-fill count); `overruns` resets at the
+    /// next pick; `quarantined` is never set.
     #[test]
     fn watchdog_quarantines_runaway_and_bounds_primary_latency() {
         let prog = dual_instrumented_chase(true);
@@ -630,11 +587,19 @@ mod tests {
             slice_steps: 200,
             overrun_cycles: 1_000,
             max_overruns: 3,
-            ..WatchdogOptions::default()
         };
         let tight = run(Some(w));
         assert_eq!(tight.quarantined, vec![1]);
         assert!(tight.overruns >= u64::from(w.max_overruns));
+        // Quarantine is permanent: each of the first `max_overruns` fills
+        // ran one preempted slice of the offender, and every fill after
+        // them ran none while the primary was still running.
+        assert_eq!(tight.max_scavengers_per_fill, 1);
+        assert_eq!(
+            tight.starved_fills,
+            tight.fill_times.len() as u64 - u64::from(w.max_overruns),
+            "the offender served a fill after its quarantine"
+        );
         let (lw, ln) = (
             tight.primary_latency.unwrap(),
             loose.primary_latency.unwrap(),
@@ -789,93 +754,6 @@ mod tests {
         for age in [0, 1] {
             assert_eq!(run(true, age), run(false, age), "primary's age {age}");
         }
-    }
-
-    /// A phased scavenger: `r1` iterations of hostile non-yielding
-    /// compute, then `r3` cooperative iterations with a scavenger-phase
-    /// yield each (~60 cycles apart).
-    fn phased_scav_prog() -> Program {
-        let mut b = ProgramBuilder::new("phased");
-        b.imm(Reg(2), 1);
-        let hostile = b.label();
-        b.bind(hostile);
-        b.alu(AluOp::Sub, Reg(1), Reg(1), Reg(2), 1);
-        b.branch(Cond::Nez, Reg(1), hostile);
-        let coop = b.label();
-        b.bind(coop);
-        b.alu(AluOp::Add, Reg(4), Reg(4), Reg(2), 60);
-        b.push(Inst::Yield {
-            kind: YieldKind::Scavenger,
-            save_regs: Some((1 << 2) | (1 << 3) | (1 << 4)),
-        });
-        b.alu(AluOp::Sub, Reg(3), Reg(3), Reg(2), 1);
-        b.branch(Cond::Nez, Reg(3), coop);
-        b.halt();
-        b.finish().unwrap()
-    }
-
-    #[test]
-    fn probation_readmits_transient_offender_but_not_persistent_one() {
-        let prog = dual_instrumented_chase(true);
-        let scav = phased_scav_prog();
-        let hops = 300u64;
-        let mut m = Machine::new(MachineConfig::default());
-        let hp = lay_chain(&mut m, 0x100_0000, hops);
-        let mut primary = ctx_for(0, hp, hops);
-
-        // Transient: 260 hostile iterations (enough for one quarantine),
-        // then cooperative. Persistent: hostile forever.
-        let mut transient = Context::new(1);
-        transient.set_reg(Reg(1), 260);
-        transient.set_reg(Reg(3), 40);
-        let mut persistent = Context::new(2);
-        persistent.set_reg(Reg(1), 1_000_000);
-        persistent.set_reg(Reg(3), 1);
-        let mut scavs = vec![transient, persistent];
-
-        let w = WatchdogOptions {
-            slice_steps: 200,
-            overrun_cycles: 100,
-            max_overruns: 2,
-            probation_cycles: Some(2_000),
-            max_quarantines: 2,
-        };
-        let r = run_dual_mode(
-            &mut m,
-            &prog,
-            &mut primary,
-            &scav,
-            &mut scavs,
-            &DualModeOptions {
-                watchdog: Some(w),
-                drain_scavengers: false,
-                ..DualModeOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(primary.status, Status::Done);
-
-        // The transient offender was quarantined once, served its
-        // probation, and finished its work inside the fill rotation.
-        let count = |id: usize| r.quarantined.iter().filter(|&&q| q == id).count();
-        assert_eq!(count(1), 1, "quarantine events: {:?}", r.quarantined);
-        assert_eq!(scavs[0].status, Status::Done, "transient not re-admitted");
-
-        // The persistent offender burned through its probation chances
-        // (initial + max_quarantines re-admissions) and ended permanently
-        // excluded, still unfinished.
-        assert_eq!(
-            count(2),
-            1 + w.max_quarantines as usize,
-            "quarantine events: {:?}",
-            r.quarantined
-        );
-        assert_eq!(scavs[1].status, Status::Runnable);
-        assert!(
-            r.readmitted >= 2,
-            "expected probation re-admissions, got {}",
-            r.readmitted
-        );
     }
 
     #[test]

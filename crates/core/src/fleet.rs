@@ -116,11 +116,13 @@ impl Default for RolloutOptions {
     }
 }
 
-/// Configuration for [`run_fleet`]. Two rules are fixed: a forwarded
-/// request retries after 1 epoch, doubling per attempt to at most 4, plus
-/// a jitter of 0 or 1; and 2 breaker opens within 8 epochs freeze the
-/// rollout and pin the last-known-good build fleet-wide. Idle scavenger
-/// slices are always granted to the serving shards.
+/// Configuration for [`run_fleet`]. Three rules are fixed: the
+/// forwarding queue holds 16 requests and sheds one that has waited 4
+/// epochs; a forwarded request retries after 1 epoch, doubling per
+/// attempt to at most 4, plus a jitter of 0 or 1; and 2 breaker opens
+/// within 8 epochs freeze the rollout and pin the last-known-good build
+/// fleet-wide. Idle scavenger slices are always granted to the serving
+/// shards.
 #[derive(Clone, Debug)]
 pub struct FleetOptions {
     /// Shard count; must equal the [`MultiCore`]'s core count.
@@ -130,10 +132,6 @@ pub struct FleetOptions {
     /// The supervisor every shard runs. Shard `s` draws its backoff
     /// jitter from [`shard_seed`]`(seed, s)`.
     pub sup: SupervisorOptions,
-    /// Forwarding-queue bound; requests beyond it are shed on arrival.
-    pub forward_bound: usize,
-    /// Epochs a queued request may wait before it is shed as timed out.
-    pub forward_timeout_epochs: u64,
     /// Rolling re-instrumentation deploy; `None` = steady state.
     pub rollout: Option<RolloutOptions>,
     /// Fleet seed: router jitter and per-shard seed derivation.
@@ -141,6 +139,12 @@ pub struct FleetOptions {
     /// Crash-recovery options for every shard.
     pub recover: RecoverOptions,
 }
+
+/// Forwarding-queue bound; requests beyond it are shed on arrival.
+const FORWARD_BOUND: usize = 16;
+
+/// Epochs a queued request may wait before it is shed as timed out.
+const FORWARD_TIMEOUT_EPOCHS: u64 = 4;
 
 /// Base retry backoff of a forwarded request (epochs); doubles per
 /// attempt, plus a jitter draw below `FORWARD_BACKOFF_BASE + 1`.
@@ -162,8 +166,6 @@ impl Default for FleetOptions {
             shards: 2,
             epochs: 16,
             sup: SupervisorOptions::default(),
-            forward_bound: 16,
-            forward_timeout_epochs: 4,
             rollout: None,
             seed: 0,
             recover: RecoverOptions { revalidate: true },
@@ -421,8 +423,6 @@ pub struct ShardSummary {
     pub overruns: u64,
     /// Watchdog quarantine events across all served jobs.
     pub quarantine_events: u64,
-    /// Watchdog probation re-admissions across all served jobs.
-    pub readmissions: u64,
     /// The shard's durable store at fleet end — flushed and audited when
     /// the shard ended up, as the crash left it when it ended down.
     pub journal: Journal,
@@ -448,7 +448,6 @@ impl Default for ShardSummary {
             staleness_last: f64::NAN,
             overruns: 0,
             quarantine_events: 0,
-            readmissions: 0,
             journal: Journal::new(),
         }
     }
@@ -483,7 +482,6 @@ impl ShardSummary {
         self.rebuilds += r.rebuilds;
         self.overruns += r.overruns;
         self.quarantine_events += r.quarantine_events;
-        self.readmissions += r.readmissions;
         self.latencies.extend(r.latencies);
         self.incidents.extend(r.incidents);
         self.final_rung = r.final_rung;
@@ -508,7 +506,7 @@ pub struct FleetReport {
     pub forwarded: u64,
     /// Retry attempts by queued requests.
     pub retries: u64,
-    /// Queued requests shed after `forward_timeout_epochs`.
+    /// Queued requests shed after waiting 4 epochs.
     pub timeouts: u64,
     /// Requests shed because the forwarding queue was full.
     pub forward_shed: u64,
@@ -1072,7 +1070,7 @@ impl<'a> Fleet<'a> {
                 admit[q.owner] += 1;
                 continue;
             }
-            if epoch.saturating_sub(q.enqueued) >= opts.forward_timeout_epochs {
+            if epoch.saturating_sub(q.enqueued) >= FORWARD_TIMEOUT_EPOCHS {
                 self.rep.timeouts += 1;
                 continue;
             }
@@ -1097,7 +1095,7 @@ impl<'a> Fleet<'a> {
                 if !cross {
                     self.rep.admitted_direct += 1;
                 }
-            } else if self.queue.len() < opts.forward_bound {
+            } else if self.queue.len() < FORWARD_BOUND {
                 self.queue.push_back(QueuedRequest {
                     owner: a.owner,
                     enqueued: epoch,
@@ -1508,7 +1506,6 @@ mod tests {
     fn one_shard_fleet_degenerates_to_single_supervisor() {
         let mut sup = fleet_sup();
         sup.staleness_threshold = 0.0;
-        (sup.backoff_base_epochs, sup.backoff_max_epochs) = (2, 2);
         sup.degrade = DegradeOptions {
             max_reprofiles: 0,
             profile_mutator: Some(|p: &mut Profile| p.total_samples = 0),
@@ -1547,7 +1544,7 @@ mod tests {
                 (shard.served, shard.shed_jobs, shard.job_faults),
                 (shard.swaps, shard.rebuilds, shard.rebuild_failures),
                 (shard.final_rung, shard.breaker, shard.scav_budget_final),
-                (shard.overruns, shard.quarantine_events, shard.readmissions),
+                (shard.overruns, shard.quarantine_events),
                 (
                     shard.staleness_peak.to_bits(),
                     shard.staleness_last.to_bits(),
@@ -1557,7 +1554,7 @@ mod tests {
                 (r.served, r.shed_jobs, r.job_faults),
                 (r.swaps, r.rebuilds, r.rebuild_failures),
                 (r.final_rung, r.breaker, r.scav_budget_final),
-                (r.overruns, r.quarantine_events, r.readmissions),
+                (r.overruns, r.quarantine_events),
                 (r.staleness_peak.to_bits(), r.staleness_last.to_bits()),
             );
             assert_eq!(fleet, reference, "seed {seed}");
@@ -1795,11 +1792,15 @@ mod tests {
         );
     }
 
+    /// Hand mutations, each of which fails this test: the queue admits
+    /// every request (no bound); a queued request never times out.
     #[test]
     fn forwarding_queue_sheds_on_overflow_and_times_out() {
-        // A long drain (big backlog, service rate 1) forces queued
-        // cross-shard requests to outlive a 1-epoch timeout.
-        let (mut mc, mut svc, orig, initial) = fleet_world(2, 4, true);
+        // A long drain (a full backlog at service rate 1) keeps a shard
+        // away while half of 12 arrivals an epoch queue for it: the queue
+        // fills past its bound of 16, and requests outlive the 4-epoch
+        // timeout.
+        let (mut mc, mut svc, orig, initial) = fleet_world(2, 12, true);
         let opts = FleetOptions {
             shards: 2,
             epochs: 12,
@@ -1810,24 +1811,13 @@ mod tests {
                 p99_factor: 100.0,
                 poison: None,
             }),
-            forward_timeout_epochs: 1,
             seed: 7,
             ..FleetOptions::default()
         };
         let rep = run_fleet(&mut mc, &mut svc, &orig, initial, &opts).unwrap();
         assert_eq!(rep.violations, Vec::<String>::new());
         assert!(rep.timeouts > 0, "expected forward-queue timeouts: {rep:?}");
-
-        // Bound 0: every request that cannot be admitted at its owner is
-        // shed immediately.
-        let (mut mc, mut svc, orig, initial) = fleet_world(2, 4, true);
-        let opts = FleetOptions {
-            forward_bound: 0,
-            ..opts
-        };
-        let rep = run_fleet(&mut mc, &mut svc, &orig, initial, &opts).unwrap();
-        assert_eq!(rep.violations, Vec::<String>::new());
-        assert!(rep.forward_shed > 0, "bound-0 queue must shed: {rep:?}");
+        assert!(rep.forward_shed > 0, "expected overflow sheds: {rep:?}");
     }
 
     #[test]
@@ -1940,7 +1930,7 @@ mod tests {
                 sh.recoveries_degraded,
                 sh.rebuild_failures,
             ),
-            (sh.overruns, sh.quarantine_events, sh.readmissions),
+            (sh.overruns, sh.quarantine_events),
             (sh.final_rung, sh.breaker, sh.scav_budget_final, staleness),
             (sh.latencies.clone(), incidents_json(&sh.incidents)),
             (project(&replay.records), replay.records, replay.valid_bytes),

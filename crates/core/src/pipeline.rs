@@ -416,10 +416,7 @@ mod tests {
         // Validation on: the pipeline's own freshly collected profile
         // passes admission control.
         let opts = PipelineOptions {
-            validation: Some(reach_profile::ProfileValidationOptions {
-                require_fingerprint: true,
-                ..reach_profile::ProfileValidationOptions::default()
-            }),
+            validation: Some(reach_profile::ProfileValidationOptions::default()),
             ..PipelineOptions::default()
         };
         let mut prof_ctx = vec![w.instances[1].make_context(99)];
@@ -444,8 +441,7 @@ mod tests {
         // with a typed error rather than instrumenting blind.
         let strict = PipelineOptions {
             validation: Some(reach_profile::ProfileValidationOptions {
-                min_total_samples: u64::MAX,
-                ..reach_profile::ProfileValidationOptions::default()
+                min_load_coverage: 2.0,
             }),
             ..PipelineOptions::default()
         };
@@ -456,7 +452,7 @@ mod tests {
         let err = pgo_pipeline(&mut m2, &w2.prog, &mut prof_ctx2, &strict).unwrap_err();
         assert!(matches!(
             err,
-            PipelineError::Profile(ProfileInvalid::TooFewSamples { .. })
+            PipelineError::Profile(ProfileInvalid::LowLoadCoverage { .. })
         ));
     }
 

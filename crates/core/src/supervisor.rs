@@ -112,7 +112,9 @@ pub(crate) fn build_is_trusted(
 
 /// Per-shard configuration of the supervised loop
 /// [`run_fleet`](crate::fleet::run_fleet) runs. Swaps happen only on
-/// epoch boundaries.
+/// epoch boundaries. One rule is fixed: a failed rebuild backs off 1
+/// epoch, doubling per consecutive failure to at most 8, plus a jitter
+/// of 0 or 1.
 #[derive(Clone, Debug)]
 pub struct SupervisorOptions {
     /// Jobs served per epoch (the service rate).
@@ -136,11 +138,6 @@ pub struct SupervisorOptions {
     /// Clean epochs (no SLO violation, no overruns) required before one
     /// shed scavenger is restored to the pool.
     pub probation_epochs: u64,
-    /// Base backoff delay (epochs) after a failed rebuild; doubles per
-    /// consecutive failure.
-    pub backoff_base_epochs: u64,
-    /// Backoff delay cap (epochs), before jitter.
-    pub backoff_max_epochs: u64,
     /// Consecutive rebuild failures at which the circuit breaker opens
     /// and the supervisor deploys the best degraded rung instead.
     pub max_rebuild_failures: u32,
@@ -168,6 +165,13 @@ const QUEUE_BOUND: usize = 8;
 /// estimator needs time to re-warm against the new reference).
 const COOLDOWN_EPOCHS: u64 = 2;
 
+/// Base backoff delay (epochs) after a failed rebuild; doubles per
+/// consecutive failure, plus a jitter draw below `BACKOFF_BASE_EPOCHS + 1`.
+const BACKOFF_BASE_EPOCHS: u64 = 1;
+
+/// Backoff delay cap (epochs), before jitter.
+const BACKOFF_MAX_EPOCHS: u64 = 8;
+
 impl Default for SupervisorOptions {
     fn default() -> Self {
         SupervisorOptions {
@@ -179,8 +183,6 @@ impl Default for SupervisorOptions {
             estimator: OnlineEstimatorOptions::default(),
             insitu_period: 127,
             probation_epochs: 2,
-            backoff_base_epochs: 1,
-            backoff_max_epochs: 8,
             max_rebuild_failures: 3,
             degrade: DegradeOptions::default(),
             dual: DualModeOptions {
@@ -521,8 +523,6 @@ pub(crate) struct SupervisorReport {
     pub overruns: u64,
     /// Watchdog quarantine events across all served jobs.
     pub quarantine_events: u64,
-    /// Watchdog probation re-admissions across all served jobs.
-    pub readmissions: u64,
     /// Scavenger-pool budget at the end of the segment.
     pub scav_budget_final: usize,
 }
@@ -737,7 +737,6 @@ impl EpochLoop {
             staleness_last: f64::NAN,
             overruns: 0,
             quarantine_events: 0,
-            readmissions: 0,
             scav_budget_final: 0,
         };
         EpochLoop {
@@ -957,7 +956,6 @@ impl EpochLoop {
                     self.report.served += 1;
                     self.report.overruns += r.overruns;
                     self.report.quarantine_events += r.quarantined.len() as u64;
-                    self.report.readmissions += r.readmitted;
                     epoch_overruns += r.overruns;
                     if let Some(lat) = r.primary_latency {
                         self.report.latencies.push((epoch, lat));
@@ -1064,12 +1062,10 @@ impl EpochLoop {
                         self.deploy(machine, journal, fb, BreakerState::Open, failures, incident)?;
                     } else {
                         let shift = (failures - 1).min(31);
-                        let delay = self
-                            .opts
-                            .backoff_base_epochs
+                        let delay = BACKOFF_BASE_EPOCHS
                             .saturating_mul(1u64 << shift)
-                            .min(self.opts.backoff_max_epochs);
-                        let jitter = self.rng.next_below(self.opts.backoff_base_epochs + 1);
+                            .min(BACKOFF_MAX_EPOCHS);
+                        let jitter = self.rng.next_below(BACKOFF_BASE_EPOCHS + 1);
                         let until_epoch = epoch + 1 + delay + jitter;
                         let state = BreakerState::Backoff { until_epoch };
                         let rec = JournalRecord::Breaker {
@@ -1674,8 +1670,6 @@ mod tests {
 
         let opts = SupervisorOptions {
             max_rebuild_failures: 2,
-            backoff_base_epochs: 1,
-            backoff_max_epochs: 4,
             degrade: DegradeOptions {
                 max_reprofiles: 0,
                 profile_mutator: Some(wipe),
@@ -1723,7 +1717,6 @@ mod tests {
 
         let opts = SupervisorOptions {
             max_rebuild_failures: 2,
-            backoff_base_epochs: 1,
             build_mutator: Some(clobber_yield_saves),
             ..drift_opts()
         };
@@ -1772,7 +1765,6 @@ mod tests {
 
         let opts = SupervisorOptions {
             max_rebuild_failures: 2,
-            backoff_base_epochs: 1,
             build_mutator: Some(skew_prefetched_load),
             ..drift_opts()
         };
@@ -1814,7 +1806,6 @@ mod tests {
                     slice_steps: 2_000,
                     overrun_cycles: 500,
                     max_overruns: u32::MAX, // containment left to the supervisor
-                    ..WatchdogOptions::default()
                 }),
                 ..DualModeOptions::default()
             },

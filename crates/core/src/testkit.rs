@@ -65,7 +65,6 @@ pub(crate) fn fleet_sup() -> SupervisorOptions {
                 slice_steps: 2_000,
                 overrun_cycles: 500,
                 max_overruns: u32::MAX,
-                ..WatchdogOptions::default()
             }),
             ..DualModeOptions::default()
         },

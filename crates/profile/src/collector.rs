@@ -20,9 +20,10 @@ pub struct CollectorConfig {
     pub skid: u32,
     /// Per-counter buffer capacity.
     pub buffer_capacity: usize,
-    /// Overall per-instance step budget.
-    pub max_steps: u64,
 }
+
+/// Overall per-instance step budget of a collection run.
+const MAX_STEPS: u64 = 100_000_000;
 
 impl Default for CollectorConfig {
     fn default() -> Self {
@@ -30,7 +31,6 @@ impl Default for CollectorConfig {
             periods: Periods::default(),
             skid: 0,
             buffer_capacity: 4096,
-            max_steps: 100_000_000,
         }
     }
 }
@@ -128,10 +128,10 @@ pub fn collect(
         let start = ctx.stats.instructions;
         loop {
             let used = ctx.stats.instructions - start;
-            if used >= cfg.max_steps {
+            if used >= MAX_STEPS {
                 break;
             }
-            let budget = CHUNK_STEPS.min(cfg.max_steps - used);
+            let budget = CHUNK_STEPS.min(MAX_STEPS - used);
             let exit = machine.run_to_completion(prog, ctx, budget)?;
             drain(machine, &mut profile);
             if exit == Exit::Done {

@@ -13,14 +13,14 @@ use crate::Profile;
 use reach_sim::{Inst, Program};
 use std::fmt;
 
-/// Thresholds for [`validate_profile`].
+/// Minimum total samples for estimates to be better than noise.
+const MIN_TOTAL_SAMPLES: u64 = 8;
+
+/// Thresholds for [`validate_profile`]. A profile needs at least 8
+/// samples, and one with unknown provenance (`fingerprint == 0`) passes
+/// the fingerprint check.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ProfileValidationOptions {
-    /// Reject profiles with unknown provenance (`fingerprint == 0`).
-    /// Off by default so pre-provenance profiles keep loading.
-    pub require_fingerprint: bool,
-    /// Minimum total samples for estimates to be better than noise.
-    pub min_total_samples: u64,
     /// Minimum fraction of the program's load instructions that must
     /// have a non-zero execution estimate (after block smoothing).
     pub min_load_coverage: f64,
@@ -29,8 +29,6 @@ pub struct ProfileValidationOptions {
 impl Default for ProfileValidationOptions {
     fn default() -> Self {
         ProfileValidationOptions {
-            require_fingerprint: false,
-            min_total_samples: 8,
             min_load_coverage: 0.25,
         }
     }
@@ -46,13 +44,11 @@ pub enum ProfileInvalid {
         /// Fingerprint recorded in the profile.
         got: u64,
     },
-    /// The profile records no provenance and the caller requires it.
-    MissingProvenance,
-    /// Fewer samples than [`ProfileValidationOptions::min_total_samples`].
+    /// Fewer samples than the minimum of 8.
     TooFewSamples {
         /// Samples in the profile.
         got: u64,
-        /// The configured minimum.
+        /// The minimum.
         need: u64,
     },
     /// Too few load instructions have execution estimates.
@@ -73,9 +69,6 @@ impl fmt::Display for ProfileInvalid {
                 f,
                 "profile provenance mismatch: binary {expected:#x}, profile {got:#x}"
             ),
-            ProfileInvalid::MissingProvenance => {
-                write!(f, "profile records no binary fingerprint")
-            }
             ProfileInvalid::TooFewSamples { got, need } => {
                 write!(f, "profile has {got} samples, need at least {need}")
             }
@@ -105,20 +98,16 @@ pub fn validate_profile(
     opts: &ProfileValidationOptions,
 ) -> Result<(), ProfileInvalid> {
     let expected = prog.fingerprint();
-    if profile.fingerprint == 0 {
-        if opts.require_fingerprint {
-            return Err(ProfileInvalid::MissingProvenance);
-        }
-    } else if profile.fingerprint != expected {
+    if profile.fingerprint != 0 && profile.fingerprint != expected {
         return Err(ProfileInvalid::FingerprintMismatch {
             expected,
             got: profile.fingerprint,
         });
     }
-    if profile.total_samples < opts.min_total_samples {
+    if profile.total_samples < MIN_TOTAL_SAMPLES {
         return Err(ProfileInvalid::TooFewSamples {
             got: profile.total_samples,
-            need: opts.min_total_samples,
+            need: MIN_TOTAL_SAMPLES,
         });
     }
     if opts.min_load_coverage > 0.0 {
@@ -191,17 +180,12 @@ mod tests {
     }
 
     #[test]
-    fn unknown_provenance_passes_unless_required() {
+    fn unknown_provenance_passes() {
         let p = prog();
         let mut prof = good_profile(&p);
         prof.fingerprint = 0;
-        let mut opts = ProfileValidationOptions::default();
+        let opts = ProfileValidationOptions::default();
         assert_eq!(validate_profile(&prof, &p, &opts), Ok(()));
-        opts.require_fingerprint = true;
-        assert_eq!(
-            validate_profile(&prof, &p, &opts),
-            Err(ProfileInvalid::MissingProvenance)
-        );
     }
 
     #[test]

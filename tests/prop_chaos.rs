@@ -109,7 +109,6 @@ fn opts() -> FleetChaosOptions {
                     slice_steps: 2_000,
                     overrun_cycles: 500,
                     max_overruns: u32::MAX,
-                    ..WatchdogOptions::default()
                 }),
                 ..DualModeOptions::default()
             },

@@ -362,8 +362,8 @@ proptest! {
 //  4. `dispatch_lanes` carries the first lane's budget into the next
 //     (the lane's own `budget` ignored);
 //  5. the dual-mode policy charges the primary's switch after picking the
-//     scavenger instead of before (`slice_start` and the probation
-//     check read the clock a switch early);
+//     scavenger instead of before (`slice_start` reads the clock a
+//     switch early);
 //  6. `Observed::enter`/`leave` read the retirements of the first
 //     lane's context instead of the running lane's;
 //  7. `run_lane` sets `started_at` for context 0 only (a scavenger's
@@ -472,42 +472,30 @@ fn gen_budget() -> impl Strategy<Value = u64> {
 }
 
 fn gen_dual() -> impl Strategy<Value = Scenario> {
-    let watchdog = (
-        (1u64..60, 1u64..400, 1u32..4),
-        prop_oneof![Just(None), (1u64..2_000).prop_map(Some)],
-        0u32..3,
-    )
-        .prop_map(
-            |((slice_steps, overrun_cycles, max_overruns), probation_cycles, max_quarantines)| {
-                WatchdogOptions {
-                    slice_steps,
-                    overrun_cycles,
-                    max_overruns,
-                    probation_cycles,
-                    max_quarantines,
-                }
-            },
-        );
+    let watchdog =
+        (1u64..60, 1u64..400, 1u32..4).prop_map(|(slice_steps, overrun_cycles, max_overruns)| {
+            WatchdogOptions {
+                slice_steps,
+                overrun_cycles,
+                max_overruns,
+            }
+        });
     (
         (0usize..4, any::<bool>()),
-        prop_oneof![Just(0u64), Just(60), Just(300)],
         gen_budget(),
         (any::<bool>(), any::<bool>()),
         prop_oneof![Just(None), watchdog.prop_map(Some)],
     )
         .prop_map(
-            |((scavengers, scav_override), hide_target, budget, (drain, isolate), watchdog)| {
-                Scenario::Dual {
-                    scavengers,
-                    scav_override,
-                    opts: DualModeOptions {
-                        hide_target,
-                        max_steps_per_ctx: budget,
-                        drain_scavengers: drain,
-                        watchdog,
-                        isolate_faults: isolate,
-                    },
-                }
+            |((scavengers, scav_override), budget, (drain, isolate), watchdog)| Scenario::Dual {
+                scavengers,
+                scav_override,
+                opts: DualModeOptions {
+                    max_steps_per_ctx: budget,
+                    drain_scavengers: drain,
+                    watchdog,
+                    isolate_faults: isolate,
+                },
             },
         )
 }
@@ -649,6 +637,9 @@ fn interleaved_by_hand(
     Ok(report)
 }
 
+/// Cycles of scavenger work that end a fill: the library's hide target.
+const HIDE_TARGET: u64 = 300;
+
 /// `run_dual_mode` as the hand-rolled loop it was, with the drain
 /// bounded as it is now.
 fn dual_mode_by_hand(
@@ -669,8 +660,6 @@ fn dual_mode_by_hand(
     let mut used = vec![false; n];
     let mut overruns = vec![0u32; n];
     let mut quarantined = vec![false; n];
-    let mut quarantines = vec![0u32; n];
-    let mut release_at: Vec<Option<u64>> = vec![None; n];
     let mut next_scav = 0usize;
     let unwatched = reach_core::DEFAULT_UNWATCHED_SLICE_STEPS.min(opts.max_steps_per_ctx);
     let slice_budget = match &opts.watchdog {
@@ -695,12 +684,9 @@ fn dual_mode_by_hand(
         machine.charge_switch(SwitchKind::Coroutine(save_regs));
         let mut scavs_this_fill = 0usize;
         'fill: loop {
-            let now = machine.now;
-            let pick = (next_scav..n).chain(0..next_scav).find(|&i| {
-                scavengers[i].status == Status::Runnable
-                    && !quarantined[i]
-                    && release_at[i].is_none_or(|t| now >= t)
-            });
+            let pick = (next_scav..n)
+                .chain(0..next_scav)
+                .find(|&i| scavengers[i].status == Status::Runnable && !quarantined[i]);
             let Some(i) = pick else {
                 if scavs_this_fill == 0 {
                     report.starved_fills += 1;
@@ -708,10 +694,6 @@ fn dual_mode_by_hand(
                 break 'fill;
             };
             next_scav = i;
-            if release_at[i].take().is_some() {
-                overruns[i] = 0;
-                report.readmitted += 1;
-            }
             if !used[i] {
                 used[i] = true;
                 report.scavengers_used += 1;
@@ -728,30 +710,20 @@ fn dual_mode_by_hand(
                 Err(e) => return Err(e),
             };
             let elapsed = machine.now - fill_start;
-            let mut quarantine_now = false;
             if let Some(w) = &opts.watchdog {
                 if machine.now - slice_start > w.overrun_cycles || exit == Exit::StepLimit {
                     overruns[i] += 1;
                     report.overruns += 1;
                     if overruns[i] >= w.max_overruns {
-                        quarantines[i] += 1;
                         report.quarantined.push(scavengers[i].id);
-                        quarantine_now = true;
-                        match w.probation_cycles {
-                            Some(p) if quarantines[i] <= w.max_quarantines => {
-                                let shift = (quarantines[i] - 1).min(31);
-                                let window = p.saturating_mul(1u64 << shift);
-                                release_at[i] = Some(machine.now.saturating_add(window));
-                            }
-                            _ => quarantined[i] = true,
-                        }
+                        quarantined[i] = true;
                     }
                 }
             }
             match exit {
                 Exit::Done => {
                     report.scavengers_completed += 1;
-                    if elapsed >= opts.hide_target {
+                    if elapsed >= HIDE_TARGET {
                         break 'fill;
                     }
                 }
@@ -764,8 +736,8 @@ fn dual_mode_by_hand(
                     machine.charge_switch(SwitchKind::Coroutine(save_regs));
                     match kind {
                         YieldKind::Scavenger | YieldKind::Manual => break 'fill,
-                        _ if elapsed >= opts.hide_target => break 'fill,
-                        _ if quarantine_now => break 'fill,
+                        _ if elapsed >= HIDE_TARGET => break 'fill,
+                        _ if quarantined[i] => break 'fill,
                         YieldKind::Primary | YieldKind::IfAbsent => next_scav = (i + 1) % n,
                     }
                 }

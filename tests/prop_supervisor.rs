@@ -157,7 +157,6 @@ struct Observation {
     staleness_last_bits: u64,
     overruns: u64,
     quarantines: u64,
-    readmissions: u64,
     scav_final: usize,
     violations: Vec<String>,
 }
@@ -197,8 +196,6 @@ fn observe(sc: Scenario, supervised: bool) -> Observation {
         },
         staleness_threshold: sc.staleness_threshold,
         max_rebuild_failures: 2,
-        backoff_base_epochs: 1,
-        backoff_max_epochs: 4,
         degrade,
         supervise: supervised,
         ..SupervisorOptions::default()
@@ -228,7 +225,6 @@ fn observe(sc: Scenario, supervised: bool) -> Observation {
         staleness_last_bits: r.staleness_last.to_bits(),
         overruns: r.overruns,
         quarantines: r.quarantine_events,
-        readmissions: r.readmissions,
         scav_final: r.scav_budget_final,
         violations: rep.violations.clone(),
     }
